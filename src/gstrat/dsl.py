@@ -29,6 +29,7 @@ graph-id order; an out-of-range index makes the atom false.  Sort keys:
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -733,10 +734,17 @@ class RunReport:
 
 
 def write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temporary file and a rename; on any
+    failure the temporary file is removed and the error re-raised."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_script(path: str) -> Script:

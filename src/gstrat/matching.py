@@ -10,7 +10,6 @@ vertex numbering.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable, Mapping
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -124,23 +123,6 @@ def enumerate_embeddings(pattern: Graph, host: Graph) -> list[dict[int, int]]:
     return results
 
 
-def merge_maps(maps: Iterable[Mapping[int, int]]) -> dict[int, int] | None:
-    """Union of vertex maps with pairwise-disjoint images; None on conflict.
-
-    Keys are assumed disjoint (each map covers a distinct pattern component);
-    a shared image vertex violates injectivity and signals the conflict.
-    """
-    merged: dict[int, int] = {}
-    used: set[int] = set()
-    for m in maps:
-        for k, v in m.items():
-            if v in used:
-                return None
-            merged[k] = v
-            used.add(v)
-    return merged
-
-
 def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     """A label-preserving vertex bijection inducing an edge bijection, or None.
 
@@ -187,32 +169,40 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
             [(u, el) for u, el in sorted(g.neighbors(v).items()) if u in seen])
         seen.add(v)
 
+    # Iterative backtracking (no recursion limit on large graphs): next_idx[i]
+    # is where the scan of position i's candidate list resumes.
+    candidates = [by_color.get(gc[v], ()) for v in order]
+    next_idx = [0] * len(order)
     assignment: dict[int, int] = {}
     used: set[int] = set()
-
-    def extend(i: int) -> dict[int, int] | None:
-        if i == len(order):
-            return dict(assignment)
+    i = 0
+    while i < len(order):
         gv = order[i]
+        gdeg = g.degree(gv)
         anchors = placed_before[i]
-        for c in by_color.get(gc[gv], ()):
-            if c in used or h.degree(c) != g.degree(gv):
+        cands = candidates[i]
+        j = next_idx[i]
+        fit = None
+        while fit is None and j < len(cands):
+            c = cands[j]
+            j += 1
+            if c in used or h.degree(c) != gdeg:
                 continue
-            ok = True
+            fit = c
             for pn, el in anchors:
                 mapped = assignment[pn]
                 if not h.has_edge(mapped, c) or h.edge_label(mapped, c) != el:
-                    ok = False
+                    fit = None
                     break
-            if not ok:
-                continue
-            assignment[gv] = c
-            used.add(c)
-            found = extend(i + 1)
-            if found is not None:
-                return found
-            used.discard(c)
-            del assignment[gv]
-        return None
-
-    return extend(0)
+        if fit is None:
+            next_idx[i] = 0
+            if i == 0:
+                return None
+            i -= 1
+            used.discard(assignment.pop(order[i]))
+            continue
+        next_idx[i] = j
+        assignment[gv] = fit
+        used.add(fit)
+        i += 1
+    return assignment

@@ -35,10 +35,6 @@ class Assembly:
                 return i
         raise ValueError(f"vertex {union_vid} not in assembly")
 
-    def local_id(self, union_vid: int) -> tuple[int, int]:
-        i = self.copy_of(union_vid)
-        return i, union_vid - self.offsets[i]
-
 
 def assemble(repo: GraphRepository, graph_ids: Sequence[int]) -> Assembly:
     vertices: list[tuple[int, str]] = []
@@ -63,19 +59,8 @@ class Morphism:
         self.assembly = assembly
         self.vertex_map = vertex_map
 
-    def host_index(self, rule_vid: int) -> int:
-        """Which copy of the host multiset the image of rule_vid lies in."""
-        return self.assembly.copy_of(self.vertex_map[rule_vid])
-
     def touched_copies(self) -> set[int]:
         return {self.assembly.copy_of(v) for v in self.vertex_map.values()}
-
-    def edge_map(self, rule: Rule) -> dict[tuple[int, int], tuple[int, int]]:
-        """Induced map on left-graph edges."""
-        m = self.vertex_map
-        return {(u, v): _edge_key(m[u], m[v])
-                for (u, v), re in rule.edges.items()
-                if re.kind in (LEFT, CONTEXT) and u in m and v in m}
 
     def __repr__(self) -> str:
         return f"Morphism({self.vertex_map})"
@@ -470,6 +455,11 @@ def enumerate_proper_derivations(
     work is proportional to what the required set can actually initiate.
     Derivations agreeing on (rule, input classes, output classes) are
     deduplicated; discovery order is deterministic.
+
+    Each match orbit under rule automorphisms and permutations of the bound
+    copies is applied once, at its first member: the other members yield
+    isomorphic results, hence the same derivation key.  ``bind_graph`` stays
+    per-morphism.
     """
     if repo is None:
         raise ValueError("a graph repository is required")
@@ -485,11 +475,21 @@ def enumerate_proper_derivations(
         raise ValueError("required graphs must be part of the universe")
 
     found: dict[tuple, Derivation] = {}
+    automorphisms = rule.automorphisms()
+    applied_orbits: set[tuple] = set()
 
     def finish(partial: PartialRule) -> None:
         inputs = tuple(sorted(partial.bound_graph_ids()))
         if left_filter is not None and not left_filter(inputs):
             return
+        orbit = min(
+            tuple(sorted((bc.graph_id,
+                          tuple(sorted((sigma[rv], sv) for rv, sv in bc.vertex_map)))
+                         for bc in partial.bound))
+            for sigma in automorphisms)
+        if orbit in applied_orbits:
+            return
+        applied_orbits.add(orbit)
         d = complete_derivation(partial, repo)
         if d is not None and d.key not in found:
             found[d.key] = d
@@ -522,6 +522,9 @@ def enumerate_proper_derivations(
                 subset = (0,) + tail
                 for partial in _bind_copy(empty, start_gid, subset, repo, cache):
                     extend(partial)
+    # extend refers to itself through its closure; breaking that cycle frees
+    # this call's working set now instead of at the next cyclic collection.
+    del extend
     return list(found.values())
 
 

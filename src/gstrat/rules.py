@@ -48,6 +48,7 @@ class Rule:
         self._left: Graph | None = None
         self._right: Graph | None = None
         self._left_components: tuple[Graph, ...] | None = None
+        self._automorphisms: tuple[dict[int, int], ...] | None = None
 
     @classmethod
     def build(cls, name: str,
@@ -116,8 +117,46 @@ class Rule:
             self._left_components = tuple(self.left_graph().connected_components())
         return self._left_components
 
-    def context_vertex_ids(self) -> list[int]:
-        return [vid for vid, rv in self.vertices.items() if rv.kind == CONTEXT]
+    def automorphisms(self) -> tuple[dict[int, int], ...]:
+        """Every permutation of rule vertex ids that maps each vertex to one
+        with the same kind and label pair, and each vertex pair to one with
+        the same edge (or no edge).  The identity comes first; callers must
+        not mutate the returned maps."""
+        if self._automorphisms is None:
+            ids = sorted(self.vertices)
+            found: list[dict[int, int]] = []
+            image: dict[int, int] = {}
+            used: set[int] = set()
+            # Iterative backtracking: stack[i] yields candidates for ids[i];
+            # a stack one deeper than ids marks a complete permutation.
+            stack = [iter(ids)]
+            while stack:
+                depth = len(stack) - 1
+                if depth == len(ids):
+                    found.append(dict(image))
+                    stack.pop()
+                    continue
+                v = ids[depth]
+                if v in image:
+                    used.discard(image.pop(v))
+                for c in stack[-1]:
+                    if c not in used and self._extends(image, v, c):
+                        image[v] = c
+                        used.add(c)
+                        stack.append(iter(ids))
+                        break
+                else:
+                    stack.pop()
+            self._automorphisms = tuple(found)
+        return self._automorphisms
+
+    def _extends(self, image: dict[int, int], v: int, c: int) -> bool:
+        """Can the partial automorphism image also send v to c?"""
+        if self.vertices[v] != self.vertices[c]:
+            return False
+        edges = self.edges
+        return all(edges.get(_edge_key(u, v)) == edges.get(_edge_key(iu, c))
+                   for u, iu in image.items())
 
     @property
     def is_chemical(self) -> bool:

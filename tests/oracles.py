@@ -117,6 +117,21 @@ def naive_derivation_keys(rule, universe, required, repo, max_components=None):
     return keys
 
 
+def brute_rule_automorphisms(rule) -> set[tuple[tuple[int, int], ...]]:
+    """Span automorphisms of a rule, by testing every vertex permutation."""
+    ids = sorted(rule.vertices)
+    found = set()
+    for images in itertools.permutations(ids):
+        sigma = dict(zip(ids, images))
+        if any(rule.vertices[sigma[v]] != rule.vertices[v] for v in ids):
+            continue
+        if all(rule.edges.get(tuple(sorted((sigma[u], sigma[v]))))
+               == rule.edges.get((u, v))
+               for u, v in itertools.combinations(ids, 2)):
+            found.add(tuple(sorted(sigma.items())))
+    return found
+
+
 def random_rule(rng: random.Random, name: str = "r") -> "object":
     """A random valid rule with at most two left components."""
     from gstrat.rules import Rule, validate_rule

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the heavyweight runs are shared through module-scoped fixtures.
 """
+import hashlib
 import random
 import time
 from pathlib import Path
@@ -25,6 +26,16 @@ from .oracles import naive_derivation_keys, random_graph, random_rule
 from .test_rules import relabel_rule
 
 ASSETS = Path(__file__).parent.parent / "assets"
+
+# sha256 of the JSON and DOT exports of the two shipped scripts.
+GOLDEN_EXPORTS = {
+    "bfs.json": "af6f19e21d0e681dda03f66f67274ff064716c261b4b6f52df34e79e0c1cc6b4",
+    "bfs.dot": "eafa3ab035a78786a0d560f3ec83255a10c14c822bfcb9d275e5ae8282d3c086",
+    "subspace.json":
+        "9a7cd7e1a523927d1a2f4200cee9ad0b22ab3adcbf4849b9bb92e6ac12ca5d55",
+    "subspace.dot":
+        "e53d5138ddb0b2a6dc65209fe5e89b7e7818ec534ef8ef1efc90c1f973535159",
+}
 
 
 def report(criterion: int, detail: str) -> None:
@@ -73,7 +84,8 @@ def bfs_run(tmp_path_factory):
     ctx = EvalContext()
     started = time.perf_counter()
     rep = run_script(load_script(str(ASSETS / "diels_bfs.gs")),
-                     json_path=str(out / "run1.json"), ctx=ctx)
+                     json_path=str(out / "run1.json"),
+                     dot_path=str(out / "run1.dot"), ctx=ctx)
     elapsed = time.perf_counter() - started
     return ctx, rep, elapsed, out / "run1.json"
 
@@ -83,7 +95,8 @@ def subspace_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("subspace")
     ctx = EvalContext()
     rep = run_script(load_script(str(ASSETS / "diels_subspace.gs")),
-                     json_path=str(out / "run1.json"), ctx=ctx)
+                     json_path=str(out / "run1.json"),
+                     dot_path=str(out / "run1.dot"), ctx=ctx)
     return ctx, rep, out / "run1.json"
 
 
@@ -362,6 +375,15 @@ class TestCriterion8:
                    json_path=str(second_sub))
         assert second_sub.read_bytes() == sub_json.read_bytes()
         report(8, "both shipped scripts export byte-identical JSON across runs")
+
+    def test_golden_export_hashes(self, bfs_run, subspace_run):
+        json_paths = {"bfs": bfs_run[3], "subspace": subspace_run[2]}
+        digests = {
+            f"{name}.{kind}": hashlib.sha256(
+                path.with_suffix(f".{kind}").read_bytes()).hexdigest()
+            for name, path in json_paths.items() for kind in ("json", "dot")}
+        assert digests == GOLDEN_EXPORTS
+        report(8, "all four exports match their golden sha256 digests")
 
 
 class TestCriterion9:

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from gstrat import dsl
 from gstrat.dsl import (ScriptError, format_script, load_script, parse_script,
-                        run_script)
+                        run_script, write_atomic)
 from gstrat.lex import ParseError
 
 ASSETS = Path(__file__).parent.parent / "assets"
@@ -169,6 +170,32 @@ class TestRunScript:
                 "strategy main = addSubset(g) -> repeat[2] { filterSubset[nope] }")
         with pytest.raises(ScriptError):
             run_script(parse_script(text))
+
+
+class TestWriteAtomic:
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        real_open = open
+
+        class FailingWrite:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(dsl, "open",
+                            lambda *a, **kw: FailingWrite(real_open(*a, **kw)),
+                            raising=False)
+        target = tmp_path / "out.json"
+        with pytest.raises(OSError, match="no space left"):
+            write_atomic(str(target), "{}")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestIncludes:

@@ -153,6 +153,22 @@ class TestRepository:
         with pytest.raises(GraphError):
             repo.intern(Graph([(0, "a"), (1, "a")]))
 
+    def test_intern_long_path_twice(self):
+        # The isomorphism search must not recurse per vertex.  Distinct
+        # labels keep colour refinement to one round on this size.
+        n = 5000
+        path = Graph([(i, f"v{i}") for i in range(n)],
+                     [(i, i + 1, "e") for i in range(n - 1)])
+        reversed_ids = Graph([(n - 1 - i, f"v{i}") for i in range(n)],
+                             [(n - 1 - i, n - 2 - i, "e") for i in range(n - 1)])
+        repo = GraphRepository()
+        gid, new = repo.intern(path)
+        again, new_again, into = repo.intern_mapped(reversed_ids)
+        assert (again, new, new_again) == (gid, True, False)
+        stored = repo.graph(gid)
+        assert all(stored.label(into[v]) == reversed_ids.label(v)
+                   for v in reversed_ids.vertex_ids())
+
     def test_no_isomorphic_duplicates_after_workload(self):
         rng = random.Random(23)
         repo = GraphRepository()

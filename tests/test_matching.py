@@ -4,7 +4,7 @@ import pytest
 
 from gstrat.graphs import Graph
 from gstrat.matching import (MatchError, enumerate_embeddings, find_isomorphism,
-                             merge_maps, queries)
+                             queries)
 
 from .oracles import brute_embeddings, random_graph
 
@@ -86,14 +86,6 @@ class TestEnumerateEmbeddings:
         enumerate_embeddings(g, g)
         assert mid == before + 1
         assert queries.value == mid + 1
-
-
-class TestMergeMaps:
-    def test_disjoint_images_merge(self):
-        assert merge_maps([{0: 5}, {1: 6}]) == {0: 5, 1: 6}
-
-    def test_overlapping_images_conflict(self):
-        assert merge_maps([{0: 5}, {1: 5}]) is None
 
 
 class TestFindIsomorphism:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gstrat import rewrite
 from gstrat.chem import diels_alder_rule, parse_molecule
 from gstrat.graphs import Graph, GraphRepository, isomorphic
 from gstrat.rewrite import (BindError, MatchCache, apply_at, assemble,
@@ -193,19 +194,7 @@ class TestEnumerateProperDerivations:
         assert out.edge_count == 1
         # the match tags each image with its own copy of the multiset
         match = derivations[0].match
-        assert {match.host_index(0), match.host_index(1)} == {0, 1}
-
-    def test_morphism_edge_map(self):
-        repo = GraphRepository()
-        g1, _ = chain_graphs()
-        gid, _ = repo.intern(g1)
-        derivations = enumerate_proper_derivations(relabel_rule(), [gid], [gid],
-                                                   repo=repo)
-        match = derivations[0].match
-        edge_map = match.edge_map(relabel_rule())
-        assert list(edge_map) == [(0, 1)]
-        (host_edge,) = edge_map.values()
-        assert match.assembly.graph.has_edge(*host_edge)
+        assert match.touched_copies() == {0, 1}
 
     def test_diels_alder_seed_pair(self):
         repo = GraphRepository()
@@ -292,6 +281,64 @@ class TestEnumerateProperDerivations:
             for d in enumerate_proper_derivations(rule, ids, repo=repo):
                 touched = d.match.touched_copies()
                 assert touched == set(range(len(d.match.assembly.graph_ids)))
+
+
+def symmetric_pair_rule():
+    # Two identical a-x-b components; R joins their "a" vertices.  Swapping
+    # the components is a rule automorphism.
+    return Rule.build("pair",
+                      context_vertices=[(0, "a", "a"), (1, "b", "b"),
+                                        (2, "a", "a"), (3, "b", "b")],
+                      context_edges=[(0, 1, "x", "x"), (2, 3, "x", "x")],
+                      right_edges=[(0, 2, "y")])
+
+
+def count_applications(monkeypatch):
+    calls = []
+    real = rewrite.apply_at
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rewrite, "apply_at", counting)
+    return calls
+
+
+class TestOrbitPruning:
+    def test_diels_alder_pair_applies_each_orbit_once(self, monkeypatch):
+        # 64 complete matches fall into 16 orbits under the rule's order-2
+        # automorphism and the two orders of the bound copies.
+        repo = GraphRepository()
+        iso_id, _ = repo.intern(parse_molecule("CC(=C)C=C"))
+        chx_id, _ = repo.intern(parse_molecule("C1=CC=CCC1"))
+        calls = count_applications(monkeypatch)
+        derivations = enumerate_proper_derivations(
+            diels_alder_rule(), [iso_id, chx_id], [iso_id, chx_id],
+            repo=repo, left_filter=lambda ids: len(ids) == 2)
+        assert len(calls) == 16
+        assert len(derivations) == 9
+
+    def test_symmetric_rule_with_one_graph_in_both_copies(self, monkeypatch):
+        repo = GraphRepository()
+        edge_id, _ = repo.intern(Graph([(0, "a"), (1, "b")], [(0, 1, "x")]))
+        star_id, _ = repo.intern(Graph([(0, "b"), (1, "a"), (2, "a")],
+                                       [(0, 1, "x"), (0, 2, "x")]))
+        rule = symmetric_pair_rule()
+        assert len(rule.automorphisms()) == 2
+        ids = [edge_id, star_id]
+        for required in ([], [edge_id], [star_id], ids):
+            fast = enumerate_proper_derivations(rule, ids, required, repo=repo)
+            assert keys_of(fast) == naive_derivation_keys(rule, ids, required,
+                                                          repo)
+        # Starting from the required edge binds either component first; the
+        # two complete matches differ by the component swap and by the order
+        # of the copies, so only one is applied.
+        calls = count_applications(monkeypatch)
+        (d,) = enumerate_proper_derivations(rule, [edge_id], [edge_id],
+                                            repo=repo)
+        assert d.inputs == (edge_id, edge_id)
+        assert len(calls) == 1
 
 
 class TestPartialBindingCompleteness:

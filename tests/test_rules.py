@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from gstrat.chem import diels_alder_rule
 from gstrat.lex import ParseError
 from gstrat.rules import (CONTEXT, LEFT, RIGHT, Rule, RuleError, format_rule,
                           parse_rules, validate_rule)
+
+from .oracles import brute_rule_automorphisms, random_rule
 
 
 def relabel_rule() -> Rule:
@@ -129,3 +133,37 @@ class TestDielsAlderShape:
         text = (Path(__file__).parent.parent / "assets" / "diels_alder.gr").read_text()
         parsed = parse_rules(text)["dielsAlder"]
         assert parsed.same_structure(diels_alder_rule())
+
+
+class TestAutomorphisms:
+    @staticmethod
+    def _catalan(name):
+        from gstrat.catalan import catalan_rules
+
+        return {r.name: r for r in catalan_rules()}[name]
+
+    def test_group_orders(self):
+        da = diels_alder_rule()
+        orders = {"dielsAlder": len(da.automorphisms()),
+                  "dielsAlder^-1": len(da.inverted().automorphisms())}
+        for name in ("mark", "removeR", "markForFail", "unmark"):
+            orders[name] = len(self._catalan(name).automorphisms())
+        assert orders == {"dielsAlder": 2, "dielsAlder^-1": 2, "mark": 6,
+                          "removeR": 6, "markForFail": 1, "unmark": 1}
+
+    def test_exactly_the_span_preserving_permutations(self):
+        rng = random.Random(61)
+        rules = [diels_alder_rule(), relabel_rule()]
+        rules += [self._catalan(n) for n in ("mark", "removeR", "markForFail",
+                                               "unmark")]
+        rules += [random_rule(rng) for _ in range(30)]
+        for rule in rules:
+            autos = rule.automorphisms()
+            assert autos[0] == {v: v for v in rule.vertices}
+            got = {tuple(sorted(sigma.items())) for sigma in autos}
+            assert len(got) == len(autos)
+            assert got == brute_rule_automorphisms(rule)
+
+    def test_cached_per_instance(self):
+        rule = diels_alder_rule()
+        assert rule.automorphisms() is rule.automorphisms()
