@@ -1,13 +1,21 @@
-"""Labeled simple graphs, isomorphism-aware interning, and the graph text format.
+"""Labeled simple graphs, canonical-form interning, and the graph text format.
 
 Graphs are undirected and simple (no loops, no parallel edges) with arbitrary
 string labels on vertices and edges.  Instances are immutable once built;
-derived data (structural signature, refinement colors) is cached lazily, which
-is what makes the isomorphism and interning hot loops cheap.
+derived data (structural signature, refinement colors, canonical form) is
+cached lazily, which is what makes the isomorphism and interning hot loops
+cheap.
+
+The canonical form is an individualisation-refinement labelling in the style
+of McKay & Piperno, "Practical graph isomorphism, II" (2014): refine the
+vertex colouring until it is stable; while some colour class is not a
+*symmetric cell* (one whose every permutation is an automorphism), branch on
+individualising each of its members; each leaf orders the vertices, and the
+smallest resulting relabelled graph is the certificate.  Automorphisms found
+when two leaves agree prune the sibling branches they relate.
 """
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterable, Iterator, Mapping
 
 from gstrat import lex
@@ -22,24 +30,201 @@ def _edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
-# Process-wide interning of refinement-color signatures.  Two vertices (in
-# any graphs) get the same id iff their refinement signatures are equal, so
-# colors stay comparable across graphs while staying cheap small ints.
-_COLOR_IDS: dict[tuple, int] = {}
+# -- colour refinement and canonical labelling on dense indices ----------------
+#
+# A graph with n vertices is handled as vertex indices 0..n-1 (ascending id
+# order).  adj[i] holds one (offset, j) pair per neighbour j, where offset is
+# the rank of the edge label times n: offset + colour then names an
+# (edge label, neighbour colour) pair by a single int.  A colouring is an
+# ordered partition into cells, each listing its members in ascending index
+# order; a vertex's colour is the position of its cell, so every colour is
+# local to its graph.
+
+Adjacency = list[tuple[tuple[int, int], ...]]
 
 
-def _color_id(signature: tuple) -> int:
-    cid = _COLOR_IDS.get(signature)
-    if cid is None:
-        cid = len(_COLOR_IDS)
-        _COLOR_IDS[signature] = cid
-    return cid
+def _colors(cells: list[list[int]], n: int) -> list[int]:
+    colors = [0] * n
+    for c, cell in enumerate(cells):
+        for i in cell:
+            colors[i] = c
+    return colors
+
+
+def _refine(adj: Adjacency, cells: list[list[int]],
+            changed: Iterable[int] | None = None) -> list[list[int]]:
+    """Refine an ordered partition until no cell splits.
+
+    Each round splits every cell by the members' sorted neighbour keys and
+    puts the parts in key order, so a vertex's new colour is the rank of
+    (its colour, sorted neighbour keys) among this graph's distinct values,
+    and the result is equivariant: relabelling the graph relabels the
+    colouring the same way.  A cell can only split when a member has a
+    neighbour whose cell split in the previous round; ``changed`` names the
+    vertices whose cells changed before the first round (None: all cells
+    are examined).
+    """
+    n = len(adj)
+    colors = _colors(cells, n)
+    while len(cells) < n:
+        if changed is None:
+            touched = None
+        else:
+            touched = {colors[j] for i in changed for _, j in adj[i]}
+        out: list[list[int]] = []
+        changed = []
+        for c, cell in enumerate(cells):
+            if len(cell) == 1 or (touched is not None and c not in touched):
+                out.append(cell)
+                continue
+            parts: dict[tuple[int, ...], list[int]] = {}
+            for i in cell:
+                key = tuple(sorted([off + colors[j] for off, j in adj[i]]))
+                parts.setdefault(key, []).append(i)
+            if len(parts) == 1:
+                out.append(cell)
+                continue
+            out.extend(parts[key] for key in sorted(parts))
+            changed.extend(cell)
+        if not changed:
+            break
+        cells = out
+        colors = _colors(cells, n)
+    return cells
+
+
+def _is_symmetric(cell: list[int], adj: Adjacency) -> bool:
+    """Is every permutation of this cell an automorphism?
+
+    True when all members have the same neighbours outside the cell, with
+    the same edge labels, and the edges inside the cell are either all
+    present with one label or all absent.
+    """
+    members = set(cell)
+    outside = {tuple(sorted((j, off) for off, j in adj[y] if j not in members))
+               for y in cell}
+    inner = [off for y in cell for off, j in adj[y] if j in members]
+    return len(outside) == 1 and (
+        not inner or (len(inner) == len(cell) * (len(cell) - 1)
+                      and len(set(inner)) == 1))
+
+
+def _target_cell(adj: Adjacency, cells: list[list[int]]) -> int | None:
+    """Position of the first cell that is neither a singleton nor symmetric."""
+    for c, cell in enumerate(cells):
+        if len(cell) > 1 and not _is_symmetric(cell, adj):
+            return c
+    return None
+
+
+def _orbit(w: int, generators: list[list[int]]) -> set[int]:
+    orbit = {w}
+    todo = [w]
+    while todo:
+        x = todo.pop()
+        for gamma in generators:
+            y = gamma[x]
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
+
+
+def _canonical_order(adj: Adjacency, cells: list[list[int]],
+                     edge_label_count: int) -> tuple[tuple[int, ...], list[int]]:
+    """The smallest leaf of the individualisation-refinement search tree.
+
+    Takes a refined partition.  Returns (edge codes, order): order lists the
+    vertex indices by canonical position, and each edge is coded as
+    (position pair, edge label rank) in one int.  A node is a leaf when all
+    its non-singleton cells are symmetric; otherwise its children
+    individualise each member of its target cell, placing it in a cell of
+    its own just after the rest.  The search is iterative; a frame is
+    [cells, target position, children explored, next member].  When a
+    leaf's codes equal those of the first or the best leaf, the two orders
+    differ by an automorphism.  A child is skipped, or its subtree
+    abandoned, once the automorphisms that fix the frame's individualised
+    prefix map it onto an earlier sibling: both subtrees then hold the same
+    leaf codes.
+    """
+    n = len(adj)
+    kinds = max(1, edge_label_count)
+    edges = [(i, j, off // n) for i in range(n) for off, j in adj[i] if i < j]
+
+    def leaf(cells: list[list[int]]) -> tuple[tuple[int, ...], list[int]]:
+        order = [i for cell in cells for i in cell]
+        pos = [0] * n
+        for p, i in enumerate(order):
+            pos[i] = p
+        codes = []
+        for i, j, e in edges:
+            a, b = pos[i], pos[j]
+            if a > b:
+                a, b = b, a
+            codes.append((a * n + b) * kinds + e)
+        codes.sort()
+        return tuple(codes), order
+
+    target = _target_cell(adj, cells)
+    if target is None:
+        return leaf(cells)
+    first = best = None
+    generators: list[list[int]] = []
+    stack = [[cells, target, [], 0]]
+
+    def fixing(depth: int) -> list[list[int]]:
+        prefix = [frame[2][-1] for frame in stack[:depth]]
+        return [g for g in generators if all(g[p] == p for p in prefix)]
+
+    while stack:
+        frame = stack[-1]
+        cells, target, explored, nxt = frame
+        cell = cells[target]
+        gens = fixing(len(stack) - 1) if explored else []
+        child = None
+        while child is None and nxt < len(cell):
+            w = cell[nxt]
+            nxt += 1
+            if not explored or _orbit(w, gens).isdisjoint(explored):
+                child = w
+        frame[3] = nxt
+        if child is None:
+            stack.pop()
+            continue
+        explored.append(child)
+        split = cells[:target] + [[i for i in cell if i != child], [child]]
+        split += cells[target + 1:]
+        child_cells = _refine(adj, split, [child])
+        child_target = _target_cell(adj, child_cells)
+        if child_target is not None:
+            stack.append([child_cells, child_target, [], 0])
+            continue
+        codes, order = leaf(child_cells)
+        if first is None:
+            first = best = (codes, order)
+            continue
+        ref = first if codes == first[0] else best if codes == best[0] else None
+        if ref is None:
+            if codes < best[0]:
+                best = (codes, order)
+            continue
+        gamma = [0] * n
+        for a, b in zip(ref[1], order):
+            gamma[a] = b
+        generators.append(gamma)
+        # Abandon the shallowest current branch that the new automorphism
+        # maps onto an earlier sibling.
+        for depth, (_, _, done, _) in enumerate(stack):
+            if len(done) > 1 and not _orbit(done[-1], fixing(depth)).isdisjoint(done[:-1]):
+                del stack[depth + 1:]
+                break
+    return best
 
 
 class Graph:
     """Immutable simple undirected graph with string vertex and edge labels."""
 
-    __slots__ = ("_labels", "_adj", "_edge_count", "_signature", "_hash",
+    __slots__ = ("_labels", "_adj", "_edge_count", "_signature", "_canon",
                  "_wl_colors", "_wl_hist", "_sorted_adj")
 
     def __init__(self, vertices: Iterable[tuple[int, str]],
@@ -65,7 +250,7 @@ class Graph:
         self._adj = adj
         self._edge_count = count
         self._signature: tuple | None = None
-        self._hash: int | None = None
+        self._canon: tuple[tuple, tuple[int, ...]] | None = None
         self._wl_colors: dict[int, int] | None = None
         self._wl_hist: tuple[tuple[int, int], ...] | None = None
         self._sorted_adj: dict[int, tuple[int, ...]] | None = None
@@ -125,7 +310,7 @@ class Graph:
         Built from the sorted vertex-label multiset, the sorted multiset of
         edge signatures (min endpoint label, edge label, max endpoint label),
         and the sorted degree sequence.  Isomorphic graphs always agree;
-        collisions are resolved by a full isomorphism search.
+        non-isomorphic graphs may agree too.
         """
         if self._signature is None:
             labels = tuple(sorted(self._labels.values()))
@@ -139,38 +324,53 @@ class Graph:
             self._signature = (labels, tuple(sorted(edge_sigs)), degrees)
         return self._signature
 
-    @property
-    def structural_hash(self) -> int:
-        """Deterministic integer digest of the signature."""
-        if self._hash is None:
-            digest = hashlib.blake2b(repr(self.signature).encode(), digest_size=8)
-            self._hash = int.from_bytes(digest.digest(), "big")
-        return self._hash
+    def _dense(self) -> tuple[list[int], Adjacency, list[list[int]], list[str]]:
+        """(ids, adjacency, cells by vertex label, sorted edge labels) on the
+        dense indices that the refinement helpers above work on."""
+        ids = sorted(self._labels)
+        n = len(ids)
+        index = {v: i for i, v in enumerate(ids)}
+        edge_labels = sorted({el for nbrs in self._adj.values() for el in nbrs.values()})
+        offset = {el: r * n for r, el in enumerate(edge_labels)}
+        adj = [tuple((offset[el], index[u]) for u, el in self._adj[v].items())
+               for v in ids]
+        by_label: dict[str, list[int]] = {}
+        for i, v in enumerate(ids):
+            by_label.setdefault(self._labels[v], []).append(i)
+        cells = [by_label[label] for label in sorted(by_label)]
+        return ids, adj, cells, edge_labels
 
     def refinement_colors(self) -> dict[int, int]:
         """Stable vertex colors from iterated neighborhood refinement.
 
-        Colors are interned process-wide, so they are comparable across
-        graphs; the refinement runs until the partition stops splitting.
-        Isomorphic graphs produce equal color multisets; matching candidates
-        may be pruned to equal-color vertices.
+        Colors are ranks local to this graph, starting from the vertex-label
+        ranks; the refinement runs until the partition stops splitting.  An
+        isomorphism maps each vertex to one of the same color, so matching
+        candidates may be pruned to equal-color vertices.
         """
         if self._wl_colors is None:
-            colors = {v: _color_id(("v", self._labels[v])) for v in self._labels}
-            classes = len(set(colors.values()))
-            for _ in range(max(1, len(colors))):
-                nxt = {}
-                for v in colors:
-                    around = tuple(sorted(
-                        (el, colors[u]) for u, el in self._adj[v].items()))
-                    nxt[v] = _color_id((colors[v], around))
-                new_classes = len(set(nxt.values()))
-                colors = nxt
-                if new_classes == classes:
-                    break
-                classes = new_classes
-            self._wl_colors = colors
+            ids, adj, cells, _ = self._dense()
+            colors = _colors(_refine(adj, cells), len(ids))
+            self._wl_colors = dict(zip(ids, colors))
         return self._wl_colors
+
+    def canonical_form(self) -> tuple[tuple, tuple[int, ...]]:
+        """(certificate, vertex ids in canonical order).
+
+        Two graphs have equal certificates exactly when they are isomorphic,
+        and pairing their canonical orders position by position is then a
+        label-preserving isomorphism.  The certificate is the sorted vertex
+        labels, the sorted edge labels, and the edges coded by canonical
+        position pair and edge-label rank.
+        """
+        if self._canon is None:
+            ids, adj, cells, edge_labels = self._dense()
+            codes, order = _canonical_order(adj, _refine(adj, cells),
+                                            len(edge_labels))
+            certificate = (tuple(sorted(self._labels.values())),
+                           tuple(edge_labels), codes)
+            self._canon = (certificate, tuple(ids[i] for i in order))
+        return self._canon
 
     def color_histogram(self) -> tuple[tuple[int, int], ...]:
         if self._wl_hist is None:
@@ -237,18 +437,17 @@ def isomorphic(g: Graph, h: Graph) -> bool:
 class GraphRepository:
     """Interning store mapping isomorphism classes to dense integer ids.
 
-    Stored graphs are renumbered to dense vertex ids and never mutated.
-    A structural-hash index buckets candidates; bucket members are compared
-    by full isomorphism search, so no two stored ids are isomorphic.
+    Stored graphs are renumbered to dense vertex ids and never mutated; the
+    first graph interned for a class is its representative.  Each class is
+    indexed by its canonical certificate, so interning is one canonical form
+    and one dict lookup, and no two stored ids are isomorphic.
     """
 
     def __init__(self) -> None:
         self._graphs: list[Graph] = []
-        self._buckets: dict[int, list[int]] = {}
-        # Finer candidate index: same-formula isomers collide massively on
-        # the structural hash, so intern scans group by refinement colors
-        # too (a prefix of the full search's own rejection tests).
-        self._candidates: dict[tuple, list[int]] = {}
+        self._by_cert: dict[tuple, int] = {}
+        # Per id: the stored graph's vertex ids in canonical order.
+        self._orders: list[tuple[int, ...]] = []
         self._names: dict[int, str] = {}
         self._by_name: dict[str, int] = {}
 
@@ -267,35 +466,24 @@ class GraphRepository:
 
     def intern_mapped(self, g: Graph) -> tuple[int, bool, dict[int, int]]:
         """Intern g; also return the vertex map from g into the stored graph."""
-        from gstrat import matching
-
         if not g.is_connected:
             raise GraphError("cannot intern a disconnected (or empty) graph")
-        canonical, renumber = g.renumbered()
-        key = (canonical.structural_hash, canonical.color_histogram())
-        candidates = self._candidates.setdefault(key, [])
-        for gid in candidates:
-            iso = matching.find_isomorphism(canonical, self._graphs[gid])
-            if iso is not None:
-                return gid, False, {old: iso[new] for old, new in renumber.items()}
+        certificate, order = g.canonical_form()
+        gid = self._by_cert.get(certificate)
+        if gid is not None:
+            return gid, False, dict(zip(order, self._orders[gid]))
+        stored, renumber = g.renumbered()
         gid = len(self._graphs)
-        self._graphs.append(canonical)
-        candidates.append(gid)
-        self._buckets.setdefault(canonical.structural_hash, []).append(gid)
+        self._graphs.append(stored)
+        self._by_cert[certificate] = gid
+        self._orders.append(tuple(renumber[v] for v in order))
         return gid, True, renumber
 
     def find(self, g: Graph) -> int | None:
         """Id of the stored graph isomorphic to g, if any (no interning)."""
-        from gstrat import matching
-
         if not g.is_connected:
             return None
-        canonical, _ = g.renumbered()
-        key = (canonical.structural_hash, canonical.color_histogram())
-        for gid in self._candidates.get(key, ()):
-            if matching.find_isomorphism(canonical, self._graphs[gid]) is not None:
-                return gid
-        return None
+        return self._by_cert.get(g.canonical_form()[0])
 
     def set_name(self, gid: int, name: str) -> None:
         """Attach a display name; the first name for an id wins."""
@@ -307,10 +495,6 @@ class GraphRepository:
 
     def id_by_name(self, name: str) -> int | None:
         return self._by_name.get(name)
-
-    def buckets(self) -> dict[int, list[int]]:
-        """Hash -> bucket view, for duplicate-free stress checks."""
-        return {h: list(b) for h, b in self._buckets.items()}
 
 
 # -- text format --------------------------------------------------------------

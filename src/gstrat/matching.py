@@ -9,7 +9,9 @@ vertex numbering.
 """
 from __future__ import annotations
 
+import heapq
 import threading
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -43,25 +45,31 @@ queries = QueryCounter()
 
 def _pattern_order(pattern: Graph) -> list[int]:
     """Static search order: start at a max-degree vertex, then always extend
-    with the vertex most constrained by already-ordered neighbors."""
+    with the vertex most constrained by already-ordered neighbors.
+
+    The next vertex maximises (placed neighbours, degree, -id); a heap with
+    lazily discarded stale entries finds it without rescanning every vertex.
+    """
     ids = pattern.vertex_ids()
     if not ids:
         return []
     start = max(ids, key=lambda v: (pattern.degree(v), -v))
+    anchored = dict.fromkeys(ids, 0)
+    heap = [(0, -pattern.degree(v), v) for v in ids if v != start]
+    heapq.heapify(heap)
     order = [start]
     placed = {start}
     while len(order) < len(ids):
-        best = None
-        best_key = None
-        for v in ids:
-            if v in placed:
-                continue
-            anchored = sum(1 for u in pattern.neighbors(v) if u in placed)
-            key = (anchored, pattern.degree(v), -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
-        order.append(best)
-        placed.add(best)
+        for u in pattern.neighbors(order[-1]):
+            if u not in placed:
+                anchored[u] += 1
+                heapq.heappush(heap, (-anchored[u], -pattern.degree(u), u))
+        while True:
+            neg_anchored, _, v = heapq.heappop(heap)
+            if v not in placed and -neg_anchored == anchored[v]:
+                break
+        order.append(v)
+        placed.add(v)
     return order
 
 
@@ -89,37 +97,54 @@ def enumerate_embeddings(pattern: Graph, host: Graph) -> list[dict[int, int]]:
     used: set[int] = set()
     host_ids = host.vertex_ids()
 
-    def extend(i: int) -> None:
+    def candidates(i: int) -> Sequence[int]:
+        anchors = placed_before[i]
+        if anchors:
+            return host.sorted_neighbors(assignment[anchors[0][0]])
+        return host_ids
+
+    # Iterative depth-first search (no recursion limit on large patterns):
+    # position i scans cands[i], computed when the search enters i, from
+    # next_idx[i]; a full assignment is recorded, then the search backs up.
+    cands = [candidates(0)] + [()] * (len(order) - 1)
+    next_idx = [0] * len(order)
+    i = 0
+    while i >= 0:
         if i == len(order):
             results.append(dict(assignment))
-            return
+            i -= 1
+            used.discard(assignment.pop(order[i]))
+            continue
         pv = order[i]
         plabel = pattern.label(pv)
         pdeg = pattern.degree(pv)
         anchors = placed_before[i]
-        if anchors:
-            first_pn, first_el = anchors[0]
-            candidates = host.sorted_neighbors(assignment[first_pn])
-        else:
-            candidates = host_ids
-        for c in candidates:
+        cs = cands[i]
+        j = next_idx[i]
+        fit = None
+        while fit is None and j < len(cs):
+            c = cs[j]
+            j += 1
             if c in used or host.label(c) != plabel or host.degree(c) < pdeg:
                 continue
-            ok = True
+            fit = c
             for pn, el in anchors:
                 mapped = assignment[pn]
                 if not host.has_edge(mapped, c) or host.edge_label(mapped, c) != el:
-                    ok = False
+                    fit = None
                     break
-            if not ok:
-                continue
-            assignment[pv] = c
-            used.add(c)
-            extend(i + 1)
-            used.discard(c)
-            del assignment[pv]
-
-    extend(0)
+        next_idx[i] = j
+        if fit is None:
+            i -= 1
+            if i >= 0:
+                used.discard(assignment.pop(order[i]))
+            continue
+        assignment[pv] = fit
+        used.add(fit)
+        i += 1
+        if i < len(order):
+            cands[i] = candidates(i)
+            next_idx[i] = 0
     return results
 
 

@@ -357,24 +357,33 @@ def _merged_component_maps(rule: Rule, comp_indices: Sequence[int], gid: int,
     per_comp = [cache.embeddings(rule, ci, gid, repo) for ci in comp_indices]
     if any(not maps for maps in per_comp):
         return
+    # Iterative depth-first search: level i scans per_comp[i] from next_idx[i]
+    # and chosen[i] is the map it has merged in.
     merged: dict[int, int] = {}
     used: set[int] = set()
-
-    def descend(i: int) -> Iterator[dict[int, int]]:
+    chosen: list[dict[int, int]] = []
+    next_idx = [0] * len(per_comp)
+    while True:
+        i = len(chosen)
         if i == len(per_comp):
             yield dict(merged)
-            return
-        for m in per_comp[i]:
-            if any(v in used for v in m.values()):
+        else:
+            maps = per_comp[i]
+            j = next_idx[i]
+            while j < len(maps) and any(v in used for v in maps[j].values()):
+                j += 1
+            if j < len(maps):
+                next_idx[i] = j + 1
+                merged.update(maps[j])
+                used.update(maps[j].values())
+                chosen.append(maps[j])
                 continue
-            merged.update(m)
-            used.update(m.values())
-            yield from descend(i + 1)
-            for k, v in m.items():
-                del merged[k]
-                used.discard(v)
-
-    yield from descend(0)
+            next_idx[i] = 0
+        if not chosen:
+            return
+        for k, v in chosen.pop().items():
+            del merged[k]
+            used.discard(v)
 
 
 def _bind_copy(partial: PartialRule, gid: int, comp_indices: tuple[int, ...],

@@ -37,6 +37,19 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
     return bool(brute_embeddings(g, h))
 
 
+def equal_signature_pairs(repo) -> list[tuple[int, int]]:
+    """Every pair of stored ids whose graphs have equal signatures.
+
+    Graphs with different signatures are never isomorphic, so a repository
+    is free of isomorphic duplicates when no pair listed here is isomorphic.
+    """
+    by_signature: dict[tuple, list[int]] = {}
+    for gid in repo.ids():
+        by_signature.setdefault(repo.graph(gid).signature, []).append(gid)
+    return [(a, b) for group in by_signature.values()
+            for i, a in enumerate(group) for b in group[i + 1:]]
+
+
 def random_graph(rng: random.Random, max_vertices: int = 8,
                  labels: tuple[str, ...] = ("a", "b"),
                  edge_labels: tuple[str, ...] = ("x", "y"),

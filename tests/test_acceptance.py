@@ -4,7 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the heavyweight runs are shared through module-scoped fixtures.
 """
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -22,7 +25,8 @@ from gstrat.rewrite import MatchCache, enumerate_proper_derivations
 from gstrat.strategies import (AddSubset, EMPTY_STATE, EvalContext,
                                Repeat, Revive, RuleApplication, Sequence)
 
-from .oracles import naive_derivation_keys, random_graph, random_rule
+from .oracles import (equal_signature_pairs, naive_derivation_keys,
+                      random_graph, random_rule)
 from .test_rules import relabel_rule
 
 ASSETS = Path(__file__).parent.parent / "assets"
@@ -385,18 +389,36 @@ class TestCriterion8:
         assert digests == GOLDEN_EXPORTS
         report(8, "all four exports match their golden sha256 digests")
 
+    def test_exports_independent_of_hash_seed(self, tmp_path):
+        # String hashing is randomised per process; no export may depend
+        # on it.
+        root = Path(__file__).parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        for seed in ("1", "2"):
+            env["PYTHONHASHSEED"] = seed
+            out = tmp_path / f"seed{seed}"
+            subprocess.run(
+                [sys.executable, "-m", "gstrat.cli", "run",
+                 str(ASSETS / "diels_subspace.gs"),
+                 "--json", str(out.with_suffix(".json")),
+                 "--dot", str(out.with_suffix(".dot"))],
+                env=env, check=True, capture_output=True)
+            for kind in ("json", "dot"):
+                digest = hashlib.sha256(
+                    out.with_suffix(f".{kind}").read_bytes()).hexdigest()
+                assert digest == GOLDEN_EXPORTS[f"subspace.{kind}"], (seed, kind)
+        report(8, "the subspace exports match their golden digests under "
+                  "PYTHONHASHSEED 1 and 2")
+
 
 class TestCriterion9:
-    def test_no_isomorphic_duplicates_in_buckets(self, bfs_run):
+    def test_no_isomorphic_duplicates(self, bfs_run):
         ctx, _, _, _ = bfs_run
         repo = ctx.repo
-        buckets = repo.buckets()
-        assert sum(len(b) for b in buckets.values()) == len(repo)
-        pairs = 0
-        for bucket in buckets.values():
-            for i, a in enumerate(bucket):
-                for b in bucket[i + 1:]:
-                    pairs += 1
-                    assert find_isomorphism(repo.graph(a), repo.graph(b)) is None
-        report(9, f"{len(repo)} interned graphs, {pairs} intra-bucket pairs, "
+        pairs = equal_signature_pairs(repo)
+        for a, b in pairs:
+            assert find_isomorphism(repo.graph(a), repo.graph(b)) is None
+        report(9, f"{len(repo)} interned graphs, {len(pairs)} equal-signature pairs, "
                   f"no isomorphic duplicates")

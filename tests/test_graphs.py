@@ -1,12 +1,18 @@
 import random
+import time
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gstrat.graphs import (Graph, GraphError, GraphRepository, isomorphic,
                            parse_graph, parse_graphs, serialize_graph)
 from gstrat.lex import ParseError
+from gstrat.matching import find_isomorphism
 
-from .oracles import brute_isomorphic, permuted, random_graph
+from .oracles import (brute_isomorphic, equal_signature_pairs, permuted,
+                      random_graph)
 
 
 def single_edge_graph() -> Graph:
@@ -74,39 +80,118 @@ class TestConnectedComponents:
             assert seen_ids == g.vertex_ids()
 
 
-class TestStructuralHash:
+def certificate(g: Graph) -> tuple:
+    return g.canonical_form()[0]
+
+
+def relabelled(g: Graph, new_ids: list[int]) -> Graph:
+    mapping = dict(zip(g.vertex_ids(), new_ids))
+    return Graph([(mapping[v], l) for v, l in g.vertices()],
+                 [(mapping[u], mapping[v], el) for u, v, el in g.edges()])
+
+
+def assert_maps_onto(g: Graph, into: dict[int, int], stored: Graph) -> None:
+    """into is a label- and edge-preserving bijection of g onto stored."""
+    assert sorted(into) == g.vertex_ids()
+    assert sorted(into.values()) == stored.vertex_ids()
+    assert all(stored.label(into[v]) == g.label(v) for v in g.vertex_ids())
+    assert g.edge_count == stored.edge_count
+    for u, v, el in g.edges():
+        assert stored.has_edge(into[u], into[v])
+        assert stored.edge_label(into[u], into[v]) == el
+
+
+def from_networkx(nx_graph, rng: random.Random | None = None,
+                  labels: str = "a", edge_labels: str = "e") -> Graph:
+    """A gstrat graph of a networkx graph.  With rng, vertex ids are
+    shuffled and labels drawn at random from the two alphabets."""
+    nodes = list(nx_graph.nodes())
+    ids = list(range(len(nodes)))
+    pick = (lambda alphabet: alphabet[0])
+    if rng is not None:
+        rng.shuffle(ids)
+        pick = rng.choice
+    index = dict(zip(nodes, ids))
+    return Graph([(index[v], pick(labels)) for v in nodes],
+                 [(index[u], index[v], pick(edge_labels)) for u, v in nx_graph.edges()])
+
+
+class TestCertificate:
     def test_permutation_invariant(self):
         rng = random.Random(11)
         for _ in range(50):
             g = random_graph(rng)
             h = permuted(g, rng)
-            assert g.structural_hash == h.structural_hash
+            assert certificate(g) == certificate(h)
             assert isomorphic(g, h)
 
     def test_edge_label_multiset_distinguishes(self):
         p1 = Graph([(0, "a"), (1, "b"), (2, "a")], [(0, 1, "b"), (1, 2, "b")])
         p2 = Graph([(0, "a"), (1, "b"), (2, "a")], [(0, 1, "b"), (1, 2, "c")])
-        assert p1.structural_hash != p2.structural_hash
+        assert certificate(p1) != certificate(p2)
 
-    def test_hash_is_only_a_filter(self):
-        # Same label multisets and degree sequence, not isomorphic: the
-        # hash may not separate them; isomorphic() must.
+    def test_separates_triangles_from_hexagon(self):
+        # Same label multisets, degree sequence and refinement colours, so
+        # colour refinement alone cannot separate them; individualisation
+        # must.
         g = Graph([(i, "a") for i in range(6)],
                   [(0, 1, "x"), (1, 2, "x"), (2, 0, "x"),
                    (3, 4, "x"), (4, 5, "x"), (5, 3, "x")])
         h = Graph([(i, "a") for i in range(6)],
                   [(0, 1, "x"), (1, 2, "x"), (2, 3, "x"),
                    (3, 4, "x"), (4, 5, "x"), (5, 0, "x")])
-        assert g.structural_hash == h.structural_hash
+        assert g.signature == h.signature
+        assert g.refinement_colors() == h.refinement_colors()
+        assert certificate(g) != certificate(h)
         assert not isomorphic(g, h)
 
-    def test_iso_implies_equal_hash(self):
+    def test_equal_certificate_iff_isomorphic(self):
         rng = random.Random(13)
-        for _ in range(60):
-            g = random_graph(rng, max_vertices=6)
-            h = random_graph(rng, max_vertices=6)
-            if isomorphic(g, h):
-                assert g.structural_hash == h.structural_hash
+        equal = 0
+        for _ in range(500):
+            g = random_graph(rng, max_vertices=5, labels=("a",))
+            h = random_graph(rng, max_vertices=5, labels=("a",))
+            same = certificate(g) == certificate(h)
+            assert same == (find_isomorphism(g, h) is not None)
+            assert same == brute_isomorphic(g, h)
+            equal += same
+        assert equal >= 15
+
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_atlas_relabelled(self, labelled):
+        # All 996 connected graphs on at most 7 vertices get distinct
+        # classes, and a relabelled copy of each interns to its class with
+        # a map that preserves labels and edges.
+        rng = random.Random(31)
+        atlas = [g for g in nx.graph_atlas_g()
+                 if g.number_of_nodes() and nx.is_connected(g)]
+        assert len(atlas) == 996
+        labels, edge_labels = ("ab", "xy") if labelled else ("a", "e")
+        repo = GraphRepository()
+        for nx_graph in atlas:
+            g = from_networkx(nx_graph, rng if labelled else None,
+                              labels, edge_labels)
+            gid, new = repo.intern(g)
+            assert new
+            copy = relabelled(g, rng.sample(g.vertex_ids(), g.vertex_count))
+            assert certificate(copy) == certificate(g)
+            again, new_again, into = repo.intern_mapped(copy)
+            assert (again, new_again) == (gid, False)
+            assert_maps_onto(copy, into, repo.graph(gid))
+        assert len(repo) == 996
+
+    def test_hypercube_q6_interns_quickly(self):
+        # Q6 has 46 080 automorphisms, and without automorphism pruning the
+        # search visits one leaf for each.
+        started = time.perf_counter()
+        q6 = nx.hypercube_graph(6)
+        repo = GraphRepository()
+        gid, _ = repo.intern(from_networkx(q6, random.Random(1)))
+        copy = from_networkx(q6, random.Random(2))
+        again, new, into = repo.intern_mapped(copy)
+        assert (again, new) == (gid, False)
+        assert_maps_onto(copy, into, repo.graph(gid))
+        assert time.perf_counter() - started < 5
 
 
 class TestIsomorphic:
@@ -169,15 +254,76 @@ class TestRepository:
         assert all(stored.label(into[v]) == reversed_ids.label(v)
                    for v in reversed_ids.vertex_ids())
 
+    def test_intern_long_uniform_path(self):
+        # One label throughout: colour refinement takes about n/2 rounds and
+        # the mirror symmetry needs individualisation.
+        n = 400
+        path = Graph([(i, "c") for i in range(n)],
+                     [(i, i + 1, "e") for i in range(n - 1)])
+        reversed_ids = relabelled(path, list(range(n - 1, -1, -1)))
+        repo = GraphRepository()
+        gid, new = repo.intern(path)
+        again, new_again, into = repo.intern_mapped(reversed_ids)
+        assert (again, new, new_again) == (gid, True, False)
+        assert_maps_onto(reversed_ids, into, repo.graph(gid))
+
+    def test_find_does_not_intern(self):
+        repo = GraphRepository()
+        g = two_edge_path()
+        assert repo.find(g) is None
+        gid, _ = repo.intern(g)
+        assert repo.find(relabelled(g, [7, 3, 5])) == gid
+        assert repo.find(single_edge_graph()) is None
+        assert len(repo) == 1
+
     def test_no_isomorphic_duplicates_after_workload(self):
         rng = random.Random(23)
         repo = GraphRepository()
         for _ in range(120):
             repo.intern(random_graph(rng, max_vertices=6, connected=True))
-        for bucket in repo.buckets().values():
-            for i, a in enumerate(bucket):
-                for b in bucket[i + 1:]:
-                    assert not isomorphic(repo.graph(a), repo.graph(b))
+        for a, b in equal_signature_pairs(repo):
+            assert not isomorphic(repo.graph(a), repo.graph(b))
+
+
+@st.composite
+def connected_graphs(draw, max_vertices: int = 7) -> Graph:
+    n = draw(st.integers(1, max_vertices))
+    labels = draw(st.lists(st.sampled_from("ab"), min_size=n, max_size=n))
+    edges: dict[tuple[int, int], str] = {}
+    for v in range(1, n):
+        edges[(draw(st.integers(0, v - 1)), v)] = draw(st.sampled_from("xy"))
+    for u, v, el in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1),
+                                            st.sampled_from("xy")), max_size=n)):
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), el)
+    return Graph(list(enumerate(labels)),
+                 [(u, v, el) for (u, v), el in edges.items()])
+
+
+class TestInternProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(connected_graphs())
+    def test_intern_is_idempotent(self, g):
+        repo = GraphRepository()
+        gid, new = repo.intern(g)
+        again, new_again, into = repo.intern_mapped(g)
+        assert (again, new, new_again) == (gid, True, False)
+        assert len(repo) == 1
+        assert_maps_onto(g, into, repo.graph(gid))
+
+    @settings(max_examples=150, deadline=None)
+    @given(connected_graphs(), st.data())
+    def test_intern_is_invariant_under_relabelling(self, g, data):
+        new_ids = data.draw(st.permutations(range(10, 10 + g.vertex_count)))
+        copy = relabelled(g, list(new_ids))
+        repo = GraphRepository()
+        gid, _, into_first = repo.intern_mapped(g)
+        again, new, into = repo.intern_mapped(copy)
+        assert (again, new) == (gid, False)
+        assert certificate(copy) == certificate(g)
+        assert_maps_onto(g, into_first, repo.graph(gid))
+        assert_maps_onto(copy, into, repo.graph(gid))
 
 
 class TestTextFormat:

@@ -78,6 +78,17 @@ class TestEnumerateEmbeddings:
         assert as_key_set(found) == brute_embeddings(diene, isoprene)
         assert len(found) == 2  # one conjugated diene, two orientations
 
+    def test_long_path_pattern(self):
+        # The search must not recurse per pattern vertex.  Distinct labels
+        # leave one candidate per position.
+        n = 3000
+        pattern = Graph([(i, f"v{i}") for i in range(n)],
+                        [(i, i + 1, "e") for i in range(n - 1)])
+        host = Graph([(n + 9 - i, f"v{i}") for i in range(n)],
+                     [(n + 9 - i, n + 8 - i, "e") for i in range(n - 1)])
+        assert enumerate_embeddings(pattern, host) == [
+            {i: n + 9 - i for i in range(n)}]
+
     def test_query_counter_monotone(self):
         g = Graph([(0, "a")])
         before = queries.value

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -339,6 +340,30 @@ class TestOrbitPruning:
                                             repo=repo)
         assert d.inputs == (edge_id, edge_id)
         assert len(calls) == 1
+
+
+class TestMergedComponentMaps:
+    def test_product_order(self):
+        # One embedding per component, merged when their images are
+        # disjoint, in the lexicographic order of the per-component lists.
+        rng = random.Random(47)
+        merges = 0
+        for _ in range(60):
+            rule = random_rule(rng)
+            comps = tuple(range(len(rule.left_components())))
+            repo = GraphRepository()
+            gid, _ = repo.intern(random_graph(rng, max_vertices=7, connected=True))
+            cache = MatchCache()
+            per_comp = [cache.embeddings(rule, c, gid, repo) for c in comps]
+            want = []
+            for combo in itertools.product(*per_comp):
+                images = [v for m in combo for v in m.values()]
+                if len(set(images)) == len(images):
+                    want.append({k: v for m in combo for k, v in m.items()})
+            got = list(rewrite._merged_component_maps(rule, comps, gid, repo, cache))
+            assert got == want
+            merges += len(comps) > 1 and len(got)
+        assert merges > 0
 
 
 class TestPartialBindingCompleteness:
