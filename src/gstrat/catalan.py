@@ -328,10 +328,9 @@ def solve_level(level: Graph, ctx: EvalContext | None = None) -> Solution | None
 
 def _validate_replay(solution: Solution) -> None:
     for before, after in zip(solution.positions, solution.positions[1:]):
-        if not any(
-                contract_move(before, v) is not None
-                and find_isomorphism(contract_move(before, v), after) is not None
-                for v in before.vertex_ids()):
+        moves = (contract_move(before, v) for v in before.vertex_ids())
+        if not any(m is not None and find_isomorphism(m, after) is not None
+                   for m in moves):
             raise LevelError("extracted solution does not replay under the oracle")
 
 

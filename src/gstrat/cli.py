@@ -32,9 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--max-repeat", type=int, metavar="N",
                        help="cap for unbounded repetition (default: "
                             "GSTRAT_MAX_REPEAT or 2^31-1)")
-    run_p.add_argument("--seedless-deterministic", action="store_true",
-                       help="assert deterministic evaluation (always on; "
-                            "the engine uses no randomness)")
 
     cat_p = sub.add_parser("catalan", help="Catalan game commands")
     cat_sub = cat_p.add_subparsers(dest="subcommand", required=True)

@@ -449,7 +449,6 @@ class GraphRepository:
         # Per id: the stored graph's vertex ids in canonical order.
         self._orders: list[tuple[int, ...]] = []
         self._names: dict[int, str] = {}
-        self._by_name: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._graphs)
@@ -488,13 +487,9 @@ class GraphRepository:
     def set_name(self, gid: int, name: str) -> None:
         """Attach a display name; the first name for an id wins."""
         self._names.setdefault(gid, name)
-        self._by_name.setdefault(name, gid)
 
     def name(self, gid: int) -> str:
         return self._names.get(gid, f"g{gid}")
-
-    def id_by_name(self, name: str) -> int | None:
-        return self._by_name.get(name)
 
 
 # -- text format --------------------------------------------------------------

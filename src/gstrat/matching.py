@@ -10,7 +10,6 @@ vertex numbering.
 from __future__ import annotations
 
 import heapq
-import threading
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -23,15 +22,13 @@ class MatchError(ValueError):
 
 
 class QueryCounter:
-    """Monotone counter of embedding-enumeration calls (atomic increments)."""
+    """Monotone counter of embedding-enumeration calls."""
 
     def __init__(self) -> None:
         self._value = 0
-        self._lock = threading.Lock()
 
     def bump(self) -> None:
-        with self._lock:
-            self._value += 1
+        self._value += 1
 
     @property
     def value(self) -> int:

@@ -6,6 +6,11 @@ vertex into that union.  Instead of testing every k-multisubset of a
 universe, derivations are enumerated by binding host graphs to the rule one
 copy at a time: each copy receives a nonempty subset of the remaining left
 components, so every produced derivation is automatically proper.
+
+One routine, ``_gluing_ok``, checks the DPO gluing conditions for the part
+of a match it is given: each copy as it is bound, and the full match before
+``apply_at`` builds the result.  One recursive generator, ``_completions``,
+extends partial rules over the universe until they are complete.
 """
 from __future__ import annotations
 
@@ -131,7 +136,7 @@ def validate_match(rule: Rule, host: Graph, vertex_map: dict[int, int]) -> bool:
 
 def apply_at(rule: Rule, assembly: Assembly, vertex_map: dict[int, int],
              repo: GraphRepository, validate: bool = True) -> ApplyResult | None:
-    """Apply rule at a full match; None on dangling or simplicity rejection.
+    """Apply rule at a full match; None when the gluing conditions fail.
 
     The preserved part keeps its host vertex ids; created vertices get
     fresh ids.  Output components are interned in ascending-raw-id order.
@@ -139,24 +144,14 @@ def apply_at(rule: Rule, assembly: Assembly, vertex_map: dict[int, int],
     host = assembly.graph
     if validate and not validate_match(rule, host, vertex_map):
         raise ValueError("vertex map is not a match of the rule's left graph")
+    if not _gluing_ok(rule, vertex_map, host):
+        return None
 
     deleted_vertices = {vertex_map[vid] for vid, rv in rule.vertices.items()
                         if rv.kind == LEFT}
-    left_edge_images = set()
-    deleted_edge_images = set()
-    for (u, v), re in rule.edges.items():
-        if re.kind in (LEFT, CONTEXT):
-            key = _edge_key(vertex_map[u], vertex_map[v])
-            left_edge_images.add(key)
-            if re.kind == LEFT:
-                deleted_edge_images.add(key)
-
-    # Dangling condition: every host edge at a deleted vertex must be the
-    # image of a left-graph edge (and is then itself deleted).
-    for d in deleted_vertices:
-        for n in host.neighbors(d):
-            if _edge_key(d, n) not in left_edge_images:
-                return None
+    deleted_edge_images = {_edge_key(vertex_map[u], vertex_map[v])
+                           for (u, v), re in rule.edges.items()
+                           if re.kind == LEFT}
 
     labels: dict[int, str] = {}
     for vid, label in host.vertices():
@@ -183,15 +178,10 @@ def apply_at(rule: Rule, assembly: Assembly, vertex_map: dict[int, int],
     for (u, v), re in rule.edges.items():
         if re.kind == CONTEXT and re.left_label != re.right_label:
             out_edges[_edge_key(vertex_map[u], vertex_map[v])] = re.right_label
-    for (u, v), re in rule.edges.items():
-        if re.kind != RIGHT:
-            continue
-        mu = created.get(u, vertex_map.get(u))
-        mv = created.get(v, vertex_map.get(v))
-        key = _edge_key(mu, mv)
-        if key in out_edges:
-            return None  # created edge would parallel an existing one
-        out_edges[key] = re.right_label
+        elif re.kind == RIGHT:
+            mu = created.get(u, vertex_map.get(u))
+            mv = created.get(v, vertex_map.get(v))
+            out_edges[_edge_key(mu, mv)] = re.right_label
 
     result = Graph(labels.items(),
                    [(u, v, el) for (u, v), el in out_edges.items()])
@@ -264,69 +254,20 @@ class PartialRule:
     def bound_graph_ids(self) -> tuple[int, ...]:
         return tuple(bc.graph_id for bc in self.bound)
 
-    def right_graph(self, repo: GraphRepository) -> Graph:
-        """The combined right side: transformed bound hosts glued with the
-        part of the rule's right graph not yet identified with host content."""
-        assembly = assemble(repo, self.bound_graph_ids())
-        host = assembly.graph
-        vmap: dict[int, int] = {}
-        for i, bc in enumerate(self.bound):
-            for rv, sv in bc.vertex_map:
-                vmap[rv] = sv + assembly.offsets[i]
-
-        deleted = {vmap[vid] for vid, rv in self.rule.vertices.items()
-                   if rv.kind == LEFT and vid in vmap}
-        deleted_edges = {_edge_key(vmap[u], vmap[v])
-                         for (u, v), re in self.rule.edges.items()
-                         if re.kind == LEFT and u in vmap and v in vmap}
-        labels = {v: l for v, l in host.vertices() if v not in deleted}
-        for vid, rv in self.rule.vertices.items():
-            if rv.kind == CONTEXT and vid in vmap and rv.left_label != rv.right_label:
-                labels[vmap[vid]] = rv.right_label
-        edges = {}
-        for u, v, el in host.edges():
-            if u in deleted or v in deleted or (u, v) in deleted_edges:
-                continue
-            edges[(u, v)] = el
-        for (u, v), re in self.rule.edges.items():
-            if re.kind == CONTEXT and u in vmap and v in vmap \
-                    and re.left_label != re.right_label:
-                edges[_edge_key(vmap[u], vmap[v])] = re.right_label
-
-        # Unbound rule vertices of the right side live beside the host part.
-        base = max(labels, default=-1) + 1
-        fresh: dict[int, int] = {}
-        for vid in sorted(self.rule.vertices):
-            rv = self.rule.vertices[vid]
-            if rv.kind == RIGHT or (rv.kind == CONTEXT and vid not in vmap):
-                fresh[vid] = base + vid
-                labels[base + vid] = rv.right_label
-        for (u, v), re in self.rule.edges.items():
-            if re.kind == CONTEXT and (u not in vmap or v not in vmap):
-                mu = fresh.get(u, vmap.get(u))
-                mv = fresh.get(v, vmap.get(v))
-                edges[_edge_key(mu, mv)] = re.right_label
-            elif re.kind == RIGHT:
-                mu = fresh.get(u, vmap.get(u))
-                mv = fresh.get(v, vmap.get(v))
-                key = _edge_key(mu, mv)
-                if key in edges:
-                    raise BindError("bound right side is not simple")
-                edges[key] = re.right_label
-        return Graph(labels.items(), [(u, v, el) for (u, v), el in edges.items()])
-
     def __repr__(self) -> str:
         done = len(self.rule.left_components()) - len(self._remaining)
         return (f"PartialRule({self.rule.name!r}, "
                 f"{done}/{len(self.rule.left_components())} components bound)")
 
 
-def _copy_viable(rule: Rule, vmap: dict[int, int], g: Graph) -> bool:
-    """Copy-local gluing checks for one bound copy.
+def _gluing_ok(rule: Rule, vmap: dict[int, int], host: Graph) -> bool:
+    """DPO gluing conditions for the part of a match that vmap fixes.
 
-    A binding that deletes a vertex with an unmatched incident edge, or
-    creates an edge that would parallel a surviving host edge inside this
-    copy, can never complete into a valid derivation.
+    Dangling: every host edge at a deleted vertex must be the image of a
+    left-graph edge.  Simplicity: no created edge may parallel a host edge
+    that survives.  Host edges never join two bound copies, so a full match
+    passes exactly when its restriction to each copy passes, and a copy
+    that fails can never complete into a valid derivation.
     """
     left_images = set()
     deleted_images = set()
@@ -339,13 +280,13 @@ def _copy_viable(rule: Rule, vmap: dict[int, int], g: Graph) -> bool:
     for vid, rv in rule.vertices.items():
         if rv.kind == LEFT and vid in vmap:
             d = vmap[vid]
-            for n in g.neighbors(d):
+            for n in host.neighbors(d):
                 if _edge_key(d, n) not in left_images:
                     return False
     for (u, v), re in rule.edges.items():
         if re.kind == RIGHT and u in vmap and v in vmap:
             key = _edge_key(vmap[u], vmap[v])
-            if g.has_edge(*key) and key not in deleted_images:
+            if host.has_edge(*key) and key not in deleted_images:
                 return False
     return True
 
@@ -392,16 +333,17 @@ def _bind_copy(partial: PartialRule, gid: int, comp_indices: tuple[int, ...],
     g = repo.graph(gid)
     out = []
     for vmap in _merged_component_maps(rule, comp_indices, gid, repo, cache):
-        if not _copy_viable(rule, vmap, g):
+        if not _gluing_ok(rule, vmap, g):
             continue
         bc = BoundCopy(gid, frozenset(comp_indices), tuple(sorted(vmap.items())))
         out.append(PartialRule(rule, partial.bound + (bc,)))
     return out
 
 
-def _nonempty_subsets(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    for mask in range(1, 1 << len(items)):
-        yield tuple(items[i] for i in range(len(items)) if mask >> i & 1)
+def _subsets(items: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every subset of items in binary-counter order; the empty one is first."""
+    return [tuple(items[i] for i in range(len(items)) if mask >> i & 1)
+            for mask in range(1 << len(items))]
 
 
 def bind_graph(rule_or_partial: Rule | PartialRule, gid: int,
@@ -419,7 +361,7 @@ def bind_graph(rule_or_partial: Rule | PartialRule, gid: int,
                else PartialRule(rule_or_partial))
     cache = cache or MatchCache()
     results: list[PartialRule] = []
-    for subset in _nonempty_subsets(partial.remaining_components):
+    for subset in _subsets(partial.remaining_components)[1:]:
         results.extend(_bind_copy(partial, gid, subset, repo, cache))
     return results
 
@@ -447,6 +389,28 @@ def complete_derivation(partial: PartialRule, repo: GraphRepository
     )
 
 
+def _completions(partial: PartialRule, universe: Sequence[int], cap: int,
+                 repo: GraphRepository, cache: MatchCache
+                 ) -> Iterator[PartialRule]:
+    """Complete extensions of partial with at most cap bound copies.
+
+    Each step binds the first remaining component plus any subset of the
+    others to a universe graph; subsets are tried in ``_subsets`` order and,
+    for each subset, graphs in universe order.
+    """
+    remaining = partial.remaining_components
+    if not remaining:
+        yield partial
+        return
+    if len(partial.bound) >= cap:
+        return
+    first = remaining[0]
+    for tail in _subsets(remaining[1:]):
+        for gid in universe:
+            for nxt in _bind_copy(partial, gid, (first,) + tail, repo, cache):
+                yield from _completions(nxt, universe, cap, repo, cache)
+
+
 def enumerate_proper_derivations(
         rule: Rule,
         universe: Sequence[int],
@@ -460,10 +424,11 @@ def enumerate_proper_derivations(
     universe, every input component matched, and - when required is nonempty -
     at least one input from required.
 
-    Binding starts at the required graphs and extends over the universe, so
-    work is proportional to what the required set can actually initiate.
-    Derivations agreeing on (rule, input classes, output classes) are
-    deduplicated; discovery order is deterministic.
+    Binding starts at the required graphs (at every universe graph when
+    none is required) and ``_completions`` extends each start over the
+    universe, so work is proportional to what the required set can actually
+    initiate.  Derivations agreeing on (rule, input classes, output
+    classes) are deduplicated; discovery order is deterministic.
 
     Each match orbit under rule automorphisms and permutations of the bound
     copies is applied once, at its first member: the other members yield
@@ -473,70 +438,35 @@ def enumerate_proper_derivations(
     if repo is None:
         raise ValueError("a graph repository is required")
     cache = cache or MatchCache()
-    comps = rule.left_components()
-    k = len(comps)
-    if k == 0:
-        return []
-    cap = min(max_components, k) if max_components else k
+    cap = max_components or len(rule.left_components())
     universe = list(universe)
     required = list(required)
     if not set(required) <= set(universe):
         raise ValueError("required graphs must be part of the universe")
 
+    # With no required graph, a start must bind component 0, so that each
+    # complete match is reached once, its copies in component order.
+    starts = (partial for gid in required or universe
+              for partial in bind_graph(rule, gid, repo, cache)
+              if required or 0 in partial.bound[0].components)
     found: dict[tuple, Derivation] = {}
     automorphisms = rule.automorphisms()
     applied_orbits: set[tuple] = set()
-
-    def finish(partial: PartialRule) -> None:
-        inputs = tuple(sorted(partial.bound_graph_ids()))
-        if left_filter is not None and not left_filter(inputs):
-            return
-        orbit = min(
-            tuple(sorted((bc.graph_id,
-                          tuple(sorted((sigma[rv], sv) for rv, sv in bc.vertex_map)))
-                         for bc in partial.bound))
-            for sigma in automorphisms)
-        if orbit in applied_orbits:
-            return
-        applied_orbits.add(orbit)
-        d = complete_derivation(partial, repo)
-        if d is not None and d.key not in found:
-            found[d.key] = d
-
-    def extend(partial: PartialRule) -> None:
-        remaining = partial.remaining_components
-        if not remaining:
-            finish(partial)
-            return
-        if len(partial.bound) >= cap:
-            return
-        first, rest = remaining[0], remaining[1:]
-        for tail in _subsets_including_empty(rest):
-            subset = (first,) + tail
-            for gid in universe:
-                for nxt in _bind_copy(partial, gid, subset, repo, cache):
-                    extend(nxt)
-
-    empty = PartialRule(rule)
-    if required:
-        all_comps = tuple(range(k))
-        for start_gid in required:
-            for subset in _nonempty_subsets(all_comps):
-                for partial in _bind_copy(empty, start_gid, subset, repo, cache):
-                    extend(partial)
-    else:
-        for start_gid in universe:
-            rest = tuple(range(1, k))
-            for tail in _subsets_including_empty(rest):
-                subset = (0,) + tail
-                for partial in _bind_copy(empty, start_gid, subset, repo, cache):
-                    extend(partial)
-    # extend refers to itself through its closure; breaking that cycle frees
-    # this call's working set now instead of at the next cyclic collection.
-    del extend
+    for start in starts:
+        for partial in _completions(start, universe, cap, repo, cache):
+            inputs = tuple(sorted(partial.bound_graph_ids()))
+            if left_filter is not None and not left_filter(inputs):
+                continue
+            orbit = min(
+                tuple(sorted((bc.graph_id,
+                              tuple(sorted((sigma[rv], sv)
+                                           for rv, sv in bc.vertex_map)))
+                             for bc in partial.bound))
+                for sigma in automorphisms)
+            if orbit in applied_orbits:
+                continue
+            applied_orbits.add(orbit)
+            d = complete_derivation(partial, repo)
+            if d is not None and d.key not in found:
+                found[d.key] = d
     return list(found.values())
-
-
-def _subsets_including_empty(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    for mask in range(1 << len(items)):
-        yield tuple(items[i] for i in range(len(items)) if mask >> i & 1)

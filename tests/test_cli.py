@@ -28,11 +28,6 @@ class TestRun:
         assert dot.read_text().startswith("digraph")
         assert json.loads(js.read_text())["format"] == 1
 
-    def test_seedless_deterministic_flag_accepted(self, tmp_path):
-        script = tmp_path / "s.gs"
-        script.write_text(RELABEL_SCRIPT)
-        assert main(["run", str(script), "--seedless-deterministic"]) == 0
-
     def test_max_repeat_flag(self, tmp_path, capsys):
         script = tmp_path / "s.gs"
         script.write_text(

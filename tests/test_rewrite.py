@@ -6,6 +6,7 @@ import pytest
 from gstrat import rewrite
 from gstrat.chem import diels_alder_rule, parse_molecule
 from gstrat.graphs import Graph, GraphRepository, isomorphic
+from gstrat.matching import enumerate_embeddings
 from gstrat.rewrite import (BindError, MatchCache, apply_at, assemble,
                             bind_graph, complete_derivation,
                             enumerate_proper_derivations)
@@ -144,21 +145,6 @@ class TestBindGraph:
             rule, [iso_id, chx_id], [chx_id], repo=repo, cache=cache)
         direct_keys = {d.key for d in direct if chx_id in d.inputs}
         assert keys == direct_keys
-
-    def test_right_graph_contains_rule_right_side(self):
-        repo = GraphRepository()
-        _, g2 = chain_graphs()
-        gid, _ = repo.intern(g2)
-        rule = diels_alder_rule()
-        iso_id, _ = repo.intern(parse_molecule("CC(=C)C=C"))
-        for partial in bind_graph(rule, iso_id, repo):
-            rg = partial.right_graph(repo)
-            assert rg.vertex_count >= 13
-            if partial.complete:
-                d = complete_derivation(partial, repo)
-                if d is not None:
-                    combined = assemble(repo, d.outputs).graph
-                    assert isomorphic(rg, combined)
 
     def test_incomplete_cannot_finalize(self):
         repo = GraphRepository()
@@ -319,6 +305,12 @@ class TestOrbitPruning:
             repo=repo, left_filter=lambda ids: len(ids) == 2)
         assert len(calls) == 16
         assert len(derivations) == 9
+        # Requiring the whole universe changes where binding starts, not
+        # the order in which derivation keys are discovered.
+        unrequired = enumerate_proper_derivations(
+            diels_alder_rule(), [iso_id, chx_id], repo=repo,
+            left_filter=lambda ids: len(ids) == 2)
+        assert [d.key for d in unrequired] == [d.key for d in derivations]
 
     def test_symmetric_rule_with_one_graph_in_both_copies(self, monkeypatch):
         repo = GraphRepository()
@@ -340,6 +332,65 @@ class TestOrbitPruning:
                                             repo=repo)
         assert d.inputs == (edge_id, edge_id)
         assert len(calls) == 1
+
+
+def full_matches(rule, assembly):
+    """Injective merges of one embedding per left component into the host."""
+    per_comp = [enumerate_embeddings(comp, assembly.graph)
+                for comp in rule.left_components()]
+    for combo in itertools.product(*per_comp):
+        merged = {k: v for m in combo for k, v in m.items()}
+        if len(set(merged.values())) == len(merged):
+            yield merged
+
+
+class TestGluingDifferential:
+    def test_full_match_passes_iff_every_copy_passes(self):
+        rng = random.Random(53)
+        outcomes = []
+        for _ in range(120):
+            rule = random_rule(rng)
+            repo = GraphRepository()
+            universe = [repo.intern(random_graph(rng, max_vertices=5,
+                                                 connected=True))[0]
+                        for _ in range(2)]
+            for size in range(1, len(rule.left_components()) + 1):
+                for ids in itertools.combinations_with_replacement(universe, size):
+                    assembly = assemble(repo, ids)
+                    for vmap in full_matches(rule, assembly):
+                        per_copy = []
+                        for i, gid in enumerate(ids):
+                            offset = assembly.offsets[i]
+                            local = {rv: hv - offset for rv, hv in vmap.items()
+                                     if assembly.copy_of(hv) == i}
+                            per_copy.append(rewrite._gluing_ok(
+                                rule, local, repo.graph(gid)))
+                        whole = rewrite._gluing_ok(rule, vmap, assembly.graph)
+                        assert whole == all(per_copy)
+                        outcomes.append(whole)
+        assert True in outcomes and False in outcomes
+
+    def test_chained_bindings_always_complete(self):
+        rng = random.Random(59)
+        completed = 0
+        for _ in range(120):
+            rule = random_rule(rng)
+            repo = GraphRepository()
+            universe = [repo.intern(random_graph(rng, max_vertices=5,
+                                                 connected=True))[0]
+                        for _ in range(2)]
+            cache = MatchCache()
+            frontier = [p for gid in universe
+                        for p in bind_graph(rule, gid, repo, cache)]
+            while frontier:
+                partial = frontier.pop()
+                if partial.complete:
+                    assert complete_derivation(partial, repo) is not None
+                    completed += 1
+                    continue
+                frontier.extend(p for gid in universe
+                                for p in bind_graph(partial, gid, repo, cache))
+        assert completed > 0
 
 
 class TestMergedComponentMaps:
