@@ -7,7 +7,7 @@ while a derivation hypergraph accumulates the discovered reaction space.
 
 from gstrat.graphs import (Graph, GraphError, GraphRepository, isomorphic,
                            parse_graph, parse_graphs, serialize_graph)
-from gstrat.matching import enumerate_embeddings, find_isomorphism, queries
+from gstrat.matching import enumerate_embeddings, find_isomorphism
 from gstrat.rules import Rule, RuleError, format_rule, parse_rules, validate_rule
 from gstrat.rewrite import (Derivation, MatchCache, Morphism, PartialRule,
                             apply_at, assemble, bind_graph,
@@ -27,7 +27,7 @@ from gstrat.chem import MoleculeError, diels_alder_rule, parse_molecule
 __all__ = [
     "Graph", "GraphError", "GraphRepository", "isomorphic", "parse_graph",
     "parse_graphs", "serialize_graph",
-    "enumerate_embeddings", "find_isomorphism", "queries",
+    "enumerate_embeddings", "find_isomorphism",
     "Rule", "RuleError", "format_rule", "parse_rules", "validate_rule",
     "Derivation", "MatchCache", "Morphism", "PartialRule", "apply_at",
     "assemble", "bind_graph", "complete_derivation",

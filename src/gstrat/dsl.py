@@ -38,7 +38,6 @@ from pathlib import Path
 from gstrat import lex
 from gstrat.graphs import Graph, _parse_graph_body, serialize_graph
 from gstrat.lex import TokenStream
-from gstrat.matching import queries
 from gstrat.rules import Rule, format_rule, parse_rule_body, validate_rule
 from gstrat.chem import MoleculeError, parse_molecule
 from gstrat import strategies as st
@@ -630,20 +629,24 @@ class _Compiler:
             return g.vertex_count if expr.name == "vertexCount" else g.edge_count
         raise ScriptError(f"not an integer expression: {expr!r}")
 
-    def _check_names(self, expr) -> None:
-        """Resolve all names in a predicate eagerly (parse-time checking)."""
+    def _check_names(self, expr, resolving: tuple[str, ...] = ()) -> None:
+        """Resolve all names in a predicate eagerly (parse-time checking);
+        resolving holds the predicate references being followed."""
         if isinstance(expr, (Or, And)):
             for p in expr.parts:
-                self._check_names(p)
+                self._check_names(p, resolving)
         elif isinstance(expr, Not):
-            self._check_names(expr.inner)
+            self._check_names(expr.inner, resolving)
         elif isinstance(expr, IsGraph):
             if expr.graph_name not in self.graphs:
                 raise ScriptError(f"unknown graph name {expr.graph_name!r}")
         elif isinstance(expr, PredRef):
+            if expr.name in resolving:
+                raise ScriptError(
+                    f"predicate definitions form a cycle at {expr.name!r}")
             if expr.name not in self.predicates:
                 raise ScriptError(f"unknown predicate {expr.name!r}")
-            self._check_names(self.predicates[expr.name])
+            self._check_names(self.predicates[expr.name], resolving + (expr.name,))
 
     def compile_strategy(self, node) -> st.Strategy:
         if isinstance(node, SSequence):
@@ -766,7 +769,7 @@ def run_script(script: Script,
     entry = None
     if "main" in compiler.strategy_defs:
         entry = compiler.compile_strategy(SRef("main"))
-    queries_before = queries.value
+    queries_before = ctx.cache.queries
     started = time.perf_counter()
     final = entry.apply(st.EMPTY_STATE, ctx) if entry is not None else st.EMPTY_STATE
     elapsed = time.perf_counter() - started
@@ -781,7 +784,7 @@ def run_script(script: Script,
     return RunReport(
         new_graphs=ctx.stats.new_graphs,
         derivations=ctx.stats.derivations,
-        embedding_queries=queries.value - queries_before,
+        embedding_queries=ctx.cache.queries - queries_before,
         seconds=elapsed,
         universe_size=len(final.universe),
         subset_size=len(final.subset),

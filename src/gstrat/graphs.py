@@ -225,7 +225,7 @@ class Graph:
     """Immutable simple undirected graph with string vertex and edge labels."""
 
     __slots__ = ("_labels", "_adj", "_edge_count", "_signature", "_canon",
-                 "_wl_colors", "_wl_hist", "_sorted_adj")
+                 "_wl_colors", "_sorted_adj")
 
     def __init__(self, vertices: Iterable[tuple[int, str]],
                  edges: Iterable[tuple[int, int, str]] = ()):
@@ -252,7 +252,6 @@ class Graph:
         self._signature: tuple | None = None
         self._canon: tuple[tuple, tuple[int, ...]] | None = None
         self._wl_colors: dict[int, int] | None = None
-        self._wl_hist: tuple[tuple[int, int], ...] | None = None
         self._sorted_adj: dict[int, tuple[int, ...]] | None = None
 
     @property
@@ -371,14 +370,6 @@ class Graph:
                            tuple(edge_labels), codes)
             self._canon = (certificate, tuple(ids[i] for i in order))
         return self._canon
-
-    def color_histogram(self) -> tuple[tuple[int, int], ...]:
-        if self._wl_hist is None:
-            counts: dict[int, int] = {}
-            for c in self.refinement_colors().values():
-                counts[c] = counts.get(c, 0) + 1
-            self._wl_hist = tuple(sorted(counts.items()))
-        return self._wl_hist
 
     @property
     def is_connected(self) -> bool:

@@ -77,6 +77,12 @@ class MatchCache:
     def __init__(self) -> None:
         self._data: dict[tuple, tuple[dict[int, int], ...]] = {}
 
+    @property
+    def queries(self) -> int:
+        """Embedding enumerations run so far: one per distinct (rule, left
+        component, graph)."""
+        return len(self._data)
+
     def embeddings(self, rule: Rule, comp_idx: int, gid: int,
                    repo: GraphRepository) -> tuple[dict[int, int], ...]:
         key = (rule, comp_idx, gid)
@@ -389,10 +395,10 @@ def complete_derivation(partial: PartialRule, repo: GraphRepository
     )
 
 
-def _completions(partial: PartialRule, universe: Sequence[int], cap: int,
+def _completions(partial: PartialRule, universe: Sequence[int],
                  repo: GraphRepository, cache: MatchCache
                  ) -> Iterator[PartialRule]:
-    """Complete extensions of partial with at most cap bound copies.
+    """Complete extensions of partial.
 
     Each step binds the first remaining component plus any subset of the
     others to a universe graph; subsets are tried in ``_subsets`` order and,
@@ -402,13 +408,11 @@ def _completions(partial: PartialRule, universe: Sequence[int], cap: int,
     if not remaining:
         yield partial
         return
-    if len(partial.bound) >= cap:
-        return
     first = remaining[0]
     for tail in _subsets(remaining[1:]):
         for gid in universe:
             for nxt in _bind_copy(partial, gid, (first,) + tail, repo, cache):
-                yield from _completions(nxt, universe, cap, repo, cache)
+                yield from _completions(nxt, universe, repo, cache)
 
 
 def enumerate_proper_derivations(
@@ -417,7 +421,6 @@ def enumerate_proper_derivations(
         required: Sequence[int] = (),
         repo: GraphRepository | None = None,
         cache: MatchCache | None = None,
-        max_components: int | None = None,
         left_filter: Callable[[tuple[int, ...]], bool] | None = None,
 ) -> list[Derivation]:
     """All proper derivations with inputs drawn (with repetition) from the
@@ -438,7 +441,6 @@ def enumerate_proper_derivations(
     if repo is None:
         raise ValueError("a graph repository is required")
     cache = cache or MatchCache()
-    cap = max_components or len(rule.left_components())
     universe = list(universe)
     required = list(required)
     if not set(required) <= set(universe):
@@ -453,7 +455,7 @@ def enumerate_proper_derivations(
     automorphisms = rule.automorphisms()
     applied_orbits: set[tuple] = set()
     for start in starts:
-        for partial in _completions(start, universe, cap, repo, cache):
+        for partial in _completions(start, universe, repo, cache):
             inputs = tuple(sorted(partial.bound_graph_ids()))
             if left_filter is not None and not left_filter(inputs):
                 continue

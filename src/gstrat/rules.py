@@ -64,13 +64,14 @@ class Rule:
         delete-plus-create on the same endpoints; since the intermediate
         graph is never observable this is stored as a context relabel.
         """
+        declared = ([(vid, LEFT, label, None) for vid, label in left_vertices]
+                    + [(vid, CONTEXT, ll, rl) for vid, ll, rl in context_vertices]
+                    + [(vid, RIGHT, None, label) for vid, label in right_vertices])
         vertices: dict[int, RuleVertex] = {}
-        for vid, label in left_vertices:
-            vertices[vid] = RuleVertex(LEFT, label, None)
-        for vid, ll, rl in context_vertices:
-            vertices[vid] = RuleVertex(CONTEXT, ll, rl)
-        for vid, label in right_vertices:
-            vertices[vid] = RuleVertex(RIGHT, None, label)
+        for vid, kind, ll, rl in declared:
+            if vid in vertices:
+                raise RuleError(f"vertex {vid} declared twice")
+            vertices[vid] = RuleVertex(kind, ll, rl)
         edges: dict[tuple[int, int], RuleEdge] = {}
         for u, v, label in left_edges:
             key = _edge_key(u, v)
@@ -112,8 +113,14 @@ class Rule:
         return self._right
 
     def left_components(self) -> tuple[Graph, ...]:
-        """Connected components of the left graph (vertex ids are rule ids)."""
+        """Connected components of the left graph (vertex ids are rule ids).
+
+        The first call checks the rule with ``validate_rule``, so an
+        ill-formed rule raises ``RuleError`` before it can be matched."""
         if self._left_components is None:
+            problems = validate_rule(self)
+            if problems:
+                raise RuleError(f"rule {self.name}: " + "; ".join(problems))
             self._left_components = tuple(self.left_graph().connected_components())
         return self._left_components
 

@@ -66,8 +66,7 @@ class EvalContext:
 
     def __init__(self, repo: GraphRepository | None = None,
                  sink: DerivationGraph | None = None,
-                 max_repeat: int | None = None,
-                 max_components: int | None = None):
+                 max_repeat: int | None = None):
         self.repo = repo if repo is not None else GraphRepository()
         self.sink = sink if sink is not None else DerivationGraph()
         self.cache = MatchCache()
@@ -84,7 +83,6 @@ class EvalContext:
                 raise ValueError(
                     f"GSTRAT_MAX_REPEAT must be an integer, got {raw!r}") from None
         self.max_repeat = max_repeat
-        self.max_components = max_components
         self._consumed_stack: list[set[int]] = [set()]
         self._known: set[int] = set()
         self._path: list[str] = []
@@ -181,7 +179,6 @@ class RuleApplication(Strategy):
         derivations = enumerate_proper_derivations(
             self.rule, state.universe, state.subset,
             repo=ctx.repo, cache=ctx.cache,
-            max_components=ctx.max_components,
             left_filter=left_filter)
         universe_set = set(state.universe)
         derived: list[int] = []

@@ -84,17 +84,15 @@ def permuted(g: Graph, rng: random.Random) -> Graph:
     return Graph(verts, edges)
 
 
-def naive_derivation_keys(rule, universe, required, repo, max_components=None):
+def naive_derivation_keys(rule, universe, required, repo):
     """Reference enumeration: test every k-multisubset of the universe with
     brute-force full matching, then apply.  Returns dedup keys."""
     from gstrat.rewrite import apply_at, assemble
 
     comps = rule.left_components()
-    k = len(comps)
-    cap = min(max_components or k, k)
     required = set(required)
     keys = set()
-    for size in range(1, cap + 1):
+    for size in range(1, len(comps) + 1):
         for multiset in itertools.combinations_with_replacement(universe, size):
             if required and not (set(multiset) & required):
                 continue

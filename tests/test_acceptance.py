@@ -214,10 +214,11 @@ class TestCriterion2:
         assert rep.new_graphs == 825
         assert rep.derivations == 1278
         assert len(ctx.sink) == 1278
+        assert rep.embedding_queries == ctx.cache.queries == 430
         report(2, f"Q_BFS n=4: {rep.new_graphs} new graphs / "
                   f"{rep.derivations} derivations in {elapsed:.1f}s "
-                  f"({rep.embedding_queries} embedding queries under the "
-                  f"declared per-call convention)")
+                  f"({rep.embedding_queries} embedding queries, one per "
+                  f"match-cache enumeration)")
 
     def test_mandatory_n1_properties(self):
         iso = parse_molecule("CC(=C)C=C")
@@ -250,6 +251,7 @@ class TestCriterion3:
         _, rep, _ = subspace_run
         assert rep.new_graphs == 165
         assert rep.derivations == 236
+        assert rep.embedding_queries == 122
         report(3, f"Q_subspace n=3: {rep.new_graphs} new graphs / "
                   f"{rep.derivations} derivations")
 

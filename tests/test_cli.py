@@ -47,6 +47,15 @@ class TestRun:
         assert main(["run", str(script)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_predicate_cycle_exit_code(self, tmp_path, capsys):
+        script = tmp_path / "cycle.gs"
+        script.write_text(RELABEL_SCRIPT.replace("-> rule p", "-> filterSubset[p]")
+                          + "predicate p = q\npredicate q = p\n")
+        assert main(["run", str(script)]) == 1
+        err = capsys.readouterr().err
+        assert "error: predicate definitions form a cycle at 'p'" in err
+        assert "Traceback" not in err
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         script = tmp_path / "bad.gs"
         script.write_text("strategy main = take [1]\n")

@@ -74,6 +74,15 @@ class TestParse:
         with pytest.raises(ScriptError):
             run_script(script)
 
+    def test_predicate_cycle_detected(self):
+        script = parse_script(
+            'graph g { v 0 "a"; }\n'
+            "predicate p = q\npredicate q = p\n"
+            "strategy main = addSubset(g) -> filterSubset[p]")
+        with pytest.raises(ScriptError,
+                           match="predicate definitions form a cycle at 'p'"):
+            run_script(script)
+
 
 class TestPrintReparse:
     def test_fixpoint_on_shipped_scripts(self):

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from gstrat.graphs import Graph
-from gstrat.matching import (MatchError, enumerate_embeddings, find_isomorphism,
-                             queries)
+from gstrat.matching import MatchError, enumerate_embeddings, find_isomorphism
 
 from .oracles import brute_embeddings, random_graph
 
@@ -88,15 +87,6 @@ class TestEnumerateEmbeddings:
                      [(n + 9 - i, n + 8 - i, "e") for i in range(n - 1)])
         assert enumerate_embeddings(pattern, host) == [
             {i: n + 9 - i for i in range(n)}]
-
-    def test_query_counter_monotone(self):
-        g = Graph([(0, "a")])
-        before = queries.value
-        enumerate_embeddings(g, g)
-        mid = queries.value
-        enumerate_embeddings(g, g)
-        assert mid == before + 1
-        assert queries.value == mid + 1
 
 
 class TestFindIsomorphism:

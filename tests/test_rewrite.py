@@ -393,6 +393,33 @@ class TestGluingDifferential:
         assert completed > 0
 
 
+class TestMatchCache:
+    def test_one_query_per_distinct_key(self):
+        repo = GraphRepository()
+        ids = [repo.intern(g)[0] for g in chain_graphs()]
+        rules = (relabel_rule(), diels_alder_rule())
+        cache = MatchCache()
+        assert cache.queries == 0
+        keys = [(rule, ci, gid) for rule in rules
+                for ci in range(len(rule.left_components())) for gid in ids]
+        for n, (rule, ci, gid) in enumerate(keys, 1):
+            cache.embeddings(rule, ci, gid, repo)
+            assert cache.queries == n
+        for rule, ci, gid in keys:
+            cache.embeddings(rule, ci, gid, repo)
+        assert cache.queries == len(keys) == 6
+
+    def test_empty_cache_is_the_one_used(self):
+        repo = GraphRepository()
+        ids = [repo.intern(g)[0] for g in chain_graphs()]
+        cache = MatchCache()
+        enumerate_proper_derivations(relabel_rule(), ids, repo=repo, cache=cache)
+        assert cache.queries == 2
+        other = MatchCache()
+        bind_graph(relabel_rule(), ids[0], repo, other)
+        assert other.queries == 1
+
+
 class TestMergedComponentMaps:
     def test_product_order(self):
         # One embedding per component, merged when their images are

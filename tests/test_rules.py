@@ -3,7 +3,9 @@ import random
 import pytest
 
 from gstrat.chem import diels_alder_rule
+from gstrat.graphs import Graph, GraphRepository
 from gstrat.lex import ParseError
+from gstrat.rewrite import enumerate_proper_derivations
 from gstrat.rules import (CONTEXT, LEFT, RIGHT, Rule, RuleError, format_rule,
                           parse_rules, validate_rule)
 
@@ -45,6 +47,11 @@ class TestRuleStructure:
                        context_edges=[(0, 1, "x", "x")],
                        right_edges=[(0, 1, "y")])
 
+    def test_vertex_in_two_sections_rejected(self):
+        with pytest.raises(RuleError, match="vertex 0 declared twice"):
+            Rule.build("dup", left_vertices=[(0, "a")],
+                       context_vertices=[(0, "b", "b")])
+
 
 class TestValidate:
     def test_diels_alder_is_chemical(self):
@@ -65,6 +72,19 @@ class TestValidate:
     def test_empty_left_rejected(self):
         rule = Rule.build("nothing", right_vertices=[(0, "a")])
         assert any("empty left" in p for p in validate_rule(rule))
+
+    def test_ill_formed_rule_is_never_applied(self):
+        # The context edge touches a deleted vertex: applying the rule
+        # would delete the edge it claims to preserve.
+        rule = Rule.build("bad",
+                          left_vertices=[(0, "a")],
+                          context_vertices=[(1, "a", "a")],
+                          context_edges=[(0, 1, "x", "x")])
+        repo = GraphRepository()
+        gid, _ = repo.intern(Graph([(0, "a"), (1, "a")], [(0, 1, "x")]))
+        for _ in range(2):
+            with pytest.raises(RuleError, match="context edge 0-1"):
+                enumerate_proper_derivations(rule, [gid], repo=repo)
 
 
 class TestInvert:

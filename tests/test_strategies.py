@@ -88,6 +88,16 @@ class TestRuleApplication:
         assert alt.subset != ()
         assert set(alt.subset) <= set(state.universe)
 
+    def test_repeated_application_runs_no_new_queries(self):
+        ctx = EvalContext()
+        rule = RuleApplication(relabel_rule())
+        state = seeded_state(ctx)
+        rule.apply(state, ctx)
+        queries = ctx.cache.queries
+        assert queries == 2
+        rule.apply(state, ctx)
+        assert ctx.cache.queries == queries
+
     def test_new_graphs_counted_once(self):
         ctx = EvalContext()
         rule = RuleApplication(relabel_rule())
