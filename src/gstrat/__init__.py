@@ -11,7 +11,8 @@ from gstrat.matching import enumerate_embeddings, find_isomorphism
 from gstrat.rules import Rule, RuleError, format_rule, parse_rules, validate_rule
 from gstrat.rewrite import (Derivation, MatchCache, Morphism, PartialRule,
                             apply_at, assemble, bind_graph,
-                            complete_derivation, enumerate_proper_derivations)
+                            complete_derivation, enumerate_proper_derivations,
+                            iter_proper_derivations)
 from gstrat.derivations import DerivationGraph, HyperEdge
 from gstrat.strategies import (AddSubset, AddUniverse, AltRuleApplication,
                                EMPTY_STATE, EvalContext, FilterSubset,
@@ -31,7 +32,7 @@ __all__ = [
     "Rule", "RuleError", "format_rule", "parse_rules", "validate_rule",
     "Derivation", "MatchCache", "Morphism", "PartialRule", "apply_at",
     "assemble", "bind_graph", "complete_derivation",
-    "enumerate_proper_derivations",
+    "enumerate_proper_derivations", "iter_proper_derivations",
     "DerivationGraph", "HyperEdge",
     "AddSubset", "AddUniverse", "AltRuleApplication", "EMPTY_STATE",
     "EvalContext", "FilterSubset", "FilterUniverse", "GraphState",

@@ -28,69 +28,52 @@ class LevelError(ValueError):
     pass
 
 
-def _mark_rule() -> Rule:
-    return Rule.build(
+# Rules are immutable, so every level shares this one set; each EvalContext
+# keeps its own MatchCache.
+_RULES = (
+    Rule.build(
         "mark",
         context_vertices=[(0, "0", "A"), (1, "0", "R"), (2, "0", "R"), (3, "0", "R")],
         context_edges=[(0, 1, "", ""), (0, 2, "", ""), (0, 3, "", "")],
-    )
-
-
-def _mark_for_fail_rule() -> Rule:
-    return Rule.build(
+    ),
+    Rule.build(
         "markForFail",
         context_vertices=[(0, "A", "FAIL"), (1, "0", "0")],
         context_edges=[(0, 1, "", "")],
-    )
-
-
-def _remove_inter_r_rule() -> Rule:
-    return Rule.build(
+    ),
+    Rule.build(
         "removeInterR",
         context_vertices=[(0, "R", "R"), (1, "R", "R")],
         left_edges=[(0, 1, "")],
-    )
-
-
-def _reattach_external_rule() -> Rule:
+    ),
     # u-r is replaced by u-v; simplicity rejection skips hosts where u-v
     # already exists (handled by removeAttached instead).
-    return Rule.build(
+    Rule.build(
         "reattachExternal",
         context_vertices=[(0, "0", "0"), (1, "R", "R"), (2, "A", "A")],
         left_edges=[(0, 1, "")],
         context_edges=[(1, 2, "", "")],
         right_edges=[(0, 2, "")],
-    )
-
-
-def _remove_attached_rule() -> Rule:
-    return Rule.build(
+    ),
+    Rule.build(
         "removeAttached",
         context_vertices=[(0, "0", "0"), (1, "R", "R"), (2, "A", "A")],
         left_edges=[(0, 1, "")],
         context_edges=[(1, 2, "", ""), (0, 2, "", "")],
-    )
-
-
-def _remove_r_rule() -> Rule:
-    return Rule.build(
+    ),
+    Rule.build(
         "removeR",
         context_vertices=[(0, "A", "A")],
         left_vertices=[(1, "R"), (2, "R"), (3, "R")],
         left_edges=[(0, 1, ""), (0, 2, ""), (0, 3, "")],
-    )
+    ),
+    Rule.build("unmark", context_vertices=[(0, "A", "0")]),
+)
 
 
-def _unmark_rule() -> Rule:
-    return Rule.build("unmark", context_vertices=[(0, "A", "0")])
-
-
-def catalan_rules() -> list[Rule]:
+def catalan_rules() -> tuple[Rule, ...]:
     """The seven move-pipeline rules, in pipeline order of first use."""
-    return [_mark_rule(), _mark_for_fail_rule(), _remove_inter_r_rule(),
-            _reattach_external_rule(), _remove_attached_rule(),
-            _remove_r_rule(), _unmark_rule()]
+    return _RULES
 
 
 def _no_fail_vertex(gid: int, state, ctx) -> bool:
@@ -238,7 +221,7 @@ def pipeline_move(level: Graph, v: int) -> list[Graph]:
     repo = ctx.repo
     level_id, _, into_stored = repo.intern_mapped(level)
     ctx.register_known(level_id)
-    mark = _mark_rule()
+    mark = _RULES[0]
     marked_ids: list[int] = []
     # Matches are enumerated per morphism (bind_graph does not deduplicate
     # isomorphic outcomes), so symmetric centers cannot shadow v.

@@ -9,8 +9,12 @@ components, so every produced derivation is automatically proper.
 
 One routine, ``_gluing_ok``, checks the DPO gluing conditions for the part
 of a match it is given: each copy as it is bound, and the full match before
-``apply_at`` builds the result.  One recursive generator, ``_completions``,
-extends partial rules over the universe until they are complete.
+``apply_at`` builds the result.  The copies a graph can take for a set of
+left components depend only on (rule, components, graph), so ``MatchCache``
+builds and checks them once; ``bind_graph`` and the recursive generator
+``_completions`` only read them.  ``_completions`` extends partial rules
+until they are complete, looping over the universe graphs that can bind the
+next components rather than over the whole universe.
 """
 from __future__ import annotations
 
@@ -72,25 +76,62 @@ class Morphism:
 
 
 class MatchCache:
-    """Memoized embeddings of rule left components into stored graphs."""
+    """Memoized matching work of one graph repository.
+
+    Two memos, both keyed by graph id:
+
+    - embeddings: (rule, left component, graph) -> every embedding of the
+      component into the stored graph;
+    - bound copies: (rule, component subset, graph) -> the ``BoundCopy``
+      values of the subset's merged embeddings that pass ``_gluing_ok``,
+      in merge order.
+
+    Graph ids mean nothing outside their repository, so the cache serves
+    the first repository it is given and raises ``ValueError`` on another.
+    """
 
     def __init__(self) -> None:
         self._data: dict[tuple, tuple[dict[int, int], ...]] = {}
+        self._copies: dict[tuple, tuple[BoundCopy, ...]] = {}
+        self._repo: GraphRepository | None = None
 
     @property
     def queries(self) -> int:
         """Embedding enumerations run so far: one per distinct (rule, left
-        component, graph)."""
+        component, graph).  Bound-copy memo entries are not counted."""
         return len(self._data)
+
+    def _serve(self, repo: GraphRepository) -> None:
+        if repo is not self._repo:
+            if self._repo is not None:
+                raise ValueError("match cache already serves another repository")
+            self._repo = repo
 
     def embeddings(self, rule: Rule, comp_idx: int, gid: int,
                    repo: GraphRepository) -> tuple[dict[int, int], ...]:
+        self._serve(repo)
         key = (rule, comp_idx, gid)
         cached = self._data.get(key)
         if cached is None:
             pattern = rule.left_components()[comp_idx]
             cached = tuple(enumerate_embeddings(pattern, repo.graph(gid)))
             self._data[key] = cached
+        return cached
+
+    def bound_copies(self, rule: Rule, comp_indices: tuple[int, ...], gid: int,
+                     repo: GraphRepository) -> tuple[BoundCopy, ...]:
+        self._serve(repo)
+        key = (rule, comp_indices, gid)
+        cached = self._copies.get(key)
+        if cached is None:
+            g = repo.graph(gid)
+            components = frozenset(comp_indices)
+            cached = tuple(
+                BoundCopy(gid, components, tuple(sorted(vmap.items())))
+                for vmap in _merged_component_maps(rule, comp_indices, gid,
+                                                   repo, self)
+                if _gluing_ok(rule, vmap, g))
+            self._copies[key] = cached
         return cached
 
 
@@ -333,19 +374,6 @@ def _merged_component_maps(rule: Rule, comp_indices: Sequence[int], gid: int,
             used.discard(v)
 
 
-def _bind_copy(partial: PartialRule, gid: int, comp_indices: tuple[int, ...],
-               repo: GraphRepository, cache: MatchCache) -> list[PartialRule]:
-    rule = partial.rule
-    g = repo.graph(gid)
-    out = []
-    for vmap in _merged_component_maps(rule, comp_indices, gid, repo, cache):
-        if not _gluing_ok(rule, vmap, g):
-            continue
-        bc = BoundCopy(gid, frozenset(comp_indices), tuple(sorted(vmap.items())))
-        out.append(PartialRule(rule, partial.bound + (bc,)))
-    return out
-
-
 def _subsets(items: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Every subset of items in binary-counter order; the empty one is first."""
     return [tuple(items[i] for i in range(len(items)) if mask >> i & 1)
@@ -366,10 +394,9 @@ def bind_graph(rule_or_partial: Rule | PartialRule, gid: int,
     partial = (rule_or_partial if isinstance(rule_or_partial, PartialRule)
                else PartialRule(rule_or_partial))
     cache = cache or MatchCache()
-    results: list[PartialRule] = []
-    for subset in _subsets(partial.remaining_components)[1:]:
-        results.extend(_bind_copy(partial, gid, subset, repo, cache))
-    return results
+    return [PartialRule(partial.rule, partial.bound + (bc,))
+            for subset in _subsets(partial.remaining_components)[1:]
+            for bc in cache.bound_copies(partial.rule, subset, gid, repo)]
 
 
 def complete_derivation(partial: PartialRule, repo: GraphRepository
@@ -395,14 +422,16 @@ def complete_derivation(partial: PartialRule, repo: GraphRepository
     )
 
 
-def _completions(partial: PartialRule, universe: Sequence[int],
-                 repo: GraphRepository, cache: MatchCache
+def _completions(partial: PartialRule,
+                 copies: Callable[[tuple[int, ...]], list[tuple[BoundCopy, ...]]]
                  ) -> Iterator[PartialRule]:
     """Complete extensions of partial.
 
     Each step binds the first remaining component plus any subset of the
-    others to a universe graph; subsets are tried in ``_subsets`` order and,
-    for each subset, graphs in universe order.
+    others to one copy; ``copies(subset)`` lists, in universe order, the
+    nonempty bound-copy tuples of the universe graphs that can take the
+    subset.  Subsets are tried in ``_subsets`` order, then graphs in
+    universe order, then copies in merge order.
     """
     remaining = partial.remaining_components
     if not remaining:
@@ -410,28 +439,32 @@ def _completions(partial: PartialRule, universe: Sequence[int],
         return
     first = remaining[0]
     for tail in _subsets(remaining[1:]):
-        for gid in universe:
-            for nxt in _bind_copy(partial, gid, (first,) + tail, repo, cache):
-                yield from _completions(nxt, universe, repo, cache)
+        for bound in copies((first,) + tail):
+            for bc in bound:
+                yield from _completions(
+                    PartialRule(partial.rule, partial.bound + (bc,)), copies)
 
 
-def enumerate_proper_derivations(
+def iter_proper_derivations(
         rule: Rule,
         universe: Sequence[int],
         required: Sequence[int] = (),
         repo: GraphRepository | None = None,
         cache: MatchCache | None = None,
         left_filter: Callable[[tuple[int, ...]], bool] | None = None,
-) -> list[Derivation]:
-    """All proper derivations with inputs drawn (with repetition) from the
-    universe, every input component matched, and - when required is nonempty -
-    at least one input from required.
+) -> Iterator[Derivation]:
+    """Yield all proper derivations with inputs drawn (with repetition) from
+    the universe, every input component matched, and - when required is
+    nonempty - at least one input from required.
 
     Binding starts at the required graphs (at every universe graph when
     none is required) and ``_completions`` extends each start over the
-    universe, so work is proportional to what the required set can actually
-    initiate.  Derivations agreeing on (rule, input classes, output
-    classes) are deduplicated; discovery order is deterministic.
+    universe graphs that can bind its remaining components, so work is
+    proportional to what the required set can actually initiate.
+    Derivations agreeing on (rule, input classes, output classes) are
+    deduplicated: each key is yielded once, at its first discovery, and
+    discovery order is deterministic.  A caller that stops early does no
+    work past the last derivation it took.
 
     Each match orbit under rule automorphisms and permutations of the bound
     copies is applied once, at its first member: the other members yield
@@ -446,16 +479,26 @@ def enumerate_proper_derivations(
     if not set(required) <= set(universe):
         raise ValueError("required graphs must be part of the universe")
 
+    viable: dict[tuple[int, ...], list[tuple[BoundCopy, ...]]] = {}
+
+    def copies(subset: tuple[int, ...]) -> list[tuple[BoundCopy, ...]]:
+        found = viable.get(subset)
+        if found is None:
+            found = viable[subset] = [
+                bound for gid in universe
+                if (bound := cache.bound_copies(rule, subset, gid, repo))]
+        return found
+
     # With no required graph, a start must bind component 0, so that each
     # complete match is reached once, its copies in component order.
     starts = (partial for gid in required or universe
               for partial in bind_graph(rule, gid, repo, cache)
               if required or 0 in partial.bound[0].components)
-    found: dict[tuple, Derivation] = {}
+    keys: set[tuple] = set()
     automorphisms = rule.automorphisms()
     applied_orbits: set[tuple] = set()
     for start in starts:
-        for partial in _completions(start, universe, repo, cache):
+        for partial in _completions(start, copies):
             inputs = tuple(sorted(partial.bound_graph_ids()))
             if left_filter is not None and not left_filter(inputs):
                 continue
@@ -469,6 +512,19 @@ def enumerate_proper_derivations(
                 continue
             applied_orbits.add(orbit)
             d = complete_derivation(partial, repo)
-            if d is not None and d.key not in found:
-                found[d.key] = d
-    return list(found.values())
+            if d is not None and d.key not in keys:
+                keys.add(d.key)
+                yield d
+
+
+def enumerate_proper_derivations(
+        rule: Rule,
+        universe: Sequence[int],
+        required: Sequence[int] = (),
+        repo: GraphRepository | None = None,
+        cache: MatchCache | None = None,
+        left_filter: Callable[[tuple[int, ...]], bool] | None = None,
+) -> list[Derivation]:
+    """``iter_proper_derivations`` as a list, in discovery order."""
+    return list(iter_proper_derivations(rule, universe, required, repo, cache,
+                                        left_filter))

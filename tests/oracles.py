@@ -143,8 +143,9 @@ def brute_rule_automorphisms(rule) -> set[tuple[tuple[int, int], ...]]:
     return found
 
 
-def random_rule(rng: random.Random, name: str = "r") -> "object":
-    """A random valid rule with at most two left components."""
+def random_rule(rng: random.Random, name: str = "r",
+                max_components: int = 2) -> "object":
+    """A random valid rule with 1 to max_components left components."""
     from gstrat.rules import Rule, validate_rule
 
     vlabels = ("a", "b")
@@ -153,7 +154,7 @@ def random_rule(rng: random.Random, name: str = "r") -> "object":
     left_edges, context_edges, right_edges = [], [], []
     vid = 0
     context_ids = []
-    for _ in range(rng.randint(1, 2)):
+    for _ in range(rng.randint(1, max_components)):
         size = rng.randint(1, 3)
         ids = list(range(vid, vid + size))
         vid += size

@@ -21,7 +21,8 @@ from gstrat.chem import diels_alder_rule, parse_molecule
 from gstrat.dsl import load_script, run_script
 from gstrat.graphs import Graph, isomorphic
 from gstrat.matching import find_isomorphism
-from gstrat.rewrite import MatchCache, enumerate_proper_derivations
+from gstrat.rewrite import (MatchCache, enumerate_proper_derivations,
+                            iter_proper_derivations)
 from gstrat.strategies import (AddSubset, EMPTY_STATE, EvalContext,
                                Repeat, Revive, RuleApplication, Sequence)
 
@@ -51,10 +52,12 @@ def inversion_ok(inputs, outputs, repo, inverter) -> bool:
     if not outputs:
         return False
     inverse_cache, inverse = inverter
-    back = enumerate_proper_derivations(
-        inverse, list(dict.fromkeys(outputs)), repo=repo, cache=inverse_cache)
     want_in = tuple(sorted(outputs))
     want_out = tuple(sorted(inputs))
+    # Only derivations on exactly the outputs can qualify; stop at the first.
+    back = iter_proper_derivations(
+        inverse, list(dict.fromkeys(outputs)), repo=repo, cache=inverse_cache,
+        left_filter=lambda ids: ids == want_in)
     return any(d.inputs == want_in and d.outputs == want_out for d in back)
 
 

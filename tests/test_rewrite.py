@@ -9,7 +9,8 @@ from gstrat.graphs import Graph, GraphRepository, isomorphic
 from gstrat.matching import enumerate_embeddings
 from gstrat.rewrite import (BindError, MatchCache, apply_at, assemble,
                             bind_graph, complete_derivation,
-                            enumerate_proper_derivations)
+                            enumerate_proper_derivations,
+                            iter_proper_derivations)
 from gstrat.rules import Rule
 
 from .oracles import naive_derivation_keys, random_graph, random_rule
@@ -418,6 +419,123 @@ class TestMatchCache:
         other = MatchCache()
         bind_graph(relabel_rule(), ids[0], repo, other)
         assert other.queries == 1
+
+
+    def test_second_repository_rejected(self):
+        # Graph ids are per repository: id 0 is an x edge in one and a y
+        # edge in the other, so serving both from one cache would match
+        # the y edge with the x edge's embeddings.
+        rule = Rule.build("relabel",
+                          context_vertices=[(0, "z", "z"), (1, "z", "z")],
+                          context_edges=[(0, 1, "x", "w")])
+        repo_a, repo_b = GraphRepository(), GraphRepository()
+        a, _ = repo_a.intern(Graph([(0, "z"), (1, "z")], [(0, 1, "x")]))
+        b, _ = repo_b.intern(Graph([(0, "z"), (1, "z")], [(0, 1, "y")]))
+        assert a == b
+        cache = MatchCache()
+        assert len(enumerate_proper_derivations(rule, [a], repo=repo_a,
+                                                cache=cache)) == 1
+        assert enumerate_proper_derivations(rule, [b], repo=repo_b) == []
+        with pytest.raises(ValueError, match="another repository"):
+            enumerate_proper_derivations(rule, [b], repo=repo_b, cache=cache)
+        with pytest.raises(ValueError, match="another repository"):
+            bind_graph(rule, b, repo_b, cache)
+        # The first repository is still served.
+        assert len(bind_graph(rule, a, repo_a, cache)) == 2
+
+    def test_repeated_call_binds_nothing_anew(self, monkeypatch):
+        repo = GraphRepository()
+        iso_id, _ = repo.intern(parse_molecule("CC(=C)C=C"))
+        chx_id, _ = repo.intern(parse_molecule("C1=CC=CCC1"))
+        counts = {"_gluing_ok": 0, "_merged_component_maps": 0}
+        for name in counts:
+            real = getattr(rewrite, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(rewrite, name, counting)
+        applications = count_applications(monkeypatch)
+        cache = MatchCache()
+        rule = diels_alder_rule()
+        first = enumerate_proper_derivations(
+            rule, [iso_id, chx_id], [chx_id], repo=repo, cache=cache)
+        assert counts["_merged_component_maps"] > 0
+        assert counts["_gluing_ok"] > len(applications)
+        for name in counts:
+            counts[name] = 0
+        applications.clear()
+        again = enumerate_proper_derivations(
+            rule, [iso_id, chx_id], [chx_id], repo=repo, cache=cache)
+        assert [d.key for d in again] == [d.key for d in first]
+        # Only the full-match check inside each application is left.
+        assert counts == {"_gluing_ok": len(applications),
+                          "_merged_component_maps": 0}
+
+
+def fingerprint(d):
+    """What a caller sees of a derivation, match and atom map included."""
+    return (d.key, d.inputs, d.match.assembly.graph_ids,
+            sorted(d.match.vertex_map.items()), d.atom_map)
+
+
+class TestWarmCacheDifferential:
+    def test_shared_cache_equals_fresh_cache(self):
+        rng = random.Random(61)
+        derivations = 0
+        three_components = 0
+        for _ in range(40):
+            repo = GraphRepository()
+            pool = list(dict.fromkeys(
+                repo.intern(random_graph(rng, max_vertices=6, connected=True))[0]
+                for _ in range(6)))
+            cache = MatchCache()
+            for _ in range(3):
+                rule = random_rule(rng, max_components=3)
+                three_components += len(rule.left_components()) == 3
+                # Universes grow and shrink around one shared cache.
+                for size in (1, 3, 5, 2, 4, 1):
+                    universe = rng.sample(pool, min(size, len(pool)))
+                    required = [gid for gid in universe if rng.random() < 0.4]
+                    warm = enumerate_proper_derivations(
+                        rule, universe, required, repo=repo, cache=cache)
+                    fresh = enumerate_proper_derivations(
+                        rule, universe, required, repo=repo)
+                    assert ([fingerprint(d) for d in warm]
+                            == [fingerprint(d) for d in fresh])
+                    derivations += len(warm)
+        assert derivations > 100 and three_components > 5
+
+
+class TestIterProperDerivations:
+    def test_generator_consumed_fully_equals_list(self):
+        rng = random.Random(67)
+        for _ in range(40):
+            repo = GraphRepository()
+            ids = list(dict.fromkeys(
+                repo.intern(random_graph(rng, max_vertices=6, connected=True))[0]
+                for _ in range(rng.randint(1, 4))))
+            rule = random_rule(rng, max_components=3)
+            required = [gid for gid in ids if rng.random() < 0.5]
+            listed = enumerate_proper_derivations(rule, ids, required, repo=repo)
+            lazy = iter_proper_derivations(rule, ids, required, repo=repo)
+            assert ([fingerprint(d) for d in lazy]
+                    == [fingerprint(d) for d in listed])
+
+    def test_stopping_early_applies_less(self, monkeypatch):
+        repo = GraphRepository()
+        iso_id, _ = repo.intern(parse_molecule("CC(=C)C=C"))
+        chx_id, _ = repo.intern(parse_molecule("C1=CC=CCC1"))
+        calls = count_applications(monkeypatch)
+        listed = enumerate_proper_derivations(
+            diels_alder_rule(), [iso_id, chx_id], [chx_id], repo=repo)
+        full = len(calls)
+        calls.clear()
+        first = next(iter_proper_derivations(
+            diels_alder_rule(), [iso_id, chx_id], [chx_id], repo=repo))
+        assert first.key == listed[0].key
+        assert len(calls) < full
 
 
 class TestMergedComponentMaps:
