@@ -428,7 +428,7 @@ def isomorphic(g: Graph, h: Graph) -> bool:
 class GraphRepository:
     """Interning store mapping isomorphism classes to dense integer ids.
 
-    Stored graphs are renumbered to dense vertex ids and never mutated; the
+    Stored graphs have dense vertex ids 0..n-1 and are never mutated; the
     first graph interned for a class is its representative.  Each class is
     indexed by its canonical certificate, so interning is one canonical form
     and one dict lookup, and no two stored ids are isomorphic.
@@ -455,14 +455,22 @@ class GraphRepository:
         return gid, is_new
 
     def intern_mapped(self, g: Graph) -> tuple[int, bool, dict[int, int]]:
-        """Intern g; also return the vertex map from g into the stored graph."""
+        """Intern g; also return the vertex map from g into the stored graph.
+
+        A new class stores g itself when its ids are already 0..n-1, and
+        a ``renumbered()`` copy otherwise.
+        """
         if not g.is_connected:
             raise GraphError("cannot intern a disconnected (or empty) graph")
         certificate, order = g.canonical_form()
         gid = self._by_cert.get(certificate)
         if gid is not None:
             return gid, False, dict(zip(order, self._orders[gid]))
-        stored, renumber = g.renumbered()
+        n = g.vertex_count
+        if all(g.has_vertex(v) for v in range(n)):
+            stored, renumber = g, {v: v for v in range(n)}
+        else:
+            stored, renumber = g.renumbered()
         gid = len(self._graphs)
         self._graphs.append(stored)
         self._by_cert[certificate] = gid

@@ -1,20 +1,24 @@
 """Rule application and discovery of proper derivations by partial binding.
 
-A rule is applied to a multiset of interned graphs.  The multiset is
-assembled into one disjoint-union host; a full match maps every left-graph
-vertex into that union.  Instead of testing every k-multisubset of a
-universe, derivations are enumerated by binding host graphs to the rule one
-copy at a time: each copy receives a nonempty subset of the remaining left
-components, so every produced derivation is automatically proper.
+A rule is applied to a multiset of interned graphs.  The multiset's copies
+are numbered into one disjoint union by per-copy offsets; a full match maps
+every left-graph vertex to a union vertex.  No union graph is built:
+``apply_at`` splits the match per copy, checks it on the stored graphs and
+builds each output component once.  Instead of testing every k-multisubset
+of a universe, derivations are enumerated by binding host graphs to the
+rule one copy at a time: each copy receives a nonempty subset of the
+remaining left components, so every produced derivation is automatically
+proper.
 
-One routine, ``_gluing_ok``, checks the DPO gluing conditions for the part
-of a match it is given: each copy as it is bound, and the full match before
-``apply_at`` builds the result.  The copies a graph can take for a set of
-left components depend only on (rule, components, graph), so ``MatchCache``
-builds and checks them once; ``bind_graph`` and the recursive generator
-``_completions`` only read them.  ``_completions`` extends partial rules
-until they are complete, looping over the universe graphs that can bind the
-next components rather than over the whole universe.
+One routine, ``_gluing_ok``, checks the DPO gluing conditions copy by copy
+for the part of a match it is given: one copy as it is bound, and every
+copy of the full match before ``apply_at`` builds the result.  The copies a
+graph can take for a set of left components depend only on (rule,
+components, graph), so ``MatchCache`` builds and checks them once;
+``bind_graph`` and the recursive generator ``_completions`` only read them.
+``_completions`` extends partial rules until they are complete, looping
+over the universe graphs that can bind the next components rather than
+over the whole universe.
 """
 from __future__ import annotations
 
@@ -28,14 +32,13 @@ from gstrat.rules import CONTEXT, LEFT, RIGHT, Rule
 
 @dataclass(frozen=True)
 class Assembly:
-    """Concrete disjoint union of stored graph copies.
+    """Disjoint union of stored graph copies, kept as offsets only.
 
-    Copy i contributes vertices offset[i] .. offset[i] + n_i - 1, i.e. the
-    stored graph's dense ids shifted by the copy offset.
+    Copy i contributes union vertices offsets[i] .. offsets[i] + n_i - 1,
+    i.e. the stored graph's dense ids shifted by the copy offset.
     """
 
     graph_ids: tuple[int, ...]
-    graph: Graph
     offsets: tuple[int, ...]
 
     def copy_of(self, union_vid: int) -> int:
@@ -46,17 +49,12 @@ class Assembly:
 
 
 def assemble(repo: GraphRepository, graph_ids: Sequence[int]) -> Assembly:
-    vertices: list[tuple[int, str]] = []
-    edges: list[tuple[int, int, str]] = []
     offsets: list[int] = []
     offset = 0
     for gid in graph_ids:
-        g = repo.graph(gid)
         offsets.append(offset)
-        vertices.extend((v + offset, l) for v, l in g.vertices())
-        edges.extend((u + offset, v + offset, el) for u, v, el in g.edges())
-        offset += g.vertex_count
-    return Assembly(tuple(graph_ids), Graph(vertices, edges), tuple(offsets))
+        offset += repo.graph(gid).vertex_count
+    return Assembly(tuple(graph_ids), tuple(offsets))
 
 
 class Morphism:
@@ -130,7 +128,7 @@ class MatchCache:
                 BoundCopy(gid, components, tuple(sorted(vmap.items())))
                 for vmap in _merged_component_maps(rule, comp_indices, gid,
                                                    repo, self)
-                if _gluing_ok(rule, vmap, g))
+                if _gluing_ok(rule, [(vmap, g)]))
             self._copies[key] = cached
         return cached
 
@@ -163,19 +161,33 @@ class ApplyResult:
     vertex_fates: dict[int, tuple[int, int]]
 
 
-def validate_match(rule: Rule, host: Graph, vertex_map: dict[int, int]) -> bool:
-    """Check vertex_map is an injective label/edge-preserving match of L."""
+Part = tuple[dict[int, int], Graph]   # rule vid -> stored vid, stored graph
+
+
+def validate_match(rule: Rule, parts: Sequence[Part]) -> bool:
+    """Check that the per-copy maps form an injective label- and
+    edge-preserving match of L: every left vertex is mapped in exactly one
+    copy, and every left edge joins two images in the same copy."""
     left = rule.left_graph()
-    images = set()
+    copy_of = {vid: i for i, (vmap, _) in enumerate(parts) for vid in vmap}
+    images: list[set[int]] = [set() for _ in parts]
     for vid in left.vertex_ids():
-        m = vertex_map.get(vid)
-        if m is None or m in images or not host.has_vertex(m):
+        i = copy_of.get(vid)
+        if i is None:
+            return False
+        vmap, host = parts[i]
+        m = vmap[vid]
+        if m in images[i] or not host.has_vertex(m):
             return False
         if host.label(m) != left.label(vid):
             return False
-        images.add(m)
+        images[i].add(m)
     for u, v, el in left.edges():
-        mu, mv = vertex_map[u], vertex_map[v]
+        i = copy_of[u]
+        if copy_of[v] != i:
+            return False
+        vmap, host = parts[i]
+        mu, mv = vmap[u], vmap[v]
         if not host.has_edge(mu, mv) or host.edge_label(mu, mv) != el:
             return False
     return True
@@ -185,13 +197,23 @@ def apply_at(rule: Rule, assembly: Assembly, vertex_map: dict[int, int],
              repo: GraphRepository, validate: bool = True) -> ApplyResult | None:
     """Apply rule at a full match; None when the gluing conditions fail.
 
-    The preserved part keeps its host vertex ids; created vertices get
-    fresh ids.  Output components are interned in ascending-raw-id order.
+    vertex_map sends each left-graph vertex to a union vertex of the
+    assembly.  The match is split per copy and checked on the stored
+    graphs; the result is kept as plain label and adjacency dicts over
+    union ids.  The preserved part keeps its union ids; created vertices
+    get fresh ids above them.  Each output component is built once, with
+    dense ids in ascending raw-id order and edges in ascending order, and
+    interned; outputs are listed by ascending smallest raw id.
     """
-    host = assembly.graph
-    if validate and not validate_match(rule, host, vertex_map):
+    graphs = [repo.graph(gid) for gid in assembly.graph_ids]
+    local: list[dict[int, int]] = [{} for _ in graphs]
+    for rv, hv in vertex_map.items():
+        i = assembly.copy_of(hv)
+        local[i][rv] = hv - assembly.offsets[i]
+    parts = list(zip(local, graphs))
+    if validate and not validate_match(rule, parts):
         raise ValueError("vertex map is not a match of the rule's left graph")
-    if not _gluing_ok(rule, vertex_map, host):
+    if not _gluing_ok(rule, parts):
         return None
 
     deleted_vertices = {vertex_map[vid] for vid, rv in rule.vertices.items()
@@ -200,10 +222,19 @@ def apply_at(rule: Rule, assembly: Assembly, vertex_map: dict[int, int],
                            for (u, v), re in rule.edges.items()
                            if re.kind == LEFT}
 
+    # Copies are taken in offset order and created ids exceed every kept
+    # one, so labels lists the result's vertices in ascending id order.
     labels: dict[int, str] = {}
-    for vid, label in host.vertices():
-        if vid not in deleted_vertices:
-            labels[vid] = label
+    adj: dict[int, dict[int, str]] = {}
+    for offset, g in zip(assembly.offsets, graphs):
+        for v in range(g.vertex_count):
+            hv = v + offset
+            if hv in deleted_vertices:
+                continue
+            labels[hv] = g.label(v)
+            adj[hv] = {hn: el for n, el in g.neighbors(v).items()
+                       if (hn := n + offset) not in deleted_vertices
+                       and _edge_key(hv, hn) not in deleted_edge_images}
     created: dict[int, int] = {}
     next_id = max(labels, default=-1) + 1
     for vid in sorted(rule.vertices):
@@ -213,32 +244,38 @@ def apply_at(rule: Rule, assembly: Assembly, vertex_map: dict[int, int],
         elif rv.kind == RIGHT:
             created[vid] = next_id
             labels[next_id] = rv.right_label
+            adj[next_id] = {}
             next_id += 1
-
-    out_edges: dict[tuple[int, int], str] = {}
-    for u, v, el in host.edges():
-        if u in deleted_vertices or v in deleted_vertices:
-            continue
-        if (u, v) in deleted_edge_images:
-            continue
-        out_edges[(u, v)] = el
     for (u, v), re in rule.edges.items():
-        if re.kind == CONTEXT and re.left_label != re.right_label:
-            out_edges[_edge_key(vertex_map[u], vertex_map[v])] = re.right_label
-        elif re.kind == RIGHT:
+        if re.kind == RIGHT or (re.kind == CONTEXT
+                                and re.left_label != re.right_label):
             mu = created.get(u, vertex_map.get(u))
             mv = created.get(v, vertex_map.get(v))
-            out_edges[_edge_key(mu, mv)] = re.right_label
+            adj[mu][mv] = adj[mv][mu] = re.right_label
 
-    result = Graph(labels.items(),
-                   [(u, v, el) for (u, v), el in out_edges.items()])
     outputs: list[int] = []
     fates: dict[int, tuple[int, int]] = {}
-    for pos, comp in enumerate(result.connected_components()):
-        gid, _, vmap = repo.intern_mapped(comp)
+    seen: set[int] = set()
+    for start in labels:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for n in adj[stack.pop()]:
+                if n not in comp:
+                    comp.add(n)
+                    stack.append(n)
+        seen |= comp
+        order = sorted(comp)
+        dense = {raw: i for i, raw in enumerate(order)}
+        edges = [(i, dense[n], adj[raw][n]) for i, raw in enumerate(order)
+                 for n in sorted(adj[raw]) if n > raw]
+        gid, _, into = repo.intern_mapped(
+            Graph([(i, labels[raw]) for i, raw in enumerate(order)], edges))
+        for i, stored in into.items():
+            fates[order[i]] = (len(outputs), stored)
         outputs.append(gid)
-        for raw, stored in vmap.items():
-            fates[raw] = (pos, stored)
     return ApplyResult(tuple(outputs), fates)
 
 
@@ -246,13 +283,13 @@ def _atom_map(rule: Rule, assembly: Assembly, result: ApplyResult
               ) -> dict[tuple[int, int], tuple[int, int]] | None:
     """(input position, vertex) -> (output position, vertex) for chemical rules.
 
-    Chemical rules preserve every host vertex, so each union vertex has a
-    fate in exactly one output component.
+    Chemical rules preserve every host vertex and create none, so each
+    union vertex has a fate in exactly one output component, and the fates
+    count the union's vertices.
     """
     if not rule.is_chemical:
         return None
-    total = assembly.graph.vertex_count
-    bounds = assembly.offsets + (total,)
+    bounds = assembly.offsets + (len(result.vertex_fates),)
     mapping: dict[tuple[int, int], tuple[int, int]] = {}
     for i in range(len(assembly.graph_ids)):
         for svid in range(bounds[i + 1] - bounds[i]):
@@ -307,34 +344,36 @@ class PartialRule:
                 f"{done}/{len(self.rule.left_components())} components bound)")
 
 
-def _gluing_ok(rule: Rule, vmap: dict[int, int], host: Graph) -> bool:
-    """DPO gluing conditions for the part of a match that vmap fixes.
+def _gluing_ok(rule: Rule, parts: Sequence[Part]) -> bool:
+    """DPO gluing conditions for the part of a match that parts fix, one
+    host copy at a time.
 
     Dangling: every host edge at a deleted vertex must be the image of a
     left-graph edge.  Simplicity: no created edge may parallel a host edge
-    that survives.  Host edges never join two bound copies, so a full match
+    that survives.  Host edges never join two copies, so a full match
     passes exactly when its restriction to each copy passes, and a copy
     that fails can never complete into a valid derivation.
     """
-    left_images = set()
-    deleted_images = set()
-    for (u, v), re in rule.edges.items():
-        if re.kind in (LEFT, CONTEXT) and u in vmap and v in vmap:
-            key = _edge_key(vmap[u], vmap[v])
-            left_images.add(key)
-            if re.kind == LEFT:
-                deleted_images.add(key)
-    for vid, rv in rule.vertices.items():
-        if rv.kind == LEFT and vid in vmap:
-            d = vmap[vid]
-            for n in host.neighbors(d):
-                if _edge_key(d, n) not in left_images:
+    for vmap, host in parts:
+        left_images = set()
+        deleted_images = set()
+        for (u, v), re in rule.edges.items():
+            if re.kind in (LEFT, CONTEXT) and u in vmap and v in vmap:
+                key = _edge_key(vmap[u], vmap[v])
+                left_images.add(key)
+                if re.kind == LEFT:
+                    deleted_images.add(key)
+        for vid, rv in rule.vertices.items():
+            if rv.kind == LEFT and vid in vmap:
+                d = vmap[vid]
+                for n in host.neighbors(d):
+                    if _edge_key(d, n) not in left_images:
+                        return False
+        for (u, v), re in rule.edges.items():
+            if re.kind == RIGHT and u in vmap and v in vmap:
+                key = _edge_key(vmap[u], vmap[v])
+                if host.has_edge(*key) and key not in deleted_images:
                     return False
-    for (u, v), re in rule.edges.items():
-        if re.kind == RIGHT and u in vmap and v in vmap:
-            key = _edge_key(vmap[u], vmap[v])
-            if host.has_edge(*key) and key not in deleted_images:
-                return False
     return True
 
 

@@ -84,6 +84,91 @@ def permuted(g: Graph, rng: random.Random) -> Graph:
     return Graph(verts, edges)
 
 
+def union_graph(repo, graph_ids) -> Graph:
+    """Disjoint union of the stored graphs, numbered as ``assemble`` numbers
+    the copies: copy i is shifted by the vertex counts of the copies before
+    it."""
+    vertices, edges = [], []
+    offset = 0
+    for gid in graph_ids:
+        g = repo.graph(gid)
+        vertices.extend((v + offset, l) for v, l in g.vertices())
+        edges.extend((u + offset, v + offset, el) for u, v, el in g.edges())
+        offset += g.vertex_count
+    return Graph(vertices, edges)
+
+
+def union_apply(rule, assembly, vertex_map, repo):
+    """Reference DPO step on one union host graph.
+
+    Builds the union of the assembly's copies, checks the match and the
+    gluing conditions on the whole of it, builds the result graph, splits
+    it into connected components and interns each; returns
+    ``rewrite.apply_at``'s ``ApplyResult`` or None on a gluing failure.
+    """
+    from gstrat.rewrite import ApplyResult
+    from gstrat.rules import CONTEXT, LEFT, RIGHT
+
+    host = union_graph(repo, assembly.graph_ids)
+    left = rule.left_graph()
+    images = [vertex_map.get(vid) for vid in left.vertex_ids()]
+    if (None in images or len(set(images)) != len(images)
+            or not all(host.has_vertex(m) for m in images)
+            or any(host.label(vertex_map[vid]) != left.label(vid)
+                   for vid in left.vertex_ids())
+            or any(not host.has_edge(vertex_map[u], vertex_map[v])
+                   or host.edge_label(vertex_map[u], vertex_map[v]) != el
+                   for u, v, el in left.edges())):
+        raise ValueError("vertex map is not a match of the rule's left graph")
+
+    def key(u, v):
+        return (u, v) if u <= v else (v, u)
+
+    left_images = {key(vertex_map[u], vertex_map[v])
+                   for (u, v), re in rule.edges.items() if re.kind != RIGHT}
+    deleted_edges = {key(vertex_map[u], vertex_map[v])
+                     for (u, v), re in rule.edges.items() if re.kind == LEFT}
+    deleted = {vertex_map[vid] for vid, rv in rule.vertices.items()
+               if rv.kind == LEFT}
+    if any(key(d, n) not in left_images
+           for d in deleted for n in host.neighbors(d)):
+        return None  # dangling edge
+    for (u, v), re in rule.edges.items():
+        if re.kind == RIGHT and u in vertex_map and v in vertex_map:
+            k = key(vertex_map[u], vertex_map[v])
+            if host.has_edge(*k) and k not in deleted_edges:
+                return None  # parallel edge
+
+    labels = {vid: label for vid, label in host.vertices() if vid not in deleted}
+    created = {}
+    next_id = max(labels, default=-1) + 1
+    for vid in sorted(rule.vertices):
+        rv = rule.vertices[vid]
+        if rv.kind == CONTEXT and rv.left_label != rv.right_label:
+            labels[vertex_map[vid]] = rv.right_label
+        elif rv.kind == RIGHT:
+            created[vid] = next_id
+            labels[next_id] = rv.right_label
+            next_id += 1
+    out_edges = {(u, v): el for u, v, el in host.edges()
+                 if u not in deleted and v not in deleted
+                 and (u, v) not in deleted_edges}
+    for (u, v), re in rule.edges.items():
+        if re.kind == RIGHT or (re.kind == CONTEXT
+                                and re.left_label != re.right_label):
+            mu = created.get(u, vertex_map.get(u))
+            mv = created.get(v, vertex_map.get(v))
+            out_edges[key(mu, mv)] = re.right_label
+    result = Graph(labels.items(), [(u, v, el) for (u, v), el in out_edges.items()])
+    outputs, fates = [], {}
+    for pos, comp in enumerate(result.connected_components()):
+        gid, _, vmap = repo.intern_mapped(comp)
+        outputs.append(gid)
+        for raw, stored in vmap.items():
+            fates[raw] = (pos, stored)
+    return ApplyResult(tuple(outputs), fates)
+
+
 def naive_derivation_keys(rule, universe, required, repo):
     """Reference enumeration: test every k-multisubset of the universe with
     brute-force full matching, then apply.  Returns dedup keys."""
@@ -97,10 +182,11 @@ def naive_derivation_keys(rule, universe, required, repo):
             if required and not (set(multiset) & required):
                 continue
             assembly = assemble(repo, multiset)
+            host = union_graph(repo, multiset)
             per_comp = []
             for comp in comps:
                 maps = [dict(items)
-                        for items in sorted(brute_embeddings(comp, assembly.graph))]
+                        for items in sorted(brute_embeddings(comp, host))]
                 per_comp.append(maps)
             for combo in itertools.product(*per_comp):
                 merged: dict[int, int] = {}

@@ -5,7 +5,7 @@ import pytest
 
 from gstrat import rewrite
 from gstrat.chem import diels_alder_rule, parse_molecule
-from gstrat.graphs import Graph, GraphRepository, isomorphic
+from gstrat.graphs import Graph, GraphRepository, isomorphic, serialize_graph
 from gstrat.matching import enumerate_embeddings
 from gstrat.rewrite import (BindError, MatchCache, apply_at, assemble,
                             bind_graph, complete_derivation,
@@ -13,7 +13,8 @@ from gstrat.rewrite import (BindError, MatchCache, apply_at, assemble,
                             iter_proper_derivations)
 from gstrat.rules import Rule
 
-from .oracles import naive_derivation_keys, random_graph, random_rule
+from .oracles import (naive_derivation_keys, random_graph, random_rule,
+                      union_apply, union_graph)
 from .test_rules import relabel_rule, remove_r_rule
 
 
@@ -46,7 +47,7 @@ class TestApplyAt:
                      [(0, 1, ""), (0, 2, ""), (0, 3, ""), (3, 4, "")])
         gid, _ = repo.intern(host)
         assembly = assemble(repo, (gid,))
-        vmap = {v: assembly.graph.vertex_ids()[i]
+        vmap = {v: union_graph(repo, (gid,)).vertex_ids()[i]
                 for i, v in enumerate([0, 1, 2, 3])}
         stored = repo.graph(gid)
         by_label = {stored.label(v): v for v in stored.vertex_ids()}
@@ -66,6 +67,29 @@ class TestApplyAt:
         assembly = assemble(repo, (gid,))
         vmap = {0: into[0], 1: into[1], 2: into[2]}
         assert apply_at(reattach, assembly, vmap, repo) is None
+
+    def test_two_copy_application_builds_each_output_once(self, monkeypatch):
+        # Two copies of a lone "a": one becomes "b" (a new class), the other
+        # stays "a" (the input's class).  Only the two outputs are built.
+        rule = Rule.build("mark",
+                          context_vertices=[(0, "a", "b"), (1, "a", "a")])
+        rule.left_components()
+        repo = GraphRepository()
+        gid, _ = repo.intern(Graph([(0, "a")]))
+        builds = []
+        real = Graph.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(1)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counting)
+        result = apply_at(rule, assemble(repo, (gid, gid)), {0: 0, 1: 1}, repo)
+        assert len(builds) == 2
+        new_id = len(repo) - 1
+        assert result.outputs == (new_id, gid) and new_id != gid
+        assert repo.graph(new_id).label(0) == "b"
+        assert result.vertex_fates == {0: (0, 0), 1: (1, 0)}
 
     def test_invalid_match_raises(self):
         repo = GraphRepository()
@@ -335,9 +359,9 @@ class TestOrbitPruning:
         assert len(calls) == 1
 
 
-def full_matches(rule, assembly):
+def full_matches(rule, host):
     """Injective merges of one embedding per left component into the host."""
-    per_comp = [enumerate_embeddings(comp, assembly.graph)
+    per_comp = [enumerate_embeddings(comp, host)
                 for comp in rule.left_components()]
     for combo in itertools.product(*per_comp):
         merged = {k: v for m in combo for k, v in m.items()}
@@ -345,31 +369,74 @@ def full_matches(rule, assembly):
             yield merged
 
 
+def gluing_cases(seed):
+    """120 random rules, each with the two random connected graphs that
+    form its universe, drawn from one seeded generator."""
+    rng = random.Random(seed)
+    for _ in range(120):
+        rule = random_rule(rng)
+        yield rule, [random_graph(rng, max_vertices=5, connected=True)
+                     for _ in range(2)]
+
+
+def assembled_matches(rule, repo, universe):
+    """(assembly, full match) for every multiset of the universe with one
+    to as many copies as the rule has left components, rejected matches
+    included."""
+    for size in range(1, len(rule.left_components()) + 1):
+        for ids in itertools.combinations_with_replacement(universe, size):
+            assembly = assemble(repo, ids)
+            for vmap in full_matches(rule, union_graph(repo, ids)):
+                yield assembly, vmap
+
+
 class TestGluingDifferential:
     def test_full_match_passes_iff_every_copy_passes(self):
-        rng = random.Random(53)
         outcomes = []
-        for _ in range(120):
-            rule = random_rule(rng)
+        for rule, graphs in gluing_cases(53):
             repo = GraphRepository()
-            universe = [repo.intern(random_graph(rng, max_vertices=5,
-                                                 connected=True))[0]
-                        for _ in range(2)]
-            for size in range(1, len(rule.left_components()) + 1):
-                for ids in itertools.combinations_with_replacement(universe, size):
-                    assembly = assemble(repo, ids)
-                    for vmap in full_matches(rule, assembly):
-                        per_copy = []
-                        for i, gid in enumerate(ids):
-                            offset = assembly.offsets[i]
-                            local = {rv: hv - offset for rv, hv in vmap.items()
-                                     if assembly.copy_of(hv) == i}
-                            per_copy.append(rewrite._gluing_ok(
-                                rule, local, repo.graph(gid)))
-                        whole = rewrite._gluing_ok(rule, vmap, assembly.graph)
-                        assert whole == all(per_copy)
-                        outcomes.append(whole)
+            universe = [repo.intern(g)[0] for g in graphs]
+            for assembly, vmap in assembled_matches(rule, repo, universe):
+                ids = assembly.graph_ids
+                per_copy = []
+                for i, gid in enumerate(ids):
+                    offset = assembly.offsets[i]
+                    local = {rv: hv - offset for rv, hv in vmap.items()
+                             if assembly.copy_of(hv) == i}
+                    per_copy.append(rewrite._gluing_ok(
+                        rule, [(local, repo.graph(gid))]))
+                whole = rewrite._gluing_ok(
+                    rule, [(vmap, union_graph(repo, ids))])
+                assert whole == all(per_copy)
+                outcomes.append(whole)
         assert True in outcomes and False in outcomes
+
+    def test_apply_at_equals_union_apply(self):
+        # The same full matches, applied by apply_at in one repository and
+        # by the union-host reference in a twin that holds the same graphs.
+        applied = rejected = 0
+        for rule, graphs in gluing_cases(53):
+            repo, twin = GraphRepository(), GraphRepository()
+            universe = [repo.intern(g)[0] for g in graphs]
+            assert [twin.intern(g)[0] for g in graphs] == universe
+            for assembly, vmap in assembled_matches(rule, repo, universe):
+                got = apply_at(rule, assembly, vmap, repo)
+                want = union_apply(rule, assembly, vmap, twin)
+                assert len(repo) == len(twin)
+                if want is None:
+                    assert got is None
+                    rejected += 1
+                    continue
+                assert got.outputs == want.outputs
+                assert got.vertex_fates == want.vertex_fates
+                applied += 1
+            for gid in repo.ids():
+                g, h = repo.graph(gid), twin.graph(gid)
+                assert serialize_graph(g) == serialize_graph(h)
+                assert ([list(g.neighbors(v).items()) for v in g.vertex_ids()]
+                        == [list(h.neighbors(v).items())
+                            for v in h.vertex_ids()])
+        assert applied > 100 and rejected > 100
 
     def test_chained_bindings_always_complete(self):
         rng = random.Random(59)
