@@ -13,6 +13,14 @@ vertex colouring until it is stable; while some colour class is not a
 individualising each of its members; each leaf orders the vertices, and the
 smallest resulting relabelled graph is the certificate.  Automorphisms found
 when two leaves agree prune the sibling branches they relate.
+
+Before labelling, each degree-1 vertex hanging off a vertex of degree 2 or
+more is folded into that neighbour's starting colour, as hydrogen-suppressed
+canonical SMILES does (Weininger et al., "SMILES 2", 1989).  The search then
+runs on the remaining core only, which in the explicit-hydrogen molecules of
+the Diels-Alder scripts is about 40% of the vertices.  The certificate opens
+with run-length counts of the core vertices' (label, folded vertices) keys;
+see ``Graph.canonical_form``.
 """
 from __future__ import annotations
 
@@ -323,9 +331,9 @@ class Graph:
             self._signature = (labels, tuple(sorted(edge_sigs)), degrees)
         return self._signature
 
-    def _dense(self) -> tuple[list[int], Adjacency, list[list[int]], list[str]]:
-        """(ids, adjacency, cells by vertex label, sorted edge labels) on the
-        dense indices that the refinement helpers above work on."""
+    def _dense(self) -> tuple[list[int], Adjacency, list[list[int]]]:
+        """(ids, adjacency, cells by vertex label) on the dense indices that
+        the refinement helpers above work on."""
         ids = sorted(self._labels)
         n = len(ids)
         index = {v: i for i, v in enumerate(ids)}
@@ -337,7 +345,7 @@ class Graph:
         for i, v in enumerate(ids):
             by_label.setdefault(self._labels[v], []).append(i)
         cells = [by_label[label] for label in sorted(by_label)]
-        return ids, adj, cells, edge_labels
+        return ids, adj, cells
 
     def refinement_colors(self) -> dict[int, int]:
         """Stable vertex colors from iterated neighborhood refinement.
@@ -348,7 +356,7 @@ class Graph:
         candidates may be pruned to equal-color vertices.
         """
         if self._wl_colors is None:
-            ids, adj, cells, _ = self._dense()
+            ids, adj, cells = self._dense()
             colors = _colors(_refine(adj, cells), len(ids))
             self._wl_colors = dict(zip(ids, colors))
         return self._wl_colors
@@ -358,17 +366,56 @@ class Graph:
 
         Two graphs have equal certificates exactly when they are isomorphic,
         and pairing their canonical orders position by position is then a
-        label-preserving isomorphism.  The certificate is the sorted vertex
-        labels, the sorted edge labels, and the edges coded by canonical
-        position pair and edge-label rank.
+        label-preserving isomorphism.
+
+        Only the core is labelled.  A leaf is a vertex of degree 1 whose
+        neighbour has degree 2 or more (so K2 has none); every other vertex
+        is core.  A core vertex's key is (its label, the sorted (edge label,
+        leaf label) pairs of its leaves), and the core vertices start in one
+        cell per key, in key order.  The canonical order is the core's
+        canonical order, then each core vertex's leaves in that order, each
+        group sorted by (edge label, leaf label, id): twin leaves are
+        interchangeable, so any order among them gives an isomorphism.
+
+        The certificate is the (key, count) runs in key order, the sorted
+        edge labels, and the core edges coded by canonical position pair
+        and edge-label rank.  Canonical positions keep the initial cells in
+        order, so the runs fix the key at every position, and the core with
+        its keys fixes the whole graph.
         """
         if self._canon is None:
-            ids, adj, cells, edge_labels = self._dense()
-            codes, order = _canonical_order(adj, _refine(adj, cells),
-                                            len(edge_labels))
-            certificate = (tuple(sorted(self._labels.values())),
+            labels, nbrs = self._labels, self._adj
+            core: list[int] = []
+            leaves: dict[int, list[tuple[str, str, int]]] = {}
+            for v in sorted(labels):
+                around = nbrs[v]
+                if len(around) == 1:
+                    u = next(iter(around))
+                    if len(nbrs[u]) > 1:
+                        leaves.setdefault(u, []).append((around[u], labels[v], v))
+                        continue
+                core.append(v)
+            n = len(core)
+            index = {v: i for i, v in enumerate(core)}
+            edge_labels = sorted({el for v in core for el in nbrs[v].values()})
+            offset = {el: r * n for r, el in enumerate(edge_labels)}
+            adj = [tuple((offset[el], index[u]) for u, el in nbrs[v].items() if u in index)
+                   for v in core]
+            for group in leaves.values():
+                group.sort()
+            by_key: dict[tuple, list[int]] = {}
+            for i, v in enumerate(core):
+                key = (labels[v], tuple([(el, label) for el, label, _ in leaves.get(v, ())]))
+                by_key.setdefault(key, []).append(i)
+            keys = sorted(by_key)
+            codes, positions = _canonical_order(
+                adj, _refine(adj, [by_key[key] for key in keys]), len(edge_labels))
+            core_order = [core[i] for i in positions]
+            order = core_order + [leaf for v in core_order
+                                  for _, _, leaf in leaves.get(v, ())]
+            certificate = (tuple((key, len(by_key[key])) for key in keys),
                            tuple(edge_labels), codes)
-            self._canon = (certificate, tuple(ids[i] for i in order))
+            self._canon = (certificate, tuple(order))
         return self._canon
 
     @property
@@ -458,14 +505,16 @@ class GraphRepository:
         """Intern g; also return the vertex map from g into the stored graph.
 
         A new class stores g itself when its ids are already 0..n-1, and
-        a ``renumbered()`` copy otherwise.
+        a ``renumbered()`` copy otherwise.  Connectivity is checked only on
+        a certificate miss: certificates are complete and every stored
+        class is connected, so a hit is connected too.
         """
-        if not g.is_connected:
-            raise GraphError("cannot intern a disconnected (or empty) graph")
         certificate, order = g.canonical_form()
         gid = self._by_cert.get(certificate)
         if gid is not None:
             return gid, False, dict(zip(order, self._orders[gid]))
+        if not g.is_connected:
+            raise GraphError("cannot intern a disconnected (or empty) graph")
         n = g.vertex_count
         if all(g.has_vertex(v) for v in range(n)):
             stored, renumber = g, {v: v for v in range(n)}

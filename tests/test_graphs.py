@@ -1,11 +1,18 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gstrat import graphs
+from gstrat.chem import parse_molecule
 from gstrat.graphs import (Graph, GraphError, GraphRepository, isomorphic,
                            parse_graph, parse_graphs, serialize_graph)
 from gstrat.lex import ParseError
@@ -59,8 +66,6 @@ class TestConnectedComponents:
     def test_two_molecules(self):
         # Disjoint union of isoprene (C5H8) and cyclohexadiene (C6H8) in the
         # explicit-hydrogen encoding: 13 and 14 vertices.
-        from gstrat.chem import parse_molecule
-
         iso = parse_molecule("CC(=C)C=C")
         chx = parse_molecule("C1=CC=CCC1")
         verts = list(iso.vertices()) + [(v + 100, l) for v, l in chx.vertices()]
@@ -194,6 +199,151 @@ class TestCertificate:
         assert time.perf_counter() - started < 5
 
 
+def leafy_graph(rng: random.Random) -> Graph:
+    """A random tree on 1-4 core vertices plus random chords, with 0-3
+    degree-1 vertices hung on each core vertex; vertex labels a/b, edge
+    labels x/y, vertex ids shuffled."""
+    core = rng.randint(1, 4)
+    vertices = [(i, rng.choice("ab")) for i in range(core)]
+    edges = [(rng.randrange(v), v, rng.choice("xy")) for v in range(1, core)]
+    tree = {(u, v) for u, v, _ in edges}
+    for u, v in itertools.combinations(range(core), 2):
+        if (u, v) not in tree and rng.random() < 0.3:
+            edges.append((u, v, rng.choice("xy")))
+    for u in range(core):
+        for _ in range(rng.randint(0, 3)):
+            edges.append((u, len(vertices), rng.choice("xy")))
+            vertices.append((len(vertices), rng.choice("ab")))
+    n = len(vertices)
+    return relabelled(Graph(vertices, edges), rng.sample(range(n), n))
+
+
+def nx_isomorphic(g: Graph, h: Graph) -> bool:
+    """networkx's label-matching isomorphism test, as an independent oracle."""
+    def to_nx(graph: Graph) -> nx.Graph:
+        out = nx.Graph()
+        out.add_nodes_from((v, {"label": l}) for v, l in graph.vertices())
+        out.add_edges_from((u, v, {"label": el}) for u, v, el in graph.edges())
+        return out
+
+    match = nx.algorithms.isomorphism.categorical_node_match("label", None)
+    edge_match = nx.algorithms.isomorphism.categorical_edge_match("label", None)
+    return nx.is_isomorphic(to_nx(g), to_nx(h), node_match=match,
+                            edge_match=edge_match)
+
+
+class TestLeafFold:
+    """Degree-1 vertices on a vertex of degree >= 2 are folded into that
+    vertex's starting key, and only the core is labelled."""
+
+    def test_equal_certificate_iff_networkx_isomorphic(self):
+        rng = random.Random(41)
+        pool = [leafy_graph(rng) for _ in range(160)]
+        equal = unequal_same_size = 0
+        for g, h in itertools.combinations(pool, 2):
+            same = certificate(g) == certificate(h)
+            assert same == nx_isomorphic(g, h)
+            equal += same
+            unequal_same_size += (not same and g.vertex_count == h.vertex_count
+                                  and g.edge_count == h.edge_count)
+        assert equal >= 30 and unequal_same_size >= 300
+        repo = GraphRepository()
+        for g in pool:
+            gid, _ = repo.intern(g)
+            n = g.vertex_count
+            copy = relabelled(g, rng.sample(range(100, 100 + n), n))
+            again, new, into = repo.intern_mapped(copy)
+            assert (again, new) == (gid, False)
+            assert_maps_onto(copy, into, repo.graph(gid))
+
+    def test_single_vertex(self):
+        runs = ((("a", ()), 1),)
+        assert Graph([(4, "a")]).canonical_form() == ((runs, (), ()), (4,))
+
+    def test_k2_folds_nothing(self):
+        g = Graph([(0, "b"), (1, "a")], [(0, 1, "x")])
+        assert g.canonical_form() == (
+            (((("a", ()), 1), (("b", ()), 1)), ("x",), (1,)), (1, 0))
+
+    def test_star(self):
+        g = Graph([(0, "h"), (1, "h"), (2, "c"), (3, "h")],
+                  [(2, 0, "x"), (1, 2, "x"), (2, 3, "x")])
+        assert g.canonical_form() == (
+            (((("c", (("x", "h"),) * 3), 1),), ("x",), ()), (2, 0, 1, 3))
+
+    def test_mixed_leaves(self):
+        # Core 0-1; vertex 0 carries four leaves that differ in vertex label,
+        # edge label or both, vertex 1 one leaf.
+        def carbon_pair(leaves):
+            return Graph([(0, "c"), (1, "c")] + [(v, l) for v, l, _ in leaves],
+                         [(0, 1, "x")] + [(p, v, el) for v, _, (p, el) in leaves])
+
+        base = [(5, "o", (0, "y")), (2, "h", (0, "x")), (7, "h", (0, "y")),
+                (3, "o", (0, "x")), (4, "h", (1, "x"))]
+        g = carbon_pair(base)
+        cert, order = g.canonical_form()
+        assert cert[0] == ((("c", (("x", "h"),)), 1),
+                           (("c", (("x", "h"), ("x", "o"), ("y", "h"), ("y", "o"))), 1))
+        assert order == (1, 0, 4, 2, 3, 7, 5)
+        repo = GraphRepository()
+        gid, _ = repo.intern(g)
+        rng = random.Random(43)
+        for _ in range(20):
+            copy = relabelled(g, rng.sample(range(10, 20), 7))
+            again, new, into = repo.intern_mapped(copy)
+            assert (again, new) == (gid, False)
+            assert_maps_onto(copy, into, repo.graph(gid))
+        edge_changed = carbon_pair([(5, "o", (0, "x"))] + base[1:])
+        label_changed = carbon_pair([(5, "h", (0, "y"))] + base[1:])
+        moved = carbon_pair([(5, "o", (1, "y"))] + base[1:])
+        for other in (edge_changed, label_changed, moved):
+            assert certificate(other) != cert
+            assert not nx_isomorphic(g, other)
+
+    def test_which_core_vertex_carries_the_leaf(self):
+        # Equal key runs: one path end and one inner vertex carry "h" and
+        # "o" in one graph, "o" and "h" in the other.
+        def path(end_leaf, inner_leaf):
+            return Graph([(i, "c") for i in range(4)] + [(4, end_leaf), (5, inner_leaf)],
+                         [(0, 1, "x"), (1, 2, "x"), (2, 3, "x"), (0, 4, "x"), (1, 5, "x")])
+
+        a, b = path("h", "o"), path("o", "h")
+        assert certificate(a)[0] == certificate(b)[0]
+        assert certificate(a) != certificate(b)
+        assert not nx_isomorphic(a, b)
+
+    def test_refines_only_the_core(self, monkeypatch):
+        g = parse_molecule("C1=CC=CCC1")
+        assert g.vertex_count == 14
+        sizes = []
+        refine = graphs._refine
+
+        def recording(adj, cells, changed=None):
+            sizes.append(len(adj))
+            return refine(adj, cells, changed)
+
+        monkeypatch.setattr(graphs, "_refine", recording)
+        g.canonical_form()
+        assert sizes and set(sizes) == {6}
+
+    def test_canonical_order_independent_of_hash_seed(self):
+        # Atom maps are read off canonical orders, so twin hydrogens must be
+        # ordered the same way in every process.
+        code = ("from gstrat.chem import parse_molecule; "
+                "print(parse_molecule('CC(=C)C=C').canonical_form()[1])")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).parent.parent / "src")]
+            + [p for p in [env.get("PYTHONPATH")] if p])
+        orders = set()
+        for seed in ("1", "2"):
+            env["PYTHONHASHSEED"] = seed
+            orders.add(subprocess.run([sys.executable, "-c", code], env=env,
+                                      check=True, capture_output=True,
+                                      text=True).stdout)
+        assert len(orders) == 1
+
+
 class TestIsomorphic:
     def test_k3_vs_p3(self):
         k3 = Graph([(0, "0"), (1, "0"), (2, "0")],
@@ -237,6 +387,28 @@ class TestRepository:
         repo = GraphRepository()
         with pytest.raises(GraphError):
             repo.intern(Graph([(0, "a"), (1, "a")]))
+
+    def test_connectivity_walked_only_on_a_miss(self, monkeypatch):
+        walks = []
+        reach = Graph._reach
+
+        def counting(self, start):
+            walks.append(start)
+            return reach(self, start)
+
+        monkeypatch.setattr(Graph, "_reach", counting)
+        repo = GraphRepository()
+        g = two_edge_path()
+        repo.intern(g)
+        assert len(walks) == 1
+        assert repo.intern_mapped(relabelled(g, [7, 3, 5]))[:2] == (0, False)
+        assert len(walks) == 1
+        two_paths = Graph(list(g.vertices()) + [(v + 3, l) for v, l in g.vertices()],
+                          list(g.edges()) + [(u + 3, v + 3, el) for u, v, el in g.edges()])
+        for bad in (Graph([]), Graph([(0, "a"), (1, "a")]), two_paths):
+            with pytest.raises(GraphError):
+                repo.intern(bad)
+        assert len(repo) == 1
 
     def test_intern_long_path_twice(self):
         # The isomorphism search must not recurse per vertex.  Distinct
