@@ -147,18 +147,6 @@ def contract_move(g: Graph, v: int) -> Graph | None:
     return Graph(vertices, [(a, b, l) for (a, b), l in edges.items()])
 
 
-def oracle_successors(g: Graph) -> list[Graph]:
-    """All one-move results, deduplicated up to isomorphism."""
-    out: list[Graph] = []
-    for v in g.vertex_ids():
-        moved = contract_move(g, v)
-        if moved is None:
-            continue
-        if not any(find_isomorphism(moved, seen) for seen in out):
-            out.append(moved)
-    return out
-
-
 def oracle_solve(level: Graph) -> list[Graph] | None:
     """Breadth-first search over contract_move; a shortest solution as the
     sequence of positions from the level to the single vertex, or None."""

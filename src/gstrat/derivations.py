@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from gstrat.graphs import GraphRepository, serialize_graph
 from gstrat.rewrite import Derivation
@@ -113,38 +114,47 @@ class DerivationGraph:
         edges = self._edges
         if edge_filter is not None:
             edges = [e for e in edges if edge_filter(e)]
+        # Layers: the edges with every input reached fire in recorded order,
+        # the first to produce a graph being its parent.  Only an edge with
+        # an input reached in the last layer can fire for the first time.
+        users: dict[int, list[int]] = {}
+        for i, edge in enumerate(edges):
+            for gid, _ in edge.inputs:
+                users.setdefault(gid, []).append(i)
         reached = {source, *free_inputs}
         parent: dict[int, HyperEdge] = {}
+        candidates: Iterable[int] = range(len(edges))
         while True:
-            fired_any = False
             newly: list[int] = []
-            for edge in edges:
-                if not all(gid in reached for gid, _ in edge.inputs):
+            for i in sorted(candidates):
+                if not all(gid in reached for gid, _ in edges[i].inputs):
                     continue
-                for gid, _ in edge.outputs:
+                for gid, _ in edges[i].outputs:
                     if gid not in reached and gid not in parent:
-                        parent[gid] = edge
+                        parent[gid] = edges[i]
                         newly.append(gid)
-                        fired_any = True
-            if not fired_any:
+            if not newly:
                 return None
             reached.update(newly)
             if target in reached:
                 break
+            candidates = {i for gid in newly for i in users.get(gid, ())}
 
+        # Post-order from the target: each edge after its inputs' producers.
         path: list[HyperEdge] = []
         seen_edges: set[int] = set()
-
-        def build(gid: int) -> None:
-            if gid == source or gid in free_inputs:
-                return
-            edge = parent[gid]
-            if id(edge) in seen_edges:
-                return
-            seen_edges.add(id(edge))
-            for in_gid, _ in edge.inputs:
-                build(in_gid)
-            path.append(edge)
-
-        build(target)
+        stack: list[tuple[HyperEdge | None, Iterator[int]]] = [
+            (None, iter((target,)))]
+        while stack:
+            edge, pending = stack[-1]
+            for gid in pending:
+                producer = parent.get(gid)
+                if producer is not None and id(producer) not in seen_edges:
+                    seen_edges.add(id(producer))
+                    stack.append((producer, (g for g, _ in producer.inputs)))
+                    break
+            else:
+                stack.pop()
+                if edge is not None:
+                    path.append(edge)
         return path

@@ -26,10 +26,17 @@ Predicates are boolean expressions over the graph multiset under test:
 combined with ``and``/``or``/``not``.  The multiset is indexed in sorted
 graph-id order; an out-of-range index makes the atom false.  Sort keys:
 ``vertexCount``, ``edgeCount``, ``text`` (the serialized graph).
+
+A predicate is compiled once, with the strategy that uses it: names are
+resolved and cycles found before the run, which then only calls closures.
+Brackets, braces, parentheses and ``not`` nest at most ``MAX_DEPTH`` levels
+(a ``ParseError`` at the offending token), and a reference is followed only
+below that many levels of nesting plus references (a ``ScriptError``).
 """
 from __future__ import annotations
 
 import contextlib
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -49,9 +56,13 @@ class ScriptError(ValueError):
 
 # -- predicate expression AST ---------------------------------------------------
 
-INT_ATOMS = ("componentCount", "vertexCount", "edgeCount")
-CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-SORT_KEYS = ("vertexCount", "edgeCount", "text")
+CMP_OPS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+           "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+SORT_KEYS = {"vertexCount": lambda gid, ctx: ctx.repo.graph(gid).vertex_count,
+             "edgeCount": lambda gid, ctx: ctx.repo.graph(gid).edge_count,
+             "text": lambda gid, ctx: serialize_graph(ctx.repo.graph(gid))}
+#: Bound on nesting in a script and on references followed while compiling.
+MAX_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -282,49 +293,53 @@ def parse_script(text: str, base_dir: str = ".") -> Script:
     return Script(tuple(items), base_dir)
 
 
-def _parse_strategy(ts: TokenStream):
-    parts = [_parse_term(ts)]
+def _deeper(tok: lex.Token, depth: int) -> int:
+    """The nesting depth inside the construct that tok opens."""
+    if depth >= MAX_DEPTH:
+        raise tok.error(f"nesting deeper than {MAX_DEPTH} levels")
+    return depth + 1
+
+
+def _parse_block(ts: TokenStream, depth: int):
+    """``{ <strategy> }`` one level below depth."""
+    inner = _parse_strategy(ts, _deeper(ts.expect(lex.PUNCT, "{"), depth))
+    ts.expect(lex.PUNCT, "}")
+    return inner
+
+
+def _parse_strategy(ts: TokenStream, depth: int = 0):
+    parts = [_parse_term(ts, depth)]
     while ts.accept(lex.PUNCT, "->"):
-        parts.append(_parse_term(ts))
+        parts.append(_parse_term(ts, depth))
     return parts[0] if len(parts) == 1 else SSequence(tuple(parts))
 
 
-def _parse_term(ts: TokenStream):
+def _parse_term(ts: TokenStream, depth: int):
     tok = ts.expect(lex.NAME)
     head = tok.value
     if head == "rule":
         return SRule(ts.expect(lex.NAME).value)
     if head == "parallel":
-        ts.expect(lex.PUNCT, "{")
-        branches = [_parse_strategy(ts)]
+        inner_depth = _deeper(ts.expect(lex.PUNCT, "{"), depth)
+        branches = [_parse_strategy(ts, inner_depth)]
         while ts.accept(lex.PUNCT, ","):
-            branches.append(_parse_strategy(ts))
+            branches.append(_parse_strategy(ts, inner_depth))
         ts.expect(lex.PUNCT, "}")
         return SParallel(tuple(branches))
     if head == "repeat":
         ts.expect(lex.PUNCT, "[")
         bound = ts.expect_int() if ts.at(lex.INT) else None
         ts.expect(lex.PUNCT, "]")
-        ts.expect(lex.PUNCT, "{")
-        inner = _parse_strategy(ts)
-        ts.expect(lex.PUNCT, "}")
-        return SRepeat(inner, bound)
+        return SRepeat(_parse_block(ts, depth), bound)
     if head == "revive":
-        ts.expect(lex.PUNCT, "{")
-        inner = _parse_strategy(ts)
-        ts.expect(lex.PUNCT, "}")
-        return SRevive(inner)
+        return SRevive(_parse_block(ts, depth))
     if head in ("leftPredicate", "rightPredicate"):
-        ts.expect(lex.PUNCT, "[")
-        expr = _parse_pred(ts)
+        expr = _parse_pred(ts, _deeper(ts.expect(lex.PUNCT, "["), depth))
         ts.expect(lex.PUNCT, "]")
-        ts.expect(lex.PUNCT, "{")
-        inner = _parse_strategy(ts)
-        ts.expect(lex.PUNCT, "}")
-        return SPredicate(head[:-len("Predicate")], expr, inner)
+        return SPredicate(head[:-len("Predicate")], expr,
+                          _parse_block(ts, depth))
     if head in ("filterSubset", "filterUniverse"):
-        ts.expect(lex.PUNCT, "[")
-        expr = _parse_pred(ts)
+        expr = _parse_pred(ts, _deeper(ts.expect(lex.PUNCT, "["), depth))
         ts.expect(lex.PUNCT, "]")
         return SFilter(head[len("filter"):].lower(), expr)
     if head in ("sortSubset", "sortUniverse"):
@@ -351,45 +366,46 @@ def _parse_term(ts: TokenStream):
         ts.expect(lex.PUNCT, ")")
         return SAdd(head[len("add"):].lower(), tuple(names))
     if head == "altRuleApp":
-        ts.expect(lex.PUNCT, "{")
-        inner = _parse_strategy(ts)
-        ts.expect(lex.PUNCT, "}")
-        return SAlt(inner)
+        return SAlt(_parse_block(ts, depth))
     if head in ("take", "filter", "sort", "add"):
         raise tok.error(f"{head!r} needs a Subset or Universe variant")
     return SRef(head)
 
 
-def _parse_pred(ts: TokenStream):
-    return _parse_or(ts)
+def _parse_pred(ts: TokenStream, depth: int = 0):
+    return _parse_or(ts, depth)
 
 
-def _parse_or(ts: TokenStream):
-    parts = [_parse_and(ts)]
+def _parse_or(ts: TokenStream, depth: int):
+    parts = [_parse_and(ts, depth)]
     while ts.accept(lex.NAME, "or"):
-        parts.append(_parse_and(ts))
+        parts.append(_parse_and(ts, depth))
     return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
 
-def _parse_and(ts: TokenStream):
-    parts = [_parse_not(ts)]
+def _parse_and(ts: TokenStream, depth: int):
+    parts = [_parse_not(ts, depth)]
     while ts.accept(lex.NAME, "and"):
-        parts.append(_parse_not(ts))
+        parts.append(_parse_not(ts, depth))
     return parts[0] if len(parts) == 1 else And(tuple(parts))
 
 
-def _parse_not(ts: TokenStream):
-    if ts.accept(lex.NAME, "not"):
-        return Not(_parse_not(ts))
-    return _parse_atom(ts)
+def _parse_not(ts: TokenStream, depth: int):
+    nots = 0
+    while tok := ts.accept(lex.NAME, "not"):
+        depth = _deeper(tok, depth)
+        nots += 1
+    expr = _parse_atom(ts, depth)
+    for _ in range(nots):
+        expr = Not(expr)
+    return expr
 
 
-def _parse_atom(ts: TokenStream):
-    if ts.accept(lex.PUNCT, "("):
-        inner = _parse_pred(ts)
+def _parse_atom(ts: TokenStream, depth: int):
+    if tok := ts.accept(lex.PUNCT, "("):
+        inner = _parse_pred(ts, _deeper(tok, depth))
         ts.expect(lex.PUNCT, ")")
         return inner
-    tok = ts.peek()
     value, is_int = _parse_value(ts)
     if is_int:
         op_tok = ts.peek()
@@ -528,7 +544,8 @@ class _Compiler:
         self.predicates: dict[str, object] = {}
         self.strategy_defs: dict[str, object] = {}
         self.exports: list[ExportDirective] = []
-        self._resolving: list[str] = []
+        # (predicate name, depth) -> closure: shared references compile once
+        self._closures: dict[tuple[str, int], object] = {}
 
     def load(self, script: Script, _seen_includes: set[str] | None = None) -> None:
         seen = _seen_includes if _seen_includes is not None else set()
@@ -581,126 +598,105 @@ class _Compiler:
         self.ctx.register_known(gid)
         self.ctx.names[name] = gid
 
-    # predicate evaluation against a graph-id multiset (sorted order)
-
-    def _eval_pred(self, expr, ids: tuple, ctx: st.EvalContext,
-                   _depth: int = 0) -> bool:
-        if _depth > 64:
-            raise ScriptError("predicate references nest too deeply")
-        if isinstance(expr, Or):
-            return any(self._eval_pred(p, ids, ctx, _depth) for p in expr.parts)
-        if isinstance(expr, And):
-            return all(self._eval_pred(p, ids, ctx, _depth) for p in expr.parts)
-        if isinstance(expr, Not):
-            return not self._eval_pred(expr.inner, ids, ctx, _depth)
-        if isinstance(expr, Compare):
-            lhs = self._eval_int(expr.lhs, ids, ctx)
-            rhs = self._eval_int(expr.rhs, ids, ctx)
-            if lhs is None or rhs is None:
-                return False
-            return {"==": lhs == rhs, "!=": lhs != rhs, "<": lhs < rhs,
-                    "<=": lhs <= rhs, ">": lhs > rhs, ">=": lhs >= rhs}[expr.op]
-        if isinstance(expr, HasVertexLabel):
-            if expr.index >= len(ids):
-                return False
-            g = ctx.repo.graph(ids[expr.index])
-            return any(label == expr.label for _, label in g.vertices())
-        if isinstance(expr, IsGraph):
-            target = ctx.names.get(expr.graph_name)
-            if target is None:
-                raise ScriptError(f"unknown graph name {expr.graph_name!r}")
-            return expr.index < len(ids) and ids[expr.index] == target
-        if isinstance(expr, PredRef):
-            target = self.predicates.get(expr.name)
-            if target is None:
-                raise ScriptError(f"unknown predicate {expr.name!r}")
-            return self._eval_pred(target, ids, ctx, _depth + 1)
-        raise ScriptError(f"not a boolean expression: {expr!r}")
-
-    def _eval_int(self, expr, ids: tuple, ctx: st.EvalContext) -> int | None:
-        if isinstance(expr, IntLit):
-            return expr.value
-        if isinstance(expr, IntAtom):
-            if expr.name == "componentCount":
-                return len(ids)
-            if expr.index >= len(ids):
-                return None
-            g = ctx.repo.graph(ids[expr.index])
-            return g.vertex_count if expr.name == "vertexCount" else g.edge_count
-        raise ScriptError(f"not an integer expression: {expr!r}")
-
-    def _check_names(self, expr, resolving: tuple[str, ...] = ()) -> None:
-        """Resolve all names in a predicate eagerly (parse-time checking);
-        resolving holds the predicate references being followed."""
+    def _compile_pred(self, expr, chain: tuple[str, ...], depth: int):
+        """Resolve and check a predicate once; return a closure of (ids, ctx).
+        chain holds the predicate references being followed; depth counts
+        the nesting levels and references above expr."""
         if isinstance(expr, (Or, And)):
-            for p in expr.parts:
-                self._check_names(p, resolving)
-        elif isinstance(expr, Not):
-            self._check_names(expr.inner, resolving)
-        elif isinstance(expr, IsGraph):
+            parts = tuple(self._compile_pred(p, chain, depth + 1)
+                          for p in expr.parts)
+            if isinstance(expr, Or):
+                return lambda ids, ctx: any(p(ids, ctx) for p in parts)
+            return lambda ids, ctx: all(p(ids, ctx) for p in parts)
+        if isinstance(expr, Not):
+            inner = self._compile_pred(expr.inner, chain, depth + 1)
+            return lambda ids, ctx: not inner(ids, ctx)
+        if isinstance(expr, Compare):
+            op = CMP_OPS[expr.op]
+            lhs, rhs = self._compile_int(expr.lhs), self._compile_int(expr.rhs)
+            return lambda ids, ctx: ((a := lhs(ids, ctx)) is not None
+                                     and (b := rhs(ids, ctx)) is not None
+                                     and op(a, b))
+        if isinstance(expr, HasVertexLabel):
+            index, label = expr.index, expr.label
+            return lambda ids, ctx: index < len(ids) and any(
+                lab == label for _, lab in ctx.repo.graph(ids[index]).vertices())
+        if isinstance(expr, IsGraph):
             if expr.graph_name not in self.graphs:
                 raise ScriptError(f"unknown graph name {expr.graph_name!r}")
-        elif isinstance(expr, PredRef):
-            if expr.name in resolving:
+            index, target = expr.index, self.ctx.names[expr.graph_name]
+            return lambda ids, ctx: index < len(ids) and ids[index] == target
+        if isinstance(expr, PredRef):
+            if expr.name in chain:
                 raise ScriptError(
                     f"predicate definitions form a cycle at {expr.name!r}")
             if expr.name not in self.predicates:
                 raise ScriptError(f"unknown predicate {expr.name!r}")
-            self._check_names(self.predicates[expr.name], resolving + (expr.name,))
+            if depth >= MAX_DEPTH:
+                raise ScriptError("predicate references nest too deeply")
+            key = (expr.name, depth)
+            if key not in self._closures:
+                self._closures[key] = self._compile_pred(
+                    self.predicates[expr.name], chain + (expr.name,), depth + 1)
+            return self._closures[key]
+        raise ScriptError(f"not a boolean expression: {expr!r}")
 
-    def compile_strategy(self, node) -> st.Strategy:
+    @staticmethod
+    def _compile_int(expr):
+        """A closure of (ids, ctx) giving the integer; None for a bad index."""
+        if isinstance(expr, IntLit):
+            value = expr.value
+            return lambda ids, ctx: value
+        if isinstance(expr, IntAtom):
+            if expr.name == "componentCount":
+                return lambda ids, ctx: len(ids)
+            index = expr.index
+            size = operator.attrgetter(
+                "vertex_count" if expr.name == "vertexCount" else "edge_count")
+            return lambda ids, ctx: (size(ctx.repo.graph(ids[index]))
+                                     if index < len(ids) else None)
+        raise ScriptError(f"not an integer expression: {expr!r}")
+
+    def compile_strategy(self, node, chain: tuple[str, ...] = (),
+                         depth: int = 0) -> st.Strategy:
+        """Compile a strategy AST; chain and depth as in _compile_pred."""
+        def sub(child):
+            return self.compile_strategy(child, chain, depth + 1)
+
         if isinstance(node, SSequence):
-            return st.Sequence([self.compile_strategy(p) for p in node.parts])
+            return st.Sequence([sub(p) for p in node.parts])
         if isinstance(node, SRule):
             rule = self.rules.get(node.name)
             if rule is None:
                 raise ScriptError(f"unknown rule {node.name!r}")
             return st.RuleApplication(rule)
         if isinstance(node, SRef):
-            if node.name in self._resolving:
+            if node.name in chain:
                 raise ScriptError(
                     f"strategy definitions form a cycle at {node.name!r}")
             target = self.strategy_defs.get(node.name)
             if target is None:
                 raise ScriptError(f"unknown strategy {node.name!r}")
-            self._resolving.append(node.name)
-            try:
-                return self.compile_strategy(target)
-            finally:
-                self._resolving.pop()
+            if depth >= MAX_DEPTH:
+                raise ScriptError("strategy references nest too deeply")
+            return self.compile_strategy(target, chain + (node.name,), depth + 1)
         if isinstance(node, SParallel):
-            return st.Parallel([self.compile_strategy(b) for b in node.branches])
+            return st.Parallel([sub(b) for b in node.branches])
         if isinstance(node, SRepeat):
-            return st.Repeat(self.compile_strategy(node.inner), node.bound)
+            return st.Repeat(sub(node.inner), node.bound)
         if isinstance(node, SRevive):
-            return st.Revive(self.compile_strategy(node.inner))
+            return st.Revive(sub(node.inner))
         if isinstance(node, SPredicate):
-            self._check_names(node.expr)
-            expr = node.expr
-
-            def pred(rule, ids, ctx, _expr=expr):
-                return self._eval_pred(_expr, ids, ctx)
-
+            pred = self._compile_pred(node.expr, (), depth + 1)
             cls = st.LeftPredicate if node.side == "left" else st.RightPredicate
-            return cls(pred, self.compile_strategy(node.inner))
+            return cls(lambda rule, ids, ctx: pred(ids, ctx), sub(node.inner))
         if isinstance(node, SFilter):
-            self._check_names(node.expr)
-            expr = node.expr
-
-            def pred(gid, state, ctx, _expr=expr):
-                return self._eval_pred(_expr, (gid,), ctx)
-
+            pred = self._compile_pred(node.expr, (), depth + 1)
             cls = st.FilterSubset if node.scope == "subset" else st.FilterUniverse
-            return cls(pred)
+            return cls(lambda gid, state, ctx: pred((gid,), ctx))
         if isinstance(node, SSort):
-            if node.key == "vertexCount":
-                key = lambda gid, ctx: ctx.repo.graph(gid).vertex_count
-            elif node.key == "edgeCount":
-                key = lambda gid, ctx: ctx.repo.graph(gid).edge_count
-            else:
-                key = lambda gid, ctx: serialize_graph(ctx.repo.graph(gid))
             cls = st.SortSubset if node.scope == "subset" else st.SortUniverse
-            return cls(key, node.descending)
+            return cls(SORT_KEYS[node.key], node.descending)
         if isinstance(node, STake):
             cls = st.TakeSubset if node.scope == "subset" else st.TakeUniverse
             return cls(node.count)
@@ -714,7 +710,7 @@ class _Compiler:
             cls = st.AddSubset if node.scope == "subset" else st.AddUniverse
             return cls(graphs)
         if isinstance(node, SAlt):
-            return st.AltRuleApplication(self.compile_strategy(node.inner))
+            return st.AltRuleApplication(sub(node.inner))
         raise ScriptError(f"not a strategy node: {node!r}")
 
 

@@ -218,9 +218,6 @@ def apply_at(rule: Rule, assembly: Assembly, vertex_map: dict[int, int],
 
     deleted_vertices = {vertex_map[vid] for vid, rv in rule.vertices.items()
                         if rv.kind == LEFT}
-    deleted_edge_images = {_edge_key(vertex_map[u], vertex_map[v])
-                           for (u, v), re in rule.edges.items()
-                           if re.kind == LEFT}
 
     # Copies are taken in offset order and created ids exceed every kept
     # one, so labels lists the result's vertices in ascending id order.
@@ -233,8 +230,7 @@ def apply_at(rule: Rule, assembly: Assembly, vertex_map: dict[int, int],
                 continue
             labels[hv] = g.label(v)
             adj[hv] = {hn: el for n, el in g.neighbors(v).items()
-                       if (hn := n + offset) not in deleted_vertices
-                       and _edge_key(hv, hn) not in deleted_edge_images}
+                       if (hn := n + offset) not in deleted_vertices}
     created: dict[int, int] = {}
     next_id = max(labels, default=-1) + 1
     for vid in sorted(rule.vertices):
@@ -246,9 +242,14 @@ def apply_at(rule: Rule, assembly: Assembly, vertex_map: dict[int, int],
             labels[next_id] = rv.right_label
             adj[next_id] = {}
             next_id += 1
+    # A deleted edge between kept vertices goes here (one at a deleted vertex
+    # went with it); test kinds, as a created vertex may reuse a deleted id.
     for (u, v), re in rule.edges.items():
-        if re.kind == RIGHT or (re.kind == CONTEXT
-                                and re.left_label != re.right_label):
+        if re.kind == LEFT:
+            if rule.vertices[u].kind == rule.vertices[v].kind == CONTEXT:
+                mu, mv = vertex_map[u], vertex_map[v]
+                del adj[mu][mv], adj[mv][mu]
+        elif re.kind == RIGHT or re.left_label != re.right_label:
             mu = created.get(u, vertex_map.get(u))
             mv = created.get(v, vertex_map.get(v))
             adj[mu][mv] = adj[mv][mu] = re.right_label

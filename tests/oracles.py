@@ -229,6 +229,21 @@ def brute_rule_automorphisms(rule) -> set[tuple[tuple[int, int], ...]]:
     return found
 
 
+def oracle_successors(g: Graph) -> list[Graph]:
+    """All one-move Catalan results, deduplicated up to isomorphism."""
+    from gstrat.catalan import contract_move
+    from gstrat.matching import find_isomorphism
+
+    out: list[Graph] = []
+    for v in g.vertex_ids():
+        moved = contract_move(g, v)
+        if moved is None:
+            continue
+        if not any(find_isomorphism(moved, seen) for seen in out):
+            out.append(moved)
+    return out
+
+
 def random_rule(rng: random.Random, name: str = "r",
                 max_components: int = 2) -> "object":
     """A random valid rule with 1 to max_components left components."""
@@ -290,3 +305,86 @@ def random_rule(rng: random.Random, name: str = "r",
                       left_edges, context_edges, right_edges)
     assert not validate_rule(rule)
     return rule
+
+
+def eval_pred(expr, ids: tuple, ctx, predicates: dict) -> bool:
+    """A script predicate on a sorted graph-id multiset, by walking its AST
+    on every call; predicates maps the script's predicate names to ASTs."""
+    from gstrat import dsl
+
+    if isinstance(expr, dsl.Or):
+        return any(eval_pred(p, ids, ctx, predicates) for p in expr.parts)
+    if isinstance(expr, dsl.And):
+        return all(eval_pred(p, ids, ctx, predicates) for p in expr.parts)
+    if isinstance(expr, dsl.Not):
+        return not eval_pred(expr.inner, ids, ctx, predicates)
+    if isinstance(expr, dsl.Compare):
+        lhs, rhs = eval_int(expr.lhs, ids, ctx), eval_int(expr.rhs, ids, ctx)
+        if lhs is None or rhs is None:
+            return False
+        return {"==": lhs == rhs, "!=": lhs != rhs, "<": lhs < rhs,
+                "<=": lhs <= rhs, ">": lhs > rhs, ">=": lhs >= rhs}[expr.op]
+    if isinstance(expr, dsl.HasVertexLabel):
+        if expr.index >= len(ids):
+            return False
+        g = ctx.repo.graph(ids[expr.index])
+        return any(label == expr.label for _, label in g.vertices())
+    if isinstance(expr, dsl.IsGraph):
+        return (expr.index < len(ids)
+                and ids[expr.index] == ctx.names[expr.graph_name])
+    if isinstance(expr, dsl.PredRef):
+        return eval_pred(predicates[expr.name], ids, ctx, predicates)
+    raise TypeError(f"not a boolean expression: {expr!r}")
+
+
+def eval_int(expr, ids: tuple, ctx) -> int | None:
+    from gstrat import dsl
+
+    if isinstance(expr, dsl.IntLit):
+        return expr.value
+    if expr.name == "componentCount":
+        return len(ids)
+    if expr.index >= len(ids):
+        return None
+    g = ctx.repo.graph(ids[expr.index])
+    return g.vertex_count if expr.name == "vertexCount" else g.edge_count
+
+
+def find_path(sink, source: int, target: int, free_inputs=(), edge_filter=None):
+    """DerivationGraph.find_path as a pass over every edge per layer and a
+    recursive walk back from the target."""
+    if source == target:
+        return []
+    edges = sink.edges
+    if edge_filter is not None:
+        edges = [e for e in edges if edge_filter(e)]
+    reached = {source, *free_inputs}
+    parent = {}
+    while True:
+        newly = []
+        for edge in edges:
+            if all(gid in reached for gid, _ in edge.inputs):
+                for gid, _ in edge.outputs:
+                    if gid not in reached and gid not in parent:
+                        parent[gid] = edge
+                        newly.append(gid)
+        if not newly:
+            return None
+        reached.update(newly)
+        if target in reached:
+            break
+    path, seen_edges = [], set()
+
+    def build(gid):
+        if gid == source or gid in free_inputs:
+            return
+        edge = parent[gid]
+        if id(edge) in seen_edges:
+            return
+        seen_edges.add(id(edge))
+        for in_gid, _ in edge.inputs:
+            build(in_gid)
+        path.append(edge)
+
+    build(target)
+    return path

@@ -16,7 +16,7 @@ import pytest
 
 from gstrat.catalan import (catalan_rules, complete_graph, contract_move,
                             cycle_graph, move_successors, oracle_solve,
-                            oracle_successors, random_level, solve_level)
+                            random_level, solve_level)
 from gstrat.chem import diels_alder_rule, parse_molecule
 from gstrat.dsl import load_script, run_script
 from gstrat.graphs import Graph, isomorphic
@@ -27,7 +27,7 @@ from gstrat.strategies import (AddSubset, EMPTY_STATE, EvalContext,
                                Repeat, Revive, RuleApplication, Sequence)
 
 from .oracles import (equal_signature_pairs, naive_derivation_keys,
-                      random_graph, random_rule)
+                      oracle_successors, random_graph, random_rule)
 from .test_rules import relabel_rule
 
 ASSETS = Path(__file__).parent.parent / "assets"

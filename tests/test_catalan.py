@@ -5,13 +5,14 @@ import pytest
 from gstrat.catalan import (GOAL, LevelError, catalan_rules,
                             complete_graph, contract_move, cycle_graph,
                             is_goal, move_successors, oracle_solve,
-                            oracle_successors, parse_level, pipeline_move,
-                            random_level, serialize_level, solve_level,
-                            validate_level)
+                            parse_level, pipeline_move, random_level,
+                            serialize_level, solve_level, validate_level)
 from gstrat.graphs import Graph, isomorphic
 from gstrat.lex import ParseError
 from gstrat.rewrite import enumerate_proper_derivations
 from gstrat.strategies import EvalContext
+
+from .oracles import oracle_successors
 
 
 def wheel4():

@@ -56,6 +56,15 @@ class TestRun:
         assert "error: predicate definitions form a cycle at 'p'" in err
         assert "Traceback" not in err
 
+    def test_deep_nesting_exit_code(self, tmp_path, capsys):
+        script = tmp_path / "deep.gs"
+        script.write_text(RELABEL_SCRIPT.replace(
+            "-> rule p", "-> filterSubset[" + "not " * 5000 + "isGraph(0, g1)]"))
+        assert main(["run", str(script)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nesting deeper than" in err
+        assert "Traceback" not in err
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         script = tmp_path / "bad.gs"
         script.write_text("strategy main = take [1]\n")

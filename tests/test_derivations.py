@@ -1,10 +1,12 @@
 import json
+import random
 
 from gstrat.derivations import DerivationGraph
 from gstrat.graphs import Graph, GraphRepository
 from gstrat.rewrite import enumerate_proper_derivations
 from gstrat.rules import Rule
 
+from . import oracles
 from .test_rules import relabel_rule
 
 
@@ -136,6 +138,19 @@ class TestJsonExport:
         assert edge["in"][0]["count"] == 1
 
 
+class Fake:
+    """Just what DerivationGraph.record reads of a derivation."""
+
+    def __init__(self, rule_name, inputs, outputs):
+        self.rule = type("R", (), {"name": rule_name})()
+        self.inputs = inputs
+        self.outputs = outputs
+
+    @property
+    def key(self):
+        return (self.rule.name, self.inputs, self.outputs)
+
+
 class TestFindPath:
     def _chain_sink(self):
         # a -> b -> c as 1-to-1 edges plus a detour needing a free input
@@ -144,17 +159,6 @@ class TestFindPath:
         for name in "abcf":
             ids[name], _ = repo.intern(Graph([(0, name)]))
         sink = DerivationGraph()
-
-        class Fake:
-            def __init__(self, rule_name, inputs, outputs):
-                self.rule = type("R", (), {"name": rule_name})()
-                self.inputs = inputs
-                self.outputs = outputs
-
-            @property
-            def key(self):
-                return (self.rule.name, self.inputs, self.outputs)
-
         sink.record(Fake("p", (ids["a"],), (ids["b"],)))
         sink.record(Fake("q", tuple(sorted((ids["b"], ids["f"]))), (ids["c"],)))
         return sink, ids
@@ -198,3 +202,34 @@ class TestFindPath:
         path = ctx.sink.find_path(chx, target, free_inputs=(iso,))
         assert path is not None
         assert any(target == g for g, _ in path[-1].outputs)
+
+    def test_long_chain_needs_no_recursion(self):
+        # 5000 layers: each edge fires once its one input is reached
+        sink = DerivationGraph()
+        for gid in range(5000):
+            sink.record(Fake("step", (gid,), (gid + 1,)))
+        path = sink.find_path(0, 5000)
+        assert [e.inputs[0][0] for e in path] == list(range(5000))
+
+    def test_equals_reference_on_random_hypergraphs(self):
+        rng = random.Random(71)
+        found = unreachable = 0
+        for _ in range(400):
+            sink = DerivationGraph()
+            n = rng.randint(2, 9)
+            for k in range(rng.randint(1, 14)):
+                inputs = tuple(sorted(rng.choices(range(n), k=rng.randint(1, 3))))
+                outputs = tuple(sorted(rng.choices(range(n), k=rng.randint(1, 3))))
+                sink.record(Fake(f"r{k % 3}", inputs, outputs))
+            source, target = rng.randrange(n), rng.randrange(n)
+            free = tuple(rng.sample(range(n), rng.randint(0, 2)))
+            banned = f"r{rng.randrange(4)}"
+            keep = None if rng.random() < 0.5 else (
+                lambda e, banned=banned: e.rule_name != banned)
+            got = sink.find_path(source, target, free, keep)
+            assert got == oracles.find_path(sink, source, target, free, keep)
+            if got is None:
+                unreachable += 1
+            elif got:
+                found += 1
+        assert found > 60 and unreachable > 60, (found, unreachable)

@@ -2,11 +2,17 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from gstrat import dsl
-from gstrat.dsl import (ScriptError, format_script, load_script, parse_script,
-                        run_script, write_atomic)
+from gstrat import dsl, lex
+from gstrat.dsl import (MAX_DEPTH, ScriptError, format_script, load_script,
+                        parse_script, run_script, write_atomic)
+from gstrat.graphs import Graph
 from gstrat.lex import ParseError
+from gstrat.strategies import EvalContext
+
+from . import oracles
 
 ASSETS = Path(__file__).parent.parent / "assets"
 
@@ -229,3 +235,128 @@ class TestIncludes:
         (tmp_path / "b.gs").write_text('include "a.gs"\n')
         with pytest.raises(ScriptError):
             run_script(load_script(str(tmp_path / "a.gs")))
+
+
+ONE_GRAPH = 'graph g { v 0 "a"; }\n'
+FILTER = "strategy main = addSubset(g) -> filterSubset["
+
+
+def _chain(kind, length, body, last):
+    """length definitions, each naming the next one inside body."""
+    return "".join(f"{kind} d{i} = {body.format(f'd{i + 1}')}\n"
+                   for i in range(length - 1)) + f"{kind} d{length - 1} = {last}\n"
+
+
+TOO_DEEP = {
+    "not": (ParseError, FILTER + "not " * 5000 + "isGraph(0, g)]"),
+    "parentheses": (ParseError, FILTER + "(" * 5000 + "isGraph(0, g)"
+                    + ")" * 5000 + "]"),
+    "revive": (ParseError, "strategy main = " + "revive { " * 3000
+               + "takeSubset[1]" + " }" * 3000),
+    "predicate chain": (ScriptError, _chain("predicate", 3000, "{}", "isGraph(0, g)")
+                        + FILTER + "d0]"),
+    "strategy chain": (ScriptError, _chain("strategy", 3000, "{}", "takeSubset[1]")
+                       + "strategy main = addSubset(g) -> d0"),
+    "not-wrapped chain": (ScriptError, _chain("predicate", 60, "not " * 60 + "{}",
+                                              "isGraph(0, g)") + FILTER + "d0]"),
+}
+
+
+class TestNestingBound:
+    @pytest.mark.parametrize("case", sorted(TOO_DEEP))
+    def test_too_deep_fails_with_a_located_error(self, case):
+        error, text = TOO_DEEP[case]
+        with pytest.raises(error):
+            run_script(parse_script(ONE_GRAPH + text))
+
+    def test_bound_is_reported_at_the_offending_token(self):
+        prefix = FILTER
+        ok = prefix + "not " * (MAX_DEPTH - 1) + "isGraph(0, g)]"
+        kept = 1 - (MAX_DEPTH - 1) % 2  # an even count of nots keeps g
+        assert run_script(parse_script(ONE_GRAPH + ok)).subset_size == kept
+        with pytest.raises(ParseError) as info:
+            parse_script(ONE_GRAPH + prefix + "not " * MAX_DEPTH + "isGraph(0, g)]")
+        assert (info.value.line, info.value.column) == (
+            2, len(prefix) + 4 * (MAX_DEPTH - 1) + 1)
+
+    def test_reference_chain_fails_before_the_run(self):
+        # Evaluation errors reach run_script as StrategyError; a ScriptError
+        # means the chain was rejected while compiling.
+        text = ONE_GRAPH + _chain("predicate", 100, "{}", "isGraph(0, g)") + FILTER + "d0]"
+        with pytest.raises(ScriptError, match="predicate references nest too deeply"):
+            run_script(parse_script(text))
+
+    def test_shared_references_compile_once(self, monkeypatch):
+        # d0 = d1 and d1, d1 = d2 and d2, ...: 2^12 paths, 12 definitions
+        calls = []
+        real = dsl._Compiler._compile_pred
+        monkeypatch.setattr(dsl._Compiler, "_compile_pred",
+                            lambda self, *a: calls.append(a) or real(self, *a))
+        text = ONE_GRAPH + _chain("predicate", 12, "{0} and {0}", "isGraph(0, g)")
+        assert run_script(parse_script(text + FILTER + "d0]")).subset_size == 1
+        assert len(calls) < 50
+
+
+# -- predicate properties -------------------------------------------------------
+
+PRED_NAMES = ("p0", "p1", "p2")
+GRAPHS = {"g0": Graph([(0, "a")]),
+          "g1": Graph([(0, "a"), (1, "b")], [(0, 1, "x")]),
+          "g2": Graph([(0, "b"), (1, "b"), (2, 'q"\\')], [(0, 1, "x"), (1, 2, "y")])}
+
+_indexes = hs.integers(0, 3)  # multisets hold up to 3 ids: 3 is out of range
+_ints = hs.one_of(
+    hs.builds(dsl.IntLit, hs.integers(0, 4)),
+    hs.just(dsl.IntAtom("componentCount", None)),
+    hs.builds(dsl.IntAtom, hs.sampled_from(("vertexCount", "edgeCount")), _indexes))
+
+
+def _flat(cls):
+    """cls over two or three parts, parts of the same kind spliced in as the
+    parser would read them."""
+    def build(parts):
+        return cls(tuple(q for p in parts
+                         for q in (p.parts if isinstance(p, cls) else (p,))))
+    return build
+
+
+def predicates(refs=PRED_NAMES):
+    atoms = [hs.builds(dsl.Compare, hs.sampled_from(tuple(dsl.CMP_OPS)), _ints, _ints),
+             hs.builds(dsl.HasVertexLabel, _indexes,
+                       hs.sampled_from(("a", "b", 'q"\\', ""))),
+             hs.builds(dsl.IsGraph, _indexes, hs.sampled_from(tuple(GRAPHS)))]
+    if refs:
+        atoms.append(hs.builds(dsl.PredRef, hs.sampled_from(refs)))
+    return hs.recursive(hs.one_of(atoms), lambda inner: hs.one_of(
+        hs.builds(dsl.Not, inner),
+        hs.lists(inner, min_size=2, max_size=3).map(_flat(dsl.And)),
+        hs.lists(inner, min_size=2, max_size=3).map(_flat(dsl.Or))),
+        max_leaves=8)
+
+
+class TestPredicateProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(predicates())
+    def test_format_then_parse_is_identity(self, expr):
+        ts = lex.TokenStream(lex.tokenize(dsl.format_pred(expr)))
+        assert dsl._parse_pred(ts) == expr
+        ts.expect_eof()
+
+    @settings(max_examples=200, deadline=None)
+    @given(hs.tuples(predicates(()), predicates(PRED_NAMES[:1]),
+                     predicates(PRED_NAMES[:2])),
+           predicates(),
+           hs.lists(hs.lists(hs.integers(0, 3), max_size=3), min_size=1, max_size=6))
+    def test_compiled_closure_equals_reference(self, defs, expr, multisets):
+        ctx = EvalContext()
+        compiler = dsl._Compiler(ctx)
+        compiler.load(dsl.Script(
+            tuple(dsl.GraphDef(name, g) for name, g in GRAPHS.items())
+            + tuple(dsl.PredicateDef(name, d) for name, d in zip(PRED_NAMES, defs))))
+        extra, _ = ctx.repo.intern(Graph([(0, "b"), (1, "a")], [(0, 1, "y")]))
+        gids = sorted(ctx.names.values()) + [extra]
+        pred = compiler._compile_pred(expr, (), 0)
+        for picks in multisets:
+            ids = tuple(sorted(gids[i] for i in picks))
+            assert pred(ids, ctx) == oracles.eval_pred(expr, ids, ctx,
+                                                       compiler.predicates)
