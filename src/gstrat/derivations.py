@@ -106,10 +106,11 @@ class DerivationGraph:
         An edge can fire once all its inputs are reached; the search starts
         from the source plus the designated always-available inputs.  An
         edge_filter callable restricts which hyperedges may be used.  Returns
-        the firing sequence in dependency order, the empty list when source
-        equals target, or None when the target is unreachable.
+        the firing sequence in dependency order, the empty list when the
+        target is the source or a free input, or None when the target is
+        unreachable.
         """
-        if source == target:
+        if source == target or target in free_inputs:
             return []
         edges = self._edges
         if edge_filter is not None:

@@ -536,6 +536,24 @@ def format_script(script: Script) -> str:
 # -- compilation -------------------------------------------------------------------
 
 
+def _last_result(pred):
+    """pred with a one-entry memo: the last (ids, ctx) and its result.
+
+    A predicate depends only on the ids, immutable graphs and names fixed
+    at compile time, so the memo never changes an answer; a reference
+    shared by several paths of one predicate is then evaluated once per
+    call instead of once per path.
+    """
+    last: list = [None, None, False]
+
+    def memoised(ids, ctx):
+        if ctx is not last[1] or ids != last[0]:
+            result = pred(ids, ctx)
+            last[:] = tuple(ids), ctx, result
+        return last[2]
+    return memoised
+
+
 class _Compiler:
     def __init__(self, ctx: st.EvalContext):
         self.ctx = ctx
@@ -636,8 +654,8 @@ class _Compiler:
                 raise ScriptError("predicate references nest too deeply")
             key = (expr.name, depth)
             if key not in self._closures:
-                self._closures[key] = self._compile_pred(
-                    self.predicates[expr.name], chain + (expr.name,), depth + 1)
+                self._closures[key] = _last_result(self._compile_pred(
+                    self.predicates[expr.name], chain + (expr.name,), depth + 1))
             return self._closures[key]
         raise ScriptError(f"not a boolean expression: {expr!r}")
 

@@ -12,7 +12,12 @@ vertex colouring until it is stable; while some colour class is not a
 *symmetric cell* (one whose every permutation is an automorphism), branch on
 individualising each of its members; each leaf orders the vertices, and the
 smallest resulting relabelled graph is the certificate.  Automorphisms found
-when two leaves agree prune the sibling branches they relate.
+when two leaves agree prune the sibling branches they relate.  The labelling
+keeps those generators and the symmetric cells of the stable partition, and
+``GraphRepository`` serves them per class as a ``HostSymmetry``.  Together
+with the swaps of twin leaves, it keys vertex tuples so that equal keys
+imply an automorphism between them; rule application uses the key to apply
+one match per host orbit.
 
 Before labelling, each degree-1 vertex hanging off a vertex of degree 2 or
 more is folded into that neighbour's starting colour, as hydrogen-suppressed
@@ -24,7 +29,7 @@ see ``Graph.canonical_form``.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from gstrat import lex
 from gstrat.lex import ParseError, TokenStream
@@ -139,21 +144,23 @@ def _orbit(w: int, generators: list[list[int]]) -> set[int]:
 
 
 def _canonical_order(adj: Adjacency, cells: list[list[int]],
-                     edge_label_count: int) -> tuple[tuple[int, ...], list[int]]:
+                     edge_label_count: int
+                     ) -> tuple[tuple[int, ...], list[int], list[list[int]]]:
     """The smallest leaf of the individualisation-refinement search tree.
 
-    Takes a refined partition.  Returns (edge codes, order): order lists the
-    vertex indices by canonical position, and each edge is coded as
-    (position pair, edge label rank) in one int.  A node is a leaf when all
-    its non-singleton cells are symmetric; otherwise its children
-    individualise each member of its target cell, placing it in a cell of
-    its own just after the rest.  The search is iterative; a frame is
-    [cells, target position, children explored, next member].  When a
-    leaf's codes equal those of the first or the best leaf, the two orders
-    differ by an automorphism.  A child is skipped, or its subtree
-    abandoned, once the automorphisms that fix the frame's individualised
-    prefix map it onto an earlier sibling: both subtrees then hold the same
-    leaf codes.
+    Takes a refined partition.  Returns (edge codes, order, generators):
+    order lists the vertex indices by canonical position, each edge is coded
+    as (position pair, edge label rank) in one int, and generators are the
+    automorphisms the search found, each as the image of every index.  A
+    node is a leaf when all its non-singleton cells are symmetric; otherwise
+    its children individualise each member of its target cell, placing it
+    in a cell of its own just after the rest.  The search is iterative; a
+    frame is [cells, target position, children explored, next member].
+    When a leaf's codes equal those of the first or the best leaf, the two
+    orders differ by an automorphism, a generator.  A child is skipped, or
+    its subtree abandoned, once the automorphisms that fix the frame's
+    individualised prefix map it onto an earlier sibling: both subtrees
+    then hold the same leaf codes.
     """
     n = len(adj)
     kinds = max(1, edge_label_count)
@@ -175,7 +182,7 @@ def _canonical_order(adj: Adjacency, cells: list[list[int]],
 
     target = _target_cell(adj, cells)
     if target is None:
-        return leaf(cells)
+        return (*leaf(cells), [])
     first = best = None
     generators: list[list[int]] = []
     stack = [[cells, target, [], 0]]
@@ -226,14 +233,14 @@ def _canonical_order(adj: Adjacency, cells: list[list[int]],
             if len(done) > 1 and not _orbit(done[-1], fixing(depth)).isdisjoint(done[:-1]):
                 del stack[depth + 1:]
                 break
-    return best
+    return (*best, generators)
 
 
 class Graph:
     """Immutable simple undirected graph with string vertex and edge labels."""
 
     __slots__ = ("_labels", "_adj", "_edge_count", "_signature", "_canon",
-                 "_wl_colors", "_sorted_adj")
+                 "_symmetry", "_wl_colors", "_sorted_adj")
 
     def __init__(self, vertices: Iterable[tuple[int, str]],
                  edges: Iterable[tuple[int, int, str]] = ()):
@@ -259,6 +266,7 @@ class Graph:
         self._edge_count = count
         self._signature: tuple | None = None
         self._canon: tuple[tuple, tuple[int, ...]] | None = None
+        self._symmetry: tuple[tuple[dict[int, int], ...], tuple] | None = None
         self._wl_colors: dict[int, int] | None = None
         self._sorted_adj: dict[int, tuple[int, ...]] | None = None
 
@@ -408,15 +416,31 @@ class Graph:
                 key = (labels[v], tuple([(el, label) for el, label, _ in leaves.get(v, ())]))
                 by_key.setdefault(key, []).append(i)
             keys = sorted(by_key)
-            codes, positions = _canonical_order(
-                adj, _refine(adj, [by_key[key] for key in keys]), len(edge_labels))
+            cells = _refine(adj, [by_key[key] for key in keys])
+            codes, positions, generators = _canonical_order(
+                adj, cells, len(edge_labels))
             core_order = [core[i] for i in positions]
             order = core_order + [leaf for v in core_order
                                   for _, _, leaf in leaves.get(v, ())]
             certificate = (tuple((key, len(by_key[key])) for key in keys),
                            tuple(edge_labels), codes)
             self._canon = (certificate, tuple(order))
+            self._symmetry = (
+                tuple({core[i]: core[j] for i, j in enumerate(gamma) if i != j}
+                      for gamma in generators),
+                tuple(tuple(core[i] for i in cell) for cell in cells
+                      if len(cell) > 1 and _is_symmetric(cell, adj)))
         return self._canon
+
+    def core_symmetry(self) -> tuple[tuple[dict[int, int], ...],
+                                     tuple[tuple[int, ...], ...]]:
+        """(generators, symmetric cells) that canonical labelling found for
+        the core: each generator as the core vertices it moves -> their
+        images, each cell as its members, ascending.  With the leaves
+        following their parents, both are automorphisms of the graph; they
+        need not generate all of them."""
+        self.canonical_form()
+        return self._symmetry
 
     @property
     def is_connected(self) -> bool:
@@ -454,6 +478,20 @@ class Graph:
             components.append(Graph(verts, edges))
         return components
 
+    def shifted_copy(self, offset: int
+                     ) -> tuple[dict[int, str], dict[int, dict[int, str]]]:
+        """Mutable (labels, adjacency) dicts of a graph with ids 0..n-1, as
+        stored graphs have, with every id raised by offset and the vertices
+        in ascending id order."""
+        labels, nbrs = self._labels, self._adj
+        n = len(labels)
+        if not offset:
+            return ({v: labels[v] for v in range(n)},
+                    {v: nbrs[v].copy() for v in range(n)})
+        return ({v + offset: labels[v] for v in range(n)},
+                {v + offset: {u + offset: el for u, el in nbrs[v].items()}
+                 for v in range(n)})
+
     def renumbered(self) -> tuple[Graph, dict[int, int]]:
         """Copy with dense ids 0..n-1 (sorted order); returns (graph, old->new)."""
         mapping = {vid: i for i, vid in enumerate(sorted(self._labels))}
@@ -472,13 +510,118 @@ def isomorphic(g: Graph, h: Graph) -> bool:
     return matching.find_isomorphism(g, h) is not None
 
 
+def _leaf_parent(g: Graph, v: int) -> int | None:
+    """The neighbour of v when v is a leaf in the sense of canonical_form."""
+    nbrs = g.neighbors(v)
+    if len(nbrs) == 1:
+        (p,) = nbrs
+        if g.degree(p) > 1:
+            return p
+    return None
+
+
+class HostSymmetry:
+    """Automorphisms of one graph with ids 0..n-1 that are known without a
+    search, for keying vertex tuples up to them: the ``core_symmetry`` of
+    its labelling, and the swaps of twin leaves (leaves of one parent with
+    the same edge label and label), which are recognised from degrees.
+    ``generators`` hold the image of every core vertex (leaves keep their
+    own ids); ``moved`` holds the core vertices a generator or a cell moves.
+    """
+
+    __slots__ = ("graph", "generators", "cells", "_cell_of", "moved")
+
+    def __init__(self, graph: Graph, moves: Iterable[Mapping[int, int]] = (),
+                 cells: Iterable[tuple[int, ...]] = ()):
+        self.graph = graph
+        self.generators: list[list[int]] = []
+        self.moved: set[int] = set()
+        for move in moves:
+            perm = list(range(graph.vertex_count))
+            for v, w in move.items():
+                perm[v] = w
+            self.generators.append(perm)
+            self.moved.update(move)
+        self.cells = tuple(cells)
+        self._cell_of = {v: c for c, cell in enumerate(self.cells) for v in cell}
+        self.moved.update(self._cell_of)
+
+    def _twins(self, leaf: int, parent: int, at: int) -> list[int]:
+        """The leaves of at with the edge label and label of leaf (a leaf
+        of parent), ascending."""
+        g = self.graph
+        el, label = g.edge_label(leaf, parent), g.label(leaf)
+        return sorted(u for u, e in g.neighbors(at).items()
+                      if e == el and g.degree(u) == 1 and g.label(u) == label)
+
+    def moves_any(self, vertices: Iterable[int]) -> bool:
+        """Can a known automorphism move one of these vertices?  When none
+        can, a tuple of them is its own ``orbit_key``."""
+        for v in vertices:
+            if v in self.moved:
+                return True
+            p = _leaf_parent(self.graph, v)
+            if p is not None and (p in self.moved
+                                  or len(self._twins(v, p, p)) > 1):
+                return True
+        return False
+
+    def orbit_key(self, vertices: Sequence[int]) -> tuple[int, ...]:
+        """A key of an injective vertex tuple under the known automorphisms.
+
+        The least of the canonical images of the tuple and of its images
+        under each generator.  The canonical image renames, in order of
+        first appearance, the members of each symmetric cell to the cell's
+        members in ascending order, and each leaf to the leaves of its
+        group at its parent's new name; a parent is named when its leaf is,
+        if not before.  Each step is an automorphism, so equal keys imply
+        one that maps one tuple onto the other; the converse may fail.
+        """
+        best = self._canonical(vertices, None)
+        for perm in self.generators:
+            image = self._canonical(vertices, perm)
+            if image < best:
+                best = image
+        return best
+
+    def _canonical(self, vertices: Sequence[int], perm: list[int] | None
+                   ) -> tuple[int, ...]:
+        names: dict[int, int] = {}         # core vertex (after perm) -> name
+        cells_taken: dict[int, int] = {}   # per cell: members named so far
+        leaves_taken: dict[int, int] = {}  # per leaf group, by first leaf
+        out = []
+        for v in vertices:
+            p = _leaf_parent(self.graph, v)
+            core = v if p is None else p
+            if perm is not None:
+                core = perm[core]
+            name = names.get(core)
+            if name is None:
+                name = core
+                c = self._cell_of.get(core)
+                if c is not None:
+                    k = cells_taken.get(c, 0)
+                    cells_taken[c] = k + 1
+                    name = self.cells[c][k]
+                names[core] = name
+            if p is None:
+                out.append(name)
+                continue
+            group = self._twins(v, p, name)
+            k = leaves_taken.get(group[0], 0)
+            leaves_taken[group[0]] = k + 1
+            out.append(group[k])
+        return tuple(out)
+
+
 class GraphRepository:
     """Interning store mapping isomorphism classes to dense integer ids.
 
     Stored graphs have dense vertex ids 0..n-1 and are never mutated; the
     first graph interned for a class is its representative.  Each class is
     indexed by its canonical certificate, so interning is one canonical form
-    and one dict lookup, and no two stored ids are isomorphic.
+    and one dict lookup, and no two stored ids are isomorphic.  A class whose
+    labelling found automorphisms also keeps them, as a ``HostSymmetry``.
     """
 
     def __init__(self) -> None:
@@ -486,6 +629,7 @@ class GraphRepository:
         self._by_cert: dict[tuple, int] = {}
         # Per id: the stored graph's vertex ids in canonical order.
         self._orders: list[tuple[int, ...]] = []
+        self._symmetries: dict[int, HostSymmetry] = {}
         self._names: dict[int, str] = {}
 
     def __len__(self) -> int:
@@ -516,15 +660,28 @@ class GraphRepository:
         if not g.is_connected:
             raise GraphError("cannot intern a disconnected (or empty) graph")
         n = g.vertex_count
+        moves, cells = g.core_symmetry()
         if all(g.has_vertex(v) for v in range(n)):
             stored, renumber = g, {v: v for v in range(n)}
         else:
             stored, renumber = g.renumbered()
+            moves = [{renumber[v]: renumber[w] for v, w in move.items()}
+                     for move in moves]
+            cells = [tuple(sorted(renumber[v] for v in cell)) for cell in cells]
         gid = len(self._graphs)
         self._graphs.append(stored)
         self._by_cert[certificate] = gid
         self._orders.append(tuple(renumber[v] for v in order))
+        if moves or cells:
+            self._symmetries[gid] = HostSymmetry(stored, moves, cells)
         return gid, True, renumber
+
+    def symmetry(self, gid: int) -> HostSymmetry:
+        """The known automorphisms of a stored class.  Only classes whose
+        labelling found some are kept; any other class gets a fresh
+        ``HostSymmetry`` that knows its twin leaves only."""
+        symmetry = self._symmetries.get(gid)
+        return HostSymmetry(self._graphs[gid]) if symmetry is None else symmetry
 
     def find(self, g: Graph) -> int | None:
         """Id of the stored graph isomorphic to g, if any (no interning)."""

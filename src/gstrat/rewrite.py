@@ -19,13 +19,19 @@ components, graph), so ``MatchCache`` builds and checks them once;
 ``_completions`` extends partial rules until they are complete, looping
 over the universe graphs that can bind the next components rather than
 over the whole universe.
+
+A complete match is applied once per orbit, not once per match: matches
+related by a rule automorphism, a permutation of the bound copies and, per
+copy, an automorphism of its host give isomorphic results.  The host
+automorphisms are those the canonical labelling of each stored class
+already found (``GraphRepository.symmetry``); no extra search is run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from gstrat.graphs import Graph, GraphRepository, _edge_key
+from gstrat.graphs import Graph, GraphRepository, HostSymmetry, _edge_key
 from gstrat.matching import enumerate_embeddings
 from gstrat.rules import CONTEXT, LEFT, RIGHT, Rule
 
@@ -224,13 +230,14 @@ def apply_at(rule: Rule, assembly: Assembly, vertex_map: dict[int, int],
     labels: dict[int, str] = {}
     adj: dict[int, dict[int, str]] = {}
     for offset, g in zip(assembly.offsets, graphs):
-        for v in range(g.vertex_count):
-            hv = v + offset
-            if hv in deleted_vertices:
-                continue
-            labels[hv] = g.label(v)
-            adj[hv] = {hn: el for n, el in g.neighbors(v).items()
-                       if (hn := n + offset) not in deleted_vertices}
+        copy_labels, copy_adj = g.shifted_copy(offset)
+        labels.update(copy_labels)
+        adj.update(copy_adj)
+    for d in deleted_vertices:
+        del labels[d]
+        for n in adj.pop(d):
+            if n not in deleted_vertices:
+                del adj[n][d]
     created: dict[int, int] = {}
     next_id = max(labels, default=-1) + 1
     for vid in sorted(rule.vertices):
@@ -485,6 +492,35 @@ def _completions(partial: PartialRule,
                     PartialRule(partial.rule, partial.bound + (bc,)), copies)
 
 
+def _moving_symmetry(bc: BoundCopy, repo: GraphRepository
+                     ) -> HostSymmetry | None:
+    """The host's known automorphisms when one may move this copy's image."""
+    symmetry = repo.symmetry(bc.graph_id)
+    return symmetry if symmetry.moves_any(sv for _, sv in bc.vertex_map) else None
+
+
+def _host_orbit_key(partial: PartialRule,
+                    automorphisms: Sequence[dict[int, int]],
+                    symmetries: Sequence[HostSymmetry | None]) -> tuple:
+    """The least, over rule automorphisms sigma, of the sorted copies
+    (graph id, sigma-renamed rule vertices, their images), where a copy
+    with a host symmetry has its images replaced by their
+    ``HostSymmetry.orbit_key``."""
+    best = None
+    for sigma in automorphisms:
+        copies = []
+        for bc, symmetry in zip(partial.bound, symmetries):
+            pairs = sorted((sigma[rv], sv) for rv, sv in bc.vertex_map)
+            images = tuple(sv for _, sv in pairs)
+            if symmetry is not None:
+                images = symmetry.orbit_key(images)
+            copies.append((bc.graph_id, tuple(rv for rv, _ in pairs), images))
+        key = tuple(sorted(copies))
+        if best is None or key < best:
+            best = key
+    return best
+
+
 def iter_proper_derivations(
         rule: Rule,
         universe: Sequence[int],
@@ -508,8 +544,15 @@ def iter_proper_derivations(
 
     Each match orbit under rule automorphisms and permutations of the bound
     copies is applied once, at its first member: the other members yield
-    isomorphic results, hence the same derivation key.  ``bind_graph`` stays
-    per-morphism.
+    isomorphic results, hence the same derivation key.  A match that passes
+    this check and touches vertices that a known host automorphism moves
+    then gets a host-orbit key (``_host_orbit_key``), and is skipped when
+    an earlier applied match of this call had the same one: equal keys
+    imply an automorphism of the hosts relating the two matches, so the
+    result has the same key, the same gluing outcome and the same inputs.
+    The key may miss some automorphic pairs, which are then applied as
+    before; the yielded derivations, their order, matches and atom maps do
+    not depend on it.  ``bind_graph`` stays per-morphism.
     """
     if repo is None:
         raise ValueError("a graph repository is required")
@@ -537,6 +580,7 @@ def iter_proper_derivations(
     keys: set[tuple] = set()
     automorphisms = rule.automorphisms()
     applied_orbits: set[tuple] = set()
+    host_orbits: set[tuple] = set()
     for start in starts:
         for partial in _completions(start, copies):
             inputs = tuple(sorted(partial.bound_graph_ids()))
@@ -551,6 +595,12 @@ def iter_proper_derivations(
             if orbit in applied_orbits:
                 continue
             applied_orbits.add(orbit)
+            moving = [_moving_symmetry(bc, repo) for bc in partial.bound]
+            if any(moving):
+                orbit = _host_orbit_key(partial, automorphisms, moving)
+                if orbit in host_orbits:
+                    continue
+                host_orbits.add(orbit)
             d = complete_derivation(partial, repo)
             if d is not None and d.key not in keys:
                 keys.add(d.key)

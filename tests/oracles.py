@@ -214,6 +214,49 @@ def naive_derivation_keys(rule, universe, required, repo):
     return keys
 
 
+def rule_orbit_derivations(rule, universe, required=(), repo=None,
+                           left_filter=None):
+    """Reference for ``rewrite.iter_proper_derivations``: the same binding
+    loop, pruned only by rule automorphisms and copy order, not by host
+    automorphisms.  Returns the list."""
+    from gstrat.rewrite import (MatchCache, _completions, bind_graph,
+                                complete_derivation)
+
+    cache = MatchCache()
+    universe, required = list(universe), list(required)
+
+    def copies(subset):
+        return [bound for gid in universe
+                if (bound := cache.bound_copies(rule, subset, gid, repo))]
+
+    starts = (partial for gid in required or universe
+              for partial in bind_graph(rule, gid, repo, cache)
+              if required or 0 in partial.bound[0].components)
+    keys, applied, found = set(), set(), []
+    for start in starts:
+        for partial in _completions(start, copies):
+            inputs = tuple(sorted(partial.bound_graph_ids()))
+            if left_filter is not None and not left_filter(inputs):
+                continue
+            orbit = min(tuple(sorted(
+                (bc.graph_id, tuple(sorted((sigma[rv], sv)
+                                           for rv, sv in bc.vertex_map)))
+                for bc in partial.bound)) for sigma in rule.automorphisms())
+            if orbit in applied:
+                continue
+            applied.add(orbit)
+            d = complete_derivation(partial, repo)
+            if d is not None and d.key not in keys:
+                keys.add(d.key)
+                found.append(d)
+    return found
+
+
+def brute_automorphisms(g: Graph) -> list[dict[int, int]]:
+    """Every label- and edge-preserving permutation of g's vertices."""
+    return [dict(items) for items in sorted(brute_embeddings(g, g))]
+
+
 def brute_rule_automorphisms(rule) -> set[tuple[tuple[int, int], ...]]:
     """Span automorphisms of a rule, by testing every vertex permutation."""
     ids = sorted(rule.vertices)
@@ -353,7 +396,7 @@ def eval_int(expr, ids: tuple, ctx) -> int | None:
 def find_path(sink, source: int, target: int, free_inputs=(), edge_filter=None):
     """DerivationGraph.find_path as a pass over every edge per layer and a
     recursive walk back from the target."""
-    if source == target:
+    if source == target or target in free_inputs:
         return []
     edges = sink.edges
     if edge_filter is not None:

@@ -177,6 +177,13 @@ class TestFindPath:
         assert path is not None
         assert [e.rule_name for e in path] == ["p", "q"]
 
+    def test_free_target_is_reached_before_any_edge_fires(self):
+        # The answer must not depend on whether some edge fires at all.
+        sink = DerivationGraph()
+        sink.record(Fake("p", (1,), (2,)))
+        assert sink.find_path(1, 5, free_inputs=(5,)) == []
+        assert sink.find_path(3, 5, free_inputs=(5,)) == []
+
     def test_path_through_reaction_space_with_free_coreactant(self):
         # with isoprene always available, every depth-2 product is reachable
         # from cyclohexadiene through the recorded bimolecular derivations

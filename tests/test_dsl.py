@@ -296,6 +296,26 @@ class TestNestingBound:
         assert run_script(parse_script(text + FILTER + "d0]")).subset_size == 1
         assert len(calls) < 50
 
+    def test_shared_references_evaluate_once_per_call(self, monkeypatch):
+        # d0 = d1 and d1, ... over 30 levels has 2^30 paths; a reference
+        # replays its last answer, so the shared one below runs once.
+        calls = []
+        real = dsl._Compiler._compile_pred
+
+        def counting(self, *args):
+            pred = real(self, *args)
+
+            def counted(ids, ctx):
+                calls.append(1)
+                assert len(calls) < 200, "a shared reference ran once per path"
+                return pred(ids, ctx)
+            return counted
+
+        monkeypatch.setattr(dsl._Compiler, "_compile_pred", counting)
+        text = ONE_GRAPH + _chain("predicate", 30, "{0} and {0}", "isGraph(0, g)")
+        assert run_script(parse_script(text + FILTER + "d0]")).subset_size == 1
+        assert 0 < len(calls) < 200
+
 
 # -- predicate properties -------------------------------------------------------
 

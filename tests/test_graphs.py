@@ -18,8 +18,8 @@ from gstrat.graphs import (Graph, GraphError, GraphRepository, isomorphic,
 from gstrat.lex import ParseError
 from gstrat.matching import find_isomorphism
 
-from .oracles import (brute_isomorphic, equal_signature_pairs, permuted,
-                      random_graph)
+from .oracles import (brute_automorphisms, brute_isomorphic,
+                      equal_signature_pairs, permuted, random_graph)
 
 
 def single_edge_graph() -> Graph:
@@ -342,6 +342,81 @@ class TestLeafFold:
                                       check=True, capture_output=True,
                                       text=True).stdout)
         assert len(orders) == 1
+
+
+class TestHostSymmetry:
+    @staticmethod
+    def hosts(rng):
+        for trial in range(160):
+            if trial % 4 == 0:
+                g = leafy_graph(rng)
+            elif trial % 4 == 1:
+                g = random_graph(rng, max_vertices=7, labels=("a",),
+                                 edge_labels=("x", "y"), connected=True)
+            elif trial % 4 == 2:
+                g = from_networkx(rng.choice(
+                    [nx.cycle_graph(6), nx.complete_graph(4), nx.star_graph(4),
+                     nx.path_graph(5), nx.complete_bipartite_graph(2, 3),
+                     nx.circular_ladder_graph(3)]), rng, labels="ab", edge_labels="x")
+            else:
+                # A core whose automorphisms the search finds as generators,
+                # with leaves that must follow their parents.
+                core, bearers = rng.choice([(nx.cycle_graph(4), (0, 1, 2, 3)),
+                                            (nx.cycle_graph(4), (0, 2)),
+                                            (nx.path_graph(4), (0, 3)),
+                                            (nx.path_graph(3), (0, 2, 2))])
+                n = core.number_of_nodes()
+                g = Graph([(v, "a") for v in range(n)]
+                          + [(n + i, "h") for i in range(len(bearers))],
+                          [(u, v, "x") for u, v in core.edges()]
+                          + [(v, n + i, "x") for i, v in enumerate(bearers)])
+                g = relabelled(g, rng.sample(range(g.vertex_count), g.vertex_count))
+            if g.vertex_count > 8:
+                continue
+            if trial % 2:
+                # Stored through renumbered(), so the kept automorphisms
+                # must be translated.
+                g = relabelled(g, [v + 5 for v in g.vertex_ids()])
+            yield g
+
+    def test_equal_orbit_keys_imply_an_automorphism(self):
+        rng = random.Random(89)
+        merged = 0
+        for g in self.hosts(rng):
+            repo = GraphRepository()
+            gid, _ = repo.intern(g)
+            stored, symmetry = repo.graph(gid), repo.symmetry(gid)
+            automorphisms = brute_automorphisms(stored)
+            by_key: dict[tuple, list[tuple]] = {}
+            for k in (1, 2, 3):
+                for t in itertools.permutations(stored.vertex_ids(), k):
+                    key = symmetry.orbit_key(t)
+                    if not symmetry.moves_any(t):
+                        assert key == t
+                    by_key.setdefault(key, []).append(t)
+            for first, *others in by_key.values():
+                for t in others:
+                    assert any(all(h[a] == b for a, b in zip(first, t))
+                               for h in automorphisms)
+                    merged += 1
+        assert merged > 2000
+
+    def test_kept_only_for_classes_whose_labelling_found_some(self):
+        repo = GraphRepository()
+        iso, _ = repo.intern(parse_molecule("CC(=C)C=C"))
+        chx, _ = repo.intern(parse_molecule("C1=CC=CCC1"))
+        # Isoprene's core is rigid: only its twin hydrogens can move.
+        symmetry = repo.symmetry(iso)
+        assert symmetry is not repo.symmetry(iso)
+        assert not symmetry.generators and not symmetry.cells
+        g = repo.graph(iso)
+        carbons = [v for v in g.vertex_ids() if g.label(v) == "C"]
+        hydrogens = [v for v in g.vertex_ids() if g.label(v) == "H"]
+        assert not symmetry.moves_any(carbons)
+        assert symmetry.moves_any(hydrogens)
+        # Cyclohexadiene's mirror is found, and kept.
+        assert repo.symmetry(chx) is repo.symmetry(chx)
+        assert repo.symmetry(chx).generators
 
 
 class TestIsomorphic:

@@ -1,10 +1,12 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from gstrat import rewrite
 from gstrat.chem import diels_alder_rule, parse_molecule
+from gstrat.dsl import load_script, run_script
 from gstrat.graphs import Graph, GraphRepository, isomorphic, serialize_graph
 from gstrat.matching import enumerate_embeddings
 from gstrat.rewrite import (BindError, MatchCache, apply_at, assemble,
@@ -13,9 +15,13 @@ from gstrat.rewrite import (BindError, MatchCache, apply_at, assemble,
                             iter_proper_derivations)
 from gstrat.rules import Rule
 
-from .oracles import (naive_derivation_keys, random_graph, random_rule,
-                      union_apply, union_graph)
+from .oracles import (brute_automorphisms, brute_rule_automorphisms,
+                      naive_derivation_keys, random_graph, random_rule,
+                      rule_orbit_derivations, union_apply, union_graph)
 from .test_rules import relabel_rule, remove_r_rule
+
+
+ASSETS = Path(__file__).parent.parent / "assets"
 
 
 def chain_graphs():
@@ -320,7 +326,9 @@ def count_applications(monkeypatch):
 class TestOrbitPruning:
     def test_diels_alder_pair_applies_each_orbit_once(self, monkeypatch):
         # 64 complete matches fall into 16 orbits under the rule's order-2
-        # automorphism and the two orders of the bound copies.
+        # automorphism and the two orders of the bound copies, and into 9
+        # once the hosts' automorphisms (cyclohexadiene's mirror) join in:
+        # one application per derivation.
         repo = GraphRepository()
         iso_id, _ = repo.intern(parse_molecule("CC(=C)C=C"))
         chx_id, _ = repo.intern(parse_molecule("C1=CC=CCC1"))
@@ -328,7 +336,7 @@ class TestOrbitPruning:
         derivations = enumerate_proper_derivations(
             diels_alder_rule(), [iso_id, chx_id], [iso_id, chx_id],
             repo=repo, left_filter=lambda ids: len(ids) == 2)
-        assert len(calls) == 16
+        assert len(calls) == 9
         assert len(derivations) == 9
         # Requiring the whole universe changes where binding starts, not
         # the order in which derivation keys are discovered.
@@ -357,6 +365,120 @@ class TestOrbitPruning:
                                             repo=repo)
         assert d.inputs == (edge_id, edge_id)
         assert len(calls) == 1
+
+    def test_bfs_applies_once_per_derivation(self, monkeypatch):
+        # Without host automorphisms the BFS makes 1720 applications.
+        calls = count_applications(monkeypatch)
+        rep = run_script(load_script(str(ASSETS / "diels_bfs.gs")))
+        assert (rep.new_graphs, rep.derivations) == (825, 1278)
+        assert len(calls) == 1278
+
+
+def complete_partials(rule, repo, universe):
+    """Every complete match over the universe, once each, as
+    ``iter_proper_derivations`` reaches them with nothing required."""
+    cache = MatchCache()
+
+    def copies(subset):
+        return [bound for gid in universe
+                if (bound := cache.bound_copies(rule, subset, gid, repo))]
+
+    for gid in universe:
+        for start in bind_graph(rule, gid, repo, cache):
+            if 0 in start.bound[0].components:
+                yield from rewrite._completions(start, copies)
+
+
+def related(first, second, rule, automorphisms_of):
+    """Is there a rule automorphism sigma, a pairing of the bound copies
+    and a host automorphism h per copy such that second(sigma(v)) =
+    h(first(v)) for every rule vertex v?  By brute force."""
+    by_domain = {frozenset(rv for rv, _ in bc.vertex_map): bc
+                 for bc in second.bound}
+    for sigma_items in brute_rule_automorphisms(rule):
+        sigma = dict(sigma_items)
+        for bc in first.bound:
+            m1 = dict(bc.vertex_map)
+            other = by_domain.get(frozenset(sigma[rv] for rv in m1))
+            if other is None or other.graph_id != bc.graph_id:
+                break
+            m2 = dict(other.vertex_map)
+            if not any(all(h[m1[rv]] == m2[sigma[rv]] for rv in m1)
+                       for h in automorphisms_of(bc.graph_id)):
+                break
+        else:
+            return True
+    return False
+
+
+def symmetric_host(rng):
+    """A small connected host, often with symmetry: few labels, and leaves
+    hung on a random core."""
+    g = random_graph(rng, max_vertices=4, labels=("a", "b"), edge_labels=("x",),
+                     connected=True)
+    n = g.vertex_count
+    vertices, edges = list(g.vertices()), list(g.edges())
+    for _ in range(rng.randint(0, 3)):
+        vertices.append((n, rng.choice("ab")))
+        edges.append((rng.randrange(n), n, rng.choice("xy")))
+        n += 1
+    return Graph(vertices, edges)
+
+
+class TestHostOrbits:
+    def test_equal_keys_imply_a_relating_automorphism(self):
+        rng = random.Random(73)
+        compared = by_host = 0
+        for _ in range(600):
+            rule = random_rule(rng)
+            repo = GraphRepository()
+            universe = list(dict.fromkeys(repo.intern(symmetric_host(rng))[0]
+                                          for _ in range(2)))
+            automorphisms = {gid: brute_automorphisms(repo.graph(gid))
+                             for gid in universe}
+            by_key = {}
+            for partial in complete_partials(rule, repo, universe):
+                moving = [rewrite._moving_symmetry(bc, repo)
+                          for bc in partial.bound]
+                key = rewrite._host_orbit_key(partial, rule.automorphisms(),
+                                              moving)
+                by_key.setdefault(key, []).append(partial)
+            for first, *others in by_key.values():
+                rule_orbit = rewrite._host_orbit_key(
+                    first, rule.automorphisms(), [None] * len(first.bound))
+                for other in others:
+                    assert related(first, other, rule, automorphisms.get)
+                    compared += 1
+                    by_host += rule_orbit != rewrite._host_orbit_key(
+                        other, rule.automorphisms(), [None] * len(other.bound))
+        assert compared > 150 and by_host > 100, (compared, by_host)
+
+    def test_equals_rule_orbit_reference(self, monkeypatch):
+        # Same derivations in the same order, with the same matches and
+        # atom maps, as the loop without host-orbit pruning.
+        rng = random.Random(79)
+        calls = count_applications(monkeypatch)
+        pruned = derivations = 0
+        for _ in range(400):
+            repo = GraphRepository()
+            ids = list(dict.fromkeys(
+                repo.intern(symmetric_host(rng) if rng.random() < 0.5 else
+                            random_graph(rng, max_vertices=6, connected=True))[0]
+                for _ in range(rng.randint(1, 3))))
+            rule = random_rule(rng, max_components=3)
+            required = [gid for gid in ids if rng.random() < 0.4]
+            left_filter = (None if rng.random() < 0.7 else
+                           lambda inputs, k=rng.randint(1, 2): len(inputs) <= k)
+            calls.clear()
+            want = rule_orbit_derivations(rule, ids, required, repo, left_filter)
+            reference = len(calls)
+            calls.clear()
+            got = enumerate_proper_derivations(rule, ids, required, repo=repo,
+                                               left_filter=left_filter)
+            pruned += reference - len(calls)
+            assert [fingerprint(d) for d in got] == [fingerprint(d) for d in want]
+            derivations += len(got)
+        assert derivations > 400 and pruned > 300, (derivations, pruned)
 
 
 def full_matches(rule, host):
