@@ -13,15 +13,15 @@ import random
 from dataclasses import dataclass
 
 from gstrat import lex
-from gstrat.graphs import Graph, GraphRepository, serialize_graph
+from gstrat.graphs import Graph, GraphRepository
 from gstrat.lex import ParseError, TokenStream
 from gstrat.matching import find_isomorphism
+# Unused here: perfbench's IMPORT_SITES check that these names are wrapped.
 from gstrat.rewrite import bind_graph, complete_derivation
 from gstrat.rules import Rule
 from gstrat.strategies import (AddSubset, AltRuleApplication, EMPTY_STATE,
-                               EvalContext, FilterUniverse, GraphState,
-                               Repeat, Revive, RuleApplication, Sequence,
-                               Strategy)
+                               EvalContext, FilterUniverse, Repeat, Revive,
+                               RuleApplication, Sequence, Strategy)
 
 
 class LevelError(ValueError):
@@ -185,54 +185,6 @@ def oracle_solve(level: Graph) -> list[Graph] | None:
     return list(reversed(path))
 
 
-# -- pipeline-side helpers -----------------------------------------------------
-
-
-def move_successors(level: Graph, ctx: EvalContext | None = None) -> list[Graph]:
-    """One-move successor positions computed through the rule pipeline."""
-    validate_level(level)
-    if ctx is None:
-        ctx = EvalContext()
-    strat = Sequence([AddSubset((level,)), AltRuleApplication(move_pipeline())])
-    final = strat.apply(EMPTY_STATE, ctx)
-    return [ctx.repo.graph(gid) for gid in final.subset]
-
-
-def pipeline_move(level: Graph, v: int) -> list[Graph]:
-    """The pipeline restricted to marking vertex v; the surviving results.
-
-    Returns the move outcomes as graphs (deduplicated up to isomorphism by
-    interning); empty when marking v cannot survive (wrong degree).
-    """
-    validate_level(level)
-    ctx = EvalContext()
-    repo = ctx.repo
-    level_id, _, into_stored = repo.intern_mapped(level)
-    ctx.register_known(level_id)
-    mark = _RULES[0]
-    marked_ids: list[int] = []
-    # Matches are enumerated per morphism (bind_graph does not deduplicate
-    # isomorphic outcomes), so symmetric centers cannot shadow v.
-    for partial in bind_graph(mark, level_id, repo, ctx.cache):
-        if dict(partial.bound[0].vertex_map)[0] != into_stored[v]:
-            continue
-        d = complete_derivation(partial, repo)
-        if d is None:
-            continue
-        ctx.sink.record(d)
-        marked_ids.extend(d.outputs)
-    if not marked_ids:
-        return []
-    seen = []
-    for gid in marked_ids:
-        if gid not in seen:
-            seen.append(gid)
-    rest = Sequence(list(move_pipeline().parts[1:]))
-    state = GraphState((level_id, *seen), tuple(seen))
-    final = AltRuleApplication(rest).apply(state, ctx)
-    return [repo.graph(gid) for gid in final.subset]
-
-
 @dataclass
 class Solution:
     """A validated solution: positions from the level down to the goal."""
@@ -327,11 +279,6 @@ def parse_level(text: str) -> Graph:
     return g
 
 
-def serialize_level(g: Graph, name: str = "level") -> str:
-    body = serialize_graph(g, name)
-    return "level" + body[len("graph"):]
-
-
 def random_level(rng: random.Random, vertices: int) -> Graph:
     """A random connected level graph biased towards degree-3 vertices."""
     if vertices < 1:
@@ -358,12 +305,3 @@ def random_level(rng: random.Random, vertices: int) -> Graph:
         degree[v] += 1
     return Graph([(i, "0") for i in ids], [(u, v, "") for u, v in sorted(edges)])
 
-
-def complete_graph(n: int) -> Graph:
-    return Graph([(i, "0") for i in range(n)],
-                 [(i, j, "") for i in range(n) for j in range(i + 1, n)])
-
-
-def cycle_graph(n: int) -> Graph:
-    return Graph([(i, "0") for i in range(n)],
-                 [(i, (i + 1) % n, "") for i in range(n)])

@@ -2,9 +2,9 @@
 
 Graphs are undirected and simple (no loops, no parallel edges) with arbitrary
 string labels on vertices and edges.  Instances are immutable once built;
-derived data (structural signature, refinement colors, canonical form) is
-cached lazily, which is what makes the isomorphism and interning hot loops
-cheap.
+the canonical form is computed on first use and cached, which is what makes
+interning and isomorphism tests cheap: two graphs are isomorphic exactly
+when their certificates are equal.
 
 The canonical form is an individualisation-refinement labelling in the style
 of McKay & Piperno, "Practical graph isomorphism, II" (2014): refine the
@@ -14,7 +14,7 @@ individualising each of its members; each leaf orders the vertices, and the
 smallest resulting relabelled graph is the certificate.  Automorphisms found
 when two leaves agree prune the sibling branches they relate.  The labelling
 keeps those generators and the symmetric cells of the stable partition, and
-``GraphRepository`` serves them per class as a ``HostSymmetry``.  Together
+``GraphRepository`` keeps them per class as a ``HostSymmetry``.  Together
 with the swaps of twin leaves, it keys vertex tuples so that equal keys
 imply an automorphism between them; rule application uses the key to apply
 one match per host orbit.
@@ -239,8 +239,8 @@ def _canonical_order(adj: Adjacency, cells: list[list[int]],
 class Graph:
     """Immutable simple undirected graph with string vertex and edge labels."""
 
-    __slots__ = ("_labels", "_adj", "_edge_count", "_signature", "_canon",
-                 "_symmetry", "_wl_colors", "_sorted_adj")
+    __slots__ = ("_labels", "_adj", "_edge_count", "_canon", "_symmetry",
+                 "_sorted_adj")
 
     def __init__(self, vertices: Iterable[tuple[int, str]],
                  edges: Iterable[tuple[int, int, str]] = ()):
@@ -264,10 +264,8 @@ class Graph:
         self._labels = labels
         self._adj = adj
         self._edge_count = count
-        self._signature: tuple | None = None
         self._canon: tuple[tuple, tuple[int, ...]] | None = None
         self._symmetry: tuple[tuple[dict[int, int], ...], tuple] | None = None
-        self._wl_colors: dict[int, int] | None = None
         self._sorted_adj: dict[int, tuple[int, ...]] | None = None
 
     @property
@@ -318,27 +316,6 @@ class Graph:
     def edge_label(self, u: int, v: int) -> str:
         return self._adj[u][v]
 
-    @property
-    def signature(self) -> tuple:
-        """Permutation-invariant structural summary.
-
-        Built from the sorted vertex-label multiset, the sorted multiset of
-        edge signatures (min endpoint label, edge label, max endpoint label),
-        and the sorted degree sequence.  Isomorphic graphs always agree;
-        non-isomorphic graphs may agree too.
-        """
-        if self._signature is None:
-            labels = tuple(sorted(self._labels.values()))
-            edge_sigs = []
-            for u, v, el in self.edges():
-                lu, lv = self._labels[u], self._labels[v]
-                if lv < lu:
-                    lu, lv = lv, lu
-                edge_sigs.append((lu, el, lv))
-            degrees = tuple(sorted(len(n) for n in self._adj.values()))
-            self._signature = (labels, tuple(sorted(edge_sigs)), degrees)
-        return self._signature
-
     def _dense(self) -> tuple[list[int], Adjacency, list[list[int]]]:
         """(ids, adjacency, cells by vertex label) on the dense indices that
         the refinement helpers above work on."""
@@ -360,14 +337,10 @@ class Graph:
 
         Colors are ranks local to this graph, starting from the vertex-label
         ranks; the refinement runs until the partition stops splitting.  An
-        isomorphism maps each vertex to one of the same color, so matching
-        candidates may be pruned to equal-color vertices.
+        isomorphism maps each vertex to one of the same color.
         """
-        if self._wl_colors is None:
-            ids, adj, cells = self._dense()
-            colors = _colors(_refine(adj, cells), len(ids))
-            self._wl_colors = dict(zip(ids, colors))
-        return self._wl_colors
+        ids, adj, cells = self._dense()
+        return dict(zip(ids, _colors(_refine(adj, cells), len(ids))))
 
     def canonical_form(self) -> tuple[tuple, tuple[int, ...]]:
         """(certificate, vertex ids in canonical order).
@@ -504,10 +477,8 @@ class Graph:
 
 
 def isomorphic(g: Graph, h: Graph) -> bool:
-    """Label-preserving isomorphism test: signature filter, then full search."""
-    from gstrat import matching
-
-    return matching.find_isomorphism(g, h) is not None
+    """Label-preserving isomorphism test: equal canonical certificates."""
+    return g.canonical_form()[0] == h.canonical_form()[0]
 
 
 def _leaf_parent(g: Graph, v: int) -> int | None:
@@ -531,8 +502,8 @@ class HostSymmetry:
 
     __slots__ = ("graph", "generators", "cells", "_cell_of", "moved")
 
-    def __init__(self, graph: Graph, moves: Iterable[Mapping[int, int]] = (),
-                 cells: Iterable[tuple[int, ...]] = ()):
+    def __init__(self, graph: Graph, moves: Iterable[Mapping[int, int]],
+                 cells: Iterable[tuple[int, ...]]):
         self.graph = graph
         self.generators: list[list[int]] = []
         self.moved: set[int] = set()
@@ -620,8 +591,9 @@ class GraphRepository:
     Stored graphs have dense vertex ids 0..n-1 and are never mutated; the
     first graph interned for a class is its representative.  Each class is
     indexed by its canonical certificate, so interning is one canonical form
-    and one dict lookup, and no two stored ids are isomorphic.  A class whose
-    labelling found automorphisms also keeps them, as a ``HostSymmetry``.
+    and one dict lookup, and no two stored ids are isomorphic.  Each class
+    also keeps the automorphisms its labelling found, as a ``HostSymmetry``
+    built when the class is interned.
     """
 
     def __init__(self) -> None:
@@ -629,7 +601,7 @@ class GraphRepository:
         self._by_cert: dict[tuple, int] = {}
         # Per id: the stored graph's vertex ids in canonical order.
         self._orders: list[tuple[int, ...]] = []
-        self._symmetries: dict[int, HostSymmetry] = {}
+        self._symmetries: list[HostSymmetry] = []
         self._names: dict[int, str] = {}
 
     def __len__(self) -> int:
@@ -672,16 +644,13 @@ class GraphRepository:
         self._graphs.append(stored)
         self._by_cert[certificate] = gid
         self._orders.append(tuple(renumber[v] for v in order))
-        if moves or cells:
-            self._symmetries[gid] = HostSymmetry(stored, moves, cells)
+        self._symmetries.append(HostSymmetry(stored, moves, cells))
         return gid, True, renumber
 
     def symmetry(self, gid: int) -> HostSymmetry:
-        """The known automorphisms of a stored class.  Only classes whose
-        labelling found some are kept; any other class gets a fresh
-        ``HostSymmetry`` that knows its twin leaves only."""
-        symmetry = self._symmetries.get(gid)
-        return HostSymmetry(self._graphs[gid]) if symmetry is None else symmetry
+        """The known automorphisms of a stored class: those its labelling
+        found, if any, and the swaps of its twin leaves."""
+        return self._symmetries[gid]
 
     def find(self, g: Graph) -> int | None:
         """Id of the stored graph isomorphic to g, if any (no interning)."""

@@ -1,17 +1,19 @@
 """Injective label-preserving graph maps: subgraph embeddings and isomorphisms.
 
-One VF2-style backtracking search over a static, connectivity-first
-ordering of the pattern vertices serves both (Cordella et al., TPAMI
-2004).  Embeddings are monomorphisms: every pattern edge must map to a host
-edge with the same label, but extra host edges between image vertices are
-allowed.  An isomorphism is such a map between graphs with equal vertex and
-edge counts.  Candidate host vertices are visited in ascending id order, so
+Embeddings come from a VF2-style backtracking search over a static,
+connectivity-first ordering of the pattern vertices (Cordella et al., TPAMI
+2004).  They are monomorphisms: every pattern edge must map to a host edge
+with the same label, but extra host edges between image vertices are
+allowed.  Candidate host vertices are visited in ascending id order, so
 results are deterministic for a fixed vertex numbering.
+
+Isomorphisms run no search: two graphs are isomorphic exactly when their
+canonical certificates are equal (``Graph.canonical_form``), and pairing the
+canonical orders is then the map.
 """
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
@@ -53,8 +55,7 @@ def _pattern_order(pattern: Graph) -> list[int]:
     return order
 
 
-def _maps(pattern: Graph, host: Graph, order: list[int],
-          colors: tuple[dict[int, int], dict[int, int]] | None = None
+def _maps(pattern: Graph, host: Graph, order: list[int]
           ) -> Iterator[dict[int, int]]:
     """Injective label- and edge-preserving maps of pattern into host, in the
     order a depth-first search over the nonempty ``order`` finds them.
@@ -62,12 +63,8 @@ def _maps(pattern: Graph, host: Graph, order: list[int],
     Each pattern vertex goes to an unused host vertex with its label and at
     least its degree, joined by the right edge labels to the images of its
     placed neighbours; the candidates are the sorted neighbours of the first
-    placed neighbour's image, else every host vertex.  With ``colors``
-    (pattern colours, host colours) a candidate must also have the vertex's
-    colour and exactly its degree.
+    placed neighbour's image, else every host vertex.
     """
-    exact = colors is not None
-    pattern_colors, host_colors = colors or ({}, {})
     # For each position: the pattern neighbors already placed, with edge labels.
     placed_before: list[list[tuple[int, str]]] = []
     seen: set[int] = set()
@@ -101,7 +98,6 @@ def _maps(pattern: Graph, host: Graph, order: list[int],
         pv = order[i]
         plabel = pattern.label(pv)
         pdeg = pattern.degree(pv)
-        pcolor = pattern_colors.get(pv)
         anchors = placed_before[i]
         cs = cands[i]
         j = next_idx[i]
@@ -109,8 +105,7 @@ def _maps(pattern: Graph, host: Graph, order: list[int],
         while fit is None and j < len(cs):
             c = cs[j]
             j += 1
-            if (c in used or host.label(c) != plabel or host.degree(c) < pdeg
-                    or exact and (host.degree(c) != pdeg or host_colors[c] != pcolor)):
+            if c in used or host.label(c) != plabel or host.degree(c) < pdeg:
                 continue
             fit = c
             for pn, el in anchors:
@@ -146,20 +141,14 @@ def enumerate_embeddings(pattern: Graph, host: Graph) -> list[dict[int, int]]:
 def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     """A label-preserving vertex bijection inducing an edge bijection, or None.
 
-    Fast rejections first (counts, structural signature, refinement-colour
-    class sizes), then the first map of the embedding search with
-    candidates restricted to equal refinement colour and degree.  With equal
-    vertex and edge counts, any edge-preserving injection is automatically
-    an isomorphism.
+    After the count check, g and h are isomorphic exactly when their
+    canonical certificates are equal; the map pairs their canonical orders
+    position by position.
     """
     if g.vertex_count != h.vertex_count or g.edge_count != h.edge_count:
         return None
-    if g.vertex_count == 0:
-        return {}
-    if g.signature != h.signature:
+    g_cert, g_order = g.canonical_form()
+    h_cert, h_order = h.canonical_form()
+    if g_cert != h_cert:
         return None
-    gc = g.refinement_colors()
-    hc = h.refinement_colors()
-    if Counter(gc.values()) != Counter(hc.values()):
-        return None
-    return next(_maps(g, h, _pattern_order(g), (gc, hc)), None)
+    return dict(zip(g_order, h_order))

@@ -1,12 +1,16 @@
 """Brute-force reference implementations used to validate the engine.
 
-Everything here is deliberately naive: exhaustive enumeration with no
-pruning, independent of the search code under test.
+Everything here is deliberately naive and independent of the code under
+test: mostly exhaustive enumeration with no pruning.  ``search_isomorphism``
+is the exception, a pruned backtracking search that decides isomorphism
+without canonical certificates, for graphs too large to enumerate.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from collections import Counter
 
 from gstrat.graphs import Graph
 
@@ -37,6 +41,115 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
     return bool(brute_embeddings(g, h))
 
 
+def signature(g: Graph) -> tuple:
+    """Permutation-invariant structural summary.
+
+    Built from the sorted vertex-label multiset, the sorted multiset of edge
+    signatures (min endpoint label, edge label, max endpoint label), and the
+    sorted degree sequence.  Isomorphic graphs always agree; non-isomorphic
+    graphs may agree too.
+    """
+    labels = tuple(sorted(label for _, label in g.vertices()))
+    edge_sigs = []
+    for u, v, el in g.edges():
+        lu, lv = g.label(u), g.label(v)
+        if lv < lu:
+            lu, lv = lv, lu
+        edge_sigs.append((lu, el, lv))
+    degrees = tuple(sorted(g.degree(v) for v in g.vertex_ids()))
+    return (labels, tuple(sorted(edge_sigs)), degrees)
+
+
+@functools.lru_cache(maxsize=4096)
+def _invariants(g: Graph) -> tuple[tuple, dict[int, int], Counter]:
+    """(signature, refinement colours, colour-class sizes) of a graph,
+    kept for the graphs searched most recently: checks that search every
+    equal-signature pair of a repository meet each graph many times."""
+    colors = g.refinement_colors()
+    return signature(g), colors, Counter(colors.values())
+
+
+def search_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
+    """A label-preserving vertex bijection inducing an edge bijection, or
+    None, by backtracking search rather than canonical certificates.
+
+    Fast rejections first (counts, signature, refinement-colour class
+    sizes), then a depth-first search over ``matching._pattern_order(g)``
+    that sends each vertex to an unused vertex of h with its label,
+    refinement colour and degree, joined by the right edge labels to the
+    images of its placed neighbours.  With equal vertex and edge counts,
+    any such edge-preserving injection is an isomorphism.
+    """
+    from gstrat.matching import _pattern_order
+
+    if g.vertex_count != h.vertex_count or g.edge_count != h.edge_count:
+        return None
+    if g.vertex_count == 0:
+        return {}
+    g_sig, gc, g_sizes = _invariants(g)
+    h_sig, hc, h_sizes = _invariants(h)
+    if g_sig != h_sig or g_sizes != h_sizes:
+        return None
+    order = _pattern_order(g)
+    # For each position: the vertices of g already placed, with edge labels.
+    placed_before: list[list[tuple[int, str]]] = []
+    seen: set[int] = set()
+    for v in order:
+        placed_before.append(
+            [(u, el) for u, el in sorted(g.neighbors(v).items()) if u in seen])
+        seen.add(v)
+
+    assignment: dict[int, int] = {}
+    used: set[int] = set()
+    h_ids = h.vertex_ids()
+
+    def candidates(i: int):
+        anchors = placed_before[i]
+        if anchors:
+            return h.sorted_neighbors(assignment[anchors[0][0]])
+        return h_ids
+
+    cands = [candidates(0)] + [()] * (len(order) - 1)
+    next_idx = [0] * len(order)
+    i = 0
+    while i >= 0:
+        if i == len(order):
+            return dict(assignment)
+        pv = order[i]
+        plabel = g.label(pv)
+        pdeg = g.degree(pv)
+        pcolor = gc[pv]
+        anchors = placed_before[i]
+        cs = cands[i]
+        j = next_idx[i]
+        fit = None
+        while fit is None and j < len(cs):
+            c = cs[j]
+            j += 1
+            if (c in used or h.label(c) != plabel or h.degree(c) != pdeg
+                    or hc[c] != pcolor):
+                continue
+            fit = c
+            for pn, el in anchors:
+                mapped = assignment[pn]
+                if not h.has_edge(mapped, c) or h.edge_label(mapped, c) != el:
+                    fit = None
+                    break
+        next_idx[i] = j
+        if fit is None:
+            i -= 1
+            if i >= 0:
+                used.discard(assignment.pop(order[i]))
+            continue
+        assignment[pv] = fit
+        used.add(fit)
+        i += 1
+        if i < len(order):
+            cands[i] = candidates(i)
+            next_idx[i] = 0
+    return None
+
+
 def equal_signature_pairs(repo) -> list[tuple[int, int]]:
     """Every pair of stored ids whose graphs have equal signatures.
 
@@ -45,7 +158,7 @@ def equal_signature_pairs(repo) -> list[tuple[int, int]]:
     """
     by_signature: dict[tuple, list[int]] = {}
     for gid in repo.ids():
-        by_signature.setdefault(repo.graph(gid).signature, []).append(gid)
+        by_signature.setdefault(signature(repo.graph(gid)), []).append(gid)
     return [(a, b) for group in by_signature.values()
             for i, a in enumerate(group) for b in group[i + 1:]]
 
@@ -275,14 +388,13 @@ def brute_rule_automorphisms(rule) -> set[tuple[tuple[int, int], ...]]:
 def oracle_successors(g: Graph) -> list[Graph]:
     """All one-move Catalan results, deduplicated up to isomorphism."""
     from gstrat.catalan import contract_move
-    from gstrat.matching import find_isomorphism
 
     out: list[Graph] = []
     for v in g.vertex_ids():
         moved = contract_move(g, v)
         if moved is None:
             continue
-        if not any(find_isomorphism(moved, seen) for seen in out):
+        if not any(search_isomorphism(moved, seen) is not None for seen in out):
             out.append(moved)
     return out
 

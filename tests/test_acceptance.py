@@ -14,20 +14,20 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from gstrat.catalan import (catalan_rules, complete_graph, contract_move,
-                            cycle_graph, move_successors, oracle_solve,
+from gstrat.catalan import (catalan_rules, contract_move, oracle_solve,
                             random_level, solve_level)
 from gstrat.chem import diels_alder_rule, parse_molecule
 from gstrat.dsl import load_script, run_script
 from gstrat.graphs import Graph, isomorphic
-from gstrat.matching import find_isomorphism
 from gstrat.rewrite import (MatchCache, enumerate_proper_derivations,
                             iter_proper_derivations)
 from gstrat.strategies import (AddSubset, EMPTY_STATE, EvalContext,
                                Repeat, Revive, RuleApplication, Sequence)
 
+from .catalan_helpers import complete_graph, cycle_graph, move_successors
 from .oracles import (equal_signature_pairs, naive_derivation_keys,
-                      oracle_successors, random_graph, random_rule)
+                      oracle_successors, random_graph, random_rule,
+                      search_isomorphism)
 from .test_rules import relabel_rule
 
 ASSETS = Path(__file__).parent.parent / "assets"
@@ -424,6 +424,6 @@ class TestCriterion9:
         repo = ctx.repo
         pairs = equal_signature_pairs(repo)
         for a, b in pairs:
-            assert find_isomorphism(repo.graph(a), repo.graph(b)) is None
+            assert search_isomorphism(repo.graph(a), repo.graph(b)) is None
         report(9, f"{len(repo)} interned graphs, {len(pairs)} equal-signature pairs, "
                   f"no isomorphic duplicates")

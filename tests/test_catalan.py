@@ -2,16 +2,16 @@ import random
 
 import pytest
 
-from gstrat.catalan import (GOAL, LevelError, catalan_rules,
-                            complete_graph, contract_move, cycle_graph,
-                            is_goal, move_successors, oracle_solve,
-                            parse_level, pipeline_move, random_level,
-                            serialize_level, solve_level, validate_level)
+from gstrat.catalan import (GOAL, LevelError, catalan_rules, contract_move,
+                            is_goal, oracle_solve, parse_level, random_level,
+                            solve_level, validate_level)
 from gstrat.graphs import Graph, isomorphic
 from gstrat.lex import ParseError
 from gstrat.rewrite import enumerate_proper_derivations
 from gstrat.strategies import EvalContext
 
+from .catalan_helpers import (complete_graph, cycle_graph, move_successors,
+                              pipeline_move, serialize_level)
 from .oracles import oracle_successors
 
 

@@ -1,8 +1,9 @@
 import json
 from pathlib import Path
 
-from gstrat.catalan import complete_graph, cycle_graph, serialize_level
 from gstrat.cli import main
+
+from .catalan_helpers import complete_graph, cycle_graph, serialize_level
 
 ASSETS = Path(__file__).parent.parent / "assets"
 

@@ -1,11 +1,17 @@
 import random
+import time
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gstrat.graphs import Graph
 from gstrat.matching import MatchError, enumerate_embeddings, find_isomorphism
 
 from .oracles import brute_embeddings, random_graph
+from .test_graphs import (assert_maps_onto, from_networkx, nx_isomorphic,
+                          relabelled)
 
 
 def as_key_set(maps):
@@ -89,19 +95,44 @@ class TestEnumerateEmbeddings:
             {i: n + 9 - i for i in range(n)}]
 
 
+@st.composite
+def graph_pairs(draw, max_vertices: int = 6) -> tuple[Graph, Graph]:
+    """Two graphs, possibly empty or disconnected: unrelated, or the second
+    is the first with shuffled ids and, in half of those pairs, one edge
+    label or vertex label changed."""
+    n = draw(st.integers(0, max_vertices))
+
+    def graph() -> tuple[list, list]:
+        labels = draw(st.lists(st.sampled_from("ab"), min_size=n, max_size=n))
+        edges = [(u, v, draw(st.sampled_from("xy")))
+                 for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
+        return list(enumerate(labels)), edges
+
+    vertices, edges = graph()
+    g = Graph(vertices, edges)
+    kind = draw(st.sampled_from(["unrelated", "copy", "edge", "vertex"]))
+    if kind == "unrelated":
+        return g, Graph(*graph())
+    if kind == "edge" and edges:
+        i = draw(st.integers(0, len(edges) - 1))
+        u, v, el = edges[i]
+        edges = edges[:i] + [(u, v, "xy"[el == "x"])] + edges[i + 1:]
+    if kind == "vertex" and vertices:
+        i = draw(st.integers(0, n - 1))
+        vertices = vertices[:i] + [(i, "ab"[vertices[i][1] == "a"])] + vertices[i + 1:]
+    ids = draw(st.permutations(range(20, 20 + n)))
+    return g, relabelled(Graph(vertices, edges), list(ids))
+
+
 class TestFindIsomorphism:
     def test_maps_are_valid(self):
         rng = random.Random(41)
         for _ in range(40):
             g = random_graph(rng, max_vertices=7)
-            h_ids = {v: v + 50 for v in g.vertex_ids()}
-            h = Graph([(h_ids[v], l) for v, l in g.vertices()],
-                      [(h_ids[u], h_ids[v], el) for u, v, el in g.edges()])
+            h = relabelled(g, rng.sample(range(50, 70), g.vertex_count))
             iso = find_isomorphism(g, h)
             assert iso is not None
-            assert sorted(iso.values()) == sorted(h.vertex_ids())
-            for u, v, el in g.edges():
-                assert h.edge_label(iso[u], iso[v]) == el
+            assert_maps_onto(g, iso, h)
 
     def test_rejects_non_isomorphic(self):
         a = Graph([(0, "a"), (1, "a"), (2, "a")], [(0, 1, "x"), (1, 2, "x")])
@@ -109,3 +140,28 @@ class TestFindIsomorphism:
         assert find_isomorphism(a, b) is not None  # paths, relabeled center
         c = Graph([(0, "a"), (1, "a"), (2, "b")], [(0, 1, "x"), (1, 2, "x")])
         assert find_isomorphism(a, c) is None
+
+    def test_shuffled_cubic_pair_is_decided_quickly(self):
+        # A backtracking search restricted by refinement colour took 11.5 s
+        # on this pair: colour refinement cannot split a regular graph.
+        g = from_networkx(nx.random_regular_graph(3, 150, seed=1))
+        h = relabelled(g, random.Random(5).sample(range(1000), 150))
+        started = time.perf_counter()
+        iso = find_isomorphism(g, h)
+        assert time.perf_counter() - started < 2
+        assert iso is not None
+        assert_maps_onto(g, iso, h)
+
+    def test_different_cubic_graphs_are_rejected(self):
+        g = from_networkx(nx.random_regular_graph(3, 150, seed=1))
+        h = from_networkx(nx.random_regular_graph(3, 150, seed=2))
+        assert find_isomorphism(g, h) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_pairs())
+    def test_agrees_with_networkx(self, pair):
+        g, h = pair
+        iso = find_isomorphism(g, h)
+        assert (iso is not None) == nx_isomorphic(g, h)
+        if iso is not None:
+            assert_maps_onto(g, iso, h)

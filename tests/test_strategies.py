@@ -8,6 +8,7 @@ from gstrat.strategies import (AddSubset, AddUniverse, AltRuleApplication,
                                RuleApplication, Revive, Sequence, SortSubset,
                                StrategyError, TakeSubset, TakeUniverse)
 
+from .oracles import signature
 from .test_rules import relabel_rule
 
 
@@ -167,10 +168,10 @@ class TestRepeat:
                                       ctx1)
         ctx2 = EvalContext()
         joint = Repeat(rule, 2).apply(seeded_state(ctx2), ctx2)
-        assert [ctx1.repo.graph(g).signature for g in split.universe] == \
-            [ctx2.repo.graph(g).signature for g in joint.universe]
-        assert [ctx1.repo.graph(g).signature for g in split.subset] == \
-            [ctx2.repo.graph(g).signature for g in joint.subset]
+        assert [signature(ctx1.repo.graph(g)) for g in split.universe] == \
+            [signature(ctx2.repo.graph(g)) for g in joint.universe]
+        assert [signature(ctx1.repo.graph(g)) for g in split.subset] == \
+            [signature(ctx2.repo.graph(g)) for g in joint.subset]
 
     def test_repeat_cap_from_context(self):
         ctx = EvalContext(max_repeat=1)
@@ -310,8 +311,8 @@ class TestFilterSortTakeAdd:
             AddSubset((g1(), g2())),
             RuleApplication(relabel_rule()),
         )).apply(EMPTY_STATE, ctx2)
-        assert [ctx2.repo.graph(g).signature for g in injected.universe] == \
-            [ctx.repo.graph(g).signature for g in direct.universe]
+        assert [signature(ctx2.repo.graph(g)) for g in injected.universe] == \
+            [signature(ctx.repo.graph(g)) for g in direct.universe]
 
     def test_add_existing_graph_to_subset(self):
         ctx = EvalContext()
