@@ -9,9 +9,9 @@ from gstrat.graphs import (Graph, GraphError, GraphRepository, isomorphic,
                            parse_graph, parse_graphs, serialize_graph)
 from gstrat.matching import enumerate_embeddings, find_isomorphism
 from gstrat.rules import Rule, RuleError, format_rule, parse_rules, validate_rule
-from gstrat.rewrite import (Derivation, MatchCache, Morphism, PartialRule,
-                            apply_at, assemble, bind_graph,
-                            complete_derivation, enumerate_proper_derivations,
+from gstrat.rewrite import (Derivation, MatchCache, PartialRule, apply_at,
+                            bind_graph, complete_derivation,
+                            enumerate_proper_derivations,
                             iter_proper_derivations)
 from gstrat.derivations import DerivationGraph, HyperEdge
 from gstrat.strategies import (AddSubset, AddUniverse, AltRuleApplication,
@@ -30,8 +30,8 @@ __all__ = [
     "parse_graphs", "serialize_graph",
     "enumerate_embeddings", "find_isomorphism",
     "Rule", "RuleError", "format_rule", "parse_rules", "validate_rule",
-    "Derivation", "MatchCache", "Morphism", "PartialRule", "apply_at",
-    "assemble", "bind_graph", "complete_derivation",
+    "Derivation", "MatchCache", "PartialRule", "apply_at", "bind_graph",
+    "complete_derivation",
     "enumerate_proper_derivations", "iter_proper_derivations",
     "DerivationGraph", "HyperEdge",
     "AddSubset", "AddUniverse", "AltRuleApplication", "EMPTY_STATE",

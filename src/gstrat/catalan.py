@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from gstrat import lex
 from gstrat.graphs import Graph, GraphRepository
-from gstrat.lex import ParseError, TokenStream
+from gstrat.lex import TokenStream
 from gstrat.matching import find_isomorphism
 # Unused here: perfbench's IMPORT_SITES check that these names are wrapped.
 from gstrat.rewrite import bind_graph, complete_derivation
@@ -266,7 +266,7 @@ def parse_level(text: str) -> Graph:
     from gstrat.graphs import _parse_graph_body
 
     ts = TokenStream(lex.tokenize(text))
-    ts.expect(lex.NAME, "level")
+    kw = ts.expect(lex.NAME, "level")
     ts.expect(lex.NAME)
     ts.expect(lex.PUNCT, "{")
     g = _parse_graph_body(ts)
@@ -275,7 +275,7 @@ def parse_level(text: str) -> Graph:
     try:
         validate_level(g)
     except LevelError as err:
-        raise ParseError(str(err), 1, 1) from err
+        raise kw.error(str(err)) from err
     return g
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from gstrat import lex
-from gstrat.lex import ParseError, TokenStream
+from gstrat.lex import TokenStream
 
 
 class GraphError(ValueError):
@@ -728,12 +728,15 @@ def parse_graphs(text: str) -> dict[str, Graph]:
 def parse_graph(text: str) -> Graph:
     """Parse a single graph: either one `graph name { ... }` or a bare body."""
     ts = TokenStream(lex.tokenize(text))
-    if ts.at(lex.NAME, "graph"):
-        graphs = parse_graphs(text)
-        if len(graphs) != 1:
-            raise ParseError("expected exactly one graph", 1, 1)
-        return next(iter(graphs.values()))
-    g = _parse_graph_body(ts)
+    if ts.accept(lex.NAME, "graph"):
+        ts.expect(lex.NAME)
+        ts.expect(lex.PUNCT, "{")
+        g = _parse_graph_body(ts)
+        ts.expect(lex.PUNCT, "}")
+        if ts.at(lex.NAME, "graph"):
+            raise ts.peek().error("expected exactly one graph")
+    else:
+        g = _parse_graph_body(ts)
     ts.expect_eof()
     return g
 

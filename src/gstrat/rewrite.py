@@ -1,9 +1,9 @@
 """Rule application and discovery of proper derivations by partial binding.
 
-A rule is applied to a multiset of interned graphs.  The multiset's copies
-are numbered into one disjoint union by per-copy offsets; a full match maps
-every left-graph vertex to a union vertex.  No union graph is built:
-``apply_at`` splits the match per copy, checks it on the stored graphs and
+A rule is applied to a multiset of interned graphs, and a match is a
+sequence of copies, one per input in binding order: (graph id, map from the
+rule vertices bound in that copy to stored vertex ids).  No union graph is
+built: ``apply_at`` checks the match copy by copy on the stored graphs and
 builds each output component once.  Instead of testing every k-multisubset
 of a universe, derivations are enumerated by binding host graphs to the
 rule one copy at a time: each copy receives a nonempty subset of the
@@ -34,49 +34,6 @@ from typing import Callable, Iterator, Sequence
 from gstrat.graphs import Graph, GraphRepository, HostSymmetry, _edge_key
 from gstrat.matching import enumerate_embeddings
 from gstrat.rules import CONTEXT, LEFT, RIGHT, Rule
-
-
-@dataclass(frozen=True)
-class Assembly:
-    """Disjoint union of stored graph copies, kept as offsets only.
-
-    Copy i contributes union vertices offsets[i] .. offsets[i] + n_i - 1,
-    i.e. the stored graph's dense ids shifted by the copy offset.
-    """
-
-    graph_ids: tuple[int, ...]
-    offsets: tuple[int, ...]
-
-    def copy_of(self, union_vid: int) -> int:
-        for i in range(len(self.offsets) - 1, -1, -1):
-            if union_vid >= self.offsets[i]:
-                return i
-        raise ValueError(f"vertex {union_vid} not in assembly")
-
-
-def assemble(repo: GraphRepository, graph_ids: Sequence[int]) -> Assembly:
-    offsets: list[int] = []
-    offset = 0
-    for gid in graph_ids:
-        offsets.append(offset)
-        offset += repo.graph(gid).vertex_count
-    return Assembly(tuple(graph_ids), tuple(offsets))
-
-
-class Morphism:
-    """A match of (part of) a rule's left graph into an assembled host."""
-
-    __slots__ = ("assembly", "vertex_map")
-
-    def __init__(self, assembly: Assembly, vertex_map: dict[int, int]):
-        self.assembly = assembly
-        self.vertex_map = vertex_map
-
-    def touched_copies(self) -> set[int]:
-        return {self.assembly.copy_of(v) for v in self.vertex_map.values()}
-
-    def __repr__(self) -> str:
-        return f"Morphism({self.vertex_map})"
 
 
 class MatchCache:
@@ -139,19 +96,26 @@ class MatchCache:
         return cached
 
 
+Copy = tuple[int, dict[int, int]]     # graph id, rule vid -> stored vid
+Part = tuple[dict[int, int], Graph]   # rule vid -> stored vid, stored graph
+
+
 @dataclass(frozen=True)
 class Derivation:
-    """One proper derivation: inputs => outputs under a rule at a match."""
+    """One proper derivation: inputs => outputs under a rule at a match.
+
+    The match has one copy per input, in binding order.  For a chemical
+    rule, atom_map sends each (input position, stored vertex) to its
+    (output position, stored vertex); it is None for other rules."""
 
     rule: Rule
     inputs: tuple[int, ...]        # graph ids with multiplicity, sorted
     outputs: tuple[int, ...]       # graph ids with multiplicity, sorted
-    match: Morphism
+    match: tuple[Copy, ...]
     atom_map: dict[tuple[int, int], tuple[int, int]] | None
 
     def __post_init__(self):
-        touched = self.match.touched_copies()
-        if touched != set(range(len(self.match.assembly.graph_ids))):
+        if not all(vmap for _, vmap in self.match):
             raise ValueError("derivation is not proper: untouched input component")
 
     @property
@@ -163,19 +127,21 @@ class Derivation:
 @dataclass(frozen=True)
 class ApplyResult:
     outputs: tuple[int, ...]
-    # raw output vertex id -> (output position, stored vertex id)
-    vertex_fates: dict[int, tuple[int, int]]
-
-
-Part = tuple[dict[int, int], Graph]   # rule vid -> stored vid, stored graph
+    # (copy, stored vertex id) of each surviving input vertex ->
+    # (output position, stored vertex id)
+    fates: dict[tuple[int, int], tuple[int, int]]
 
 
 def validate_match(rule: Rule, parts: Sequence[Part]) -> bool:
     """Check that the per-copy maps form an injective label- and
     edge-preserving match of L: every left vertex is mapped in exactly one
-    copy, and every left edge joins two images in the same copy."""
+    copy, nothing else is mapped, and every left edge joins two images in
+    the same copy."""
     left = rule.left_graph()
     copy_of = {vid: i for i, (vmap, _) in enumerate(parts) for vid in vmap}
+    if (len(copy_of) != left.vertex_count
+            or len(copy_of) != sum(len(vmap) for vmap, _ in parts)):
+        return False
     images: list[set[int]] = [set() for _ in parts]
     for vid in left.vertex_ids():
         i = copy_of.get(vid)
@@ -199,70 +165,67 @@ def validate_match(rule: Rule, parts: Sequence[Part]) -> bool:
     return True
 
 
-def apply_at(rule: Rule, assembly: Assembly, vertex_map: dict[int, int],
-             repo: GraphRepository, validate: bool = True) -> ApplyResult | None:
+def apply_at(rule: Rule, copies: Sequence[Copy], repo: GraphRepository,
+             validate: bool = True) -> ApplyResult | None:
     """Apply rule at a full match; None when the gluing conditions fail.
 
-    vertex_map sends each left-graph vertex to a union vertex of the
-    assembly.  The match is split per copy and checked on the stored
-    graphs; the result is kept as plain label and adjacency dicts over
-    union ids.  The preserved part keeps its union ids; created vertices
-    get fresh ids above them.  Each output component is built once, with
-    dense ids in ascending raw-id order and edges in ascending order, and
-    interned; outputs are listed by ascending smallest raw id.
+    copies lists each input copy as (graph id, rule vid -> stored vid).
+    The match is checked on the stored graphs; the result is then kept as
+    plain label and adjacency dicts over raw ids: copy i's stored ids
+    shifted by the sizes of the copies before it, then the created
+    vertices.  Each output component is built once, with dense ids in
+    ascending raw-id order and edges in ascending order, and interned;
+    outputs are listed by ascending smallest raw id.
     """
-    graphs = [repo.graph(gid) for gid in assembly.graph_ids]
-    local: list[dict[int, int]] = [{} for _ in graphs]
-    for rv, hv in vertex_map.items():
-        i = assembly.copy_of(hv)
-        local[i][rv] = hv - assembly.offsets[i]
-    parts = list(zip(local, graphs))
+    parts = [(vmap, repo.graph(gid)) for gid, vmap in copies]
     if validate and not validate_match(rule, parts):
         raise ValueError("vertex map is not a match of the rule's left graph")
     if not _gluing_ok(rule, parts):
         return None
 
-    deleted_vertices = {vertex_map[vid] for vid, rv in rule.vertices.items()
-                        if rv.kind == LEFT}
-
-    # Copies are taken in offset order and created ids exceed every kept
-    # one, so labels lists the result's vertices in ascending id order.
+    # Copies are taken in order and created ids exceed every kept one, so
+    # labels lists the result's vertices in ascending raw id order.
+    to_raw: dict[int, int] = {}               # rule vid -> raw id
+    origin: list[tuple[int, int]] = []        # raw id -> (copy, stored vid)
     labels: dict[int, str] = {}
     adj: dict[int, dict[int, str]] = {}
-    for offset, g in zip(assembly.offsets, graphs):
+    for i, (vmap, g) in enumerate(parts):
+        offset = len(origin)
+        for rv, sv in vmap.items():
+            to_raw[rv] = sv + offset
         copy_labels, copy_adj = g.shifted_copy(offset)
         labels.update(copy_labels)
         adj.update(copy_adj)
+        origin.extend([(i, sv) for sv in range(g.vertex_count)])
+    deleted_vertices = {to_raw[vid] for vid, rv in rule.vertices.items()
+                        if rv.kind == LEFT}
     for d in deleted_vertices:
         del labels[d]
         for n in adj.pop(d):
             if n not in deleted_vertices:
                 del adj[n][d]
-    created: dict[int, int] = {}
-    next_id = max(labels, default=-1) + 1
+    inputs_end = next_id = len(origin)
     for vid in sorted(rule.vertices):
         rv = rule.vertices[vid]
         if rv.kind == CONTEXT and rv.left_label != rv.right_label:
-            labels[vertex_map[vid]] = rv.right_label
+            labels[to_raw[vid]] = rv.right_label
         elif rv.kind == RIGHT:
-            created[vid] = next_id
+            to_raw[vid] = next_id
             labels[next_id] = rv.right_label
             adj[next_id] = {}
             next_id += 1
     # A deleted edge between kept vertices goes here (one at a deleted vertex
-    # went with it); test kinds, as a created vertex may reuse a deleted id.
+    # went with it).
     for (u, v), re in rule.edges.items():
+        mu, mv = to_raw[u], to_raw[v]
         if re.kind == LEFT:
             if rule.vertices[u].kind == rule.vertices[v].kind == CONTEXT:
-                mu, mv = vertex_map[u], vertex_map[v]
                 del adj[mu][mv], adj[mv][mu]
         elif re.kind == RIGHT or re.left_label != re.right_label:
-            mu = created.get(u, vertex_map.get(u))
-            mv = created.get(v, vertex_map.get(v))
             adj[mu][mv] = adj[mv][mu] = re.right_label
 
     outputs: list[int] = []
-    fates: dict[int, tuple[int, int]] = {}
+    fates: dict[tuple[int, int], tuple[int, int]] = {}
     seen: set[int] = set()
     for start in labels:
         if start in seen:
@@ -282,27 +245,10 @@ def apply_at(rule: Rule, assembly: Assembly, vertex_map: dict[int, int],
         gid, _, into = repo.intern_mapped(
             Graph([(i, labels[raw]) for i, raw in enumerate(order)], edges))
         for i, stored in into.items():
-            fates[order[i]] = (len(outputs), stored)
+            if order[i] < inputs_end:
+                fates[origin[order[i]]] = (len(outputs), stored)
         outputs.append(gid)
     return ApplyResult(tuple(outputs), fates)
-
-
-def _atom_map(rule: Rule, assembly: Assembly, result: ApplyResult
-              ) -> dict[tuple[int, int], tuple[int, int]] | None:
-    """(input position, vertex) -> (output position, vertex) for chemical rules.
-
-    Chemical rules preserve every host vertex and create none, so each
-    union vertex has a fate in exactly one output component, and the fates
-    count the union's vertices.
-    """
-    if not rule.is_chemical:
-        return None
-    bounds = assembly.offsets + (len(result.vertex_fates),)
-    mapping: dict[tuple[int, int], tuple[int, int]] = {}
-    for i in range(len(assembly.graph_ids)):
-        for svid in range(bounds[i + 1] - bounds[i]):
-            mapping[(i, svid)] = result.vertex_fates[bounds[i] + svid]
-    return mapping
 
 
 class BindError(ValueError):
@@ -451,21 +397,16 @@ def complete_derivation(partial: PartialRule, repo: GraphRepository
     """Turn a complete partial rule into a derivation by applying the rule."""
     if not partial.complete:
         raise BindError("partial rule still has unbound components")
-    assembly = assemble(repo, partial.bound_graph_ids())
-    vertex_map: dict[int, int] = {}
-    for i, bc in enumerate(partial.bound):
-        offset = assembly.offsets[i]
-        for rv, sv in bc.vertex_map:
-            vertex_map[rv] = sv + offset
-    result = apply_at(partial.rule, assembly, vertex_map, repo, validate=False)
+    copies = tuple((bc.graph_id, dict(bc.vertex_map)) for bc in partial.bound)
+    result = apply_at(partial.rule, copies, repo, validate=False)
     if result is None:
         return None
     return Derivation(
         rule=partial.rule,
-        inputs=tuple(sorted(assembly.graph_ids)),
+        inputs=tuple(sorted(partial.bound_graph_ids())),
         outputs=tuple(sorted(result.outputs)),
-        match=Morphism(assembly, vertex_map),
-        atom_map=_atom_map(partial.rule, assembly, result),
+        match=copies,
+        atom_map=result.fates if partial.rule.is_chemical else None,
     )
 
 

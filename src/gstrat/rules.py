@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from gstrat import lex
 from gstrat.graphs import Graph, GraphError, _edge_key
 from gstrat.lex import TokenStream
+from gstrat.matching import _maps, _pattern_order
 
 LEFT = "left"
 CONTEXT = "context"
@@ -46,8 +47,8 @@ class Rule:
         self.vertices = dict(vertices)
         self.edges = {_edge_key(u, v): e for (u, v), e in edges.items()}
         self._left: Graph | None = None
-        self._right: Graph | None = None
         self._left_components: tuple[Graph, ...] | None = None
+        self._span: Graph | None = None
         self._automorphisms: tuple[dict[int, int], ...] | None = None
 
     @classmethod
@@ -103,14 +104,14 @@ class Rule:
             self._left = Graph(verts, edges)
         return self._left
 
-    def right_graph(self) -> Graph:
-        if self._right is None:
-            verts = [(vid, rv.right_label) for vid, rv in self.vertices.items()
-                     if rv.kind in (CONTEXT, RIGHT)]
-            edges = [(u, v, re.right_label) for (u, v), re in self.edges.items()
-                     if re.kind in (CONTEXT, RIGHT)]
-            self._right = Graph(verts, edges)
-        return self._right
+    def _span_graph(self) -> Graph:
+        """Every vertex and edge of the rule in one graph, labelled by kind
+        and label pair; it is a valid graph exactly when both sides are."""
+        if self._span is None:
+            self._span = Graph(
+                [(vid, repr(rv)) for vid, rv in self.vertices.items()],
+                [(u, v, repr(re)) for (u, v), re in self.edges.items()])
+        return self._span
 
     def left_components(self) -> tuple[Graph, ...]:
         """Connected components of the left graph (vertex ids are rule ids).
@@ -128,42 +129,18 @@ class Rule:
         """Every permutation of rule vertex ids that maps each vertex to one
         with the same kind and label pair, and each vertex pair to one with
         the same edge (or no edge).  The identity comes first; callers must
-        not mutate the returned maps."""
+        not mutate the returned maps.
+
+        They are the injective label- and edge-preserving self-maps of the
+        span graph: with equal vertex and edge counts, each is an
+        automorphism."""
         if self._automorphisms is None:
-            ids = sorted(self.vertices)
-            found: list[dict[int, int]] = []
-            image: dict[int, int] = {}
-            used: set[int] = set()
-            # Iterative backtracking: stack[i] yields candidates for ids[i];
-            # a stack one deeper than ids marks a complete permutation.
-            stack = [iter(ids)]
-            while stack:
-                depth = len(stack) - 1
-                if depth == len(ids):
-                    found.append(dict(image))
-                    stack.pop()
-                    continue
-                v = ids[depth]
-                if v in image:
-                    used.discard(image.pop(v))
-                for c in stack[-1]:
-                    if c not in used and self._extends(image, v, c):
-                        image[v] = c
-                        used.add(c)
-                        stack.append(iter(ids))
-                        break
-                else:
-                    stack.pop()
+            self.left_components()   # rejects an ill-formed rule first
+            g = self._span_graph()
+            found = sorted(_maps(g, g, _pattern_order(g)),
+                           key=lambda m: any(k != v for k, v in m.items()))
             self._automorphisms = tuple(found)
         return self._automorphisms
-
-    def _extends(self, image: dict[int, int], v: int, c: int) -> bool:
-        """Can the partial automorphism image also send v to c?"""
-        if self.vertices[v] != self.vertices[c]:
-            return False
-        edges = self.edges
-        return all(edges.get(_edge_key(u, v)) == edges.get(_edge_key(iu, c))
-                   for u, iu in image.items())
 
     @property
     def is_chemical(self) -> bool:
@@ -199,7 +176,7 @@ class Rule:
         return f"Rule({self.name!r}, {len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-def validate_rule(rule: Rule, chemical_mode: bool = False) -> list[str]:
+def validate_rule(rule: Rule) -> list[str]:
     """Structural diagnostics; empty list means the rule is well-formed."""
     problems: list[str] = []
     for (u, v), re in rule.edges.items():
@@ -219,15 +196,9 @@ def validate_rule(rule: Rule, chemical_mode: bool = False) -> list[str]:
             left = rule.left_graph()
             if left.vertex_count == 0:
                 problems.append("rule has an empty left side")
-            rule.right_graph()
+            rule._span_graph()   # checks the right side, and the left again
         except GraphError as err:
             problems.append(f"invalid rule side: {err}")
-    if chemical_mode:
-        for vid, rv in rule.vertices.items():
-            if rv.kind == LEFT:
-                problems.append(f"chemical rule deletes vertex {vid}")
-            elif rv.kind == RIGHT:
-                problems.append(f"chemical rule creates vertex {vid}")
     return problems
 
 
@@ -288,6 +259,10 @@ def parse_rule_body(ts: TokenStream, name: str) -> Rule:
                 key = _edge_key(u, v)
                 if key in section_edges[section]:
                     raise tok.error(f"duplicate rule edge {u}-{v}")
+                # A left plus a right edge is a relabel; no other pair is.
+                if any(key in edges for other, edges in section_edges.items()
+                       if other != section and {other, section} != {LEFT, RIGHT}):
+                    raise tok.error(f"edge {u}-{v} declared in two sections")
                 section_edges[section].add(key)
                 if section == LEFT:
                     left_edges.append((u, v, first))
@@ -299,11 +274,8 @@ def parse_rule_body(ts: TokenStream, name: str) -> Rule:
                 raise tok.error(f"expected 'v' or 'e', got {tok.value!r}")
             ts.expect(lex.PUNCT, ";")
         ts.expect(lex.PUNCT, "}")
-    try:
-        rule = Rule.build(name, left_edges=left_edges, context_edges=context_edges,
-                          right_edges=right_edges)
-    except RuleError as err:
-        raise lex.ParseError(str(err), 1, 1) from err
+    rule = Rule.build(name, left_edges=left_edges, context_edges=context_edges,
+                      right_edges=right_edges)
     return Rule(name, vertices, rule.edges)
 
 

@@ -75,13 +75,17 @@ class EvalContext:
         self.left_predicates: list[DerivationPredicate] = []
         self.right_predicates: list[DerivationPredicate] = []
         self.names: dict[str, int] = {}
+        source = "max_repeat"
         if max_repeat is None:
             raw = os.environ.get("GSTRAT_MAX_REPEAT", "")
+            source = "GSTRAT_MAX_REPEAT"
             try:
                 max_repeat = int(raw) if raw else DEFAULT_REPEAT_CAP
             except ValueError:
                 raise ValueError(
-                    f"GSTRAT_MAX_REPEAT must be an integer, got {raw!r}") from None
+                    f"{source} must be an integer, got {raw!r}") from None
+        if max_repeat < 0:
+            raise ValueError(f"{source} must not be negative, got {max_repeat}")
         self.max_repeat = max_repeat
         self._consumed_stack: list[set[int]] = [set()]
         self._known: set[int] = set()

@@ -198,9 +198,8 @@ def permuted(g: Graph, rng: random.Random) -> Graph:
 
 
 def union_graph(repo, graph_ids) -> Graph:
-    """Disjoint union of the stored graphs, numbered as ``assemble`` numbers
-    the copies: copy i is shifted by the vertex counts of the copies before
-    it."""
+    """Disjoint union of the stored graphs: copy i is shifted by the vertex
+    counts of the copies before it."""
     vertices, edges = [], []
     offset = 0
     for gid in graph_ids:
@@ -211,18 +210,37 @@ def union_graph(repo, graph_ids) -> Graph:
     return Graph(vertices, edges)
 
 
-def union_apply(rule, assembly, vertex_map, repo):
+def union_origin(repo, graph_ids) -> list[tuple[int, int]]:
+    """(copy, stored vertex) of each ``union_graph`` vertex, by union id."""
+    return [(i, v) for i, gid in enumerate(graph_ids)
+            for v in range(repo.graph(gid).vertex_count)]
+
+
+def split_union_match(repo, graph_ids, vertex_map):
+    """A match into ``union_graph`` as per-copy maps, the format of
+    ``rewrite.apply_at``: (graph id, rule vid -> stored vid) per copy, in
+    order; a copy the match does not touch gets an empty map."""
+    origin = union_origin(repo, graph_ids)
+    copies = [(gid, {}) for gid in graph_ids]
+    for rv, hv in vertex_map.items():
+        i, sv = origin[hv]
+        copies[i][1][rv] = sv
+    return copies
+
+
+def union_apply(rule, graph_ids, vertex_map, repo):
     """Reference DPO step on one union host graph.
 
-    Builds the union of the assembly's copies, checks the match and the
-    gluing conditions on the whole of it, builds the result graph, splits
-    it into connected components and interns each; returns
-    ``rewrite.apply_at``'s ``ApplyResult`` or None on a gluing failure.
+    vertex_map sends each left vertex to a ``union_graph`` vertex.  Builds
+    the union of the copies, checks the match and the gluing conditions on
+    the whole of it, builds the result graph, splits it into connected
+    components and interns each; returns ``rewrite.apply_at``'s
+    ``ApplyResult`` or None on a gluing failure.
     """
     from gstrat.rewrite import ApplyResult
     from gstrat.rules import CONTEXT, LEFT, RIGHT
 
-    host = union_graph(repo, assembly.graph_ids)
+    host = union_graph(repo, graph_ids)
     left = rule.left_graph()
     images = [vertex_map.get(vid) for vid in left.vertex_ids()]
     if (None in images or len(set(images)) != len(images)
@@ -254,7 +272,7 @@ def union_apply(rule, assembly, vertex_map, repo):
 
     labels = {vid: label for vid, label in host.vertices() if vid not in deleted}
     created = {}
-    next_id = max(labels, default=-1) + 1
+    next_id = host.vertex_count   # created vertices follow the union's
     for vid in sorted(rule.vertices):
         rv = rule.vertices[vid]
         if rv.kind == CONTEXT and rv.left_label != rv.right_label:
@@ -273,19 +291,21 @@ def union_apply(rule, assembly, vertex_map, repo):
             mv = created.get(v, vertex_map.get(v))
             out_edges[key(mu, mv)] = re.right_label
     result = Graph(labels.items(), [(u, v, el) for (u, v), el in out_edges.items()])
+    origin = union_origin(repo, graph_ids)
     outputs, fates = [], {}
     for pos, comp in enumerate(result.connected_components()):
         gid, _, vmap = repo.intern_mapped(comp)
         outputs.append(gid)
         for raw, stored in vmap.items():
-            fates[raw] = (pos, stored)
+            if raw < len(origin):
+                fates[origin[raw]] = (pos, stored)
     return ApplyResult(tuple(outputs), fates)
 
 
 def naive_derivation_keys(rule, universe, required, repo):
     """Reference enumeration: test every k-multisubset of the universe with
     brute-force full matching, then apply.  Returns dedup keys."""
-    from gstrat.rewrite import apply_at, assemble
+    from gstrat.rewrite import apply_at
 
     comps = rule.left_components()
     required = set(required)
@@ -294,7 +314,6 @@ def naive_derivation_keys(rule, universe, required, repo):
         for multiset in itertools.combinations_with_replacement(universe, size):
             if required and not (set(multiset) & required):
                 continue
-            assembly = assemble(repo, multiset)
             host = union_graph(repo, multiset)
             per_comp = []
             for comp in comps:
@@ -316,10 +335,10 @@ def naive_derivation_keys(rule, universe, required, repo):
                         break
                 if not ok:
                     continue
-                touched = {assembly.copy_of(v) for v in merged.values()}
-                if len(touched) != size:
+                copies = split_union_match(repo, multiset, merged)
+                if not all(vmap for _, vmap in copies):
                     continue  # not proper
-                result = apply_at(rule, assembly, merged, repo)
+                result = apply_at(rule, copies, repo)
                 if result is None:
                     continue
                 keys.add((rule.name, tuple(sorted(multiset)),

@@ -229,6 +229,12 @@ class TestLevels:
         with pytest.raises(ParseError):
             parse_level('level l { v 0 "0"; v 1 "0"; }')  # disconnected
 
+    def test_invalid_level_is_located_at_its_keyword(self):
+        text = '# a comment line\n\n  level l {\n  v 0 "0";\n  v 1 "A"; e 0 1 "";\n}\n'
+        with pytest.raises(ParseError, match="level vertex labels") as err:
+            parse_level(text)
+        assert (err.value.line, err.value.column) == (3, 3)
+
     def test_validate_level_direct(self):
         with pytest.raises(LevelError):
             validate_level(Graph([(0, "0"), (1, "0")]))

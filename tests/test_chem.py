@@ -73,7 +73,9 @@ class TestParseMolecule:
 
 class TestDielsAlderRule:
     def test_chemically_valid(self):
-        assert validate_rule(diels_alder_rule(), chemical_mode=True) == []
+        rule = diels_alder_rule()
+        assert rule.is_chemical
+        assert validate_rule(rule) == []
 
     def test_no_derivations_from_water(self):
         repo = GraphRepository()

@@ -42,6 +42,14 @@ class TestRun:
         full = capsys.readouterr().out
         assert capped != full
 
+    def test_negative_max_repeat_rejected(self, tmp_path, capsys):
+        script = tmp_path / "s.gs"
+        script.write_text('graph g1 { v 0 "a"; }\n'
+                          'rule p { context { v 0 "a" "b"; } }\n'
+                          "strategy main = addSubset(g1) -> repeat[] { rule p }\n")
+        assert main(["run", str(script), "--max-repeat", "-5"]) == 1
+        assert "must not be negative" in capsys.readouterr().err
+
     def test_script_error_exit_code(self, tmp_path, capsys):
         script = tmp_path / "bad.gs"
         script.write_text("strategy main = rule missing\n")

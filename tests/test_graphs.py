@@ -599,6 +599,13 @@ class TestTextFormat:
             parse_graph('v 0 "a" v 1 "a";')
         assert err.value.line == 1
 
+    def test_second_graph_is_located(self):
+        text = 'graph a {\n  v 0 "a";\n}\n   graph b { v 0 "a"; }\n'
+        with pytest.raises(ParseError, match="expected exactly one graph") as err:
+            parse_graph(text)
+        assert (err.value.line, err.value.column) == (4, 4)
+        assert parse_graph(text[:text.index("   graph b")]).vertex_count == 1
+
     def test_round_trip(self):
         rng = random.Random(29)
         for _ in range(25):

@@ -24,11 +24,11 @@ def test_runtime_imports_stdlib_only():
     assert out.strip() == "[]"
 
 
-def load_probes():
-    """perfbench/probes.py, loaded by path; nothing is wrapped until
-    ``Probes.install`` runs, and this never calls it."""
-    path = Path(__file__).parent.parent / "perfbench" / "probes.py"
-    spec = importlib.util.spec_from_file_location("perfbench_probes", path)
+def load_perfbench(name):
+    """perfbench/<name>.py, loaded by path; nothing is wrapped until
+    ``Probes.install`` runs, and these tests never call it."""
+    path = Path(__file__).parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -37,8 +37,20 @@ def load_probes():
 def test_benchmark_boundaries_resolve():
     # perfbench wraps these names; a rename in src/ would break the
     # benchmark while every other test passes.
-    probes = load_probes()
+    probes = load_perfbench("probes")
     for owner, attr, *_ in probes.BOUNDARIES:
         assert inspect.getattr_static(probes._resolve(owner), attr), (owner, attr)
     for module_name, attr in probes.IMPORT_SITES:
         assert hasattr(importlib.import_module(module_name), attr), (module_name, attr)
+
+
+def test_benchmark_gate_equals_acceptance_gate():
+    # perfbench checks each diels_bfs run against its own copy of the
+    # criterion 2 counts and the golden hashes; the two must not drift.
+    from .test_acceptance import BFS_DERIVATIONS, BFS_NEW_GRAPHS, GOLDEN_EXPORTS
+
+    workloads = load_perfbench("workloads")
+    assert workloads.BFS_NEW_GRAPHS == BFS_NEW_GRAPHS
+    assert workloads.BFS_DERIVATIONS == BFS_DERIVATIONS
+    assert workloads.BFS_JSON_SHA256 == GOLDEN_EXPORTS["bfs.json"]
+    assert workloads.BFS_DOT_SHA256 == GOLDEN_EXPORTS["bfs.dot"]

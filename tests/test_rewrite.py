@@ -9,15 +9,15 @@ from gstrat.chem import diels_alder_rule, parse_molecule
 from gstrat.dsl import load_script, run_script
 from gstrat.graphs import Graph, GraphRepository, isomorphic, serialize_graph
 from gstrat.matching import enumerate_embeddings
-from gstrat.rewrite import (BindError, MatchCache, apply_at, assemble,
-                            bind_graph, complete_derivation,
-                            enumerate_proper_derivations,
-                            iter_proper_derivations)
+from gstrat.rewrite import (BindError, MatchCache, apply_at, bind_graph,
+                            complete_derivation, enumerate_proper_derivations,
+                            iter_proper_derivations, validate_match)
 from gstrat.rules import Rule
 
 from .oracles import (brute_automorphisms, brute_rule_automorphisms,
                       naive_derivation_keys, random_graph, random_rule,
-                      rule_orbit_derivations, union_apply, union_graph)
+                      rule_orbit_derivations, split_union_match,
+                      union_apply, union_graph)
 from .test_rules import relabel_rule, remove_r_rule
 
 
@@ -39,8 +39,7 @@ class TestApplyAt:
         repo = GraphRepository()
         g1, _ = chain_graphs()
         gid, _ = repo.intern(g1)
-        assembly = assemble(repo, (gid,))
-        result = apply_at(relabel_rule(), assembly, {0: 0, 1: 1}, repo)
+        result = apply_at(relabel_rule(), [(gid, {0: 0, 1: 1})], repo)
         assert result is not None
         (out,) = result.outputs
         g3 = Graph([(0, "a"), (1, "a")], [(0, 1, "c")])
@@ -52,14 +51,12 @@ class TestApplyAt:
         host = Graph([(0, "A"), (1, "R"), (2, "R"), (3, "R"), (4, "0")],
                      [(0, 1, ""), (0, 2, ""), (0, 3, ""), (3, 4, "")])
         gid, _ = repo.intern(host)
-        assembly = assemble(repo, (gid,))
-        vmap = {v: union_graph(repo, (gid,)).vertex_ids()[i]
-                for i, v in enumerate([0, 1, 2, 3])}
         stored = repo.graph(gid)
         by_label = {stored.label(v): v for v in stored.vertex_ids()}
-        r_videos = [v for v in stored.vertex_ids() if stored.label(v) == "R"]
-        vmap = {0: by_label["A"], 1: r_videos[0], 2: r_videos[1], 3: r_videos[2]}
-        assert apply_at(remove_r_rule(), assembly, vmap, repo) is None
+        r_vertices = [v for v in stored.vertex_ids() if stored.label(v) == "R"]
+        vmap = {0: by_label["A"], 1: r_vertices[0], 2: r_vertices[1],
+                3: r_vertices[2]}
+        assert apply_at(remove_r_rule(), [(gid, vmap)], repo) is None
 
     def test_simplicity_rejection(self):
         # reattachExternal must refuse to create u-v when it already exists.
@@ -70,9 +67,8 @@ class TestApplyAt:
                      [(0, 1, ""), (1, 2, ""), (0, 2, ""), (2, 3, "")])
         repo = GraphRepository()
         gid, _, into = repo.intern_mapped(host)
-        assembly = assemble(repo, (gid,))
         vmap = {0: into[0], 1: into[1], 2: into[2]}
-        assert apply_at(reattach, assembly, vmap, repo) is None
+        assert apply_at(reattach, [(gid, vmap)], repo) is None
 
     def test_two_copy_application_builds_each_output_once(self, monkeypatch):
         # Two copies of a lone "a": one becomes "b" (a new class), the other
@@ -90,20 +86,38 @@ class TestApplyAt:
             real(self, *args, **kwargs)
 
         monkeypatch.setattr(Graph, "__init__", counting)
-        result = apply_at(rule, assemble(repo, (gid, gid)), {0: 0, 1: 1}, repo)
+        result = apply_at(rule, [(gid, {0: 0}), (gid, {1: 0})], repo)
         assert len(builds) == 2
         new_id = len(repo) - 1
         assert result.outputs == (new_id, gid) and new_id != gid
         assert repo.graph(new_id).label(0) == "b"
-        assert result.vertex_fates == {0: (0, 0), 1: (1, 0)}
+        assert result.fates == {(0, 0): (0, 0), (1, 0): (1, 0)}
 
     def test_invalid_match_raises(self):
         repo = GraphRepository()
         g1, _ = chain_graphs()
         gid, _ = repo.intern(g1)
-        assembly = assemble(repo, (gid,))
         with pytest.raises(ValueError):
-            apply_at(relabel_rule(), assembly, {0: 0, 1: 0}, repo)
+            apply_at(relabel_rule(), [(gid, {0: 0, 1: 0})], repo)
+
+    def test_vertex_mapped_in_two_copies_raises(self):
+        # Each copy maps its vertices validly, but rule vertex 0 is mapped
+        # in both; no single vertex map could express this.
+        rule = Rule.build("join",
+                          context_vertices=[(0, "a", "a"), (1, "a", "a")],
+                          right_edges=[(0, 1, "b")])
+        repo = GraphRepository()
+        pair, _ = repo.intern(Graph([(0, "a"), (1, "a")], [(0, 1, "x")]))
+        lone, _ = repo.intern(Graph([(0, "a")]))
+        copies = [(pair, {0: 0, 1: 1}), (lone, {0: 0})]
+        parts = [(vmap, repo.graph(gid)) for gid, vmap in copies]
+        assert not validate_match(rule, parts)
+        assert validate_match(rule, parts[:1])
+        with pytest.raises(ValueError):
+            apply_at(rule, copies, repo)
+        # A key that is no left vertex is refused as well.
+        assert not validate_match(rule, [({0: 0, 1: 1, 2: 0},
+                                          repo.graph(pair))])
 
 
 class TestBindGraph:
@@ -210,9 +224,8 @@ class TestEnumerateProperDerivations:
         assert derivations[0].inputs == (gid, gid)
         out = repo.graph(derivations[0].outputs[0])
         assert out.edge_count == 1
-        # the match tags each image with its own copy of the multiset
-        match = derivations[0].match
-        assert match.touched_copies() == {0, 1}
+        # the match maps each rule vertex in its own copy of the graph
+        assert derivations[0].match == ((gid, {0: 0}), (gid, {1: 0}))
 
     def test_diels_alder_seed_pair(self):
         repo = GraphRepository()
@@ -243,7 +256,7 @@ class TestEnumerateProperDerivations:
         assert len(d.atom_map) == 13 + 14
         assert len(set(d.atom_map.values())) == 27
         for (pos, vid), (opos, ovid) in d.atom_map.items():
-            in_g = repo.graph(d.match.assembly.graph_ids[pos])
+            in_g = repo.graph(d.match[pos][0])
             out_g = repo.graph(d.outputs[opos])
             assert in_g.label(vid) == out_g.label(ovid)
 
@@ -290,15 +303,36 @@ class TestEnumerateProperDerivations:
         assert {d.inputs for d in derivations} == {(id2,)}
 
     def test_derivations_are_proper(self):
+        # Every copy of a match is nonempty, the copies' domains partition
+        # the left vertices into whole left components, each component's
+        # part is one of its embeddings into the copy's host, and together
+        # the copies pass validate_match.
         rng = random.Random(43)
         repo = GraphRepository()
         ids = [repo.intern(random_graph(rng, max_vertices=5, connected=True))[0]
                for _ in range(4)]
-        for _ in range(10):
+        checked = two_copies = 0
+        for _ in range(40):
             rule = random_rule(rng)
+            components = [set(c.vertex_ids()) for c in rule.left_components()]
             for d in enumerate_proper_derivations(rule, ids, repo=repo):
-                touched = d.match.touched_copies()
-                assert touched == set(range(len(d.match.assembly.graph_ids)))
+                assert sorted(gid for gid, _ in d.match) == list(d.inputs)
+                domains = [set(vmap) for _, vmap in d.match]
+                assert all(domains)
+                assert sum(map(len, domains)) == rule.left_graph().vertex_count
+                assert set().union(*domains) == set(rule.left_graph().vertex_ids())
+                for (gid, vmap), domain in zip(d.match, domains):
+                    host = repo.graph(gid)
+                    for comp, vids in zip(rule.left_components(), components):
+                        assert vids <= domain or not vids & domain
+                        if vids <= domain:
+                            part = {v: vmap[v] for v in vids}
+                            assert part in enumerate_embeddings(comp, host)
+                assert validate_match(rule, [(vmap, repo.graph(gid))
+                                             for gid, vmap in d.match])
+                checked += 1
+                two_copies += len(d.match) == 2
+        assert checked > 40 and two_copies > 20, (checked, two_copies)
 
 
 def symmetric_pair_rule():
@@ -501,15 +535,14 @@ def gluing_cases(seed):
                      for _ in range(2)]
 
 
-def assembled_matches(rule, repo, universe):
-    """(assembly, full match) for every multiset of the universe with one
-    to as many copies as the rule has left components, rejected matches
-    included."""
+def union_matches(rule, repo, universe):
+    """(graph ids, full match into their ``union_graph``) for every
+    multiset of the universe with one to as many copies as the rule has
+    left components, rejected matches included."""
     for size in range(1, len(rule.left_components()) + 1):
         for ids in itertools.combinations_with_replacement(universe, size):
-            assembly = assemble(repo, ids)
             for vmap in full_matches(rule, union_graph(repo, ids)):
-                yield assembly, vmap
+                yield ids, vmap
 
 
 class TestGluingDifferential:
@@ -518,15 +551,9 @@ class TestGluingDifferential:
         for rule, graphs in gluing_cases(53):
             repo = GraphRepository()
             universe = [repo.intern(g)[0] for g in graphs]
-            for assembly, vmap in assembled_matches(rule, repo, universe):
-                ids = assembly.graph_ids
-                per_copy = []
-                for i, gid in enumerate(ids):
-                    offset = assembly.offsets[i]
-                    local = {rv: hv - offset for rv, hv in vmap.items()
-                             if assembly.copy_of(hv) == i}
-                    per_copy.append(rewrite._gluing_ok(
-                        rule, [(local, repo.graph(gid))]))
+            for ids, vmap in union_matches(rule, repo, universe):
+                per_copy = [rewrite._gluing_ok(rule, [(local, repo.graph(gid))])
+                            for gid, local in split_union_match(repo, ids, vmap)]
                 whole = rewrite._gluing_ok(
                     rule, [(vmap, union_graph(repo, ids))])
                 assert whole == all(per_copy)
@@ -541,16 +568,16 @@ class TestGluingDifferential:
             repo, twin = GraphRepository(), GraphRepository()
             universe = [repo.intern(g)[0] for g in graphs]
             assert [twin.intern(g)[0] for g in graphs] == universe
-            for assembly, vmap in assembled_matches(rule, repo, universe):
-                got = apply_at(rule, assembly, vmap, repo)
-                want = union_apply(rule, assembly, vmap, twin)
+            for ids, vmap in union_matches(rule, repo, universe):
+                got = apply_at(rule, split_union_match(repo, ids, vmap), repo)
+                want = union_apply(rule, ids, vmap, twin)
                 assert len(repo) == len(twin)
                 if want is None:
                     assert got is None
                     rejected += 1
                     continue
                 assert got.outputs == want.outputs
-                assert got.vertex_fates == want.vertex_fates
+                assert got.fates == want.fates
                 applied += 1
             for gid in repo.ids():
                 g, h = repo.graph(gid), twin.graph(gid)
@@ -665,8 +692,8 @@ class TestMatchCache:
 
 def fingerprint(d):
     """What a caller sees of a derivation, match and atom map included."""
-    return (d.key, d.inputs, d.match.assembly.graph_ids,
-            sorted(d.match.vertex_map.items()), d.atom_map)
+    return (d.key, d.inputs,
+            [(gid, sorted(vmap.items())) for gid, vmap in d.match], d.atom_map)
 
 
 class TestWarmCacheDifferential:

@@ -35,9 +35,8 @@ class TestRuleStructure:
 
     def test_sides(self):
         rule = relabel_rule()
-        left, right = rule.left_graph(), rule.right_graph()
-        assert left.edge_label(0, 1) == "b"
-        assert right.edge_label(0, 1) == "c"
+        assert rule.left_graph().edge_label(0, 1) == "b"
+        assert rule.edges[(0, 1)].right_label == "c"
         assert len(rule.left_components()) == 1
 
     def test_conflicting_sections_rejected(self):
@@ -55,12 +54,15 @@ class TestRuleStructure:
 
 class TestValidate:
     def test_diels_alder_is_chemical(self):
-        assert validate_rule(diels_alder_rule(), chemical_mode=True) == []
+        rule = diels_alder_rule()
+        assert rule.is_chemical
+        assert validate_rule(rule) == []
 
     def test_remove_r_only_valid_without_chemical_mode(self):
+        # Valid, but it deletes vertices, so it is not chemical.
         rule = remove_r_rule()
         assert validate_rule(rule) == []
-        assert validate_rule(rule, chemical_mode=True) != []
+        assert not rule.is_chemical
 
     def test_context_edge_needs_context_endpoints(self):
         rule = Rule.build("bad",
@@ -68,6 +70,13 @@ class TestValidate:
                           context_vertices=[(1, "a", "a")],
                           context_edges=[(0, 1, "x", "x")])
         assert any("context edge" in p for p in validate_rule(rule))
+
+    def test_self_loop_on_either_side_rejected(self):
+        for kind in (LEFT, RIGHT):
+            rule = Rule.build("loop", context_vertices=[(0, "a", "a")],
+                              **{f"{kind}_edges": [(0, 0, "x")]})
+            assert validate_rule(rule) == [
+                "invalid rule side: self-loop on vertex 0"]
 
     def test_empty_left_rejected(self):
         rule = Rule.build("nothing", right_vertices=[(0, "a")])
@@ -135,6 +144,22 @@ class TestRuleFormat:
         with pytest.raises(ParseError):
             parse_rules('rule a { left { } } rule a { left { } }')
 
+    def test_edge_in_two_sections_is_located(self):
+        # The error points at the second declaration's "e".
+        text = ('rule ok { context { v 0 "a"; } }\n'
+                'rule r {\n'
+                '  left { v 0 "a"; v 1 "a"; e 0 1 "x"; }\n'
+                '  context { v 2 "a"; e 1 0 "x"; }\n'
+                '}\n')
+        with pytest.raises(ParseError,
+                           match="edge 1-0 declared in two sections") as err:
+            parse_rules(text)
+        assert (err.value.line, err.value.column) == (4, 22)
+        # A left and a right edge on one pair are a relabel, not an error.
+        relabel = parse_rules('rule r { context { v 0 "a"; v 1 "a"; }\n'
+                              '  left { e 0 1 "x"; } right { e 1 0 "y"; } }')
+        assert relabel["r"].edges[(0, 1)].kind == CONTEXT
+
 
 class TestDielsAlderShape:
     def test_two_left_components(self):
@@ -145,7 +170,7 @@ class TestDielsAlderShape:
     def test_left_right_edge_counts(self):
         rule = diels_alder_rule()
         assert rule.left_graph().edge_count == 4
-        assert rule.right_graph().edge_count == 6
+        assert sum(re.kind != LEFT for re in rule.edges.values()) == 6
 
     def test_asset_file_matches_builder(self):
         from pathlib import Path

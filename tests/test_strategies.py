@@ -188,6 +188,16 @@ class TestRepeat:
         with pytest.raises(ValueError):
             EvalContext()
 
+    def test_negative_repeat_cap_rejected(self, monkeypatch):
+        # A negative cap would make every unbounded repeat run zero rounds.
+        with pytest.raises(ValueError, match="max_repeat must not be negative"):
+            EvalContext(max_repeat=-1)
+        monkeypatch.setenv("GSTRAT_MAX_REPEAT", "-1")
+        with pytest.raises(ValueError,
+                           match="GSTRAT_MAX_REPEAT must not be negative"):
+            EvalContext()
+        assert EvalContext(max_repeat=0).max_repeat == 0
+
 
 class TestRevive:
     def test_revive_without_consumption_preserves_subset(self):
