@@ -43,10 +43,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    script = load_script(args.script)
-    report: RunReport = run_script(script, dot_path=args.dot,
-                                   json_path=args.json,
-                                   max_repeat=args.max_repeat)
+    if args.max_repeat is not None and args.max_repeat < 0:
+        raise ValueError(
+            f"--max-repeat must not be negative, got {args.max_repeat}")
+    ctx = EvalContext(max_repeat=args.max_repeat)
+    report: RunReport = run_script(load_script(args.script), dot_path=args.dot,
+                                   json_path=args.json, ctx=ctx)
     print(report.summary())
     if args.stats:
         print(f"  universe size: {report.universe_size}")

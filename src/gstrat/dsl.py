@@ -772,12 +772,12 @@ def load_script(path: str) -> Script:
 def run_script(script: Script,
                dot_path: str | None = None,
                json_path: str | None = None,
-               max_repeat: int | None = None,
                ctx: st.EvalContext | None = None) -> RunReport:
-    """Evaluate the script's ``main`` strategy on the empty graph state,
-    write requested exports, and report run statistics."""
+    """Evaluate the script's ``main`` strategy on the empty graph state
+    (in a fresh ``EvalContext`` unless ctx is given), write requested
+    exports, and report run statistics."""
     if ctx is None:
-        ctx = st.EvalContext(max_repeat=max_repeat)
+        ctx = st.EvalContext()
     compiler = _Compiler(ctx)
     compiler.load(script)
     entry = None

@@ -106,6 +106,20 @@ def _refine(adj: Adjacency, cells: list[list[int]],
     return cells
 
 
+def _adjacency(vertices: list[int], nbrs: Mapping[int, Mapping[int, str]]
+               ) -> tuple[Adjacency, list[str]]:
+    """The dense adjacency of the subgraph induced on vertices (index i is
+    vertices[i]), and the sorted labels of every edge at those vertices,
+    whose ranks give the offsets."""
+    n = len(vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    edge_labels = sorted({el for v in vertices for el in nbrs[v].values()})
+    offset = {el: r * n for r, el in enumerate(edge_labels)}
+    adj = [tuple((offset[el], index[u]) for u, el in nbrs[v].items() if u in index)
+           for v in vertices]
+    return adj, edge_labels
+
+
 def _is_symmetric(cell: list[int], adj: Adjacency) -> bool:
     """Is every permutation of this cell an automorphism?
 
@@ -316,22 +330,6 @@ class Graph:
     def edge_label(self, u: int, v: int) -> str:
         return self._adj[u][v]
 
-    def _dense(self) -> tuple[list[int], Adjacency, list[list[int]]]:
-        """(ids, adjacency, cells by vertex label) on the dense indices that
-        the refinement helpers above work on."""
-        ids = sorted(self._labels)
-        n = len(ids)
-        index = {v: i for i, v in enumerate(ids)}
-        edge_labels = sorted({el for nbrs in self._adj.values() for el in nbrs.values()})
-        offset = {el: r * n for r, el in enumerate(edge_labels)}
-        adj = [tuple((offset[el], index[u]) for u, el in self._adj[v].items())
-               for v in ids]
-        by_label: dict[str, list[int]] = {}
-        for i, v in enumerate(ids):
-            by_label.setdefault(self._labels[v], []).append(i)
-        cells = [by_label[label] for label in sorted(by_label)]
-        return ids, adj, cells
-
     def refinement_colors(self) -> dict[int, int]:
         """Stable vertex colors from iterated neighborhood refinement.
 
@@ -339,7 +337,12 @@ class Graph:
         ranks; the refinement runs until the partition stops splitting.  An
         isomorphism maps each vertex to one of the same color.
         """
-        ids, adj, cells = self._dense()
+        ids = sorted(self._labels)
+        adj, _ = _adjacency(ids, self._adj)
+        by_label: dict[str, list[int]] = {}
+        for i, v in enumerate(ids):
+            by_label.setdefault(self._labels[v], []).append(i)
+        cells = [by_label[label] for label in sorted(by_label)]
         return dict(zip(ids, _colors(_refine(adj, cells), len(ids))))
 
     def canonical_form(self) -> tuple[tuple, tuple[int, ...]]:
@@ -376,12 +379,7 @@ class Graph:
                         leaves.setdefault(u, []).append((around[u], labels[v], v))
                         continue
                 core.append(v)
-            n = len(core)
-            index = {v: i for i, v in enumerate(core)}
-            edge_labels = sorted({el for v in core for el in nbrs[v].values()})
-            offset = {el: r * n for r, el in enumerate(edge_labels)}
-            adj = [tuple((offset[el], index[u]) for u, el in nbrs[v].items() if u in index)
-                   for v in core]
+            adj, edge_labels = _adjacency(core, nbrs)
             for group in leaves.values():
                 group.sort()
             by_key: dict[tuple, list[int]] = {}
@@ -496,8 +494,9 @@ class HostSymmetry:
     search, for keying vertex tuples up to them: the ``core_symmetry`` of
     its labelling, and the swaps of twin leaves (leaves of one parent with
     the same edge label and label), which are recognised from degrees.
-    ``generators`` hold the image of every core vertex (leaves keep their
-    own ids); ``moved`` holds the core vertices a generator or a cell moves.
+    Each of ``generators`` maps the core vertices it moves to their images
+    (every other vertex, leaves included, is fixed); ``moved`` holds the
+    core vertices a generator or a cell moves.
     """
 
     __slots__ = ("graph", "generators", "cells", "_cell_of", "moved")
@@ -505,16 +504,10 @@ class HostSymmetry:
     def __init__(self, graph: Graph, moves: Iterable[Mapping[int, int]],
                  cells: Iterable[tuple[int, ...]]):
         self.graph = graph
-        self.generators: list[list[int]] = []
-        self.moved: set[int] = set()
-        for move in moves:
-            perm = list(range(graph.vertex_count))
-            for v, w in move.items():
-                perm[v] = w
-            self.generators.append(perm)
-            self.moved.update(move)
+        self.generators = tuple(moves)
         self.cells = tuple(cells)
         self._cell_of = {v: c for c, cell in enumerate(self.cells) for v in cell}
+        self.moved = {v for move in self.generators for v in move}
         self.moved.update(self._cell_of)
 
     def _twins(self, leaf: int, parent: int, at: int) -> list[int]:
@@ -548,14 +541,10 @@ class HostSymmetry:
         if not before.  Each step is an automorphism, so equal keys imply
         one that maps one tuple onto the other; the converse may fail.
         """
-        best = self._canonical(vertices, None)
-        for perm in self.generators:
-            image = self._canonical(vertices, perm)
-            if image < best:
-                best = image
-        return best
+        return min(self._canonical(vertices, perm)
+                   for perm in ({}, *self.generators))
 
-    def _canonical(self, vertices: Sequence[int], perm: list[int] | None
+    def _canonical(self, vertices: Sequence[int], perm: Mapping[int, int]
                    ) -> tuple[int, ...]:
         names: dict[int, int] = {}         # core vertex (after perm) -> name
         cells_taken: dict[int, int] = {}   # per cell: members named so far
@@ -564,8 +553,7 @@ class HostSymmetry:
         for v in vertices:
             p = _leaf_parent(self.graph, v)
             core = v if p is None else p
-            if perm is not None:
-                core = perm[core]
+            core = perm.get(core, core)
             name = names.get(core)
             if name is None:
                 name = core

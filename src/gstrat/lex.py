@@ -37,6 +37,12 @@ class Token:
         return ParseError(message, self.line, self.column)
 
 
+def _is_digit(c: str) -> bool:
+    # ASCII only: str.isdigit() also accepts digits such as '²' that int()
+    # rejects.
+    return "0" <= c <= "9"
+
+
 def _is_name_start(c: str) -> bool:
     return c.isalpha() or c == "_"
 
@@ -89,10 +95,10 @@ def tokenize(text: str) -> list[Token]:
                 col += 1
             tokens.append(Token(STRING, "".join(parts), start_line, start_col))
             continue
-        if c.isdigit():
+        if _is_digit(c):
             start_col = col
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and _is_digit(text[j]):
                 j += 1
             tokens.append(Token(INT, text[i:j], line, start_col))
             col += j - i

@@ -22,16 +22,17 @@ over the whole universe.
 
 A complete match is applied once per orbit, not once per match: matches
 related by a rule automorphism, a permutation of the bound copies and, per
-copy, an automorphism of its host give isomorphic results.  The host
-automorphisms are those the canonical labelling of each stored class
-already found (``GraphRepository.symmetry``); no extra search is run.
+copy, an automorphism of its host give isomorphic results.  Each complete
+match gets one key, ``_orbit_key``; the host automorphisms it uses are
+those the canonical labelling of each stored class already found
+(``GraphRepository.symmetry``), so no extra search is run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from gstrat.graphs import Graph, GraphRepository, HostSymmetry, _edge_key
+from gstrat.graphs import Graph, GraphRepository, _edge_key
 from gstrat.matching import enumerate_embeddings
 from gstrat.rules import CONTEXT, LEFT, RIGHT, Rule
 
@@ -433,33 +434,16 @@ def _completions(partial: PartialRule,
                     PartialRule(partial.rule, partial.bound + (bc,)), copies)
 
 
-def _moving_symmetry(bc: BoundCopy, repo: GraphRepository
-                     ) -> HostSymmetry | None:
-    """The host's known automorphisms when one may move this copy's image."""
-    symmetry = repo.symmetry(bc.graph_id)
-    return symmetry if symmetry.moves_any(sv for _, sv in bc.vertex_map) else None
-
-
-def _host_orbit_key(partial: PartialRule,
-                    automorphisms: Sequence[dict[int, int]],
-                    symmetries: Sequence[HostSymmetry | None]) -> tuple:
+def _orbit_key(partial: PartialRule, automorphisms: Sequence[dict[int, int]],
+               host_key: Callable[[int, tuple[int, ...]], tuple]) -> tuple:
     """The least, over rule automorphisms sigma, of the sorted copies
-    (graph id, sigma-renamed rule vertices, their images), where a copy
-    with a host symmetry has its images replaced by their
-    ``HostSymmetry.orbit_key``."""
-    best = None
-    for sigma in automorphisms:
-        copies = []
-        for bc, symmetry in zip(partial.bound, symmetries):
-            pairs = sorted((sigma[rv], sv) for rv, sv in bc.vertex_map)
-            images = tuple(sv for _, sv in pairs)
-            if symmetry is not None:
-                images = symmetry.orbit_key(images)
-            copies.append((bc.graph_id, tuple(rv for rv, _ in pairs), images))
-        key = tuple(sorted(copies))
-        if best is None or key < best:
-            best = key
-    return best
+    (graph id, sigma-renamed rule vertices, ``host_key(graph id, their
+    images)``)."""
+    def copies(sigma: dict[int, int]) -> Iterator[tuple]:
+        for bc in partial.bound:
+            rvs, images = zip(*sorted((sigma[rv], sv) for rv, sv in bc.vertex_map))
+            yield bc.graph_id, rvs, host_key(bc.graph_id, images)
+    return min(tuple(sorted(copies(sigma))) for sigma in automorphisms)
 
 
 def iter_proper_derivations(
@@ -483,17 +467,18 @@ def iter_proper_derivations(
     discovery order is deterministic.  A caller that stops early does no
     work past the last derivation it took.
 
-    Each match orbit under rule automorphisms and permutations of the bound
-    copies is applied once, at its first member: the other members yield
-    isomorphic results, hence the same derivation key.  A match that passes
-    this check and touches vertices that a known host automorphism moves
-    then gets a host-orbit key (``_host_orbit_key``), and is skipped when
-    an earlier applied match of this call had the same one: equal keys
-    imply an automorphism of the hosts relating the two matches, so the
-    result has the same key, the same gluing outcome and the same inputs.
-    The key may miss some automorphic pairs, which are then applied as
-    before; the yielded derivations, their order, matches and atom maps do
-    not depend on it.  ``bind_graph`` stays per-morphism.
+    Each complete match gets one ``_orbit_key`` and is skipped when an
+    earlier match of this call had the same one.  A copy's images enter
+    the key as they are, or as their ``HostSymmetry.orbit_key`` when a
+    known host automorphism moves one of them; the host keys are memoised
+    for this call.  The key is the least, over rule automorphisms, of an
+    automorphic image of the match, so equal keys imply matches related by
+    automorphisms of the rule, the copy order and the hosts: the result has
+    the same key, the same gluing outcome and the same inputs.  Matches in
+    one rule orbit touch the same host vertices, hence get the same key.
+    The key may miss some automorphic pairs, which are then applied; the
+    yielded derivations, their order, matches and atom maps do not depend
+    on it.  ``bind_graph`` stays per-morphism.
     """
     if repo is None:
         raise ValueError("a graph repository is required")
@@ -518,30 +503,29 @@ def iter_proper_derivations(
     starts = (partial for gid in required or universe
               for partial in bind_graph(rule, gid, repo, cache)
               if required or 0 in partial.bound[0].components)
+    host_keys: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+
+    def host_key(gid: int, images: tuple[int, ...]) -> tuple[int, ...]:
+        key = host_keys.get((gid, images))
+        if key is None:
+            symmetry = repo.symmetry(gid)
+            key = host_keys[gid, images] = (
+                symmetry.orbit_key(images) if symmetry.moves_any(images)
+                else images)
+        return key
+
     keys: set[tuple] = set()
     automorphisms = rule.automorphisms()
-    applied_orbits: set[tuple] = set()
-    host_orbits: set[tuple] = set()
+    applied: set[tuple] = set()
     for start in starts:
         for partial in _completions(start, copies):
             inputs = tuple(sorted(partial.bound_graph_ids()))
             if left_filter is not None and not left_filter(inputs):
                 continue
-            orbit = min(
-                tuple(sorted((bc.graph_id,
-                              tuple(sorted((sigma[rv], sv)
-                                           for rv, sv in bc.vertex_map)))
-                             for bc in partial.bound))
-                for sigma in automorphisms)
-            if orbit in applied_orbits:
+            orbit = _orbit_key(partial, automorphisms, host_key)
+            if orbit in applied:
                 continue
-            applied_orbits.add(orbit)
-            moving = [_moving_symmetry(bc, repo) for bc in partial.bound]
-            if any(moving):
-                orbit = _host_orbit_key(partial, automorphisms, moving)
-                if orbit in host_orbits:
-                    continue
-                host_orbits.add(orbit)
+            applied.add(orbit)
             d = complete_derivation(partial, repo)
             if d is not None and d.key not in keys:
                 keys.add(d.key)

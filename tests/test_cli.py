@@ -48,7 +48,8 @@ class TestRun:
                           'rule p { context { v 0 "a" "b"; } }\n'
                           "strategy main = addSubset(g1) -> repeat[] { rule p }\n")
         assert main(["run", str(script), "--max-repeat", "-5"]) == 1
-        assert "must not be negative" in capsys.readouterr().err
+        assert ("--max-repeat must not be negative, got -5"
+                in capsys.readouterr().err)
 
     def test_script_error_exit_code(self, tmp_path, capsys):
         script = tmp_path / "bad.gs"

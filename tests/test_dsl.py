@@ -163,7 +163,7 @@ class TestRunScript:
 
     def test_max_repeat_cap(self):
         script = parse_script(RELABEL_SCRIPT)
-        capped = run_script(script, max_repeat=1)
+        capped = run_script(script, ctx=EvalContext(max_repeat=1))
         full = run_script(script)
         assert capped.derivations < full.derivations
 
