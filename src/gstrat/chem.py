@@ -8,6 +8,7 @@ fill each atom's valence (C=4, O=2, N=3, H=1, counting bond orders).
 from __future__ import annotations
 
 from gstrat.graphs import Graph
+from gstrat.lex import _is_digit
 from gstrat.rules import Rule
 
 VALENCE = {"C": 4, "O": 2, "N": 3, "H": 1}
@@ -51,7 +52,7 @@ def parse_molecule(spec: str) -> Graph:
             if pending_bond is not None:
                 raise MoleculeError(f"doubled bond symbol at position {i}")
             pending_bond = c
-        elif c.isdigit():
+        elif _is_digit(c):
             if prev is None:
                 raise MoleculeError(f"ring closure digit before any atom at position {i}")
             if c in ring_open:

@@ -14,11 +14,11 @@ One routine, ``_gluing_ok``, checks the DPO gluing conditions copy by copy
 for the part of a match it is given: one copy as it is bound, and every
 copy of the full match before ``apply_at`` builds the result.  The copies a
 graph can take for a set of left components depend only on (rule,
-components, graph), so ``MatchCache`` builds and checks them once;
-``bind_graph`` and the recursive generator ``_completions`` only read them.
-``_completions`` extends partial rules until they are complete, looping
-over the universe graphs that can bind the next components rather than
-over the whole universe.
+components, graph), so ``MatchCache`` builds and checks them once, already
+in the match format; ``bind_graph`` and ``_complete_matches`` only read
+them.  ``_complete_matches`` is the one binding loop: it extends partial
+rules until they are complete, looping over the universe graphs that can
+bind the next components rather than over the whole universe.
 
 A complete match is applied once per orbit, not once per match: matches
 related by a rule automorphism, a permutation of the bound copies and, per
@@ -44,17 +44,19 @@ class MatchCache:
 
     - embeddings: (rule, left component, graph) -> every embedding of the
       component into the stored graph;
-    - bound copies: (rule, component subset, graph) -> the ``BoundCopy``
-      values of the subset's merged embeddings that pass ``_gluing_ok``,
-      in merge order.
+    - bound copies: (rule, component subset, graph) -> the subset's
+      merged embeddings (rule vid -> stored vid) that pass ``_gluing_ok``,
+      in the lexicographic order of the per-component embedding lists.
 
-    Graph ids mean nothing outside their repository, so the cache serves
-    the first repository it is given and raises ``ValueError`` on another.
+    The maps it returns are shared by every caller, the copies of partial
+    rules and the matches of derivations, so they are read-only.  Graph ids
+    mean nothing outside their repository, so the cache serves the first
+    repository it is given and raises ``ValueError`` on another.
     """
 
     def __init__(self) -> None:
         self._data: dict[tuple, tuple[dict[int, int], ...]] = {}
-        self._copies: dict[tuple, tuple[BoundCopy, ...]] = {}
+        self._copies: dict[tuple, tuple[dict[int, int], ...]] = {}
         self._repo: GraphRepository | None = None
 
     @property
@@ -81,18 +83,21 @@ class MatchCache:
         return cached
 
     def bound_copies(self, rule: Rule, comp_indices: tuple[int, ...], gid: int,
-                     repo: GraphRepository) -> tuple[BoundCopy, ...]:
+                     repo: GraphRepository) -> tuple[dict[int, int], ...]:
         self._serve(repo)
         key = (rule, comp_indices, gid)
         cached = self._copies.get(key)
         if cached is None:
+            # Every component's embeddings are enumerated, even when one
+            # list is empty, so ``queries`` counts each component of the
+            # subset.
+            per_comp = [self.embeddings(rule, ci, gid, repo) for ci in comp_indices]
+            merged: list[dict[int, int]] = [{}]
+            for maps in per_comp:
+                merged = [{**m, **e} for m in merged for e in maps
+                          if set(m.values()).isdisjoint(e.values())]
             g = repo.graph(gid)
-            components = frozenset(comp_indices)
-            cached = tuple(
-                BoundCopy(gid, components, tuple(sorted(vmap.items())))
-                for vmap in _merged_component_maps(rule, comp_indices, gid,
-                                                   repo, self)
-                if _gluing_ok(rule, [(vmap, g)]))
+            cached = tuple(m for m in merged if _gluing_ok(rule, [(m, g)]))
             self._copies[key] = cached
         return cached
 
@@ -105,9 +110,10 @@ Part = tuple[dict[int, int], Graph]   # rule vid -> stored vid, stored graph
 class Derivation:
     """One proper derivation: inputs => outputs under a rule at a match.
 
-    The match has one copy per input, in binding order.  For a chemical
-    rule, atom_map sends each (input position, stored vertex) to its
-    (output position, stored vertex); it is None for other rules."""
+    The match has one copy per input, in binding order; its maps are
+    shared with the ``MatchCache`` and read-only.  For a chemical rule,
+    atom_map sends each (input position, stored vertex) to its (output
+    position, stored vertex); it is None for other rules."""
 
     rule: Rule
     inputs: tuple[int, ...]        # graph ids with multiplicity, sorted
@@ -256,47 +262,24 @@ class BindError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BoundCopy:
-    graph_id: int
-    components: frozenset[int]
-    vertex_map: tuple[tuple[int, int], ...]  # rule vid -> stored vid, sorted
-
-
+@dataclass(slots=True)
 class PartialRule:
     """A rule with some left components bound to host graph content.
 
-    Each bound copy fixes a nonempty set of left components and an injective
-    merged embedding into one stored graph.  When no components remain the
-    partial rule is complete and encodes a full derivation.
+    Each copy (graph id, rule vid -> stored vid) binds a nonempty set of
+    left components by an injective merged embedding into one stored graph;
+    its map is shared with the ``MatchCache`` and read-only.  The binder
+    sets the components that remain unbound.  When none remain the partial
+    rule is complete and encodes a full derivation.
     """
 
-    __slots__ = ("rule", "bound", "_remaining")
-
-    def __init__(self, rule: Rule, bound: tuple[BoundCopy, ...] = ()):
-        self.rule = rule
-        self.bound = bound
-        taken: set[int] = set()
-        for bc in bound:
-            taken |= bc.components
-        self._remaining = tuple(i for i in range(len(rule.left_components()))
-                                if i not in taken)
-
-    @property
-    def remaining_components(self) -> tuple[int, ...]:
-        return self._remaining
+    rule: Rule
+    copies: tuple[Copy, ...]
+    remaining_components: tuple[int, ...]
 
     @property
     def complete(self) -> bool:
-        return not self._remaining
-
-    def bound_graph_ids(self) -> tuple[int, ...]:
-        return tuple(bc.graph_id for bc in self.bound)
-
-    def __repr__(self) -> str:
-        done = len(self.rule.left_components()) - len(self._remaining)
-        return (f"PartialRule({self.rule.name!r}, "
-                f"{done}/{len(self.rule.left_components())} components bound)")
+        return not self.remaining_components
 
 
 def _gluing_ok(rule: Rule, parts: Sequence[Part]) -> bool:
@@ -332,45 +315,11 @@ def _gluing_ok(rule: Rule, parts: Sequence[Part]) -> bool:
     return True
 
 
-def _merged_component_maps(rule: Rule, comp_indices: Sequence[int], gid: int,
-                           repo: GraphRepository, cache: MatchCache
-                           ) -> Iterator[dict[int, int]]:
-    """Injective merges of one embedding per component into stored graph gid."""
-    per_comp = [cache.embeddings(rule, ci, gid, repo) for ci in comp_indices]
-    if any(not maps for maps in per_comp):
-        return
-    # Iterative depth-first search: level i scans per_comp[i] from next_idx[i]
-    # and chosen[i] is the map it has merged in.
-    merged: dict[int, int] = {}
-    used: set[int] = set()
-    chosen: list[dict[int, int]] = []
-    next_idx = [0] * len(per_comp)
-    while True:
-        i = len(chosen)
-        if i == len(per_comp):
-            yield dict(merged)
-        else:
-            maps = per_comp[i]
-            j = next_idx[i]
-            while j < len(maps) and any(v in used for v in maps[j].values()):
-                j += 1
-            if j < len(maps):
-                next_idx[i] = j + 1
-                merged.update(maps[j])
-                used.update(maps[j].values())
-                chosen.append(maps[j])
-                continue
-            next_idx[i] = 0
-        if not chosen:
-            return
-        for k, v in chosen.pop().items():
-            del merged[k]
-            used.discard(v)
-
-
-def _subsets(items: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every subset of items in binary-counter order; the empty one is first."""
-    return [tuple(items[i] for i in range(len(items)) if mask >> i & 1)
+def _splits(items: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every (subset, rest) split of items, subsets in binary-counter order;
+    the empty subset is first."""
+    return [(tuple(x for i, x in enumerate(items) if mask >> i & 1),
+             tuple(x for i, x in enumerate(items) if not mask >> i & 1))
             for mask in range(1 << len(items))]
 
 
@@ -386,52 +335,77 @@ def bind_graph(rule_or_partial: Rule | PartialRule, gid: int,
     complete and encode full derivations.
     """
     partial = (rule_or_partial if isinstance(rule_or_partial, PartialRule)
-               else PartialRule(rule_or_partial))
+               else PartialRule(rule_or_partial, (), tuple(
+                   range(len(rule_or_partial.left_components())))))
     cache = cache or MatchCache()
-    return [PartialRule(partial.rule, partial.bound + (bc,))
-            for subset in _subsets(partial.remaining_components)[1:]
-            for bc in cache.bound_copies(partial.rule, subset, gid, repo)]
+    return [PartialRule(partial.rule, partial.copies + ((gid, vmap),), rest)
+            for subset, rest in _splits(partial.remaining_components)[1:]
+            for vmap in cache.bound_copies(partial.rule, subset, gid, repo)]
 
 
 def complete_derivation(partial: PartialRule, repo: GraphRepository
                         ) -> Derivation | None:
-    """Turn a complete partial rule into a derivation by applying the rule."""
+    """Turn a complete partial rule into a derivation by applying the rule.
+
+    The derivation's match is ``partial.copies`` itself, read-only maps
+    shared with the ``MatchCache``."""
     if not partial.complete:
         raise BindError("partial rule still has unbound components")
-    copies = tuple((bc.graph_id, dict(bc.vertex_map)) for bc in partial.bound)
-    result = apply_at(partial.rule, copies, repo, validate=False)
+    result = apply_at(partial.rule, partial.copies, repo, validate=False)
     if result is None:
         return None
     return Derivation(
         rule=partial.rule,
-        inputs=tuple(sorted(partial.bound_graph_ids())),
+        inputs=tuple(sorted(gid for gid, _ in partial.copies)),
         outputs=tuple(sorted(result.outputs)),
-        match=copies,
+        match=partial.copies,
         atom_map=result.fates if partial.rule.is_chemical else None,
     )
 
 
-def _completions(partial: PartialRule,
-                 copies: Callable[[tuple[int, ...]], list[tuple[BoundCopy, ...]]]
-                 ) -> Iterator[PartialRule]:
-    """Complete extensions of partial.
+def _complete_matches(rule: Rule, universe: Sequence[int],
+                      required: Sequence[int], repo: GraphRepository,
+                      cache: MatchCache) -> Iterator[PartialRule]:
+    """Every complete match with inputs drawn from the universe and, when
+    required is nonempty, its first copy on a required graph.
 
-    Each step binds the first remaining component plus any subset of the
-    others to one copy; ``copies(subset)`` lists, in universe order, the
-    nonempty bound-copy tuples of the universe graphs that can take the
-    subset.  Subsets are tried in ``_subsets`` order, then graphs in
-    universe order, then copies in merge order.
+    Binding starts with ``bind_graph`` at the required graphs (at every
+    universe graph when none is required), and each step binds the first
+    remaining component plus any subset of the others to one copy: subsets
+    in ``_splits`` order, then the universe graphs that can take the subset
+    in universe order, then their bound copies in merge order.  Depth first,
+    on an explicit stack of generators, so a caller that stops early does
+    no work past the last match it took.
     """
-    remaining = partial.remaining_components
-    if not remaining:
-        yield partial
-        return
-    first = remaining[0]
-    for tail in _subsets(remaining[1:]):
-        for bound in copies((first,) + tail):
-            for bc in bound:
-                yield from _completions(
-                    PartialRule(partial.rule, partial.bound + (bc,)), copies)
+    viable: dict[tuple[int, ...], list[Copy]] = {}
+
+    def copies(subset: tuple[int, ...]) -> list[Copy]:
+        found = viable.get(subset)
+        if found is None:
+            found = viable[subset] = [
+                (gid, vmap) for gid in universe
+                for vmap in cache.bound_copies(rule, subset, gid, repo)]
+        return found
+
+    def extensions(partial: PartialRule) -> Iterator[PartialRule]:
+        remaining = partial.remaining_components
+        for tail, rest in _splits(remaining[1:]):
+            for copy in copies(remaining[:1] + tail):
+                yield PartialRule(rule, partial.copies + (copy,), rest)
+
+    # With no required graph, a start must bind component 0, so that each
+    # complete match is reached once, its copies in component order.
+    stack = [(partial for gid in required or universe
+              for partial in bind_graph(rule, gid, repo, cache)
+              if required or 0 not in partial.remaining_components)]
+    while stack:
+        partial = next(stack[-1], None)
+        if partial is None:
+            stack.pop()
+        elif partial.complete:
+            yield partial
+        else:
+            stack.append(extensions(partial))
 
 
 def _orbit_key(partial: PartialRule, automorphisms: Sequence[dict[int, int]],
@@ -440,9 +414,9 @@ def _orbit_key(partial: PartialRule, automorphisms: Sequence[dict[int, int]],
     (graph id, sigma-renamed rule vertices, ``host_key(graph id, their
     images)``)."""
     def copies(sigma: dict[int, int]) -> Iterator[tuple]:
-        for bc in partial.bound:
-            rvs, images = zip(*sorted((sigma[rv], sv) for rv, sv in bc.vertex_map))
-            yield bc.graph_id, rvs, host_key(bc.graph_id, images)
+        for gid, vmap in partial.copies:
+            rvs, images = zip(*sorted((sigma[rv], sv) for rv, sv in vmap.items()))
+            yield gid, rvs, host_key(gid, images)
     return min(tuple(sorted(copies(sigma))) for sigma in automorphisms)
 
 
@@ -450,7 +424,8 @@ def iter_proper_derivations(
         rule: Rule,
         universe: Sequence[int],
         required: Sequence[int] = (),
-        repo: GraphRepository | None = None,
+        *,
+        repo: GraphRepository,
         cache: MatchCache | None = None,
         left_filter: Callable[[tuple[int, ...]], bool] | None = None,
 ) -> Iterator[Derivation]:
@@ -458,8 +433,8 @@ def iter_proper_derivations(
     the universe, every input component matched, and - when required is
     nonempty - at least one input from required.
 
-    Binding starts at the required graphs (at every universe graph when
-    none is required) and ``_completions`` extends each start over the
+    ``_complete_matches`` starts binding at the required graphs (at every
+    universe graph when none is required) and extends each start over the
     universe graphs that can bind its remaining components, so work is
     proportional to what the required set can actually initiate.
     Derivations agreeing on (rule, input classes, output classes) are
@@ -480,29 +455,12 @@ def iter_proper_derivations(
     yielded derivations, their order, matches and atom maps do not depend
     on it.  ``bind_graph`` stays per-morphism.
     """
-    if repo is None:
-        raise ValueError("a graph repository is required")
     cache = cache or MatchCache()
     universe = list(universe)
     required = list(required)
     if not set(required) <= set(universe):
         raise ValueError("required graphs must be part of the universe")
 
-    viable: dict[tuple[int, ...], list[tuple[BoundCopy, ...]]] = {}
-
-    def copies(subset: tuple[int, ...]) -> list[tuple[BoundCopy, ...]]:
-        found = viable.get(subset)
-        if found is None:
-            found = viable[subset] = [
-                bound for gid in universe
-                if (bound := cache.bound_copies(rule, subset, gid, repo))]
-        return found
-
-    # With no required graph, a start must bind component 0, so that each
-    # complete match is reached once, its copies in component order.
-    starts = (partial for gid in required or universe
-              for partial in bind_graph(rule, gid, repo, cache)
-              if required or 0 in partial.bound[0].components)
     host_keys: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
 
     def host_key(gid: int, images: tuple[int, ...]) -> tuple[int, ...]:
@@ -517,29 +475,29 @@ def iter_proper_derivations(
     keys: set[tuple] = set()
     automorphisms = rule.automorphisms()
     applied: set[tuple] = set()
-    for start in starts:
-        for partial in _completions(start, copies):
-            inputs = tuple(sorted(partial.bound_graph_ids()))
-            if left_filter is not None and not left_filter(inputs):
-                continue
-            orbit = _orbit_key(partial, automorphisms, host_key)
-            if orbit in applied:
-                continue
-            applied.add(orbit)
-            d = complete_derivation(partial, repo)
-            if d is not None and d.key not in keys:
-                keys.add(d.key)
-                yield d
+    for partial in _complete_matches(rule, universe, required, repo, cache):
+        inputs = tuple(sorted(gid for gid, _ in partial.copies))
+        if left_filter is not None and not left_filter(inputs):
+            continue
+        orbit = _orbit_key(partial, automorphisms, host_key)
+        if orbit in applied:
+            continue
+        applied.add(orbit)
+        d = complete_derivation(partial, repo)
+        if d is not None and d.key not in keys:
+            keys.add(d.key)
+            yield d
 
 
 def enumerate_proper_derivations(
         rule: Rule,
         universe: Sequence[int],
         required: Sequence[int] = (),
-        repo: GraphRepository | None = None,
+        *,
+        repo: GraphRepository,
         cache: MatchCache | None = None,
         left_filter: Callable[[tuple[int, ...]], bool] | None = None,
 ) -> list[Derivation]:
     """``iter_proper_derivations`` as a list, in discovery order."""
-    return list(iter_proper_derivations(rule, universe, required, repo, cache,
-                                        left_filter))
+    return list(iter_proper_derivations(rule, universe, required, repo=repo,
+                                        cache=cache, left_filter=left_filter))

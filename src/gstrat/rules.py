@@ -215,10 +215,11 @@ def validate_rule(rule: Rule) -> list[str]:
 
 
 def parse_rule_body(ts: TokenStream, name: str) -> Rule:
-    vertices: dict[int, RuleVertex] = {}
-    left_edges: list[tuple[int, int, str]] = []
-    context_edges: list[tuple[int, int, str, str]] = []
-    right_edges: list[tuple[int, int, str]] = []
+    # Per section, the entries in Rule.build's format: a context entry
+    # carries a label pair, a left or right entry one label.
+    vertices: dict[str, list[tuple]] = {LEFT: [], CONTEXT: [], RIGHT: []}
+    edges: dict[str, list[tuple]] = {LEFT: [], CONTEXT: [], RIGHT: []}
+    vertex_ids: set[int] = set()
     section_edges: dict[str, set[tuple[int, int]]] = {LEFT: set(), CONTEXT: set(),
                                                       RIGHT: set()}
     seen_sections: set[str] = set()
@@ -239,14 +240,11 @@ def parse_rule_body(ts: TokenStream, name: str) -> Rule:
                 second = first
                 if section == CONTEXT and ts.at(lex.STRING):
                     second = ts.next().value
-                if vid in vertices:
+                if vid in vertex_ids:
                     raise tok.error(f"duplicate rule vertex id {vid}")
-                if section == LEFT:
-                    vertices[vid] = RuleVertex(LEFT, first, None)
-                elif section == RIGHT:
-                    vertices[vid] = RuleVertex(RIGHT, None, first)
-                else:
-                    vertices[vid] = RuleVertex(CONTEXT, first, second)
+                vertex_ids.add(vid)
+                vertices[section].append(
+                    (vid, first, second) if section == CONTEXT else (vid, first))
             elif tok.value == "e":
                 u = ts.expect_int()
                 v = ts.expect_int()
@@ -264,19 +262,14 @@ def parse_rule_body(ts: TokenStream, name: str) -> Rule:
                        if other != section and {other, section} != {LEFT, RIGHT}):
                     raise tok.error(f"edge {u}-{v} declared in two sections")
                 section_edges[section].add(key)
-                if section == LEFT:
-                    left_edges.append((u, v, first))
-                elif section == RIGHT:
-                    right_edges.append((u, v, first))
-                else:
-                    context_edges.append((u, v, first, second))
+                edges[section].append(
+                    (u, v, first, second) if section == CONTEXT else (u, v, first))
             else:
                 raise tok.error(f"expected 'v' or 'e', got {tok.value!r}")
             ts.expect(lex.PUNCT, ";")
         ts.expect(lex.PUNCT, "}")
-    rule = Rule.build(name, left_edges=left_edges, context_edges=context_edges,
-                      right_edges=right_edges)
-    return Rule(name, vertices, rule.edges)
+    return Rule.build(name, vertices[LEFT], vertices[CONTEXT], vertices[RIGHT],
+                      edges[LEFT], edges[CONTEXT], edges[RIGHT])
 
 
 def parse_rules(text: str) -> dict[str, Rule]:

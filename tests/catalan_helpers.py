@@ -35,7 +35,7 @@ def pipeline_move(level: Graph, v: int) -> list[Graph]:
     # Matches are enumerated per morphism (bind_graph does not deduplicate
     # isomorphic outcomes), so symmetric centers cannot shadow v.
     for partial in bind_graph(mark, level_id, repo, ctx.cache):
-        if dict(partial.bound[0].vertex_map)[0] != into_stored[v]:
+        if partial.copies[0][1][0] != into_stored[v]:
             continue
         d = complete_derivation(partial, repo)
         if d is None:

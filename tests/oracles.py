@@ -346,41 +346,28 @@ def naive_derivation_keys(rule, universe, required, repo):
     return keys
 
 
-def rule_orbit_derivations(rule, universe, required=(), repo=None,
-                           left_filter=None):
+def rule_orbit_derivations(rule, universe, required, repo, left_filter=None):
     """Reference for ``rewrite.iter_proper_derivations``: the same binding
     loop, pruned only by rule automorphisms and copy order, not by host
     automorphisms.  Returns the list."""
-    from gstrat.rewrite import (MatchCache, _completions, bind_graph,
-                                complete_derivation)
+    from gstrat.rewrite import MatchCache, _complete_matches, complete_derivation
 
-    cache = MatchCache()
-    universe, required = list(universe), list(required)
-
-    def copies(subset):
-        return [bound for gid in universe
-                if (bound := cache.bound_copies(rule, subset, gid, repo))]
-
-    starts = (partial for gid in required or universe
-              for partial in bind_graph(rule, gid, repo, cache)
-              if required or 0 in partial.bound[0].components)
     keys, applied, found = set(), set(), []
-    for start in starts:
-        for partial in _completions(start, copies):
-            inputs = tuple(sorted(partial.bound_graph_ids()))
-            if left_filter is not None and not left_filter(inputs):
-                continue
-            orbit = min(tuple(sorted(
-                (bc.graph_id, tuple(sorted((sigma[rv], sv)
-                                           for rv, sv in bc.vertex_map)))
-                for bc in partial.bound)) for sigma in rule.automorphisms())
-            if orbit in applied:
-                continue
-            applied.add(orbit)
-            d = complete_derivation(partial, repo)
-            if d is not None and d.key not in keys:
-                keys.add(d.key)
-                found.append(d)
+    for partial in _complete_matches(rule, list(universe), list(required),
+                                     repo, MatchCache()):
+        inputs = tuple(sorted(gid for gid, _ in partial.copies))
+        if left_filter is not None and not left_filter(inputs):
+            continue
+        orbit = min(tuple(sorted(
+            (gid, tuple(sorted((sigma[rv], sv) for rv, sv in vmap.items())))
+            for gid, vmap in partial.copies)) for sigma in rule.automorphisms())
+        if orbit in applied:
+            continue
+        applied.add(orbit)
+        d = complete_derivation(partial, repo)
+        if d is not None and d.key not in keys:
+            keys.add(d.key)
+            found.append(d)
     return found
 
 

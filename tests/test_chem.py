@@ -61,6 +61,12 @@ class TestParseMolecule:
         with pytest.raises(MoleculeError):
             parse_molecule("")
 
+    def test_non_ascii_ring_digit_rejected(self):
+        # str.isdigit() accepts these; they must not close a ring like "1".
+        for spec in ("C\u00b2CC\u00b2", "C\u0663CC\u0663"):
+            with pytest.raises(MoleculeError, match="unsupported token"):
+                parse_molecule(spec)
+
     def test_valence_exactness(self):
         from gstrat.chem import BOND_ORDER, VALENCE
 

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -137,8 +139,9 @@ class TestBindGraph:
     @staticmethod
     def _bound_component_sizes(rule, partials):
         return {
-            tuple(sorted(rule.left_components()[c].vertex_count
-                         for bc in p.bound for c in bc.components))
+            tuple(sorted(comp.vertex_count
+                         for c, comp in enumerate(rule.left_components())
+                         if c not in p.remaining_components))
             for p in partials}
 
     def test_diels_alder_binding_to_isoprene(self):
@@ -408,37 +411,20 @@ class TestOrbitPruning:
         assert len(calls) == 1278
 
 
-def complete_partials(rule, repo, universe):
-    """Every complete match over the universe, once each, as
-    ``iter_proper_derivations`` reaches them with nothing required."""
-    cache = MatchCache()
-
-    def copies(subset):
-        return [bound for gid in universe
-                if (bound := cache.bound_copies(rule, subset, gid, repo))]
-
-    for gid in universe:
-        for start in bind_graph(rule, gid, repo, cache):
-            if 0 in start.bound[0].components:
-                yield from rewrite._completions(start, copies)
-
-
 def related(first, second, rule, automorphisms_of):
     """Is there a rule automorphism sigma, a pairing of the bound copies
     and a host automorphism h per copy such that second(sigma(v)) =
     h(first(v)) for every rule vertex v?  By brute force."""
-    by_domain = {frozenset(rv for rv, _ in bc.vertex_map): bc
-                 for bc in second.bound}
+    by_domain = {frozenset(vmap): (gid, vmap) for gid, vmap in second.copies}
     for sigma_items in brute_rule_automorphisms(rule):
         sigma = dict(sigma_items)
-        for bc in first.bound:
-            m1 = dict(bc.vertex_map)
-            other = by_domain.get(frozenset(sigma[rv] for rv in m1))
-            if other is None or other.graph_id != bc.graph_id:
+        for gid, m1 in first.copies:
+            other_gid, m2 = by_domain.get(frozenset(sigma[rv] for rv in m1),
+                                          (None, None))
+            if other_gid != gid:
                 break
-            m2 = dict(other.vertex_map)
             if not any(all(h[m1[rv]] == m2[sigma[rv]] for rv in m1)
-                       for h in automorphisms_of(bc.graph_id)):
+                       for h in automorphisms_of(gid)):
                 break
         else:
             return True
@@ -480,7 +466,8 @@ class TestHostOrbits:
             automorphisms = {gid: brute_automorphisms(repo.graph(gid))
                              for gid in universe}
             by_key = {}
-            for partial in complete_partials(rule, repo, universe):
+            for partial in rewrite._complete_matches(rule, universe, (), repo,
+                                                     MatchCache()):
                 key = rewrite._orbit_key(partial, rule.automorphisms(),
                                          host_key(repo))
                 by_key.setdefault(key, []).append(partial)
@@ -670,21 +657,21 @@ class TestMatchCache:
         repo = GraphRepository()
         iso_id, _ = repo.intern(parse_molecule("CC(=C)C=C"))
         chx_id, _ = repo.intern(parse_molecule("C1=CC=CCC1"))
-        counts = {"_gluing_ok": 0, "_merged_component_maps": 0}
-        for name in counts:
-            real = getattr(rewrite, name)
+        counts = {"_gluing_ok": 0, "embeddings": 0}
+        for owner, name in ((rewrite, "_gluing_ok"), (MatchCache, "embeddings")):
+            real = getattr(owner, name)
 
             def counting(*args, _real=real, _name=name, **kwargs):
                 counts[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(rewrite, name, counting)
+            monkeypatch.setattr(owner, name, counting)
         applications = count_applications(monkeypatch)
         cache = MatchCache()
         rule = diels_alder_rule()
         first = enumerate_proper_derivations(
             rule, [iso_id, chx_id], [chx_id], repo=repo, cache=cache)
-        assert counts["_merged_component_maps"] > 0
+        assert counts["embeddings"] > 0
         assert counts["_gluing_ok"] > len(applications)
         for name in counts:
             counts[name] = 0
@@ -693,8 +680,24 @@ class TestMatchCache:
             rule, [iso_id, chx_id], [chx_id], repo=repo, cache=cache)
         assert [d.key for d in again] == [d.key for d in first]
         # Only the full-match check inside each application is left.
-        assert counts == {"_gluing_ok": len(applications),
-                          "_merged_component_maps": 0}
+        assert counts == {"_gluing_ok": len(applications), "embeddings": 0}
+
+    def test_cache_freed_without_the_cycle_collector(self):
+        # The binding loop holds the cache only in frames and closures that
+        # form no reference cycle, so dropping it frees it at once.
+        repo = GraphRepository()
+        iso_id, _ = repo.intern(parse_molecule("CC(=C)C=C"))
+        chx_id, _ = repo.intern(parse_molecule("C1=CC=CCC1"))
+        cache = MatchCache()
+        alive = weakref.ref(cache)
+        gc.disable()
+        try:
+            assert enumerate_proper_derivations(
+                diels_alder_rule(), [iso_id, chx_id], repo=repo, cache=cache)
+            del cache
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 def fingerprint(d):
@@ -764,7 +767,8 @@ class TestIterProperDerivations:
 class TestMergedComponentMaps:
     def test_product_order(self):
         # One embedding per component, merged when their images are
-        # disjoint, in the lexicographic order of the per-component lists.
+        # disjoint and kept when the copy passes the gluing check, in the
+        # lexicographic order of the per-component lists.
         rng = random.Random(47)
         merges = 0
         for _ in range(60):
@@ -777,9 +781,11 @@ class TestMergedComponentMaps:
             want = []
             for combo in itertools.product(*per_comp):
                 images = [v for m in combo for v in m.values()]
-                if len(set(images)) == len(images):
-                    want.append({k: v for m in combo for k, v in m.items()})
-            got = list(rewrite._merged_component_maps(rule, comps, gid, repo, cache))
+                merged = {k: v for m in combo for k, v in m.items()}
+                if (len(set(images)) == len(images)
+                        and rewrite._gluing_ok(rule, [(merged, repo.graph(gid))])):
+                    want.append(merged)
+            got = list(cache.bound_copies(rule, comps, gid, repo))
             assert got == want
             merges += len(comps) > 1 and len(got)
         assert merges > 0
