@@ -14,13 +14,10 @@ from gstrat.rewrite import (Derivation, MatchCache, PartialRule, apply_at,
                             enumerate_proper_derivations,
                             iter_proper_derivations)
 from gstrat.derivations import DerivationGraph, HyperEdge
-from gstrat.strategies import (AddSubset, AddUniverse, AltRuleApplication,
-                               EMPTY_STATE, EvalContext, FilterSubset,
-                               FilterUniverse, GraphState, LeftPredicate,
-                               Parallel, Repeat, Revive, RightPredicate,
-                               RuleApplication, Sequence, SortSubset,
-                               SortUniverse, Strategy, StrategyError,
-                               TakeSubset, TakeUniverse)
+from gstrat.strategies import (Add, AltRuleApplication, EMPTY_STATE,
+                               EvalContext, Filter, GraphState, Parallel,
+                               Predicate, Repeat, Revive, RuleApplication,
+                               Sequence, Sort, Strategy, StrategyError, Take)
 from gstrat.dsl import (RunReport, Script, ScriptError, format_script,
                         load_script, parse_script, run_script)
 from gstrat.chem import MoleculeError, diels_alder_rule, parse_molecule
@@ -34,11 +31,9 @@ __all__ = [
     "complete_derivation",
     "enumerate_proper_derivations", "iter_proper_derivations",
     "DerivationGraph", "HyperEdge",
-    "AddSubset", "AddUniverse", "AltRuleApplication", "EMPTY_STATE",
-    "EvalContext", "FilterSubset", "FilterUniverse", "GraphState",
-    "LeftPredicate", "Parallel", "Repeat", "Revive", "RightPredicate",
-    "RuleApplication", "Sequence", "SortSubset", "SortUniverse", "Strategy",
-    "StrategyError", "TakeSubset", "TakeUniverse",
+    "Add", "AltRuleApplication", "EMPTY_STATE", "EvalContext", "Filter",
+    "GraphState", "Parallel", "Predicate", "Repeat", "Revive",
+    "RuleApplication", "Sequence", "Sort", "Strategy", "StrategyError", "Take",
     "RunReport", "Script", "ScriptError", "format_script", "load_script",
     "parse_script", "run_script",
     "MoleculeError", "diels_alder_rule", "parse_molecule",

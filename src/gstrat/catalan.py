@@ -19,8 +19,8 @@ from gstrat.matching import find_isomorphism
 # Unused here: perfbench's IMPORT_SITES check that these names are wrapped.
 from gstrat.rewrite import bind_graph, complete_derivation
 from gstrat.rules import Rule
-from gstrat.strategies import (AddSubset, AltRuleApplication, EMPTY_STATE,
-                               EvalContext, FilterUniverse, Repeat, Revive,
+from gstrat.strategies import (Add, AltRuleApplication, EMPTY_STATE,
+                               EvalContext, Filter, Repeat, Revive,
                                RuleApplication, Sequence, Strategy)
 
 
@@ -87,7 +87,7 @@ def move_pipeline() -> Strategy:
     return Sequence([
         RuleApplication(mark),
         Revive(RuleApplication(fail)),
-        FilterUniverse(_no_fail_vertex),
+        Filter("universe", _no_fail_vertex),
         Repeat(Revive(RuleApplication(inter))),
         Repeat(Revive(RuleApplication(reattach))),
         Repeat(Revive(RuleApplication(attached))),
@@ -99,20 +99,25 @@ def move_pipeline() -> Strategy:
 def catalan_strategy(level: Graph) -> Strategy:
     """Expand the whole move space reachable from the level graph."""
     return Sequence([
-        AddSubset((level,)),
+        Add("subset", (level,)),
         AltRuleApplication(Repeat(move_pipeline())),
     ])
+
+
+def _check_label(label: str, vertex: bool) -> None:
+    if vertex and label != "0":
+        raise LevelError(f'level vertex labels must be "0", found {label!r}')
+    if not vertex and label != "":
+        raise LevelError("level edge labels must be empty")
 
 
 def validate_level(g: Graph) -> None:
     if not g.is_connected:
         raise LevelError("level graphs must be connected and non-empty")
     for _, label in g.vertices():
-        if label != "0":
-            raise LevelError(f'level vertex labels must be "0", found {label!r}')
+        _check_label(label, vertex=True)
     for _, _, label in g.edges():
-        if label != "":
-            raise LevelError("level edge labels must be empty")
+        _check_label(label, vertex=False)
 
 
 GOAL = Graph([(0, "0")])
@@ -263,15 +268,24 @@ def _validate_replay(solution: Solution) -> None:
 
 
 def parse_level(text: str) -> Graph:
+    """Parse a level; errors are located at the bad label or the keyword."""
     from gstrat.graphs import _parse_graph_body
 
-    ts = TokenStream(lex.tokenize(text))
+    tokens = lex.tokenize(text)
+    ts = TokenStream(tokens)
     kw = ts.expect(lex.NAME, "level")
     ts.expect(lex.NAME)
     ts.expect(lex.PUNCT, "{")
     g = _parse_graph_body(ts)
     ts.expect(lex.PUNCT, "}")
     ts.expect_eof()
+    for i, tok in enumerate(tokens):
+        # Every string is a label: v <id> "l" or e <id> <id> "l".
+        if tok.kind == lex.STRING:
+            try:
+                _check_label(tok.value, vertex=tokens[i - 2].value == "v")
+            except LevelError as err:
+                raise tok.error(str(err)) from err
     try:
         validate_level(g)
     except LevelError as err:

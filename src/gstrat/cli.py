@@ -30,8 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--stats", action="store_true",
                        help="print detailed run statistics")
     run_p.add_argument("--max-repeat", type=int, metavar="N",
-                       help="cap for unbounded repetition (default: "
-                            "GSTRAT_MAX_REPEAT or 2^31-1)")
+                       help="cap for unbounded repetition (default: 2^31-1)")
 
     cat_p = sub.add_parser("catalan", help="Catalan game commands")
     cat_sub = cat_p.add_subparsers(dest="subcommand", required=True)
@@ -46,7 +45,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.max_repeat is not None and args.max_repeat < 0:
         raise ValueError(
             f"--max-repeat must not be negative, got {args.max_repeat}")
-    ctx = EvalContext(max_repeat=args.max_repeat)
+    ctx = (EvalContext() if args.max_repeat is None
+           else EvalContext(max_repeat=args.max_repeat))
     report: RunReport = run_script(load_script(args.script), dot_path=args.dot,
                                    json_path=args.json, ctx=ctx)
     print(report.summary())

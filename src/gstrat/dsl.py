@@ -706,18 +706,15 @@ class _Compiler:
             return st.Revive(sub(node.inner))
         if isinstance(node, SPredicate):
             pred = self._compile_pred(node.expr, (), depth + 1)
-            cls = st.LeftPredicate if node.side == "left" else st.RightPredicate
-            return cls(lambda rule, ids, ctx: pred(ids, ctx), sub(node.inner))
+            return st.Predicate(node.side, lambda rule, ids, ctx: pred(ids, ctx),
+                                sub(node.inner))
         if isinstance(node, SFilter):
             pred = self._compile_pred(node.expr, (), depth + 1)
-            cls = st.FilterSubset if node.scope == "subset" else st.FilterUniverse
-            return cls(lambda gid, state, ctx: pred((gid,), ctx))
+            return st.Filter(node.scope, lambda gid, state, ctx: pred((gid,), ctx))
         if isinstance(node, SSort):
-            cls = st.SortSubset if node.scope == "subset" else st.SortUniverse
-            return cls(SORT_KEYS[node.key], node.descending)
+            return st.Sort(node.scope, SORT_KEYS[node.key], node.descending)
         if isinstance(node, STake):
-            cls = st.TakeSubset if node.scope == "subset" else st.TakeUniverse
-            return cls(node.count)
+            return st.Take(node.scope, node.count)
         if isinstance(node, SAdd):
             graphs = []
             for name in node.names:
@@ -725,8 +722,7 @@ class _Compiler:
                 if g is None:
                     raise ScriptError(f"unknown graph name {name!r}")
                 graphs.append(g)
-            cls = st.AddSubset if node.scope == "subset" else st.AddUniverse
-            return cls(graphs)
+            return st.Add(node.scope, graphs)
         if isinstance(node, SAlt):
             return st.AltRuleApplication(sub(node.inner))
         raise ScriptError(f"not a strategy node: {node!r}")

@@ -595,9 +595,6 @@ class GraphRepository:
     def __len__(self) -> int:
         return len(self._graphs)
 
-    def ids(self) -> range:
-        return range(len(self._graphs))
-
     def graph(self, gid: int) -> Graph:
         return self._graphs[gid]
 

@@ -5,11 +5,13 @@ ordered subset that drives rule application: every derivation must consume
 at least one subset graph.  Strategies are state-to-state functions built
 from rule application, parallel and sequential composition, repetition,
 revive, derivation predicates, filter/sort/take/add and the alternate
-application mode.
+application mode.  As in the script language, filter/sort/take/add act on
+the list named by their ``scope`` ("subset" or "universe"), a derivation
+predicate on its ``side`` ("left" or "right"), and each label starts with
+the script keyword.  An unbounded repeat stops at ``EvalContext.max_repeat``.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from collections.abc import Sequence as SequenceOf
 from typing import Callable
@@ -31,6 +33,13 @@ SortKey = Callable[[int, "EvalContext"], object]
 
 class StrategyError(RuntimeError):
     """Evaluation failure, annotated with the strategy-tree path."""
+
+
+def _checked(value: str, allowed: tuple[str, ...], what: str) -> str:
+    if value not in allowed:
+        raise ValueError(f"{what} must be {' or '.join(map(repr, allowed))}, "
+                         f"got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -64,28 +73,17 @@ class RunStats:
 class EvalContext:
     """Mutable evaluation environment threaded through a strategy run."""
 
-    def __init__(self, repo: GraphRepository | None = None,
-                 sink: DerivationGraph | None = None,
-                 max_repeat: int | None = None):
-        self.repo = repo if repo is not None else GraphRepository()
-        self.sink = sink if sink is not None else DerivationGraph()
+    def __init__(self, max_repeat: int = DEFAULT_REPEAT_CAP):
+        if max_repeat < 0:
+            raise ValueError(f"max_repeat must not be negative, got {max_repeat}")
+        self.repo = GraphRepository()
+        self.sink = DerivationGraph()
         self.cache = MatchCache()
         self.stats = RunStats()
         self.alt_mode = False
         self.left_predicates: list[DerivationPredicate] = []
         self.right_predicates: list[DerivationPredicate] = []
         self.names: dict[str, int] = {}
-        source = "max_repeat"
-        if max_repeat is None:
-            raw = os.environ.get("GSTRAT_MAX_REPEAT", "")
-            source = "GSTRAT_MAX_REPEAT"
-            try:
-                max_repeat = int(raw) if raw else DEFAULT_REPEAT_CAP
-            except ValueError:
-                raise ValueError(
-                    f"{source} must be an integer, got {raw!r}") from None
-        if max_repeat < 0:
-            raise ValueError(f"{source} must not be negative, got {max_repeat}")
         self.max_repeat = max_repeat
         self._consumed_stack: list[set[int]] = [set()]
         self._known: set[int] = set()
@@ -185,8 +183,7 @@ class RuleApplication(Strategy):
             repo=ctx.repo, cache=ctx.cache,
             left_filter=left_filter)
         universe_set = set(state.universe)
-        derived: list[int] = []
-        derived_seen: set[int] = set()
+        derived: dict[int, None] = {}  # ordered set
         for d in derivations:
             if not all(p(self.rule, d.outputs, ctx)
                        for p in ctx.right_predicates):
@@ -194,10 +191,7 @@ class RuleApplication(Strategy):
             if ctx.sink.record(d):
                 ctx.stats.derivations += 1
             ctx.mark_consumed(d.inputs)
-            for gid in d.outputs:
-                if gid not in derived_seen:
-                    derived_seen.add(gid)
-                    derived.append(gid)
+            derived.update(dict.fromkeys(d.outputs))
         for gid in derived:
             ctx.count_discovered(gid)
         universe = _ordered_union(state.universe, derived)
@@ -289,32 +283,27 @@ class Revive(Strategy):
         finally:
             consumed = ctx.pop_consumed_frame()
         universe_set = set(result.universe)
-        subset = list(result.subset)
-        present = set(subset)
-        for gid in state.subset:
-            if gid in universe_set and gid not in consumed and gid not in present:
-                subset.append(gid)
-                present.add(gid)
-        return GraphState(result.universe, tuple(subset))
+        revived = [g for g in state.subset
+                   if g in universe_set and g not in consumed]
+        return GraphState(result.universe,
+                          _ordered_union(result.subset, revived))
 
 
-class LeftPredicate(Strategy):
-    """Require every derivation found inside to satisfy P(rule, inputs)."""
+class Predicate(Strategy):
+    """Require every derivation found inside to satisfy P(rule, ids), where
+    ids are the inputs for side "left" and the outputs for side "right"."""
 
-    side = "left"
-
-    def __init__(self, predicate: DerivationPredicate, inner: Strategy):
+    def __init__(self, side: str, predicate: DerivationPredicate,
+                 inner: Strategy):
+        self.side = _checked(side, ("left", "right"), "side")
         self.predicate = predicate
         self.inner = inner
 
     def label(self) -> str:
         return f"{self.side}Predicate"
 
-    def _stack(self, ctx: EvalContext) -> list[DerivationPredicate]:
-        return ctx.left_predicates
-
     def _apply(self, state: GraphState, ctx: EvalContext) -> GraphState:
-        stack = self._stack(ctx)
+        stack = getattr(ctx, f"{self.side}_predicates")
         stack.append(self.predicate)
         try:
             return self.inner.apply(state, ctx)
@@ -322,112 +311,84 @@ class LeftPredicate(Strategy):
             stack.pop()
 
 
-class RightPredicate(LeftPredicate):
-    """Require every derivation found inside to satisfy P(rule, outputs)."""
+class _OnOneList(Strategy):
+    """A combinator over one list of the state, named by scope."""
 
-    side = "right"
+    keyword = ""
 
-    def _stack(self, ctx: EvalContext) -> list[DerivationPredicate]:
-        return ctx.right_predicates
-
-
-class FilterSubset(Strategy):
-    def __init__(self, predicate: GraphPredicate):
-        self.predicate = predicate
+    def __init__(self, scope: str):
+        self.scope = _checked(scope, ("subset", "universe"), "scope")
 
     def label(self) -> str:
-        return "filterSubset"
+        return self.keyword + self.scope.capitalize()
 
-    def _apply(self, state: GraphState, ctx: EvalContext) -> GraphState:
-        subset = tuple(g for g in state.subset if self.predicate(g, state, ctx))
-        return GraphState(state.universe, subset)
+    def _replace(self, state: GraphState, ids: SequenceOf[int]) -> GraphState:
+        """state with ids as the scoped list; a new universe keeps only the
+        subset graphs still in it."""
+        if self.scope == "subset":
+            return GraphState(state.universe, tuple(ids))
+        kept = set(ids)
+        return GraphState(tuple(ids),
+                          tuple(g for g in state.subset if g in kept))
 
 
-class FilterUniverse(Strategy):
-    def __init__(self, predicate: GraphPredicate):
+class Filter(_OnOneList):
+    """Keep the graphs of the scoped list that satisfy the predicate."""
+
+    keyword = "filter"
+
+    def __init__(self, scope: str, predicate: GraphPredicate):
+        super().__init__(scope)
         self.predicate = predicate
 
-    def label(self) -> str:
-        return "filterUniverse"
-
     def _apply(self, state: GraphState, ctx: EvalContext) -> GraphState:
-        universe = tuple(g for g in state.universe
-                         if self.predicate(g, state, ctx))
-        kept = set(universe)
-        subset = tuple(g for g in state.subset
-                       if g in kept and self.predicate(g, state, ctx))
-        return GraphState(universe, subset)
+        return self._replace(state, [g for g in getattr(state, self.scope)
+                                     if self.predicate(g, state, ctx)])
 
 
-class SortSubset(Strategy):
-    def __init__(self, key: SortKey, descending: bool = False):
+class Sort(_OnOneList):
+    """Stable sort of the scoped list by the key."""
+
+    keyword = "sort"
+
+    def __init__(self, scope: str, key: SortKey, descending: bool = False):
+        super().__init__(scope)
         self.key = key
         self.descending = descending
 
-    def label(self) -> str:
-        return "sortSubset"
-
     def _apply(self, state: GraphState, ctx: EvalContext) -> GraphState:
-        subset = tuple(sorted(state.subset,
-                              key=lambda g: self.key(g, ctx),
-                              reverse=self.descending))
-        return GraphState(state.universe, subset)
+        return self._replace(state, sorted(getattr(state, self.scope),
+                                           key=lambda g: self.key(g, ctx),
+                                           reverse=self.descending))
 
 
-class SortUniverse(Strategy):
-    def __init__(self, key: SortKey, descending: bool = False):
-        self.key = key
-        self.descending = descending
+class Take(_OnOneList):
+    """Keep the first count graphs of the scoped list."""
 
-    def label(self) -> str:
-        return "sortUniverse"
+    keyword = "take"
 
-    def _apply(self, state: GraphState, ctx: EvalContext) -> GraphState:
-        universe = tuple(sorted(state.universe,
-                                key=lambda g: self.key(g, ctx),
-                                reverse=self.descending))
-        return GraphState(universe, state.subset)
-
-
-class TakeSubset(Strategy):
-    def __init__(self, count: int):
+    def __init__(self, scope: str, count: int):
+        super().__init__(scope)
         if count < 0:
             raise ValueError("take bound must be non-negative")
         self.count = count
 
     def label(self) -> str:
-        return f"takeSubset[{self.count}]"
+        return f"{super().label()}[{self.count}]"
 
     def _apply(self, state: GraphState, ctx: EvalContext) -> GraphState:
-        return GraphState(state.universe, state.subset[:self.count])
+        return self._replace(state, getattr(state, self.scope)[:self.count])
 
 
-class TakeUniverse(Strategy):
-    def __init__(self, count: int):
-        if count < 0:
-            raise ValueError("take bound must be non-negative")
-        self.count = count
+class Add(_OnOneList):
+    """Append the given graphs (interned on use) to the universe and, for
+    scope "subset", to the subset as well."""
 
-    def label(self) -> str:
-        return f"takeUniverse[{self.count}]"
+    keyword = "add"
 
-    def _apply(self, state: GraphState, ctx: EvalContext) -> GraphState:
-        universe = state.universe[:self.count]
-        kept = set(universe)
-        subset = tuple(g for g in state.subset if g in kept)
-        return GraphState(universe, subset)
-
-
-class AddUniverse(Strategy):
-    """Append the given graphs (interned on use) to the universe."""
-
-    adds_to_subset = False
-
-    def __init__(self, graphs: SequenceOf[Graph]):
+    def __init__(self, scope: str, graphs: SequenceOf[Graph]):
+        super().__init__(scope)
         self.graphs = tuple(graphs)
-
-    def label(self) -> str:
-        return "addUniverse"
 
     def _apply(self, state: GraphState, ctx: EvalContext) -> GraphState:
         ids = []
@@ -436,18 +397,9 @@ class AddUniverse(Strategy):
             ctx.register_known(gid)
             ids.append(gid)
         universe = _ordered_union(state.universe, ids)
-        if not self.adds_to_subset:
+        if self.scope == "universe":
             return GraphState(universe, state.subset)
         return GraphState(universe, _ordered_union(state.subset, ids))
-
-
-class AddSubset(AddUniverse):
-    """Append the given graphs to both the universe and the subset."""
-
-    adds_to_subset = True
-
-    def label(self) -> str:
-        return "addSubset"
 
 
 class AltRuleApplication(Strategy):

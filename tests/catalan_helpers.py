@@ -5,7 +5,7 @@ from __future__ import annotations
 from gstrat.catalan import catalan_rules, move_pipeline, validate_level
 from gstrat.graphs import Graph, serialize_graph
 from gstrat.rewrite import bind_graph, complete_derivation
-from gstrat.strategies import (AddSubset, AltRuleApplication, EMPTY_STATE,
+from gstrat.strategies import (Add, AltRuleApplication, EMPTY_STATE,
                                EvalContext, GraphState, Sequence)
 
 
@@ -14,7 +14,7 @@ def move_successors(level: Graph, ctx: EvalContext | None = None) -> list[Graph]
     validate_level(level)
     if ctx is None:
         ctx = EvalContext()
-    strat = Sequence([AddSubset((level,)), AltRuleApplication(move_pipeline())])
+    strat = Sequence([Add("subset", (level,)), AltRuleApplication(move_pipeline())])
     final = strat.apply(EMPTY_STATE, ctx)
     return [ctx.repo.graph(gid) for gid in final.subset]
 

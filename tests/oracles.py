@@ -157,7 +157,7 @@ def equal_signature_pairs(repo) -> list[tuple[int, int]]:
     is free of isomorphic duplicates when no pair listed here is isomorphic.
     """
     by_signature: dict[tuple, list[int]] = {}
-    for gid in repo.ids():
+    for gid in range(len(repo)):
         by_signature.setdefault(signature(repo.graph(gid)), []).append(gid)
     return [(a, b) for group in by_signature.values()
             for i, a in enumerate(group) for b in group[i + 1:]]

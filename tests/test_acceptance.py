@@ -21,7 +21,7 @@ from gstrat.dsl import load_script, run_script
 from gstrat.graphs import Graph, isomorphic
 from gstrat.rewrite import (MatchCache, enumerate_proper_derivations,
                             iter_proper_derivations)
-from gstrat.strategies import (AddSubset, EMPTY_STATE, EvalContext,
+from gstrat.strategies import (Add, EMPTY_STATE, EvalContext,
                                Repeat, Revive, RuleApplication, Sequence)
 
 from .catalan_helpers import complete_graph, cycle_graph, move_successors
@@ -193,7 +193,7 @@ class TestCriterion1:
         g5 = Graph([(0, "a"), (1, "a"), (2, "a")], [(0, 1, "c"), (1, 2, "c")])
 
         ctx = EvalContext()
-        plain = Sequence([AddSubset((g1, g2)),
+        plain = Sequence([Add("subset", (g1, g2)),
                           Repeat(RuleApplication(relabel_rule()))]).apply(
             EMPTY_STATE, ctx)
         plain_classes = [ctx.repo.graph(g) for g in plain.subset]
@@ -201,7 +201,7 @@ class TestCriterion1:
         assert isomorphic(plain_classes[0], g5)
 
         ctx2 = EvalContext()
-        revived = Sequence([AddSubset((g1, g2)),
+        revived = Sequence([Add("subset", (g1, g2)),
                             Repeat(Revive(RuleApplication(relabel_rule())))]).apply(
             EMPTY_STATE, ctx2)
         revived_classes = [ctx2.repo.graph(g) for g in revived.subset]

@@ -229,11 +229,20 @@ class TestLevels:
         with pytest.raises(ParseError):
             parse_level('level l { v 0 "0"; v 1 "0"; }')  # disconnected
 
-    def test_invalid_level_is_located_at_its_keyword(self):
+    def test_invalid_level_is_located_at_its_label(self):
         text = '# a comment line\n\n  level l {\n  v 0 "0";\n  v 1 "A"; e 0 1 "";\n}\n'
         with pytest.raises(ParseError, match="level vertex labels") as err:
             parse_level(text)
-        assert (err.value.line, err.value.column) == (3, 3)
+        assert (err.value.line, err.value.column) == (5, 7)
+        text = 'level l {\n  v 0 "0"; v 1 "0";\n  e 0 1 "x";\n}\n'
+        with pytest.raises(ParseError, match="level edge labels") as err:
+            parse_level(text)
+        assert (err.value.line, err.value.column) == (3, 9)
+        # connectivity belongs to no one entry: reported at the keyword
+        text = '\n  level l {\n  v 0 "0";\n  v 1 "0";\n}\n'
+        with pytest.raises(ParseError, match="connected") as err:
+            parse_level(text)
+        assert (err.value.line, err.value.column) == (2, 3)
 
     def test_validate_level_direct(self):
         with pytest.raises(LevelError):

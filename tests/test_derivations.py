@@ -188,8 +188,8 @@ class TestFindPath:
         # with isoprene always available, every depth-2 product is reachable
         # from cyclohexadiene through the recorded bimolecular derivations
         from gstrat.chem import diels_alder_rule, parse_molecule
-        from gstrat.strategies import (AddSubset, EMPTY_STATE, EvalContext,
-                                       LeftPredicate, Repeat, RuleApplication,
+        from gstrat.strategies import (Add, EMPTY_STATE, EvalContext,
+                                       Predicate, Repeat, RuleApplication,
                                        Sequence)
 
         ctx = EvalContext()
@@ -197,9 +197,10 @@ class TestFindPath:
         chx, _ = ctx.repo.intern(parse_molecule("C1=CC=CCC1"))
         bimol = lambda rule, ids_, c: len(ids_) == 2
         Sequence([
-            AddSubset((parse_molecule("CC(=C)C=C"),
-                       parse_molecule("C1=CC=CCC1"))),
-            Repeat(LeftPredicate(bimol, RuleApplication(diels_alder_rule())), 2),
+            Add("subset", (parse_molecule("CC(=C)C=C"),
+                           parse_molecule("C1=CC=CCC1"))),
+            Repeat(Predicate("left", bimol,
+                             RuleApplication(diels_alder_rule())), 2),
         ]).apply(EMPTY_STATE, ctx)
         second_generation = [e for e in ctx.sink.edges
                              if iso in {g for g, _ in e.inputs}

@@ -121,6 +121,44 @@ class TestPrintReparse:
         assert parse_script(printed) == script
 
 
+# One term per script keyword; each names the relabel script's items.
+KEYWORD_TERMS = {
+    "rule": "rule p",
+    "parallel": "parallel { rule p, rule p }",
+    "repeat": "repeat[2] { rule p }",
+    "revive": "revive { rule p }",
+    "leftPredicate": "leftPredicate[componentCount == 1] { rule p }",
+    "rightPredicate": "rightPredicate[vertexCount(0) < 3] { rule p }",
+    "filterSubset": "filterSubset[isGraph(0, g1)]",
+    "filterUniverse": "filterUniverse[not isGraph(0, g1)]",
+    "sortSubset": "sortSubset[vertexCount, desc]",
+    "sortUniverse": "sortUniverse[text]",
+    "takeSubset": "takeSubset[1]",
+    "takeUniverse": "takeUniverse[0]",
+    "addSubset": "addSubset(g1, g2)",
+    "addUniverse": "addUniverse(g2)",
+    "altRuleApp": "altRuleApp { revive { rule p } }",
+}
+
+
+class TestSharedVocabulary:
+    @pytest.mark.parametrize("keyword", KEYWORD_TERMS)
+    def test_label_starts_with_the_script_keyword(self, keyword):
+        text = RELABEL_SCRIPT + f"strategy t = {KEYWORD_TERMS[keyword]}\n"
+        compiler = dsl._Compiler(EvalContext())
+        compiler.load(parse_script(text))
+        strat = compiler.compile_strategy(dsl.SRef("t"))
+        assert strat.label().startswith(keyword)
+
+    @pytest.mark.parametrize("keyword", KEYWORD_TERMS)
+    def test_printed_term_parses_back(self, keyword):
+        (item,) = parse_script(f"strategy t = {KEYWORD_TERMS[keyword]}").items
+        printed = dsl.format_strategy(item.body)
+        assert printed.startswith(keyword)
+        (again,) = parse_script(f"strategy t = {printed}").items
+        assert again.body == item.body
+
+
 class TestRunScript:
     def test_relabel_revive_run(self):
         report = run_script(parse_script(RELABEL_SCRIPT))

@@ -573,7 +573,7 @@ class TestGluingDifferential:
                 assert got.outputs == want.outputs
                 assert got.fates == want.fates
                 applied += 1
-            for gid in repo.ids():
+            for gid in range(len(repo)):
                 g, h = repo.graph(gid), twin.graph(gid)
                 assert serialize_graph(g) == serialize_graph(h)
                 assert ([list(g.neighbors(v).items()) for v in g.vertex_ids()]

@@ -1,12 +1,10 @@
 import pytest
 
 from gstrat.graphs import Graph, isomorphic
-from gstrat.strategies import (AddSubset, AddUniverse, AltRuleApplication,
-                               EMPTY_STATE, EvalContext, FilterSubset,
-                               FilterUniverse, GraphState, LeftPredicate,
-                               Parallel, Repeat, RightPredicate,
-                               RuleApplication, Revive, Sequence, SortSubset,
-                               StrategyError, TakeSubset, TakeUniverse)
+from gstrat.strategies import (Add, AltRuleApplication, EMPTY_STATE,
+                               EvalContext, Filter, GraphState, Parallel,
+                               Predicate, Repeat, RuleApplication, Revive,
+                               Sequence, Sort, StrategyError, Take)
 
 from .oracles import signature
 from .test_rules import relabel_rule
@@ -33,7 +31,7 @@ def g5():
 
 
 def seeded_state(ctx):
-    return AddSubset((g1(), g2())).apply(EMPTY_STATE, ctx)
+    return Add("subset", (g1(), g2())).apply(EMPTY_STATE, ctx)
 
 
 def classes(ctx, ids):
@@ -62,7 +60,7 @@ class TestGraphState:
 class TestRuleApplication:
     def test_no_matches_empties_subset(self):
         ctx = EvalContext()
-        state = AddSubset((g3(),)).apply(EMPTY_STATE, ctx)
+        state = Add("subset", (g3(),)).apply(EMPTY_STATE, ctx)
         result = RuleApplication(relabel_rule()).apply(state, ctx)
         assert result.universe == state.universe
         assert result.subset == ()
@@ -128,15 +126,15 @@ class TestSequenceAndParallel:
 
     def test_parallel_union_of_adds(self):
         ctx = EvalContext()
-        result = Parallel((AddSubset((g1(),)), AddSubset((g2(),)))).apply(
-            EMPTY_STATE, ctx)
+        result = Parallel((Add("subset", (g1(),)),
+                           Add("subset", (g2(),)))).apply(EMPTY_STATE, ctx)
         assert_class_set(ctx, result.subset, [g1(), g2()])
 
     def test_parallel_forward_and_backward(self):
         ctx = EvalContext()
         forward = RuleApplication(relabel_rule())
         backward = RuleApplication(relabel_rule().inverted())
-        state = AddSubset((g1(), g3())).apply(EMPTY_STATE, ctx)
+        state = Add("subset", (g1(), g3())).apply(EMPTY_STATE, ctx)
         merged = Parallel((forward, backward)).apply(state, ctx)
         f = forward.apply(state, ctx)
         b = backward.apply(state, ctx)
@@ -178,31 +176,17 @@ class TestRepeat:
         result = Repeat(RuleApplication(relabel_rule())).apply(seeded_state(ctx), ctx)
         assert_class_set(ctx, result.subset, [g3(), g4()])
 
-    def test_repeat_cap_from_environment(self, monkeypatch):
-        monkeypatch.setenv("GSTRAT_MAX_REPEAT", "1")
-        ctx = EvalContext()
-        assert ctx.max_repeat == 1
-        result = Repeat(RuleApplication(relabel_rule())).apply(seeded_state(ctx), ctx)
-        assert_class_set(ctx, result.subset, [g3(), g4()])
-        monkeypatch.setenv("GSTRAT_MAX_REPEAT", "lots")
-        with pytest.raises(ValueError):
-            EvalContext()
-
-    def test_negative_repeat_cap_rejected(self, monkeypatch):
+    def test_negative_repeat_cap_rejected(self):
         # A negative cap would make every unbounded repeat run zero rounds.
         with pytest.raises(ValueError, match="max_repeat must not be negative"):
             EvalContext(max_repeat=-1)
-        monkeypatch.setenv("GSTRAT_MAX_REPEAT", "-1")
-        with pytest.raises(ValueError,
-                           match="GSTRAT_MAX_REPEAT must not be negative"):
-            EvalContext()
         assert EvalContext(max_repeat=0).max_repeat == 0
 
 
 class TestRevive:
     def test_revive_without_consumption_preserves_subset(self):
         ctx = EvalContext()
-        state = AddSubset((g3(),)).apply(EMPTY_STATE, ctx)
+        state = Add("subset", (g3(),)).apply(EMPTY_STATE, ctx)
         result = Revive(RuleApplication(relabel_rule())).apply(state, ctx)
         assert set(result.subset) == set(state.subset)
 
@@ -224,7 +208,7 @@ class TestDerivationPredicates:
         ctx = EvalContext()
         small = lambda rule, ids, c: all(c.repo.graph(g).vertex_count <= 2
                                          for g in ids)
-        result = RightPredicate(small, RuleApplication(relabel_rule())).apply(
+        result = Predicate("right", small, RuleApplication(relabel_rule())).apply(
             seeded_state(ctx), ctx)
         assert_class_set(ctx, result.subset, [g3()])
         for g in result.universe:
@@ -234,7 +218,7 @@ class TestDerivationPredicates:
     def test_left_false_produces_nothing(self):
         ctx = EvalContext()
         never = lambda rule, ids, c: False
-        result = LeftPredicate(never, RuleApplication(relabel_rule())).apply(
+        result = Predicate("left", never, RuleApplication(relabel_rule())).apply(
             seeded_state(ctx), ctx)
         assert result.subset == ()
         assert len(ctx.sink) == 0
@@ -244,8 +228,9 @@ class TestDerivationPredicates:
         free = RuleApplication(relabel_rule()).apply(seeded_state(ctx), ctx)
         ctx2 = EvalContext()
         pred = lambda rule, ids, c: len(ids) == 1
-        constrained = LeftPredicate(pred, RuleApplication(relabel_rule())).apply(
-            seeded_state(ctx2), ctx2)
+        constrained = Predicate(
+            "left", pred, RuleApplication(relabel_rule())).apply(
+                seeded_state(ctx2), ctx2)
         assert set(constrained.subset) <= {
             g for g in free.subset}  # same interning order in both contexts
 
@@ -253,7 +238,8 @@ class TestDerivationPredicates:
         ctx = EvalContext()
         never = lambda rule, ids, c: False
         inner = Sequence((RuleApplication(relabel_rule()),))
-        result = LeftPredicate(never, Repeat(inner, 3)).apply(seeded_state(ctx), ctx)
+        result = Predicate("left", never, Repeat(inner, 3)).apply(
+            seeded_state(ctx), ctx)
         assert len(ctx.sink) == 0
 
 
@@ -261,7 +247,8 @@ class TestFilterSortTakeAdd:
     def test_filter_subset_keeps_universe(self):
         ctx = EvalContext()
         state = seeded_state(ctx)
-        result = FilterSubset(
+        result = Filter(
+            "subset",
             lambda g, s, c: c.repo.graph(g).vertex_count == 2).apply(state, ctx)
         assert result.universe == state.universe
         assert_class_set(ctx, result.subset, [g1()])
@@ -269,42 +256,57 @@ class TestFilterSortTakeAdd:
     def test_filter_universe_filters_both(self):
         ctx = EvalContext()
         state = seeded_state(ctx)
-        result = FilterUniverse(
+        result = Filter(
+            "universe",
             lambda g, s, c: c.repo.graph(g).vertex_count != 3).apply(state, ctx)
         assert_class_set(ctx, result.universe, [g1()])
         assert_class_set(ctx, result.subset, [g1()])
 
+    def test_filter_universe_tests_each_graph_once(self):
+        ctx = EvalContext()
+        state = seeded_state(ctx)
+        assert state.subset == state.universe
+        calls = []
+
+        def keep_all(g, s, c):
+            calls.append(g)
+            return True
+
+        assert Filter("universe", keep_all).apply(state, ctx) == state
+        assert calls == list(state.universe)
+
     def test_sort_then_take_keeps_smallest(self):
         ctx = EvalContext()
-        state = AddSubset((g2(), g1(), g5())).apply(EMPTY_STATE, ctx)
+        state = Add("subset", (g2(), g1(), g5())).apply(EMPTY_STATE, ctx)
         by_size = lambda g, c: c.repo.graph(g).vertex_count
-        result = Sequence((SortSubset(by_size), TakeSubset(1))).apply(state, ctx)
+        result = Sequence((Sort("subset", by_size),
+                           Take("subset", 1))).apply(state, ctx)
         assert_class_set(ctx, result.subset, [g1()])
         assert result.universe == state.universe
 
     def test_sort_stability(self):
         ctx = EvalContext()
-        state = AddSubset((g2(), g1(), g5())).apply(EMPTY_STATE, ctx)
-        result = SortSubset(lambda g, c: 0).apply(state, ctx)
+        state = Add("subset", (g2(), g1(), g5())).apply(EMPTY_STATE, ctx)
+        result = Sort("subset", lambda g, c: 0).apply(state, ctx)
         assert result.subset == state.subset
 
     def test_take_subset_zero(self):
         ctx = EvalContext()
         state = seeded_state(ctx)
-        result = TakeSubset(0).apply(state, ctx)
+        result = Take("subset", 0).apply(state, ctx)
         assert result.subset == ()
         assert result.universe == state.universe
 
     def test_take_universe_restricts_subset(self):
         ctx = EvalContext()
-        state = AddSubset((g1(), g2(), g3())).apply(EMPTY_STATE, ctx)
-        result = TakeUniverse(2).apply(state, ctx)
+        state = Add("subset", (g1(), g2(), g3())).apply(EMPTY_STATE, ctx)
+        result = Take("universe", 2).apply(state, ctx)
         assert len(result.universe) == 2
         assert set(result.subset) == set(result.universe)
 
     def test_add_universe_does_not_touch_subset(self):
         ctx = EvalContext()
-        result = AddUniverse((g1(),)).apply(EMPTY_STATE, ctx)
+        result = Add("universe", (g1(),)).apply(EMPTY_STATE, ctx)
         assert len(result.universe) == 1
         assert result.subset == ()
 
@@ -317,8 +319,8 @@ class TestFilterSortTakeAdd:
 
         ctx2 = EvalContext()
         injected = Sequence((
-            AddUniverse((g1(), g2())),
-            AddSubset((g1(), g2())),
+            Add("universe", (g1(), g2())),
+            Add("subset", (g1(), g2())),
             RuleApplication(relabel_rule()),
         )).apply(EMPTY_STATE, ctx2)
         assert [signature(ctx2.repo.graph(g)) for g in injected.universe] == \
@@ -326,10 +328,35 @@ class TestFilterSortTakeAdd:
 
     def test_add_existing_graph_to_subset(self):
         ctx = EvalContext()
-        state = AddUniverse((g1(),)).apply(EMPTY_STATE, ctx)
-        result = AddSubset((g1(),)).apply(state, ctx)
+        state = Add("universe", (g1(),)).apply(EMPTY_STATE, ctx)
+        result = Add("subset", (g1(),)).apply(state, ctx)
         assert len(result.universe) == 1
         assert len(result.subset) == 1
+
+
+class TestScopeAndSide:
+    def test_unknown_scope_or_side_rejected(self):
+        keep = lambda g, s, c: True
+        for make in (lambda scope: Filter(scope, keep),
+                     lambda scope: Sort(scope, lambda g, c: 0),
+                     lambda scope: Take(scope, 1),
+                     lambda scope: Add(scope, (g1(),))):
+            for scope in ("Subset", "both", ""):
+                with pytest.raises(ValueError, match="scope must be"):
+                    make(scope)
+        for side in ("Left", "inputs"):
+            with pytest.raises(ValueError, match="side must be"):
+                Predicate(side, lambda r, ids, c: True,
+                          RuleApplication(relabel_rule()))
+
+    def test_labels_name_the_scope_and_side(self):
+        keep = lambda g, s, c: True
+        assert Filter("universe", keep).label() == "filterUniverse"
+        assert Sort("subset", lambda g, c: 0).label() == "sortSubset"
+        assert Take("universe", 3).label() == "takeUniverse[3]"
+        assert Add("subset", ()).label() == "addSubset"
+        assert Predicate("right", lambda r, ids, c: True,
+                         Sequence(())).label() == "rightPredicate"
 
 
 class TestAltRuleApplication:
@@ -372,7 +399,7 @@ class TestErrors:
         def boom(g, s, c):
             raise RuntimeError("boom")
 
-        strat = Sequence((AddSubset((g1(),)), FilterSubset(boom)))
+        strat = Sequence((Add("subset", (g1(),)), Filter("subset", boom)))
         with pytest.raises(StrategyError) as err:
             strat.apply(EMPTY_STATE, ctx)
         assert "filterSubset" in str(err.value)
