@@ -20,6 +20,9 @@ Strategy syntax (terms chain left-to-right with ``->``)::
     altRuleApp { <strategy> }
     <name>                                      # reference a named strategy
 
+``TERMS`` gives each keyword's argument forms once.  Defining a name that
+could never be referenced (a keyword, a bare stem, a predicate word) fails.
+
 Predicates are boolean expressions over the graph multiset under test:
 ``componentCount``, ``vertexCount(i)``, ``edgeCount(i)`` (integers, with
 ``== != < <= > >=``), ``hasVertexLabel(i, "l")``, ``isGraph(i, name)``,
@@ -29,18 +32,20 @@ graph-id order; an out-of-range index makes the atom false.  Sort keys:
 
 A predicate is compiled once, with the strategy that uses it: names are
 resolved and cycles found before the run, which then only calls closures.
-Brackets, braces, parentheses and ``not`` nest at most ``MAX_DEPTH`` levels
+Braces, ``[<pred>]``, parentheses and ``not`` nest at most ``MAX_DEPTH`` levels
 (a ``ParseError`` at the offending token), and a reference is followed only
 below that many levels of nesting plus references (a ``ScriptError``).
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import operator
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from gstrat import lex
 from gstrat.graphs import Graph, _parse_graph_body, serialize_graph
@@ -61,6 +66,9 @@ CMP_OPS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
 SORT_KEYS = {"vertexCount": lambda gid, ctx: ctx.repo.graph(gid).vertex_count,
              "edgeCount": lambda gid, ctx: ctx.repo.graph(gid).edge_count,
              "text": lambda gid, ctx: serialize_graph(ctx.repo.graph(gid))}
+#: The words a predicate can start with other than a reference.
+PRED_WORDS = ("not", "componentCount", "vertexCount", "edgeCount", "hasVertexLabel",
+              "isGraph")
 #: Bound on nesting in a script and on references followed while compiling.
 MAX_DEPTH = 64
 
@@ -119,8 +127,10 @@ class Or:
 
 
 @dataclass(frozen=True)
-class SRule:
-    name: str
+class STerm:
+    """A keyword term: one argument per form in ``TERMS[keyword]``."""
+    keyword: str
+    args: tuple
 
 
 @dataclass(frozen=True)
@@ -131,59 +141,6 @@ class SRef:
 @dataclass(frozen=True)
 class SSequence:
     parts: tuple
-
-
-@dataclass(frozen=True)
-class SParallel:
-    branches: tuple
-
-
-@dataclass(frozen=True)
-class SRepeat:
-    inner: object
-    bound: int | None
-
-
-@dataclass(frozen=True)
-class SRevive:
-    inner: object
-
-
-@dataclass(frozen=True)
-class SPredicate:
-    side: str  # "left" | "right"
-    expr: object
-    inner: object
-
-
-@dataclass(frozen=True)
-class SFilter:
-    scope: str  # "subset" | "universe"
-    expr: object
-
-
-@dataclass(frozen=True)
-class SSort:
-    scope: str
-    key: str
-    descending: bool
-
-
-@dataclass(frozen=True)
-class STake:
-    scope: str
-    count: int
-
-
-@dataclass(frozen=True)
-class SAdd:
-    scope: str
-    names: tuple
-
-
-@dataclass(frozen=True)
-class SAlt:
-    inner: object
 
 
 # -- script items ----------------------------------------------------------------
@@ -275,11 +232,11 @@ def parse_script(text: str, base_dir: str = ".") -> Script:
         elif tok.value == "include":
             items.append(Include(ts.expect(lex.STRING).value))
         elif tok.value == "predicate":
-            name = ts.expect(lex.NAME).value
+            name = _definition_name(ts, "predicate", PRED_WORDS)
             ts.expect(lex.PUNCT, "=")
             items.append(PredicateDef(name, _parse_pred(ts)))
         elif tok.value == "strategy":
-            name = ts.expect(lex.NAME).value
+            name = _definition_name(ts, "strategy", TERMS.keys() | _SCOPED.keys())
             ts.expect(lex.PUNCT, "=")
             items.append(StrategyDef(name, _parse_strategy(ts)))
         elif tok.value == "export":
@@ -293,6 +250,15 @@ def parse_script(text: str, base_dir: str = ".") -> Script:
     return Script(tuple(items), base_dir)
 
 
+def _definition_name(ts: TokenStream, kind: str, reserved) -> str:
+    """The name a definition introduces; a reserved word could never be
+    referenced, so it is rejected here."""
+    tok = ts.expect(lex.NAME)
+    if tok.value in reserved:
+        raise tok.error(f"{tok.value!r} is a reserved word and cannot name a {kind}")
+    return tok.value
+
+
 def _deeper(tok: lex.Token, depth: int) -> int:
     """The nesting depth inside the construct that tok opens."""
     if depth >= MAX_DEPTH:
@@ -300,76 +266,37 @@ def _deeper(tok: lex.Token, depth: int) -> int:
     return depth + 1
 
 
-def _parse_block(ts: TokenStream, depth: int):
-    """``{ <strategy> }`` one level below depth."""
-    inner = _parse_strategy(ts, _deeper(ts.expect(lex.PUNCT, "{"), depth))
-    ts.expect(lex.PUNCT, "}")
-    return inner
+def _enclosed(opening: str, closing: str, read, deepen: bool = False):
+    """read between the delimiters; deepen counts them toward MAX_DEPTH."""
+    def read_enclosed(ts: TokenStream, depth: int):
+        tok = ts.expect(lex.PUNCT, opening)
+        arg = read(ts, _deeper(tok, depth) if deepen else depth)
+        ts.expect(lex.PUNCT, closing)
+        return arg
+    return read_enclosed
+
+
+def _listed(ts: TokenStream, read, kind: str = lex.PUNCT, separator: str = ","):
+    """One or more of read(), separated by the separator token."""
+    items = [read()]
+    while ts.accept(kind, separator):
+        items.append(read())
+    return tuple(items)
 
 
 def _parse_strategy(ts: TokenStream, depth: int = 0):
-    parts = [_parse_term(ts, depth)]
-    while ts.accept(lex.PUNCT, "->"):
-        parts.append(_parse_term(ts, depth))
-    return parts[0] if len(parts) == 1 else SSequence(tuple(parts))
+    parts = _listed(ts, lambda: _parse_term(ts, depth), separator="->")
+    return parts[0] if len(parts) == 1 else SSequence(parts)
 
 
 def _parse_term(ts: TokenStream, depth: int):
     tok = ts.expect(lex.NAME)
-    head = tok.value
-    if head == "rule":
-        return SRule(ts.expect(lex.NAME).value)
-    if head == "parallel":
-        inner_depth = _deeper(ts.expect(lex.PUNCT, "{"), depth)
-        branches = [_parse_strategy(ts, inner_depth)]
-        while ts.accept(lex.PUNCT, ","):
-            branches.append(_parse_strategy(ts, inner_depth))
-        ts.expect(lex.PUNCT, "}")
-        return SParallel(tuple(branches))
-    if head == "repeat":
-        ts.expect(lex.PUNCT, "[")
-        bound = ts.expect_int() if ts.at(lex.INT) else None
-        ts.expect(lex.PUNCT, "]")
-        return SRepeat(_parse_block(ts, depth), bound)
-    if head == "revive":
-        return SRevive(_parse_block(ts, depth))
-    if head in ("leftPredicate", "rightPredicate"):
-        expr = _parse_pred(ts, _deeper(ts.expect(lex.PUNCT, "["), depth))
-        ts.expect(lex.PUNCT, "]")
-        return SPredicate(head[:-len("Predicate")], expr,
-                          _parse_block(ts, depth))
-    if head in ("filterSubset", "filterUniverse"):
-        expr = _parse_pred(ts, _deeper(ts.expect(lex.PUNCT, "["), depth))
-        ts.expect(lex.PUNCT, "]")
-        return SFilter(head[len("filter"):].lower(), expr)
-    if head in ("sortSubset", "sortUniverse"):
-        ts.expect(lex.PUNCT, "[")
-        key_tok = ts.expect(lex.NAME)
-        if key_tok.value not in SORT_KEYS:
-            raise key_tok.error(f"unknown sort key {key_tok.value!r}")
-        descending = False
-        if ts.accept(lex.PUNCT, ","):
-            ts.expect(lex.NAME, "desc")
-            descending = True
-        ts.expect(lex.PUNCT, "]")
-        return SSort(head[len("sort"):].lower(), key_tok.value, descending)
-    if head in ("takeSubset", "takeUniverse"):
-        ts.expect(lex.PUNCT, "[")
-        count = ts.expect_int()
-        ts.expect(lex.PUNCT, "]")
-        return STake(head[len("take"):].lower(), count)
-    if head in ("addSubset", "addUniverse"):
-        ts.expect(lex.PUNCT, "(")
-        names = [ts.expect(lex.NAME).value]
-        while ts.accept(lex.PUNCT, ","):
-            names.append(ts.expect(lex.NAME).value)
-        ts.expect(lex.PUNCT, ")")
-        return SAdd(head[len("add"):].lower(), tuple(names))
-    if head == "altRuleApp":
-        return SAlt(_parse_block(ts, depth))
-    if head in ("take", "filter", "sort", "add"):
-        raise tok.error(f"{head!r} needs a Subset or Universe variant")
-    return SRef(head)
+    if tok.value in TERMS:
+        forms, _ = TERMS[tok.value]
+        return STerm(tok.value, tuple(form.read(ts, depth) for form in forms))
+    if tok.value in _SCOPED:
+        raise tok.error(f"{tok.value!r} needs a Subset or Universe variant")
+    return SRef(tok.value)
 
 
 def _parse_pred(ts: TokenStream, depth: int = 0):
@@ -377,17 +304,13 @@ def _parse_pred(ts: TokenStream, depth: int = 0):
 
 
 def _parse_or(ts: TokenStream, depth: int):
-    parts = [_parse_and(ts, depth)]
-    while ts.accept(lex.NAME, "or"):
-        parts.append(_parse_and(ts, depth))
-    return parts[0] if len(parts) == 1 else Or(tuple(parts))
+    parts = _listed(ts, lambda: _parse_and(ts, depth), lex.NAME, "or")
+    return parts[0] if len(parts) == 1 else Or(parts)
 
 
 def _parse_and(ts: TokenStream, depth: int):
-    parts = [_parse_not(ts, depth)]
-    while ts.accept(lex.NAME, "and"):
-        parts.append(_parse_not(ts, depth))
-    return parts[0] if len(parts) == 1 else And(tuple(parts))
+    parts = _listed(ts, lambda: _parse_not(ts, depth), lex.NAME, "and")
+    return parts[0] if len(parts) == 1 else And(parts)
 
 
 def _parse_not(ts: TokenStream, depth: int):
@@ -402,10 +325,8 @@ def _parse_not(ts: TokenStream, depth: int):
 
 
 def _parse_atom(ts: TokenStream, depth: int):
-    if tok := ts.accept(lex.PUNCT, "("):
-        inner = _parse_pred(ts, _deeper(tok, depth))
-        ts.expect(lex.PUNCT, ")")
-        return inner
+    if ts.at(lex.PUNCT, "("):
+        return _enclosed("(", ")", _parse_pred, deepen=True)(ts, depth)
     value, is_int = _parse_value(ts)
     if is_int:
         op_tok = ts.peek()
@@ -482,32 +403,12 @@ def format_pred(expr) -> str:
 def format_strategy(node) -> str:
     if isinstance(node, SSequence):
         return " -> ".join(format_strategy(p) for p in node.parts)
-    if isinstance(node, SRule):
-        return f"rule {node.name}"
     if isinstance(node, SRef):
         return node.name
-    if isinstance(node, SParallel):
-        return "parallel { " + ", ".join(
-            format_strategy(b) for b in node.branches) + " }"
-    if isinstance(node, SRepeat):
-        bound = "" if node.bound is None else str(node.bound)
-        return f"repeat[{bound}] {{ {format_strategy(node.inner)} }}"
-    if isinstance(node, SRevive):
-        return f"revive {{ {format_strategy(node.inner)} }}"
-    if isinstance(node, SPredicate):
-        return (f"{node.side}Predicate[{format_pred(node.expr)}] "
-                f"{{ {format_strategy(node.inner)} }}")
-    if isinstance(node, SFilter):
-        return f"filter{node.scope.capitalize()}[{format_pred(node.expr)}]"
-    if isinstance(node, SSort):
-        desc = ", desc" if node.descending else ""
-        return f"sort{node.scope.capitalize()}[{node.key}{desc}]"
-    if isinstance(node, STake):
-        return f"take{node.scope.capitalize()}[{node.count}]"
-    if isinstance(node, SAdd):
-        return f"add{node.scope.capitalize()}(" + ", ".join(node.names) + ")"
-    if isinstance(node, SAlt):
-        return f"altRuleApp {{ {format_strategy(node.inner)} }}"
+    if isinstance(node, STerm):
+        forms, _ = TERMS[node.keyword]
+        return node.keyword + "".join(
+            form.show(arg) for form, arg in zip(forms, node.args))
     raise TypeError(f"not a strategy node: {node!r}")
 
 
@@ -533,6 +434,85 @@ def format_script(script: Script) -> str:
     return "\n".join(chunks) + "\n"
 
 
+# -- keyword terms ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Form:
+    """One argument form of a keyword term.  read(ts, depth) parses it,
+    show(arg) prints it as it follows the keyword, and build(compiler, arg,
+    chain, depth) compiles it at the depth one below the term."""
+    read: Callable
+    show: Callable
+    build: Callable = lambda compiler, arg, *_: arg
+
+
+def _read_sort_key(ts: TokenStream, depth: int) -> tuple[str, bool]:
+    key_tok = ts.expect(lex.NAME)
+    if key_tok.value not in SORT_KEYS:
+        raise key_tok.error(f"unknown sort key {key_tok.value!r}")
+    return key_tok.value, bool(ts.accept(lex.PUNCT, ",")
+                               and ts.expect(lex.NAME, "desc"))
+
+
+_RULE = _Form(lambda ts, depth: ts.expect(lex.NAME).value, " {}".format,
+              lambda compiler, name, *_: _lookup(compiler.rules, name, "rule"))
+_BRANCHES = _Form(
+    _enclosed("{", "}", lambda ts, depth: _listed(
+        ts, lambda: _parse_strategy(ts, depth)), deepen=True),
+    lambda branches: " { " + ", ".join(map(format_strategy, branches)) + " }",
+    lambda compiler, branches, chain, depth: [
+        compiler.compile_strategy(b, chain, depth) for b in branches])
+_BLOCK = _Form(_enclosed("{", "}", _parse_strategy, deepen=True),
+               lambda node: f" {{ {format_strategy(node)} }}",
+               lambda compiler, node, chain, depth: compiler.compile_strategy(
+                   node, chain, depth))
+_BOUND = _Form(
+    _enclosed("[", "]", lambda ts, depth: ts.expect_int() if ts.at(lex.INT) else None),
+    lambda bound: f"[{'' if bound is None else bound}]")
+_COUNT = _Form(_enclosed("[", "]", lambda ts, depth: ts.expect_int()), "[{}]".format)
+_PRED = _Form(_enclosed("[", "]", _parse_pred, deepen=True),
+              lambda expr: f"[{format_pred(expr)}]",
+              lambda compiler, expr, chain, depth: compiler._compile_pred(
+                  expr, (), depth))
+_KEY = _Form(_enclosed("[", "]", _read_sort_key),
+             lambda key: f"[{key[0]}{', desc' if key[1] else ''}]",
+             lambda compiler, key, *_: (SORT_KEYS[key[0]], key[1]))
+_NAMES = _Form(
+    _enclosed("(", ")", lambda ts, depth: _listed(
+        ts, lambda: ts.expect(lex.NAME).value)),
+    lambda names: "(" + ", ".join(names) + ")",
+    lambda compiler, names, *_: [_lookup(compiler.graphs, name, "graph name")
+                                 for name in names])
+
+#: Stem -> (argument forms, builder from the scope and the compiled
+#: arguments); each stem has a Subset and a Universe keyword.
+_SCOPED = {
+    "filter": ((_PRED,), lambda scope, pred: st.Filter(
+        scope, lambda gid, state, ctx: pred((gid,), ctx))),
+    "sort": ((_KEY,), lambda scope, key: st.Sort(scope, *key)),
+    "take": ((_COUNT,), st.Take),
+    "add": ((_NAMES,), st.Add),
+}
+
+#: Keyword -> (argument forms, builder of its strategy from the compiled
+#: arguments).  Parsing, printing and compiling a keyword term read only this.
+TERMS = {
+    "rule": ((_RULE,), st.RuleApplication),
+    "parallel": ((_BRANCHES,), st.Parallel),
+    "repeat": ((_BOUND, _BLOCK), lambda bound, inner: st.Repeat(inner, bound)),
+    "revive": ((_BLOCK,), st.Revive),
+    "altRuleApp": ((_BLOCK,), st.AltRuleApplication),
+    **{f"{side}Predicate": ((_PRED, _BLOCK), functools.partial(
+        lambda side, pred, inner: st.Predicate(
+            side, lambda rule, ids, ctx: pred(ids, ctx), inner), side))
+       for side in ("left", "right")},
+    **{stem + scope.capitalize(): (forms, functools.partial(build, scope))
+       for stem, (forms, build) in _SCOPED.items()
+       for scope in ("subset", "universe")},
+}
+
+
 # -- compilation -------------------------------------------------------------------
 
 
@@ -552,6 +532,12 @@ def _last_result(pred):
             last[:] = tuple(ids), ctx, result
         return last[2]
     return memoised
+
+
+def _lookup(table: dict, name: str, what: str):
+    if name not in table:
+        raise ScriptError(f"unknown {what} {name!r}")
+    return table[name]
 
 
 class _Compiler:
@@ -640,22 +626,20 @@ class _Compiler:
             return lambda ids, ctx: index < len(ids) and any(
                 lab == label for _, lab in ctx.repo.graph(ids[index]).vertices())
         if isinstance(expr, IsGraph):
-            if expr.graph_name not in self.graphs:
-                raise ScriptError(f"unknown graph name {expr.graph_name!r}")
+            _lookup(self.graphs, expr.graph_name, "graph name")
             index, target = expr.index, self.ctx.names[expr.graph_name]
             return lambda ids, ctx: index < len(ids) and ids[index] == target
         if isinstance(expr, PredRef):
             if expr.name in chain:
                 raise ScriptError(
                     f"predicate definitions form a cycle at {expr.name!r}")
-            if expr.name not in self.predicates:
-                raise ScriptError(f"unknown predicate {expr.name!r}")
+            target = _lookup(self.predicates, expr.name, "predicate")
             if depth >= MAX_DEPTH:
                 raise ScriptError("predicate references nest too deeply")
             key = (expr.name, depth)
             if key not in self._closures:
                 self._closures[key] = _last_result(self._compile_pred(
-                    self.predicates[expr.name], chain + (expr.name,), depth + 1))
+                    target, chain + (expr.name,), depth + 1))
             return self._closures[key]
         raise ScriptError(f"not a boolean expression: {expr!r}")
 
@@ -678,53 +662,21 @@ class _Compiler:
     def compile_strategy(self, node, chain: tuple[str, ...] = (),
                          depth: int = 0) -> st.Strategy:
         """Compile a strategy AST; chain and depth as in _compile_pred."""
-        def sub(child):
-            return self.compile_strategy(child, chain, depth + 1)
-
         if isinstance(node, SSequence):
-            return st.Sequence([sub(p) for p in node.parts])
-        if isinstance(node, SRule):
-            rule = self.rules.get(node.name)
-            if rule is None:
-                raise ScriptError(f"unknown rule {node.name!r}")
-            return st.RuleApplication(rule)
+            return st.Sequence([self.compile_strategy(p, chain, depth + 1)
+                                for p in node.parts])
         if isinstance(node, SRef):
             if node.name in chain:
                 raise ScriptError(
                     f"strategy definitions form a cycle at {node.name!r}")
-            target = self.strategy_defs.get(node.name)
-            if target is None:
-                raise ScriptError(f"unknown strategy {node.name!r}")
+            target = _lookup(self.strategy_defs, node.name, "strategy")
             if depth >= MAX_DEPTH:
                 raise ScriptError("strategy references nest too deeply")
             return self.compile_strategy(target, chain + (node.name,), depth + 1)
-        if isinstance(node, SParallel):
-            return st.Parallel([sub(b) for b in node.branches])
-        if isinstance(node, SRepeat):
-            return st.Repeat(sub(node.inner), node.bound)
-        if isinstance(node, SRevive):
-            return st.Revive(sub(node.inner))
-        if isinstance(node, SPredicate):
-            pred = self._compile_pred(node.expr, (), depth + 1)
-            return st.Predicate(node.side, lambda rule, ids, ctx: pred(ids, ctx),
-                                sub(node.inner))
-        if isinstance(node, SFilter):
-            pred = self._compile_pred(node.expr, (), depth + 1)
-            return st.Filter(node.scope, lambda gid, state, ctx: pred((gid,), ctx))
-        if isinstance(node, SSort):
-            return st.Sort(node.scope, SORT_KEYS[node.key], node.descending)
-        if isinstance(node, STake):
-            return st.Take(node.scope, node.count)
-        if isinstance(node, SAdd):
-            graphs = []
-            for name in node.names:
-                g = self.graphs.get(name)
-                if g is None:
-                    raise ScriptError(f"unknown graph name {name!r}")
-                graphs.append(g)
-            return st.Add(node.scope, graphs)
-        if isinstance(node, SAlt):
-            return st.AltRuleApplication(sub(node.inner))
+        if isinstance(node, STerm):
+            forms, build = TERMS[node.keyword]
+            return build(*(form.build(self, arg, chain, depth + 1)
+                           for form, arg in zip(forms, node.args)))
         raise ScriptError(f"not a strategy node: {node!r}")
 
 

@@ -21,17 +21,22 @@ RIGHT = "right"
 
 
 @dataclass(frozen=True)
-class RuleVertex:
+class RuleElement:
+    """A rule vertex or edge: its kind and its (left, right) label pair."""
     kind: str
     left_label: str | None
     right_label: str | None
 
+    def inverted(self) -> RuleElement:
+        """The element of the reverse rule: left and right swapped."""
+        kind = {LEFT: RIGHT, RIGHT: LEFT}.get(self.kind, CONTEXT)
+        return RuleElement(kind, self.right_label, self.left_label)
 
-@dataclass(frozen=True)
-class RuleEdge:
-    kind: str
-    left_label: str | None
-    right_label: str | None
+    def entry_labels(self) -> str:
+        """The quoted labels of its entry in its section of the text format."""
+        if self.kind == CONTEXT and self.left_label != self.right_label:
+            return f"{lex.quote(self.left_label)} {lex.quote(self.right_label)}"
+        return lex.quote(self.right_label if self.kind == RIGHT else self.left_label)
 
 
 class RuleError(ValueError):
@@ -41,8 +46,8 @@ class RuleError(ValueError):
 class Rule:
     """A named DPO rule.  Instances are immutable; equality is identity."""
 
-    def __init__(self, name: str, vertices: dict[int, RuleVertex],
-                 edges: dict[tuple[int, int], RuleEdge]):
+    def __init__(self, name: str, vertices: dict[int, RuleElement],
+                 edges: dict[tuple[int, int], RuleElement]):
         self.name = name
         self.vertices = dict(vertices)
         self.edges = {_edge_key(u, v): e for (u, v), e in edges.items()}
@@ -68,31 +73,31 @@ class Rule:
         declared = ([(vid, LEFT, label, None) for vid, label in left_vertices]
                     + [(vid, CONTEXT, ll, rl) for vid, ll, rl in context_vertices]
                     + [(vid, RIGHT, None, label) for vid, label in right_vertices])
-        vertices: dict[int, RuleVertex] = {}
+        vertices: dict[int, RuleElement] = {}
         for vid, kind, ll, rl in declared:
             if vid in vertices:
                 raise RuleError(f"vertex {vid} declared twice")
-            vertices[vid] = RuleVertex(kind, ll, rl)
-        edges: dict[tuple[int, int], RuleEdge] = {}
+            vertices[vid] = RuleElement(kind, ll, rl)
+        edges: dict[tuple[int, int], RuleElement] = {}
         for u, v, label in left_edges:
             key = _edge_key(u, v)
             if key in edges:
                 raise RuleError(f"duplicate left edge {u}-{v}")
-            edges[key] = RuleEdge(LEFT, label, None)
+            edges[key] = RuleElement(LEFT, label, None)
         for u, v, ll, rl in context_edges:
             key = _edge_key(u, v)
             if key in edges:
                 raise RuleError(f"edge {u}-{v} declared in two sections")
-            edges[key] = RuleEdge(CONTEXT, ll, rl)
+            edges[key] = RuleElement(CONTEXT, ll, rl)
         for u, v, label in right_edges:
             key = _edge_key(u, v)
             prior = edges.get(key)
             if prior is not None:
                 if prior.kind != LEFT:
                     raise RuleError(f"edge {u}-{v} declared in two sections")
-                edges[key] = RuleEdge(CONTEXT, prior.left_label, label)
+                edges[key] = RuleElement(CONTEXT, prior.left_label, label)
             else:
-                edges[key] = RuleEdge(RIGHT, None, label)
+                edges[key] = RuleElement(RIGHT, None, label)
         return cls(name, vertices, edges)
 
     def left_graph(self) -> Graph:
@@ -149,25 +154,10 @@ class Rule:
 
     def inverted(self) -> Rule:
         """The reverse rule: swap left/right memberships and label pairs."""
-        verts = {}
-        for vid, rv in self.vertices.items():
-            if rv.kind == LEFT:
-                verts[vid] = RuleVertex(RIGHT, None, rv.left_label)
-            elif rv.kind == RIGHT:
-                verts[vid] = RuleVertex(LEFT, rv.right_label, None)
-            else:
-                verts[vid] = RuleVertex(CONTEXT, rv.right_label, rv.left_label)
-        edges = {}
-        for key, re in self.edges.items():
-            if re.kind == LEFT:
-                edges[key] = RuleEdge(RIGHT, None, re.left_label)
-            elif re.kind == RIGHT:
-                edges[key] = RuleEdge(LEFT, re.right_label, None)
-            else:
-                edges[key] = RuleEdge(CONTEXT, re.right_label, re.left_label)
         name = (self.name[:-3] if self.name.endswith("^-1")
                 else self.name + "^-1")
-        return Rule(name, verts, edges)
+        return Rule(name, {vid: el.inverted() for vid, el in self.vertices.items()},
+                    {key: el.inverted() for key, el in self.edges.items()})
 
     def same_structure(self, other: Rule) -> bool:
         return self.vertices == other.vertices and self.edges == other.edges
@@ -289,34 +279,11 @@ def parse_rules(text: str) -> dict[str, Rule]:
 
 def format_rule(rule: Rule) -> str:
     lines = [f"rule {rule.name} {{"]
+    elements = ([(f"v {vid}", el) for vid, el in sorted(rule.vertices.items())]
+                + [(f"e {u} {v}", el) for (u, v), el in sorted(rule.edges.items())])
     for section in (LEFT, CONTEXT, RIGHT):
-        entries: list[str] = []
-        for vid in sorted(rule.vertices):
-            rv = rule.vertices[vid]
-            if rv.kind != section:
-                continue
-            if section == LEFT:
-                entries.append(f"v {vid} {lex.quote(rv.left_label)};")
-            elif section == RIGHT:
-                entries.append(f"v {vid} {lex.quote(rv.right_label)};")
-            elif rv.left_label == rv.right_label:
-                entries.append(f"v {vid} {lex.quote(rv.left_label)};")
-            else:
-                entries.append(
-                    f"v {vid} {lex.quote(rv.left_label)} {lex.quote(rv.right_label)};")
-        for (u, v) in sorted(rule.edges):
-            re = rule.edges[(u, v)]
-            if re.kind != section:
-                continue
-            if section == LEFT:
-                entries.append(f"e {u} {v} {lex.quote(re.left_label)};")
-            elif section == RIGHT:
-                entries.append(f"e {u} {v} {lex.quote(re.right_label)};")
-            elif re.left_label == re.right_label:
-                entries.append(f"e {u} {v} {lex.quote(re.left_label)};")
-            else:
-                entries.append(
-                    f"e {u} {v} {lex.quote(re.left_label)} {lex.quote(re.right_label)};")
+        entries = [f"{head} {el.entry_labels()};" for head, el in elements
+                   if el.kind == section]
         if entries:
             lines.append(f"  {section} {{ " + " ".join(entries) + " }")
     lines.append("}")

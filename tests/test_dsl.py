@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as hs
 from gstrat import dsl, lex
 from gstrat.dsl import (MAX_DEPTH, ScriptError, format_script, load_script,
                         parse_script, run_script, write_atomic)
-from gstrat.graphs import Graph
+from gstrat.graphs import Graph, serialize_graph
 from gstrat.lex import ParseError
 from gstrat.strategies import EvalContext
 
@@ -41,16 +42,44 @@ class TestParse:
 
     def test_repeat_zero(self):
         script = parse_script("strategy main = repeat[0] { rule r }")
-        from gstrat.dsl import SRepeat, StrategyDef
+        from gstrat.dsl import STerm, StrategyDef
 
         (item,) = script.items
         assert isinstance(item, StrategyDef)
-        assert isinstance(item.body, SRepeat)
-        assert item.body.bound == 0
+        assert item.body == STerm("repeat", (0, STerm("rule", ("r",))))
 
     def test_take_without_variant_is_an_error(self):
-        with pytest.raises(ParseError):
-            parse_script("strategy main = take [3]")
+        for term in ("take [3]", "filter[componentCount == 1]", "sort[text]",
+                     "add(g)"):
+            with pytest.raises(ParseError, match="needs a Subset or Universe variant"):
+                parse_script("strategy main = " + term)
+
+    @pytest.mark.parametrize("text, message", [
+        ("strategy parallel = rule p",
+         "1:10: 'parallel' is a reserved word and cannot name a strategy"),
+        ("strategy take = rule p",
+         "1:10: 'take' is a reserved word and cannot name a strategy"),
+        ("graph g { v 0 \"a\"; }\nstrategy filterSubset = addSubset(g)",
+         "2:10: 'filterSubset' is a reserved word and cannot name a strategy"),
+        ("predicate componentCount = componentCount == 1",
+         "1:11: 'componentCount' is a reserved word and cannot name a predicate"),
+        ("predicate not = componentCount == 1",
+         "1:11: 'not' is a reserved word and cannot name a predicate"),
+        ("predicate isGraph = componentCount == 1",
+         "1:11: 'isGraph' is a reserved word and cannot name a predicate"),
+    ])
+    def test_unreferenceable_definition_name_is_an_error(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_script(text)
+        assert str(info.value) == message
+
+    def test_reserved_words_cannot_be_referenced(self):
+        for word in set(dsl.TERMS) | {"take", "filter", "sort", "add"}:
+            with pytest.raises(ParseError):
+                parse_script(f"strategy main = {word}")
+        for word in dsl.PRED_WORDS:
+            with pytest.raises(ParseError):
+                parse_script(f"strategy main = filterSubset[{word}]")
 
     def test_unknown_keyword(self):
         with pytest.raises(ParseError):
@@ -88,6 +117,74 @@ class TestParse:
         with pytest.raises(ScriptError,
                            match="predicate definitions form a cycle at 'p'"):
             run_script(script)
+
+
+# Malformed terms of `strategy main = <term>` and the exact error of each:
+# every argument form and the bare stems.
+TERM_ERRORS = [
+    ("rule", "1:21: expected 'name', got 'end of input'"),
+    ("rule {", "1:22: expected 'name', got '{'"),
+    ("parallel rule p", "1:26: expected '{', got 'rule'"),
+    ("parallel { rule p, }", "1:36: expected 'name', got '}'"),
+    ("parallel { rule p", "1:34: expected '}', got 'end of input'"),
+    ("revive rule p", "1:24: expected '{', got 'rule'"),
+    ("altRuleApp { }", "1:30: expected 'name', got '}'"),
+    ("repeat { rule p }", "1:24: expected '[', got '{'"),
+    ("repeat[x] { rule p }", "1:24: expected ']', got 'x'"),
+    ("repeat[2 { rule p }", "1:26: expected ']', got '{'"),
+    ("repeat[2]", "1:26: expected '{', got 'end of input'"),
+    ("takeSubset[]", "1:28: expected 'int', got ']'"),
+    ("takeUniverse 3", "1:30: expected '[', got '3'"),
+    ("takeSubset[-1]", "1:28: unexpected character '-'"),
+    ("filterSubset[]", "1:30: expected 'name', got ']'"),
+    ("filterUniverse componentCount == 1", "1:32: expected '[', got 'componentCount'"),
+    ("leftPredicate[componentCount] { rule p }",
+     "1:45: integer expression needs a comparison operator"),
+    ("rightPredicate[componentCount == 1]", "1:52: expected '{', got 'end of input'"),
+    ("sortSubset[size]", "1:28: unknown sort key 'size'"),
+    ("sortSubset[text, asc]", "1:34: expected 'desc', got 'asc'"),
+    ("sortUniverse[text,]", "1:35: expected 'desc', got ']'"),
+    ("sortUniverse[3]", "1:30: expected 'name', got '3'"),
+    ("addSubset()", "1:27: expected 'name', got ')'"),
+    ("addUniverse(g,)", "1:31: expected 'name', got ')'"),
+    ("addSubset g", "1:27: expected '(', got 'g'"),
+    ("addSubset(g", "1:28: expected ')', got 'end of input'"),
+    ("take[3]", "1:17: 'take' needs a Subset or Universe variant"),
+    ("filter[componentCount == 1]", "1:17: 'filter' needs a Subset or Universe variant"),
+    ("sort[text]", "1:17: 'sort' needs a Subset or Universe variant"),
+    ("add(g)", "1:17: 'add' needs a Subset or Universe variant"),
+    ("rule p ->", "1:26: expected 'name', got 'end of input'"),
+    ("3", "1:17: expected 'name', got '3'"),
+]
+
+# A term inside MAX_DEPTH revives (the column of its first token is 593):
+# braces and predicate brackets count toward the depth, other brackets not.
+DEEP_TERMS = {
+    "filterSubset[componentCount == 1]": "1:605: nesting deeper than 64 levels",
+    "repeat[2] { rule p }": "1:603: nesting deeper than 64 levels",
+    "parallel { rule p }": "1:602: nesting deeper than 64 levels",
+    "sortSubset[text]": None,
+    "takeSubset[1]": None,
+}
+
+
+class TestTermErrors:
+    @pytest.mark.parametrize("term, message", TERM_ERRORS)
+    def test_error_text_and_location(self, term, message):
+        with pytest.raises(ParseError) as info:
+            parse_script("strategy main = " + term)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("term", DEEP_TERMS)
+    def test_which_forms_count_toward_the_depth(self, term):
+        text = ("strategy main = " + "revive { " * MAX_DEPTH + term
+                + " }" * MAX_DEPTH)
+        if DEEP_TERMS[term] is None:
+            parse_script(text)
+            return
+        with pytest.raises(ParseError) as info:
+            parse_script(text)
+        assert str(info.value) == DEEP_TERMS[term]
 
 
 class TestPrintReparse:
@@ -142,6 +239,15 @@ KEYWORD_TERMS = {
 
 
 class TestSharedVocabulary:
+    def test_every_keyword_term_is_covered(self):
+        assert set(KEYWORD_TERMS) == set(dsl.TERMS)
+
+    def test_every_keyword_is_documented(self):
+        readme = (ASSETS.parent / "README.md").read_text(encoding="utf-8")
+        grammar = readme.split("Terms chain left-to-right with `->`:")[1].split("```")[1]
+        for doc in (grammar, dsl.__doc__):
+            assert set(dsl.TERMS) <= set(re.findall(r"\w+", doc))
+
     @pytest.mark.parametrize("keyword", KEYWORD_TERMS)
     def test_label_starts_with_the_script_keyword(self, keyword):
         text = RELABEL_SCRIPT + f"strategy t = {KEYWORD_TERMS[keyword]}\n"
@@ -418,3 +524,51 @@ class TestPredicateProperties:
             ids = tuple(sorted(gids[i] for i in picks))
             assert pred(ids, ctx) == oracles.eval_pred(expr, ids, ctx,
                                                        compiler.predicates)
+
+
+# -- script properties ----------------------------------------------------------
+
+_SCOPES = hs.sampled_from(("Subset", "Universe"))
+_PRED_TEXT = predicates().map(dsl.format_pred)
+_TERM_LEAVES = hs.one_of(
+    hs.sampled_from(("rule r", "s0", "main")),
+    hs.builds("filter{}[{}]".format, _SCOPES, _PRED_TEXT),
+    hs.builds("sort{}[{}{}]".format, _SCOPES, hs.sampled_from(tuple(dsl.SORT_KEYS)),
+              hs.sampled_from(("", ", desc"))),
+    hs.builds("take{}[{}]".format, _SCOPES, hs.integers(0, 12)),
+    hs.builds("add{}({})".format, _SCOPES, hs.lists(
+        hs.sampled_from(tuple(GRAPHS)), min_size=1, max_size=3).map(", ".join)))
+
+
+def _term_nodes(inner):
+    return hs.one_of(
+        hs.lists(inner, min_size=2, max_size=3).map(" -> ".join),
+        hs.lists(inner, min_size=1, max_size=3).map(
+            lambda branches: "parallel { " + ", ".join(branches) + " }"),
+        hs.builds("repeat[{}] {{ {} }}".format, hs.sampled_from(("", "0", "7")), inner),
+        hs.builds("revive {{ {} }}".format, inner),
+        hs.builds("{}Predicate[{}] {{ {} }}".format, hs.sampled_from(("left", "right")),
+                  _PRED_TEXT, inner),
+        hs.builds("altRuleApp {{ {} }}".format, inner))
+
+
+_SCRIPT_ITEMS = hs.one_of(
+    hs.sampled_from([serialize_graph(g, name) for name, g in GRAPHS.items()]
+                    + ['rule r { left { v 2 "x"; e 0 2 "y"; }\n'
+                       'context { v 0 "a"; v 1 "a" "b"; e 0 1 "y" "z"; } }',
+                       'molecule m "C=C"', 'include "r.gr"',
+                       'export dot "out.dot"', 'export json "out.json"']),
+    hs.builds("predicate {} = {}".format, hs.sampled_from(PRED_NAMES), _PRED_TEXT),
+    hs.builds("strategy {} = {}".format, hs.sampled_from(("s0", "main")),
+              hs.recursive(_TERM_LEAVES, _term_nodes, max_leaves=10)))
+
+
+class TestScriptProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(hs.lists(_SCRIPT_ITEMS, min_size=1, max_size=6))
+    def test_print_reparse_round_trip(self, items):
+        script = parse_script("\n".join(items))
+        printed = format_script(script)
+        again = parse_script(printed)
+        assert again == script
+        assert format_script(again) == printed
