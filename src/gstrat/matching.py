@@ -5,7 +5,17 @@ connectivity-first ordering of the pattern vertices (Cordella et al., TPAMI
 2004).  They are monomorphisms: every pattern edge must map to a host edge
 with the same label, but extra host edges between image vertices are
 allowed.  Candidate host vertices are visited in ascending id order, so
-results are deterministic for a fixed vertex numbering.
+results are deterministic for a fixed vertex numbering: maps come in the
+lexicographic order of their images along the search order.
+
+A ``SearchPlan`` fixes a pattern's search order, the placed neighbours
+each position is joined to, and optionally symmetry-breaking conditions for
+a group of pattern automorphisms (Grochow & Kellis, RECOMB 2007): the image
+of each vertex must be below the images of the other members of its orbit
+under the automorphisms that fix every vertex placed before it.  The search
+then yields one map per orbit ``{m . sigma}``, the one it would find first
+without the conditions, and ``SearchPlan.orbit_members`` gives the rest
+back.
 
 Isomorphisms run no search: two graphs are isomorphic exactly when their
 canonical certificates are equal (``Graph.canonical_form``), and pairing the
@@ -14,8 +24,9 @@ canonical orders is then the map.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterator, Sequence
-from typing import TYPE_CHECKING
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from gstrat.graphs import Graph
@@ -55,33 +66,88 @@ def _pattern_order(pattern: Graph) -> list[int]:
     return order
 
 
-def _maps(pattern: Graph, host: Graph, order: list[int]
+class SearchPlan(NamedTuple):
+    """How ``_maps`` searches for one pattern, fixed once per pattern.
+
+    - order: the static search order, ``_pattern_order``;
+    - anchors: per position, the pattern vertices placed before it that it
+      is joined to, with the edge labels, in ascending id order;
+    - floors: per position, the vertices placed before it whose images
+      must be below its image: the symmetry-breaking conditions;
+    - symmetries: the group of pattern automorphisms the conditions break,
+      identity first, or empty when there are no conditions.
+
+    Plans are shared by every search that uses them, so they are read-only.
+    """
+    order: Sequence[int]
+    anchors: Sequence[Sequence[tuple[int, str]]]
+    floors: Sequence[Sequence[int]]
+    symmetries: Sequence[dict[int, int]]
+
+    def orbit_members(self, maps: Iterable[dict[int, int]]
+                      ) -> list[dict[int, int]]:
+        """Every ``m . sigma`` of the kept maps m and the symmetries sigma,
+        in the order the search without conditions yields them: ascending
+        images along the search order."""
+        symmetries = self.symmetries or ({v: v for v in self.order},)
+        members = [{v: m[sigma[v]] for v in self.order}
+                   for m in maps for sigma in symmetries]
+        members.sort(key=lambda m: [m[v] for v in self.order])
+        return members
+
+
+def search_plan(pattern: Graph, symmetries: Sequence[dict[int, int]] = ()
+                ) -> SearchPlan:
+    """The plan of a nonempty pattern, breaking the given automorphisms.
+
+    symmetries must be empty or a group of automorphisms of the pattern,
+    each given on all of its vertices.  Position i's orbit is taken under
+    the members that fix ``order[:i]`` pointwise; it holds no vertex placed
+    before i, so each condition is checked when its larger vertex is placed.
+    """
+    order = _pattern_order(pattern)
+    anchors = []
+    seen: set[int] = set()
+    for v in order:
+        anchors.append([(u, el) for u, el in sorted(pattern.neighbors(v).items())
+                        if u in seen])
+        seen.add(v)
+    floors: list[list[int]] = [[] for _ in order]
+    if symmetries:
+        position = {v: i for i, v in enumerate(order)}
+        fixing = symmetries
+        for v in order:
+            for w in {sigma[v] for sigma in fixing} - {v}:
+                floors[position[w]].append(v)
+            fixing = [sigma for sigma in fixing if sigma[v] == v]
+    return SearchPlan(order, anchors, floors, tuple(symmetries))
+
+
+def _maps(pattern: Graph, host: Graph, plan: SearchPlan
           ) -> Iterator[dict[int, int]]:
-    """Injective label- and edge-preserving maps of pattern into host, in the
-    order a depth-first search over the nonempty ``order`` finds them.
+    """Injective label- and edge-preserving maps of pattern into host that
+    meet the plan's conditions, in the order a depth-first search over the
+    plan's order finds them.
 
     Each pattern vertex goes to an unused host vertex with its label and at
     least its degree, joined by the right edge labels to the images of its
-    placed neighbours; the candidates are the sorted neighbours of the first
-    placed neighbour's image, else every host vertex.
+    anchors; the candidates are the sorted neighbours of the first anchor's
+    image, else every host vertex, cut to those above the images of its
+    floors.
     """
-    # For each position: the pattern neighbors already placed, with edge labels.
-    placed_before: list[list[tuple[int, str]]] = []
-    seen: set[int] = set()
-    for v in order:
-        placed_before.append(
-            [(u, el) for u, el in sorted(pattern.neighbors(v).items()) if u in seen])
-        seen.add(v)
-
+    order, all_anchors, all_floors = plan.order, plan.anchors, plan.floors
     assignment: dict[int, int] = {}
     used: set[int] = set()
     host_ids = host.vertex_ids()
 
     def candidates(i: int) -> Sequence[int]:
-        anchors = placed_before[i]
-        if anchors:
-            return host.sorted_neighbors(assignment[anchors[0][0]])
-        return host_ids
+        anchors = all_anchors[i]
+        cs = (host.sorted_neighbors(assignment[anchors[0][0]]) if anchors
+              else host_ids)
+        floors = all_floors[i]
+        if floors:
+            cs = cs[bisect_right(cs, max(assignment[u] for u in floors)):]
+        return cs
 
     # Iterative depth-first search (no recursion limit on large patterns):
     # position i scans cands[i], computed when the search enters i, from
@@ -98,7 +164,7 @@ def _maps(pattern: Graph, host: Graph, order: list[int]
         pv = order[i]
         plabel = pattern.label(pv)
         pdeg = pattern.degree(pv)
-        anchors = placed_before[i]
+        anchors = all_anchors[i]
         cs = cands[i]
         j = next_idx[i]
         fit = None
@@ -127,15 +193,18 @@ def _maps(pattern: Graph, host: Graph, order: list[int]
             next_idx[i] = 0
 
 
-def enumerate_embeddings(pattern: Graph, host: Graph) -> list[dict[int, int]]:
-    """All injective label- and edge-preserving maps of pattern into host.
+def enumerate_embeddings(pattern: Graph, host: Graph,
+                         plan: SearchPlan | None = None) -> list[dict[int, int]]:
+    """All injective label- and edge-preserving maps of pattern into host,
+    or, given the pattern's plan, the first of each orbit of them under the
+    plan's symmetries.
 
     The pattern must be connected.  Returns vertex maps (pattern id -> host
     id) in a deterministic order; empty list when nothing matches.
     """
     if not pattern.is_connected:
         raise MatchError("pattern must be a connected non-empty graph")
-    return list(_maps(pattern, host, _pattern_order(pattern)))
+    return list(_maps(pattern, host, plan or search_plan(pattern)))
 
 
 def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:

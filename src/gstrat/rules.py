@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from gstrat import lex
 from gstrat.graphs import Graph, GraphError, _edge_key
 from gstrat.lex import TokenStream
-from gstrat.matching import _maps, _pattern_order
+from gstrat.matching import SearchPlan, _maps, search_plan
 
 LEFT = "left"
 CONTEXT = "context"
@@ -55,6 +55,7 @@ class Rule:
         self._left_components: tuple[Graph, ...] | None = None
         self._span: Graph | None = None
         self._automorphisms: tuple[dict[int, int], ...] | None = None
+        self._search_plan: tuple[SearchPlan | None] | None = None
 
     @classmethod
     def build(cls, name: str,
@@ -142,10 +143,31 @@ class Rule:
         if self._automorphisms is None:
             self.left_components()   # rejects an ill-formed rule first
             g = self._span_graph()
-            found = sorted(_maps(g, g, _pattern_order(g)),
+            found = sorted(_maps(g, g, search_plan(g)),
                            key=lambda m: any(k != v for k, v in m.items()))
             self._automorphisms = tuple(found)
         return self._automorphisms
+
+    def search_plan(self) -> SearchPlan | None:
+        """The embedding search plan of the one left component, breaking
+        the rule automorphisms restricted to it, or None when the rule has
+        several left components or no automorphism moves a left vertex.
+
+        A match and its images under rule automorphisms have the same
+        inputs, gluing outcome and orbit key, so searching for one match
+        per rule orbit loses no derivation."""
+        if self._search_plan is None:
+            components = self.left_components()
+            plan = None
+            if len(components) == 1:
+                ids = components[0].vertex_ids()
+                symmetries = list(dict.fromkeys(
+                    tuple(sigma[v] for v in ids) for sigma in self.automorphisms()))
+                if len(symmetries) > 1:
+                    plan = search_plan(components[0], [dict(zip(ids, images))
+                                                       for images in symmetries])
+            self._search_plan = (plan,)   # a tuple, so that None is cached too
+        return self._search_plan[0]
 
     @property
     def is_chemical(self) -> bool:

@@ -346,15 +346,55 @@ def naive_derivation_keys(rule, universe, required, repo):
     return keys
 
 
-def rule_orbit_derivations(rule, universe, required, repo, left_filter=None):
-    """Reference for ``rewrite.iter_proper_derivations``: the same binding
-    loop, pruned only by rule automorphisms and copy order, not by host
-    automorphisms.  Returns the list."""
-    from gstrat.rewrite import MatchCache, _complete_matches, complete_derivation
+def per_morphism_copies(rule, subset, gid, repo):
+    """Every copy of the left components in subset into stored graph gid,
+    per morphism: the product of their embeddings, each found by the
+    search without a plan, merged when their images are disjoint and kept
+    when the copy passes the gluing check."""
+    from gstrat.matching import enumerate_embeddings
+    from gstrat.rewrite import _gluing_ok
 
+    g = repo.graph(gid)
+    per_comp = [enumerate_embeddings(rule.left_components()[c], g)
+                for c in subset]
+    merged = []
+    for combo in itertools.product(*per_comp):
+        images = [v for m in combo for v in m.values()]
+        vmap = {k: v for m in combo for k, v in m.items()}
+        if len(set(images)) == len(images) and _gluing_ok(rule, [(vmap, g)]):
+            merged.append(vmap)
+    return merged
+
+
+def rule_orbit_derivations(rule, universe, required, repo, left_filter=None):
+    """Reference for ``rewrite.iter_proper_derivations``: complete matches
+    per morphism, in the binding loop's order, pruned only by rule
+    automorphisms and copy order, not by host automorphisms and not inside
+    the embedding search.  Returns the list."""
+    from gstrat.rewrite import PartialRule, _splits, complete_derivation
+
+    universe, required = list(universe), list(required)
+    components = tuple(range(len(rule.left_components())))
+
+    def complete(partial):
+        remaining = partial.remaining_components
+        if not remaining:
+            yield partial
+            return
+        for tail, rest in _splits(remaining[1:]):
+            for gid in universe:
+                for vmap in per_morphism_copies(rule, remaining[:1] + tail,
+                                                gid, repo):
+                    yield from complete(PartialRule(
+                        rule, partial.copies + ((gid, vmap),), rest))
+
+    starts = (PartialRule(rule, ((gid, vmap),), rest)
+              for gid in required or universe
+              for subset, rest in _splits(components)[1:]
+              if required or 0 in subset
+              for vmap in per_morphism_copies(rule, subset, gid, repo))
     keys, applied, found = set(), set(), []
-    for partial in _complete_matches(rule, list(universe), list(required),
-                                     repo, MatchCache()):
+    for partial in (match for start in starts for match in complete(start)):
         inputs = tuple(sorted(gid for gid, _ in partial.copies))
         if left_filter is not None and not left_filter(inputs):
             continue

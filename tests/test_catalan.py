@@ -1,18 +1,23 @@
+import math
 import random
+from pathlib import Path
 
 import pytest
 
 from gstrat.catalan import (GOAL, LevelError, catalan_rules, contract_move,
                             is_goal, oracle_solve, parse_level, random_level,
                             solve_level, validate_level)
-from gstrat.graphs import Graph, isomorphic
+from gstrat.graphs import Graph, GraphRepository, isomorphic
 from gstrat.lex import ParseError
-from gstrat.rewrite import enumerate_proper_derivations
+from gstrat.rewrite import (MatchCache, _complete_matches, bind_graph,
+                            enumerate_proper_derivations)
 from gstrat.strategies import EvalContext
 
 from .catalan_helpers import (complete_graph, cycle_graph, move_successors,
                               pipeline_move, serialize_level)
 from .oracles import oracle_successors
+
+LEVELS = Path(__file__).parent.parent / "assets" / "levels"
 
 
 def wheel4():
@@ -47,6 +52,24 @@ class TestRules:
         assert len(derivations) == 1
         outputs = {gid for d in derivations for gid in d.outputs}
         assert len(outputs) == 1
+
+    def test_mark_binds_once_per_rule_orbit(self):
+        # mark's six automorphisms permute the three neighbours it marks, so
+        # the binding loop sees one complete match per centre and 3-subset
+        # of its neighbours, and bind_graph every ordering of them.
+        total = 0
+        mark = catalan_rules()[0]
+        for path in sorted(LEVELS.glob("*.gl")):
+            repo = GraphRepository()
+            gid, _ = repo.intern(parse_level(path.read_text()))
+            g = repo.graph(gid)
+            want = sum(math.comb(g.degree(v), 3) for v in g.vertex_ids())
+            cache = MatchCache()
+            matches = list(_complete_matches(mark, [gid], (), repo, cache))
+            assert len(matches) == want, path.name
+            assert len(bind_graph(mark, gid, repo, cache)) == 6 * want
+            total += want
+        assert total > 0
 
     def test_remove_r_rejects_attached_r(self):
         # an R vertex with an extra edge must dangle, guarding the pipeline

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gstrat.graphs import Graph
-from gstrat.matching import MatchError, enumerate_embeddings, find_isomorphism
+from gstrat.matching import (MatchError, enumerate_embeddings, find_isomorphism,
+                             search_plan)
 
-from .oracles import brute_embeddings, random_graph
+from .oracles import brute_automorphisms, brute_embeddings, random_graph
 from .test_graphs import (assert_maps_onto, from_networkx, nx_isomorphic,
                           relabelled)
 
@@ -93,6 +94,73 @@ class TestEnumerateEmbeddings:
                      [(n + 9 - i, n + 8 - i, "e") for i in range(n - 1)])
         assert enumerate_embeddings(pattern, host) == [
             {i: n + 9 - i for i in range(n)}]
+
+
+def generated(generators):
+    """The permutation group the generators generate, identity first."""
+    identity = {v: v for v in generators[0]}
+    group = {tuple(sorted(identity.items())): identity}
+    frontier = [identity]
+    while frontier:
+        sigma = frontier.pop()
+        for gen in generators:
+            product = {v: gen[sigma[v]] for v in sigma}
+            key = tuple(sorted(product.items()))
+            if key not in group:
+                group[key] = product
+                frontier.append(product)
+    return list(group.values())
+
+
+def orbit_firsts(maps, symmetries):
+    """The first map of each orbit {m . sigma} of the list, in list order."""
+    seen, firsts = set(), []
+    for m in maps:
+        key = min(tuple(m[sigma[v]] for v in sorted(m)) for sigma in symmetries)
+        if key not in seen:
+            seen.add(key)
+            firsts.append(m)
+    return firsts
+
+
+class TestSymmetryBreaking:
+    def test_conditions_keep_the_first_of_each_orbit(self):
+        # Random connected patterns with automorphisms, broken under their
+        # whole automorphism group and under the subgroup one random
+        # automorphism generates, into random hosts.
+        rng = random.Random(83)
+        cases = pruned = 0
+        while cases < 200:
+            labels = rng.choice([("a",), ("a",), ("a", "b")])
+            edge_labels = rng.choice([("x",), ("x",), ("x", "y")])
+            pattern = random_graph(rng, max_vertices=5, labels=labels,
+                                   edge_labels=edge_labels, connected=True)
+            automorphisms = brute_automorphisms(pattern)
+            if len(automorphisms) == 1:
+                continue
+            host = random_graph(rng, max_vertices=7, labels=labels,
+                                edge_labels=edge_labels)
+            full = enumerate_embeddings(pattern, host)
+            for group in (automorphisms,
+                          generated([rng.choice(automorphisms[1:])])):
+                plan = search_plan(pattern, group)
+                kept = enumerate_embeddings(pattern, host, plan)
+                assert kept == orbit_firsts(full, group)
+                assert plan.orbit_members(kept) == full
+                pruned += len(kept) < len(full)
+                cases += 1
+        assert pruned >= 50, pruned
+
+    def test_plan_without_symmetries_changes_nothing(self):
+        rng = random.Random(89)
+        for _ in range(40):
+            pattern = random_graph(rng, max_vertices=4, connected=True)
+            host = random_graph(rng, max_vertices=6)
+            plan = search_plan(pattern)
+            assert not any(plan.floors)
+            full = enumerate_embeddings(pattern, host)
+            assert enumerate_embeddings(pattern, host, plan) == full
+            assert plan.orbit_members(full) == full
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -54,3 +55,24 @@ def test_benchmark_gate_equals_acceptance_gate():
     assert workloads.BFS_DERIVATIONS == BFS_DERIVATIONS
     assert workloads.BFS_JSON_SHA256 == GOLDEN_EXPORTS["bfs.json"]
     assert workloads.BFS_DOT_SHA256 == GOLDEN_EXPORTS["bfs.dot"]
+
+
+def test_only_counted_boundaries_run_the_embedding_search():
+    # perfbench counts the embedding search at enumerate_embeddings, and
+    # Rule.automorphisms searches each rule once.  Any other caller of
+    # matching._maps would run the search past the counted boundary.
+    def callers(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from callers(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Call) and "_maps" in (
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None))):
+                yield ".".join(scope)
+            yield from callers(child, scope)
+
+    src = Path(__file__).parent.parent / "src" / "gstrat"
+    found = {caller for path in sorted(src.glob("*.py"))
+             for caller in callers(ast.parse(path.read_text()), (path.stem,))}
+    assert found == {"matching.enumerate_embeddings", "rules.Rule.automorphisms"}

@@ -807,3 +807,81 @@ class TestPartialBindingCompleteness:
             fast = enumerate_proper_derivations(rule, ids, required, repo=repo)
             naive = naive_derivation_keys(rule, ids, required, repo)
             assert keys_of(fast) == naive
+
+    def test_symmetric_single_component_rules(self):
+        # Rules whose automorphisms move left vertices, so the embedding
+        # search keeps one match per rule orbit: the derivations equal the
+        # naive enumeration's, and the per-morphism reference's in order,
+        # matches and atom maps included.
+        rng = random.Random(97)
+        pruned = derivations = 0
+        for _ in range(100):
+            rule = symmetric_rule(rng)
+            assert rule.search_plan() is not None
+            repo = GraphRepository()
+            labels = rng.choice([("a",), ("a", "b")])
+            ids = list(dict.fromkeys(repo.intern(random_graph(
+                rng, max_vertices=7, labels=labels, edge_labels=("x",),
+                connected=True))[0] for _ in range(rng.randint(1, 2))))
+            required = [gid for gid in ids if rng.random() < 0.5]
+            cache = MatchCache()
+            fast = enumerate_proper_derivations(rule, ids, required, repo=repo,
+                                                cache=cache)
+            assert keys_of(fast) == naive_derivation_keys(rule, ids, required,
+                                                          repo)
+            assert ([fingerprint(d) for d in fast] == [
+                fingerprint(d) for d in rule_orbit_derivations(
+                    rule, ids, required, repo)])
+            (component,) = rule.left_components()
+            pruned += any(
+                len(cache.embeddings(rule, 0, gid, repo))
+                < len(enumerate_embeddings(component, repo.graph(gid)))
+                for gid in required or ids)
+            derivations += len(fast)
+        assert pruned >= 40 and derivations >= 100, (pruned, derivations)
+
+
+def symmetric_rule(rng):
+    """A random single-component rule on a path, star, triangle or square
+    of "a" vertices and "x" edges whose automorphisms move left vertices:
+    each vertex class (star centre, path middles, path ends) and each edge
+    class gets one random kind and label pair."""
+    shapes = {
+        "path2": [(0, 1)],
+        "path3": [(0, 1), (1, 2)],
+        "path4": [(0, 1), (1, 2), (2, 3)],
+        "star3": [(0, 1), (0, 2), (0, 3)],
+        "triangle": [(0, 1), (1, 2), (0, 2)],
+        "square": [(0, 1), (1, 2), (2, 3), (0, 3)],
+    }
+    shape = rng.choice(sorted(shapes))
+    edges = shapes[shape]
+    n = 1 + max(v for e in edges for v in e)
+    degree = [sum(v in e for e in edges) for v in range(n)]
+    vertex_kind = {}
+    for d in sorted(set(degree)):
+        vertex_kind[d] = rng.choice(["keep", "keep", "relabel", "delete"])
+    if all(kind == "delete" for kind in vertex_kind.values()):
+        vertex_kind[max(vertex_kind)] = "keep"
+    left_vertices, context_vertices = [], []
+    for v in range(n):
+        kind = vertex_kind[degree[v]]
+        if kind == "delete":
+            left_vertices.append((v, "a"))
+        else:
+            context_vertices.append((v, "a", "b" if kind == "relabel" else "a"))
+    edge_kind = {}
+    left_edges, context_edges = [], []
+    for u, v in edges:
+        pair = tuple(sorted((degree[u], degree[v])))
+        if "delete" in (vertex_kind[degree[u]], vertex_kind[degree[v]]):
+            kind = "delete"
+        else:
+            kind = edge_kind.setdefault(
+                pair, rng.choice(["keep", "relabel", "delete"]))
+        if kind == "delete":
+            left_edges.append((u, v, "x"))
+        else:
+            context_edges.append((u, v, "x", "y" if kind == "relabel" else "x"))
+    return Rule.build(shape, left_vertices, context_vertices,
+                      left_edges=left_edges, context_edges=context_edges)
