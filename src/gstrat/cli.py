@@ -54,6 +54,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"  universe size: {report.universe_size}")
         print(f"  subset size:   {report.subset_size}")
         print(f"  wall time:     {report.seconds:.3f}s")
+        print(f"  export time:   {report.export_seconds:.3f}s")
     return EXIT_OK
 
 

@@ -13,13 +13,30 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from gstrat.graphs import GraphRepository, serialize_graph
+from gstrat.graphs import GraphRepository, LineEnds, serialize_graph
+from gstrat.lex import quote
 from gstrat.rewrite import Derivation
+
+_json_str = json.encoder.encode_basestring_ascii
 
 
 def _multiset(ids: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     counts = Counter(ids)
     return tuple(sorted(counts.items()))
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """Rendered items as a JSON array in the ``json.dumps(indent=2)``
+    layout, closed at the given indent."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + f"\n{indent}]"
+
+
+def _json_counts(pairs: tuple[tuple[int, int], ...]) -> str:
+    return _json_list([f'        {{\n          "id": {gid},\n'
+                       f'          "count": {count}\n        }}'
+                       for gid, count in pairs], "      ")
 
 
 @dataclass(frozen=True)
@@ -69,14 +86,14 @@ class DerivationGraph:
     def to_dot(self, repo: GraphRepository) -> str:
         lines = ["digraph derivations {"]
         for gid in sorted(self._vertices):
-            lines.append(f'  g{gid} [label="{repo.name(gid)}"];')
+            lines.append(f'  g{gid} [label={quote(repo.name(gid))}];')
         for i, edge in enumerate(self._edges):
             if edge.is_one_to_one:
                 src = edge.inputs[0][0]
                 dst = edge.outputs[0][0]
-                lines.append(f'  g{src} -> g{dst} [label="{edge.rule_name}"];')
+                lines.append(f'  g{src} -> g{dst} [label={quote(edge.rule_name)}];')
                 continue
-            lines.append(f'  e{i} [shape=box, label="{edge.rule_name}"];')
+            lines.append(f'  e{i} [shape=box, label={quote(edge.rule_name)}];')
             for gid, count in edge.inputs:
                 for _ in range(count):
                     lines.append(f"  g{gid} -> e{i};")
@@ -87,16 +104,27 @@ class DerivationGraph:
         return "\n".join(lines) + "\n"
 
     def to_json(self, repo: GraphRepository) -> str:
-        graphs = [{"id": gid,
-                   "name": repo.name(gid),
-                   "gml": serialize_graph(repo.graph(gid), repo.name(gid))}
-                  for gid in sorted(self._vertices)]
-        edges = [{"in": [{"id": gid, "count": count} for gid, count in e.inputs],
-                  "rule": e.rule_name,
-                  "out": [{"id": gid, "count": count} for gid, count in e.outputs]}
+        """``json.dumps(payload, indent=2) + "\\n"`` of the payload
+        ``{"format": 1, "graphs": [{"id", "name", "gml"}, ...], "edges":
+        [{"in": [{"id", "count"}, ...], "rule", "out": [...]}, ...]}``, with
+        graphs in ascending id order and edges in recorded order, written
+        from fixed templates in one pass.  Strings are escaped by the
+        encoder ``json.dumps`` uses, and one ``LineEnds`` quotes each label
+        once across every ``gml`` text."""
+        ends = LineEnds()
+        graphs = []
+        for gid in sorted(self._vertices):
+            name = repo.name(gid)
+            gml = serialize_graph(repo.graph(gid), name, ends)
+            graphs.append(f'    {{\n      "id": {gid},\n'
+                          f'      "name": {_json_str(name)},\n'
+                          f'      "gml": {_json_str(gml)}\n    }}')
+        edges = [f'    {{\n      "in": {_json_counts(e.inputs)},\n'
+                 f'      "rule": {_json_str(e.rule_name)},\n'
+                 f'      "out": {_json_counts(e.outputs)}\n    }}'
                  for e in self._edges]
-        return json.dumps({"format": 1, "graphs": graphs, "edges": edges},
-                          indent=2) + "\n"
+        return (f'{{\n  "format": 1,\n  "graphs": {_json_list(graphs, "  ")},\n'
+                f'  "edges": {_json_list(edges, "  ")}\n}}\n')
 
     def find_path(self, source: int, target: int,
                   free_inputs: tuple[int, ...] = (),

@@ -688,7 +688,8 @@ class RunReport:
     new_graphs: int
     derivations: int
     embedding_queries: int
-    seconds: float
+    seconds: float          # the main strategy
+    export_seconds: float   # rendering and writing every export
     universe_size: int
     subset_size: int
 
@@ -735,6 +736,7 @@ def run_script(script: Script,
     started = time.perf_counter()
     final = entry.apply(st.EMPTY_STATE, ctx) if entry is not None else st.EMPTY_STATE
     elapsed = time.perf_counter() - started
+    export_started = time.perf_counter()
     for export in compiler.exports:
         text = (ctx.sink.to_dot(ctx.repo) if export.kind == "dot"
                 else ctx.sink.to_json(ctx.repo))
@@ -748,6 +750,7 @@ def run_script(script: Script,
         derivations=ctx.stats.derivations,
         embedding_queries=ctx.cache.queries - queries_before,
         seconds=elapsed,
+        export_seconds=time.perf_counter() - export_started,
         universe_size=len(final.universe),
         subset_size=len(final.subset),
     )

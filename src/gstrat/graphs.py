@@ -726,12 +726,26 @@ def parse_graph(text: str) -> Graph:
     return g
 
 
-def serialize_graph(g: Graph, name: str = "g") -> str:
+class LineEnds(dict):
+    """Label -> the ``' "<label>";\\n'`` end of a vertex or edge line in the
+    text format, quoted on first use.  Pass one to several
+    ``serialize_graph`` calls to quote each distinct label once across
+    them."""
+
+    def __missing__(self, label: str) -> str:
+        end = self[label] = f" {lex.quote(label)};\n"
+        return end
+
+
+def serialize_graph(g: Graph, name: str = "g",
+                    ends: LineEnds | None = None) -> str:
     """Render in the graph file format; vertices then edges in ascending order."""
-    lines = [f"graph {name} {{"]
-    for vid, label in g.vertices():
-        lines.append(f"  v {vid} {lex.quote(label)};")
-    for u, v, label in g.edges():
-        lines.append(f"  e {u} {v} {lex.quote(label)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    if ends is None:
+        ends = LineEnds()
+    edges = sorted([(u, v, el) for u, nbrs in g._adj.items()
+                    for v, el in nbrs.items() if u < v])
+    lines = [f"graph {name} {{\n"]
+    lines += [f"  v {v}{ends[label]}" for v, label in sorted(g._labels.items())]
+    lines += [f"  e {u} {v}{ends[el]}" for u, v, el in edges]
+    lines.append("}\n")
+    return "".join(lines)

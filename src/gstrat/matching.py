@@ -86,12 +86,13 @@ class SearchPlan(NamedTuple):
 
     def orbit_members(self, maps: Iterable[dict[int, int]]
                       ) -> list[dict[int, int]]:
-        """Every ``m . sigma`` of the kept maps m and the symmetries sigma,
-        in the order the search without conditions yields them: ascending
-        images along the search order."""
-        symmetries = self.symmetries or ({v: v for v in self.order},)
+        """Every ``m . sigma`` of the kept maps m (in search order) and the
+        symmetries sigma, in the order the search without conditions yields
+        them: ascending images along the search order."""
+        if not self.symmetries:
+            return list(maps)
         members = [{v: m[sigma[v]] for v in self.order}
-                   for m in maps for sigma in symmetries]
+                   for m in maps for sigma in self.symmetries]
         members.sort(key=lambda m: [m[v] for v in self.order])
         return members
 

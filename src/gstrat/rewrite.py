@@ -25,7 +25,7 @@ A complete match is applied once per orbit, not once per match: matches
 related by a rule automorphism, a permutation of the bound copies and, per
 copy, an automorphism of its host give isomorphic results.  For a rule
 with one left component, the embedding search itself keeps one match per
-rule orbit (``Rule.search_plan``), so the cache holds and the binding loop
+rule orbit (``Rule.search_plans``), so the cache holds and the binding loop
 sees only those; ``bind_graph`` expands them back to every morphism.  Each
 complete match gets one key, ``_orbit_key``; the host automorphisms it
 uses are those the canonical labelling of each stored class already found
@@ -47,8 +47,10 @@ class MatchCache:
     Two memos, both keyed by graph id:
 
     - embeddings: (rule, left component, graph) -> every embedding of the
-      component into the stored graph, or, for a rule with a search plan,
-      the first embedding of each orbit under the rule automorphisms;
+      component into the stored graph, searched with the component's plan
+      (``Rule.search_plans``), which for a rule with one left component
+      keeps only the first embedding of each orbit under the rule
+      automorphisms;
     - bound copies: (rule, component subset, graph) -> the subset's
       merged embeddings (rule vid -> stored vid) that pass ``_gluing_ok``,
       in the lexicographic order of the per-component embedding lists.
@@ -82,11 +84,9 @@ class MatchCache:
         key = (rule, comp_idx, gid)
         cached = self._data.get(key)
         if cached is None:
-            # Only a rule with one left component has a plan, so comp_idx
-            # is 0 whenever the plan is not None.
             pattern = rule.left_components()[comp_idx]
             cached = tuple(enumerate_embeddings(pattern, repo.graph(gid),
-                                                rule.search_plan()))
+                                                rule.search_plans()[comp_idx]))
             self._data[key] = cached
         return cached
 
@@ -340,16 +340,17 @@ def bind_graph(rule_or_partial: Rule | PartialRule, gid: int,
     Bindings violating the gluing conditions locally (dangling deletion,
     non-simple creation inside the copy) are dropped: they can never extend
     to a valid derivation.  Partial rules with no remaining components are
-    complete and encode full derivations.  For a rule with a search plan,
-    the cached copies (one per rule orbit) are expanded by the plan's
-    symmetries, so every morphism is bound, in search order.
+    complete and encode full derivations.  For a rule with one left
+    component, the cached copies (one per rule orbit when its plan breaks
+    symmetries) are expanded by the plan's symmetries, so every morphism is
+    bound, in search order.
     """
     partial = (rule_or_partial if isinstance(rule_or_partial, PartialRule)
                else PartialRule(rule_or_partial, (), tuple(
                    range(len(rule_or_partial.left_components())))))
     cache = cache or MatchCache()
-    plan = partial.rule.search_plan()
-    expand = plan.orbit_members if plan is not None else list
+    plans = partial.rule.search_plans()
+    expand = plans[0].orbit_members if len(plans) == 1 else list
     return [PartialRule(partial.rule, partial.copies + ((gid, vmap),), rest)
             for subset, rest in _splits(partial.remaining_components)[1:]
             for vmap in expand(cache.bound_copies(partial.rule, subset, gid,

@@ -55,7 +55,7 @@ class Rule:
         self._left_components: tuple[Graph, ...] | None = None
         self._span: Graph | None = None
         self._automorphisms: tuple[dict[int, int], ...] | None = None
-        self._search_plan: tuple[SearchPlan | None] | None = None
+        self._search_plans: tuple[SearchPlan, ...] | None = None
 
     @classmethod
     def build(cls, name: str,
@@ -148,26 +148,26 @@ class Rule:
             self._automorphisms = tuple(found)
         return self._automorphisms
 
-    def search_plan(self) -> SearchPlan | None:
-        """The embedding search plan of the one left component, breaking
-        the rule automorphisms restricted to it, or None when the rule has
-        several left components or no automorphism moves a left vertex.
+    def search_plans(self) -> tuple[SearchPlan, ...]:
+        """The embedding search plan of each left component, built once.
 
-        A match and its images under rule automorphisms have the same
-        inputs, gluing outcome and orbit key, so searching for one match
-        per rule orbit loses no derivation."""
-        if self._search_plan is None:
+        A rule with one left component breaks the rule automorphisms
+        restricted to it, when one moves a left vertex; every other plan
+        breaks nothing.  A match and its images under rule automorphisms
+        have the same inputs, gluing outcome and orbit key, so searching
+        for one match per rule orbit loses no derivation."""
+        if self._search_plans is None:
             components = self.left_components()
-            plan = None
+            symmetries: list[dict[int, int]] = []
             if len(components) == 1:
                 ids = components[0].vertex_ids()
-                symmetries = list(dict.fromkeys(
+                images = list(dict.fromkeys(
                     tuple(sigma[v] for v in ids) for sigma in self.automorphisms()))
-                if len(symmetries) > 1:
-                    plan = search_plan(components[0], [dict(zip(ids, images))
-                                                       for images in symmetries])
-            self._search_plan = (plan,)   # a tuple, so that None is cached too
-        return self._search_plan[0]
+                if len(images) > 1:
+                    symmetries = [dict(zip(ids, im)) for im in images]
+            self._search_plans = tuple(search_plan(c, symmetries)
+                                       for c in components)
+        return self._search_plans
 
     @property
     def is_chemical(self) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -589,3 +590,33 @@ def find_path(sink, source: int, target: int, free_inputs=(), edge_filter=None):
 
     build(target)
     return path
+
+
+def serialize_graph(g: Graph, name: str = "g") -> str:
+    """The graph text format line by line, each label quoted as it is
+    written: vertices, then edges, in ascending order."""
+    def quote(label: str) -> str:
+        return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = [f"graph {name} {{"]
+    for vid, label in g.vertices():
+        lines.append(f"  v {vid} {quote(label)};")
+    for u, v, label in g.edges():
+        lines.append(f"  e {u} {v} {quote(label)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def json_export(sink, repo) -> str:
+    """A derivation graph's JSON export through ``json.dumps``: the payload
+    built as a dict tree, then encoded with two-space indentation."""
+    graphs = [{"id": gid,
+               "name": repo.name(gid),
+               "gml": serialize_graph(repo.graph(gid), repo.name(gid))}
+              for gid in sorted(sink.vertex_ids)]
+    edges = [{"in": [{"id": gid, "count": count} for gid, count in e.inputs],
+              "rule": e.rule_name,
+              "out": [{"id": gid, "count": count} for gid, count in e.outputs]}
+             for e in sink.edges]
+    return json.dumps({"format": 1, "graphs": graphs, "edges": edges},
+                      indent=2) + "\n"

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 from gstrat.cli import main
@@ -28,6 +29,17 @@ class TestRun:
         assert "universe size" in out
         assert dot.read_text().startswith("digraph")
         assert json.loads(js.read_text())["format"] == 1
+
+    def test_stats_print_export_time(self, tmp_path, capsys):
+        script = tmp_path / "s.gs"
+        script.write_text(RELABEL_SCRIPT)
+        code = main(["run", str(script), "--json", str(tmp_path / "out.json"),
+                     "--stats"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        wall = next(i for i, line in enumerate(lines)
+                    if line.startswith("  wall time:"))
+        assert re.fullmatch(r"  export time:   \d+\.\d{3}s", lines[wall + 1])
 
     def test_max_repeat_flag(self, tmp_path, capsys):
         script = tmp_path / "s.gs"

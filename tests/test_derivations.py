@@ -1,8 +1,11 @@
 import json
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
 from gstrat.derivations import DerivationGraph
-from gstrat.graphs import Graph, GraphRepository
+from gstrat.graphs import Graph, GraphRepository, LineEnds, serialize_graph
 from gstrat.rewrite import enumerate_proper_derivations
 from gstrat.rules import Rule
 
@@ -101,13 +104,21 @@ class TestDotExport:
         g1, _ = repo.intern(Graph([(0, "a"), (1, "a")], [(0, 1, "b")]))
         for d in enumerate_proper_derivations(relabel_rule(), [g1], repo=repo):
             sink.record(d)
+        # Names with a quote or a backslash, as GraphRepository.set_name and
+        # Rule.build accept them, are escaped inside the DOT string.
+        repo.set_name(g1, 'say "hi" \\')
+        sink.record(Fake('r"\\', (g1,), (h2,)))
+        sink.record(Fake('s\\"', (g1, h2), (o2,)))
         lines = sink.to_dot(repo).splitlines()
         assert lines[0] == "digraph derivations {"
         assert lines[-1] == "}"
-        node = re.compile(r'^  \w+ \[(shape=box, )?label="[^"]*"\];$')
-        arc = re.compile(r'^  \w+ -> \w+( \[label="[^"]*"\])?;$')
+        string = r'"(?:[^"\\]|\\.)*"'
+        node = re.compile(rf'^  \w+ \[(shape=box, )?label={string}\];$')
+        arc = re.compile(rf'^  \w+ -> \w+( \[label={string}\])?;$')
         for line in lines[1:-1]:
             assert node.match(line) or arc.match(line), line
+        assert f'  g{g1} [label="say \\"hi\\" \\\\"];' in lines
+        assert f'  g{g1} -> g{h2} [label="r\\"\\\\"];' in lines
 
     def test_box_count_matches_non_one_to_one_edges(self):
         repo = GraphRepository()
@@ -149,6 +160,88 @@ class Fake:
     @property
     def key(self):
         return (self.rule.name, self.inputs, self.outputs)
+
+
+# Labels and names that exercise every escaping rule: quotes, backslashes,
+# control characters, non-ASCII and astral characters, the empty string.
+TEXTS = hs.one_of(hs.sampled_from(["", '"', "\\", "\t", "\n", "é", "\U0001d11e",
+                                   'a "b" \\c', "C", "H"]),
+                  hs.text(max_size=4))
+
+
+@hs.composite
+def graphs(draw, min_vertices: int = 0, connected: bool = False) -> Graph:
+    """A graph on sparse vertex ids (two- and three-digit ids sort
+    differently as text), connected through a random tree if asked."""
+    ids = draw(hs.lists(hs.integers(0, 150), min_size=min_vertices,
+                        max_size=7, unique=True))
+    vertices = [(vid, draw(TEXTS)) for vid in ids]
+    edges: dict[tuple[int, int], str] = {}
+    if connected:
+        for k in range(1, len(ids)):
+            u, v = ids[draw(hs.integers(0, k - 1))], ids[k]
+            edges[min(u, v), max(u, v)] = draw(TEXTS)
+    if len(ids) > 1:
+        for u, v in draw(hs.lists(hs.tuples(hs.sampled_from(ids),
+                                            hs.sampled_from(ids)), max_size=8)):
+            if u != v:
+                edges.setdefault((min(u, v), max(u, v)), draw(TEXTS))
+    return Graph(vertices, [(u, v, el) for (u, v), el in edges.items()])
+
+
+@hs.composite
+def derivation_graphs(draw) -> tuple[DerivationGraph, GraphRepository]:
+    """A recorded hypergraph over interned graphs, some renamed: possibly
+    empty, with empty sides, multiplicities above 1 and one-to-one edges."""
+    repo = GraphRepository()
+    ids = []
+    for _ in range(draw(hs.integers(0, 4))):
+        gid, _ = repo.intern(draw(graphs(min_vertices=1, connected=True)))
+        if draw(hs.booleans()):
+            repo.set_name(gid, draw(TEXTS))
+        ids.append(gid)
+    sink = DerivationGraph()
+    if ids:
+        side = hs.lists(hs.sampled_from(ids), max_size=3)
+        for _ in range(draw(hs.integers(0, 6))):
+            sink.record(Fake(draw(TEXTS), tuple(sorted(draw(side))),
+                             tuple(sorted(draw(side)))))
+    return sink, repo
+
+
+class TestExportEqualsReference:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(), TEXTS)
+    def test_serialize_graph(self, g, name):
+        assert serialize_graph(g, name) == oracles.serialize_graph(g, name)
+        ends = LineEnds()
+        assert serialize_graph(g, name, ends) == oracles.serialize_graph(g, name)
+        assert serialize_graph(g, name, ends) == oracles.serialize_graph(g, name)
+
+    @settings(max_examples=300, deadline=None)
+    @given(derivation_graphs())
+    def test_json(self, sink_repo):
+        sink, repo = sink_repo
+        assert sink.to_json(repo) == oracles.json_export(sink, repo)
+
+    def test_json_named_shapes(self):
+        # The shapes the layout treats apart, each present for certain: an
+        # empty sink, empty sides, multiplicities above 1, one-to-one edges,
+        # and names and labels that need escaping.
+        assert DerivationGraph().to_json(GraphRepository()) == \
+            oracles.json_export(DerivationGraph(), GraphRepository())
+        repo = GraphRepository()
+        a, _ = repo.intern(Graph([(0, 'q"\\'), (1, "\U0001d11e")],
+                                 [(0, 1, "\t\n")]))
+        b, _ = repo.intern(Graph([(0, "")]))
+        repo.set_name(a, 'x "y" \\ é')
+        sink = DerivationGraph()
+        sink.record(Fake("one", (a,), (b,)))
+        sink.record(Fake('two\\"', (a, a), (b, b, b)))
+        sink.record(Fake("", (b,), ()))
+        assert [e.is_one_to_one for e in sink.edges] == [True, False, False]
+        assert sink.to_json(repo) == oracles.json_export(sink, repo)
+        assert json.loads(sink.to_json(repo))["edges"][2]["out"] == []
 
 
 class TestFindPath:

@@ -817,7 +817,7 @@ class TestPartialBindingCompleteness:
         pruned = derivations = 0
         for _ in range(100):
             rule = symmetric_rule(rng)
-            assert rule.search_plan() is not None
+            assert rule.search_plans()[0].symmetries
             repo = GraphRepository()
             labels = rng.choice([("a",), ("a", "b")])
             ids = list(dict.fromkeys(repo.intern(random_graph(
