@@ -59,6 +59,17 @@ class ScriptError(ValueError):
     """Semantic error in a script (unknown name, bad rule, type error...)."""
 
 
+class Name(str):
+    """A name as a script references it: equal to, hashed and printed as
+    the plain string, and located at its token, so that a name the compiler
+    cannot resolve is reported where it is used."""
+
+    def __new__(cls, tok: lex.Token) -> Name:
+        name = super().__new__(cls, tok.value)
+        name.line, name.column = tok.line, tok.column
+        return name
+
+
 # -- predicate expression AST ---------------------------------------------------
 
 CMP_OPS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
@@ -296,7 +307,7 @@ def _parse_term(ts: TokenStream, depth: int):
         return STerm(tok.value, tuple(form.read(ts, depth) for form in forms))
     if tok.value in _SCOPED:
         raise tok.error(f"{tok.value!r} needs a Subset or Universe variant")
-    return SRef(tok.value)
+    return SRef(Name(tok))
 
 
 def _parse_pred(ts: TokenStream, depth: int = 0):
@@ -364,10 +375,10 @@ def _parse_value(ts: TokenStream):
         ts.expect(lex.PUNCT, "(")
         index = ts.expect_int()
         ts.expect(lex.PUNCT, ",")
-        graph_name = ts.expect(lex.NAME).value
+        graph_name = Name(ts.expect(lex.NAME))
         ts.expect(lex.PUNCT, ")")
         return IsGraph(index, graph_name), False
-    return PredRef(name), False
+    return PredRef(Name(tok)), False
 
 
 # -- pretty printer ---------------------------------------------------------------
@@ -455,7 +466,7 @@ def _read_sort_key(ts: TokenStream, depth: int) -> tuple[str, bool]:
                                and ts.expect(lex.NAME, "desc"))
 
 
-_RULE = _Form(lambda ts, depth: ts.expect(lex.NAME).value, " {}".format,
+_RULE = _Form(lambda ts, depth: Name(ts.expect(lex.NAME)), " {}".format,
               lambda compiler, name, *_: _lookup(compiler.rules, name, "rule"))
 _BRANCHES = _Form(
     _enclosed("{", "}", lambda ts, depth: _listed(
@@ -480,7 +491,7 @@ _KEY = _Form(_enclosed("[", "]", _read_sort_key),
              lambda compiler, key, *_: (SORT_KEYS[key[0]], key[1]))
 _NAMES = _Form(
     _enclosed("(", ")", lambda ts, depth: _listed(
-        ts, lambda: ts.expect(lex.NAME).value)),
+        ts, lambda: Name(ts.expect(lex.NAME)))),
     lambda names: "(" + ", ".join(names) + ")",
     lambda compiler, names, *_: [_lookup(compiler.graphs, name, "graph name")
                                  for name in names])
@@ -535,8 +546,12 @@ def _last_result(pred):
 
 
 def _lookup(table: dict, name: str, what: str):
+    """table[name]; for an unknown name, a ``ScriptError`` that starts with
+    the name's ``line:column``, as a ``ParseError`` does, when the name
+    was parsed from a script."""
     if name not in table:
-        raise ScriptError(f"unknown {what} {name!r}")
+        where = f"{name.line}:{name.column}: " if isinstance(name, Name) else ""
+        raise ScriptError(f"{where}unknown {what} {name!r}")
     return table[name]
 
 

@@ -8,14 +8,19 @@ allowed.  Candidate host vertices are visited in ascending id order, so
 results are deterministic for a fixed vertex numbering: maps come in the
 lexicographic order of their images along the search order.
 
-A ``SearchPlan`` fixes a pattern's search order, the placed neighbours
-each position is joined to, and optionally symmetry-breaking conditions for
+A ``SearchPlan`` fixes a pattern's search order, the label and degree
+of the vertex at each position, the placed neighbours each position is
+joined to, and optionally symmetry-breaking conditions for
 a group of pattern automorphisms (Grochow & Kellis, RECOMB 2007): the image
 of each vertex must be below the images of the other members of its orbit
 under the automorphisms that fix every vertex placed before it.  The search
 then yields one map per orbit ``{m . sigma}``, the one it would find first
 without the conditions, and ``SearchPlan.orbit_members`` gives the rest
-back.
+back.  ``search_plan`` checks once that the pattern is connected and
+nonempty.  The tests on each candidate host vertex then read only the
+plan and the host's label and adjacency dicts, since the cost per
+candidate decides the speed of the search (Juttner & Madarasi, VF2++,
+Discrete Applied Math. 2018).
 
 Isomorphisms run no search: two graphs are isomorphic exactly when their
 canonical certificates are equal (``Graph.canonical_form``), and pairing the
@@ -70,6 +75,8 @@ class SearchPlan(NamedTuple):
     """How ``_maps`` searches for one pattern, fixed once per pattern.
 
     - order: the static search order, ``_pattern_order``;
+    - labels, degrees: per position, the label and degree of its pattern
+      vertex, the first tests on each candidate;
     - anchors: per position, the pattern vertices placed before it that it
       is joined to, with the edge labels, in ascending id order;
     - floors: per position, the vertices placed before it whose images
@@ -80,6 +87,8 @@ class SearchPlan(NamedTuple):
     Plans are shared by every search that uses them, so they are read-only.
     """
     order: Sequence[int]
+    labels: Sequence[str]
+    degrees: Sequence[int]
     anchors: Sequence[Sequence[tuple[int, str]]]
     floors: Sequence[Sequence[int]]
     symmetries: Sequence[dict[int, int]]
@@ -99,7 +108,22 @@ class SearchPlan(NamedTuple):
 
 def search_plan(pattern: Graph, symmetries: Sequence[dict[int, int]] = ()
                 ) -> SearchPlan:
-    """The plan of a nonempty pattern, breaking the given automorphisms.
+    """The plan of a connected nonempty pattern, breaking the given
+    automorphisms; ``MatchError`` for any other pattern.
+
+    The pattern is checked here, once per plan, so that a search with a
+    plan walks nothing but the host.
+    """
+    if not pattern.is_connected:
+        raise MatchError("pattern must be a connected non-empty graph")
+    return _plan(pattern, symmetries)
+
+
+def _plan(pattern: Graph, symmetries: Sequence[dict[int, int]] = ()
+          ) -> SearchPlan:
+    """``search_plan`` without the connectivity check, for a nonempty
+    pattern.  A disconnected pattern (a rule's span graph) is searched too:
+    each position without anchors takes every host vertex as a candidate.
 
     symmetries must be empty or a group of automorphisms of the pattern,
     each given on all of its vertices.  Position i's orbit is taken under
@@ -121,22 +145,26 @@ def search_plan(pattern: Graph, symmetries: Sequence[dict[int, int]] = ()
             for w in {sigma[v] for sigma in fixing} - {v}:
                 floors[position[w]].append(v)
             fixing = [sigma for sigma in fixing if sigma[v] == v]
-    return SearchPlan(order, anchors, floors, tuple(symmetries))
+    return SearchPlan(order, [pattern.label(v) for v in order],
+                      [pattern.degree(v) for v in order], anchors, floors,
+                      tuple(symmetries))
 
 
-def _maps(pattern: Graph, host: Graph, plan: SearchPlan
-          ) -> Iterator[dict[int, int]]:
-    """Injective label- and edge-preserving maps of pattern into host that
-    meet the plan's conditions, in the order a depth-first search over the
-    plan's order finds them.
+def _maps(host: Graph, plan: SearchPlan) -> Iterator[dict[int, int]]:
+    """Injective label- and edge-preserving maps of the plan's pattern into
+    host that meet the plan's conditions, in the order a depth-first search
+    over the plan's order finds them.
 
     Each pattern vertex goes to an unused host vertex with its label and at
     least its degree, joined by the right edge labels to the images of its
     anchors; the candidates are the sorted neighbours of the first anchor's
     image, else every host vertex, cut to those above the images of its
-    floors.
+    floors.  The per-candidate tests read the host's label and adjacency
+    dicts and the plan's per-position constants, and nothing else.
     """
     order, all_anchors, all_floors = plan.order, plan.anchors, plan.floors
+    plabels, pdegrees = plan.labels, plan.degrees
+    labels, adj = host._labels, host._adj
     assignment: dict[int, int] = {}
     used: set[int] = set()
     host_ids = host.vertex_ids()
@@ -162,31 +190,33 @@ def _maps(pattern: Graph, host: Graph, plan: SearchPlan
             i -= 1
             used.discard(assignment.pop(order[i]))
             continue
-        pv = order[i]
-        plabel = pattern.label(pv)
-        pdeg = pattern.degree(pv)
+        plabel = plabels[i]
+        pdeg = pdegrees[i]
         anchors = all_anchors[i]
         cs = cands[i]
         j = next_idx[i]
         fit = None
-        while fit is None and j < len(cs):
+        while j < len(cs):
             c = cs[j]
             j += 1
-            if c in used or host.label(c) != plabel or host.degree(c) < pdeg:
+            if c in used or labels[c] != plabel:
                 continue
-            fit = c
+            nbrs = adj[c]
+            if len(nbrs) < pdeg:
+                continue
             for pn, el in anchors:
-                mapped = assignment[pn]
-                if not host.has_edge(mapped, c) or host.edge_label(mapped, c) != el:
-                    fit = None
+                if nbrs.get(assignment[pn]) != el:
                     break
+            else:
+                fit = c
+                break
         next_idx[i] = j
         if fit is None:
             i -= 1
             if i >= 0:
                 used.discard(assignment.pop(order[i]))
             continue
-        assignment[pv] = fit
+        assignment[order[i]] = fit
         used.add(fit)
         i += 1
         if i < len(order):
@@ -200,12 +230,12 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     or, given the pattern's plan, the first of each orbit of them under the
     plan's symmetries.
 
-    The pattern must be connected.  Returns vertex maps (pattern id -> host
-    id) in a deterministic order; empty list when nothing matches.
+    The pattern must be connected and nonempty (``search_plan`` checks it
+    when it builds the plan, so a given plan is not checked again).
+    Returns vertex maps (pattern id -> host id) in a deterministic order;
+    empty list when nothing matches.
     """
-    if not pattern.is_connected:
-        raise MatchError("pattern must be a connected non-empty graph")
-    return list(_maps(pattern, host, plan or search_plan(pattern)))
+    return list(_maps(host, plan or search_plan(pattern)))
 
 
 def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:

@@ -12,10 +12,12 @@ proper.
 
 One routine, ``_gluing_ok``, checks the DPO gluing conditions copy by copy
 for the part of a match it is given: one copy as it is bound, and every
-copy of the full match before ``apply_at`` builds the result.  The copies a
-graph can take for a set of left components depend only on (rule,
-components, graph), so ``MatchCache`` builds and checks them once, already
-in the match format; ``bind_graph`` and ``_complete_matches`` only read
+copy of the full match before ``apply_at`` builds the result.  It reads the
+rule's ``GluingPlan``, built once per rule, and the host's adjacency dict.
+The copies a graph can take for a set of left components depend only on
+(rule, components, graph), so ``MatchCache`` builds and checks them once,
+already in the match format; a single component's copies are its cached
+embeddings themselves.  ``bind_graph`` and ``_complete_matches`` only read
 them.  ``_complete_matches`` is the one binding loop: it takes its starts
 from the cached copies and extends partial rules until they are complete,
 looping over the universe graphs that can bind the next components rather
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from gstrat.graphs import Graph, GraphRepository, _edge_key
+from gstrat.graphs import Graph, GraphRepository
 from gstrat.matching import enumerate_embeddings
 from gstrat.rules import CONTEXT, LEFT, RIGHT, Rule
 
@@ -53,7 +55,8 @@ class MatchCache:
       automorphisms;
     - bound copies: (rule, component subset, graph) -> the subset's
       merged embeddings (rule vid -> stored vid) that pass ``_gluing_ok``,
-      in the lexicographic order of the per-component embedding lists.
+      in the lexicographic order of the per-component embedding lists; for
+      a one-component subset, the embeddings memo's own maps.
 
     The maps it returns are shared by every caller, the copies of partial
     rules and the matches of derivations, so they are read-only.  Graph ids
@@ -98,10 +101,10 @@ class MatchCache:
         if cached is None:
             # Every component's embeddings are enumerated, even when one
             # list is empty, so ``queries`` counts each component of the
-            # subset.
+            # subset.  One component's copies are its embeddings themselves.
             per_comp = [self.embeddings(rule, ci, gid, repo) for ci in comp_indices]
-            merged: list[dict[int, int]] = [{}]
-            for maps in per_comp:
+            merged: Sequence[dict[int, int]] = per_comp[0]
+            for maps in per_comp[1:]:
                 merged = [{**m, **e} for m in merged for e in maps
                           if set(m.values()).isdisjoint(e.values())]
             g = repo.graph(gid)
@@ -212,8 +215,7 @@ def apply_at(rule: Rule, copies: Sequence[Copy], repo: GraphRepository,
         labels.update(copy_labels)
         adj.update(copy_adj)
         origin.extend([(i, sv) for sv in range(g.vertex_count)])
-    deleted_vertices = {to_raw[vid] for vid, rv in rule.vertices.items()
-                        if rv.kind == LEFT}
+    deleted_vertices = {to_raw[vid] for vid, _ in rule.gluing_plan().deleted}
     for d in deleted_vertices:
         del labels[d]
         for n in adj.pop(d):
@@ -292,34 +294,32 @@ class PartialRule:
 
 def _gluing_ok(rule: Rule, parts: Sequence[Part]) -> bool:
     """DPO gluing conditions for the part of a match that parts fix, one
-    host copy at a time.
+    host copy at a time; each copy's map must be injective, as a match's
+    is.  The rule's ``GluingPlan`` says which elements to read.
 
     Dangling: every host edge at a deleted vertex must be the image of a
-    left-graph edge.  Simplicity: no created edge may parallel a host edge
-    that survives.  Host edges never join two copies, so a full match
-    passes exactly when its restriction to each copy passes, and a copy
-    that fails can never complete into a valid derivation.
+    left-graph edge.  By injectivity, the edge from the image of a deleted
+    vertex d to a host vertex n is such an image exactly when n is the
+    image of a left neighbour of d.  Simplicity: no created edge may
+    parallel a host edge that survives.  No edge it parallels is deleted: a
+    rule keeps one element per vertex pair, so a created edge and a deleted
+    edge have different endpoint pairs, and by injectivity so do their
+    images.  The check is therefore that no created edge parallels a host
+    edge.  Host edges never join two copies, so a full match passes exactly
+    when its restriction to each copy passes, and a copy that fails can
+    never complete into a valid derivation.
     """
+    deleted, created = rule.gluing_plan()
     for vmap, host in parts:
-        left_images = set()
-        deleted_images = set()
-        for (u, v), re in rule.edges.items():
-            if re.kind in (LEFT, CONTEXT) and u in vmap and v in vmap:
-                key = _edge_key(vmap[u], vmap[v])
-                left_images.add(key)
-                if re.kind == LEFT:
-                    deleted_images.add(key)
-        for vid, rv in rule.vertices.items():
-            if rv.kind == LEFT and vid in vmap:
-                d = vmap[vid]
-                for n in host.neighbors(d):
-                    if _edge_key(d, n) not in left_images:
-                        return False
-        for (u, v), re in rule.edges.items():
-            if re.kind == RIGHT and u in vmap and v in vmap:
-                key = _edge_key(vmap[u], vmap[v])
-                if host.has_edge(*key) and key not in deleted_images:
-                    return False
+        adj = host._adj
+        for d, nbrs in deleted:
+            image = vmap.get(d)
+            if image is not None and not adj[image].keys() <= {
+                    vmap[u] for u in nbrs if u in vmap}:
+                return False
+        for u, v in created:
+            if u in vmap and v in vmap and vmap[v] in adj[vmap[u]]:
+                return False
     return True
 
 

@@ -9,11 +9,12 @@ of this structure and must each be valid simple labeled graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from gstrat import lex
 from gstrat.graphs import Graph, GraphError, _edge_key
 from gstrat.lex import TokenStream
-from gstrat.matching import SearchPlan, _maps, search_plan
+from gstrat.matching import SearchPlan, _maps, _plan, search_plan
 
 LEFT = "left"
 CONTEXT = "context"
@@ -43,6 +44,17 @@ class RuleError(ValueError):
     pass
 
 
+class GluingPlan(NamedTuple):
+    """What the DPO gluing check of a rule reads, fixed once per rule.
+
+    - deleted: each deleted vertex with its left-graph neighbours;
+    - created: the created edges between two preserved vertices, the only
+      created edges whose endpoints can both be matched.
+    """
+    deleted: tuple[tuple[int, tuple[int, ...]], ...]
+    created: tuple[tuple[int, int], ...]
+
+
 class Rule:
     """A named DPO rule.  Instances are immutable; equality is identity."""
 
@@ -56,6 +68,7 @@ class Rule:
         self._span: Graph | None = None
         self._automorphisms: tuple[dict[int, int], ...] | None = None
         self._search_plans: tuple[SearchPlan, ...] | None = None
+        self._gluing_plan: GluingPlan | None = None
 
     @classmethod
     def build(cls, name: str,
@@ -143,7 +156,7 @@ class Rule:
         if self._automorphisms is None:
             self.left_components()   # rejects an ill-formed rule first
             g = self._span_graph()
-            found = sorted(_maps(g, g, search_plan(g)),
+            found = sorted(_maps(g, _plan(g)),
                            key=lambda m: any(k != v for k, v in m.items()))
             self._automorphisms = tuple(found)
         return self._automorphisms
@@ -168,6 +181,19 @@ class Rule:
             self._search_plans = tuple(search_plan(c, symmetries)
                                        for c in components)
         return self._search_plans
+
+    def gluing_plan(self) -> GluingPlan:
+        """The elements the DPO gluing check reads, built once."""
+        if self._gluing_plan is None:
+            self.left_components()   # rejects an ill-formed rule first
+            left = self.left_graph()
+            self._gluing_plan = GluingPlan(
+                tuple((vid, tuple(left.neighbors(vid)))
+                      for vid, rv in self.vertices.items() if rv.kind == LEFT),
+                tuple((u, v) for (u, v), re in self.edges.items()
+                      if re.kind == RIGHT and self.vertices[u].kind
+                      == self.vertices[v].kind == CONTEXT))
+        return self._gluing_plan
 
     @property
     def is_chemical(self) -> bool:

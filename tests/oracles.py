@@ -347,13 +347,49 @@ def naive_derivation_keys(rule, universe, required, repo):
     return keys
 
 
+def gluing_ok(rule, parts) -> bool:
+    """Reference DPO gluing check of the part of a match that parts fix, a
+    list of (rule vid -> host vid, host graph), one host copy at a time,
+    straight from the rule's elements.
+
+    Dangling: every host edge at a deleted vertex must be the image of a
+    left-graph edge.  Simplicity: no created edge may parallel a host edge
+    that survives, that is, one that is not the image of a deleted edge.
+    """
+    from gstrat.rules import CONTEXT, LEFT, RIGHT
+
+    def pair(a, b):
+        return (a, b) if a <= b else (b, a)
+
+    for vmap, host in parts:
+        left_images = set()
+        deleted_images = set()
+        for (u, v), re in rule.edges.items():
+            if re.kind in (LEFT, CONTEXT) and u in vmap and v in vmap:
+                key = pair(vmap[u], vmap[v])
+                left_images.add(key)
+                if re.kind == LEFT:
+                    deleted_images.add(key)
+        for vid, rv in rule.vertices.items():
+            if rv.kind == LEFT and vid in vmap:
+                d = vmap[vid]
+                for n in host.neighbors(d):
+                    if pair(d, n) not in left_images:
+                        return False
+        for (u, v), re in rule.edges.items():
+            if re.kind == RIGHT and u in vmap and v in vmap:
+                key = pair(vmap[u], vmap[v])
+                if host.has_edge(*key) and key not in deleted_images:
+                    return False
+    return True
+
+
 def per_morphism_copies(rule, subset, gid, repo):
     """Every copy of the left components in subset into stored graph gid,
     per morphism: the product of their embeddings, each found by the
     search without a plan, merged when their images are disjoint and kept
-    when the copy passes the gluing check."""
+    when the copy passes the reference gluing check."""
     from gstrat.matching import enumerate_embeddings
-    from gstrat.rewrite import _gluing_ok
 
     g = repo.graph(gid)
     per_comp = [enumerate_embeddings(rule.left_components()[c], g)
@@ -362,7 +398,7 @@ def per_morphism_copies(rule, subset, gid, repo):
     for combo in itertools.product(*per_comp):
         images = [v for m in combo for v in m.values()]
         vmap = {k: v for m in combo for k, v in m.items()}
-        if len(set(images)) == len(images) and _gluing_ok(rule, [(vmap, g)]):
+        if len(set(images)) == len(images) and gluing_ok(rule, [(vmap, g)]):
             merged.append(vmap)
     return merged
 

@@ -69,6 +69,16 @@ class TestRun:
         assert main(["run", str(script)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_unknown_rule_is_located(self, tmp_path, capsys):
+        # The BFS script without the include that defines its rule.
+        text = (ASSETS / "diels_bfs.gs").read_text(encoding="utf-8")
+        script = tmp_path / "no_include.gs"
+        script.write_text("\n".join(line for line in text.splitlines()
+                                    if not line.startswith("include")))
+        assert main(["run", str(script)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \d+:\d+: unknown rule 'dielsAlder'\n", err)
+
     def test_predicate_cycle_exit_code(self, tmp_path, capsys):
         script = tmp_path / "cycle.gs"
         script.write_text(RELABEL_SCRIPT.replace("-> rule p", "-> filterSubset[p]")

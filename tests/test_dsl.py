@@ -168,6 +168,37 @@ DEEP_TERMS = {
 }
 
 
+# Scripts that reference a name nothing defines, after one defining graph
+# g on line 1, and the exact error of each: one per kind of reference.
+UNKNOWN_NAMES = [
+    ("strategy main = rule nope", "2:22: unknown rule 'nope'"),
+    ("strategy main = addSubset(g, nope)", "2:30: unknown graph name 'nope'"),
+    ("strategy main = addSubset(g) ->\n  filterUniverse[isGraph(0, nope)]",
+     "3:29: unknown graph name 'nope'"),
+    ("strategy main = addSubset(g) -> filterSubset[not nope]",
+     "2:50: unknown predicate 'nope'"),
+    ("strategy main = parallel { addSubset(g), nope }",
+     "2:42: unknown strategy 'nope'"),
+]
+
+
+class TestUnknownNames:
+    @pytest.mark.parametrize("text, message", UNKNOWN_NAMES)
+    def test_error_text_and_location(self, text, message):
+        script = parse_script('graph g { v 0 "a"; }\n' + text)
+        with pytest.raises(ScriptError) as info:
+            run_script(script)
+        assert str(info.value) == message
+
+    def test_location_does_not_change_the_ast(self):
+        for text, _ in UNKNOWN_NAMES:
+            script = parse_script(text)
+            printed = format_script(script)
+            again = parse_script("\n\n  " + printed)
+            assert again == script
+            assert format_script(again) == printed
+
+
 class TestTermErrors:
     @pytest.mark.parametrize("term, message", TERM_ERRORS)
     def test_error_text_and_location(self, term, message):

@@ -10,7 +10,7 @@ from gstrat.graphs import Graph
 from gstrat.matching import (MatchError, enumerate_embeddings, find_isomorphism,
                              search_plan)
 
-from .oracles import brute_automorphisms, brute_embeddings, random_graph
+from .oracles import brute_automorphisms, brute_embeddings, permuted, random_graph
 from .test_graphs import (assert_maps_onto, from_networkx, nx_isomorphic,
                           relabelled)
 
@@ -53,6 +53,34 @@ class TestEnumerateEmbeddings:
             enumerate_embeddings(Graph([(0, "a"), (1, "a")]), Graph([(0, "a")]))
         with pytest.raises(MatchError):
             enumerate_embeddings(Graph([]), Graph([(0, "a")]))
+
+    def test_search_plan_rejects_empty_and_disconnected_patterns(self):
+        for pattern in (Graph([]), Graph([(0, "a"), (1, "a")])):
+            with pytest.raises(MatchError,
+                               match="pattern must be a connected non-empty graph"):
+                search_plan(pattern)
+
+    def test_order_is_brute_force_sorted_along_the_search_order(self):
+        # The golden exports depend on the order of the maps, not only on
+        # their set.  Hosts have shuffled sparse ids, and in half of the
+        # cases labels the pattern lacks.
+        rng = random.Random(101)
+        found_any = 0
+        for case in range(120):
+            labels = rng.choice([("a",), ("a", "b")])
+            edge_labels = rng.choice([("x",), ("x", "y")])
+            extra = ("c",) if case % 2 else ()
+            pattern = random_graph(rng, max_vertices=4, labels=labels,
+                                   edge_labels=edge_labels, connected=True)
+            host = permuted(random_graph(rng, max_vertices=6,
+                                         labels=labels + extra,
+                                         edge_labels=edge_labels + extra), rng)
+            order = search_plan(pattern).order
+            want = sorted((dict(items) for items in brute_embeddings(pattern, host)),
+                          key=lambda m: [m[v] for v in order])
+            assert enumerate_embeddings(pattern, host) == want
+            found_any += len(want) > 1
+        assert found_any >= 20, found_any
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(31)

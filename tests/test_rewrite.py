@@ -5,6 +5,8 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gstrat import rewrite
 from gstrat.chem import diels_alder_rule, parse_molecule
@@ -16,7 +18,8 @@ from gstrat.rewrite import (BindError, MatchCache, apply_at, bind_graph,
                             iter_proper_derivations, validate_match)
 from gstrat.rules import Rule
 
-from .oracles import (brute_automorphisms, brute_rule_automorphisms,
+from .oracles import (brute_automorphisms, brute_embeddings,
+                      brute_rule_automorphisms, gluing_ok,
                       naive_derivation_keys, random_graph, random_rule,
                       rule_orbit_derivations, split_union_match,
                       union_apply, union_graph)
@@ -539,7 +542,52 @@ def union_matches(rule, repo, universe):
                 yield ids, vmap
 
 
+def per_copy_maps(rule, host):
+    """Every injective merge of one embedding per left component of a
+    nonempty component subset into the host, by brute force."""
+    comps = rule.left_components()
+    for size in range(1, len(comps) + 1):
+        for subset in itertools.combinations(comps, size):
+            per_comp = [sorted(brute_embeddings(c, host)) for c in subset]
+            for combo in itertools.product(*per_comp):
+                merged = {k: v for items in combo for k, v in items}
+                if len(set(merged.values())) == len(merged):
+                    yield merged
+
+
+def gluing_outcomes(rng):
+    """(rule, outcome) of the production gluing check on every per-copy map
+    of a random rule into a random host, after checking that the reference
+    check gives the same outcome."""
+    rule = random_rule(rng)
+    host = random_graph(rng, max_vertices=6)
+    for vmap in per_copy_maps(rule, host):
+        ok = rewrite._gluing_ok(rule, [(vmap, host)])
+        assert ok == gluing_ok(rule, [(vmap, host)]), (rule, vmap, host)
+        yield rule, ok
+
+
 class TestGluingDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_agrees_with_the_reference_check(self, seed):
+        for _ in gluing_outcomes(random.Random(seed)):
+            pass
+
+    def test_reference_cases_reach_deletions_and_creations(self):
+        # The same generator as above, seeded: the rules delete vertices
+        # and create edges between matched vertices, and both kinds get
+        # accepted and rejected copies.
+        rng = random.Random(59)
+        seen = set()
+        for _ in range(300):
+            for rule, ok in gluing_outcomes(rng):
+                plan = rule.gluing_plan()
+                seen.add(("deletes", bool(plan.deleted), ok))
+                seen.add(("creates", bool(plan.created), ok))
+        assert {(kind, True, ok) for kind in ("deletes", "creates")
+                for ok in (True, False)} <= seen
+
     def test_full_match_passes_iff_every_copy_passes(self):
         outcomes = []
         for rule, graphs in gluing_cases(53):
@@ -783,7 +831,7 @@ class TestMergedComponentMaps:
                 images = [v for m in combo for v in m.values()]
                 merged = {k: v for m in combo for k, v in m.items()}
                 if (len(set(images)) == len(images)
-                        and rewrite._gluing_ok(rule, [(merged, repo.graph(gid))])):
+                        and gluing_ok(rule, [(merged, repo.graph(gid))])):
                     want.append(merged)
             got = list(cache.bound_copies(rule, comps, gid, repo))
             assert got == want
