@@ -8,7 +8,7 @@ while a derivation hypergraph accumulates the discovered reaction space.
 from gstrat.graphs import (Graph, GraphError, GraphRepository, isomorphic,
                            parse_graph, parse_graphs, serialize_graph)
 from gstrat.matching import enumerate_embeddings, find_isomorphism
-from gstrat.rules import Rule, RuleError, format_rule, parse_rules, validate_rule
+from gstrat.rules import Rule, RuleError, format_rule, parse_rules
 from gstrat.rewrite import (Derivation, MatchCache, PartialRule, apply_at,
                             bind_graph, complete_derivation,
                             enumerate_proper_derivations,
@@ -26,7 +26,7 @@ __all__ = [
     "Graph", "GraphError", "GraphRepository", "isomorphic", "parse_graph",
     "parse_graphs", "serialize_graph",
     "enumerate_embeddings", "find_isomorphism",
-    "Rule", "RuleError", "format_rule", "parse_rules", "validate_rule",
+    "Rule", "RuleError", "format_rule", "parse_rules",
     "Derivation", "MatchCache", "PartialRule", "apply_at", "bind_graph",
     "complete_derivation",
     "enumerate_proper_derivations", "iter_proper_derivations",

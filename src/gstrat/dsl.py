@@ -34,7 +34,7 @@ A predicate is compiled once, with the strategy that uses it: names are
 resolved and cycles found before the run, which then only calls closures.
 Braces, ``[<pred>]``, parentheses and ``not`` nest at most ``MAX_DEPTH`` levels
 (a ``ParseError`` at the offending token), and a reference is followed only
-below that many levels of nesting plus references (a ``ScriptError``).
+below that many levels of nesting plus references (a located ``ScriptError``).
 """
 from __future__ import annotations
 
@@ -50,13 +50,13 @@ from typing import Callable
 from gstrat import lex
 from gstrat.graphs import Graph, _parse_graph_body, serialize_graph
 from gstrat.lex import TokenStream
-from gstrat.rules import Rule, format_rule, parse_rule_body, validate_rule
+from gstrat.rules import Rule, format_rule, parse_rule_body
 from gstrat.chem import MoleculeError, parse_molecule
 from gstrat import strategies as st
 
 
 class ScriptError(ValueError):
-    """Semantic error in a script (unknown name, bad rule, type error...)."""
+    """Semantic error in a script (unknown name, cycle, duplicate name...)."""
 
 
 class Name(str):
@@ -236,9 +236,9 @@ def parse_script(text: str, base_dir: str = ".") -> Script:
             items.append(GraphDef(name, _parse_graph_body(ts)))
             ts.expect(lex.PUNCT, "}")
         elif tok.value == "rule":
-            name = ts.expect(lex.NAME).value
+            name = ts.expect(lex.NAME)
             ts.expect(lex.PUNCT, "{")
-            items.append(RuleDef(name, parse_rule_body(ts, name)))
+            items.append(RuleDef(name.value, parse_rule_body(ts, name)))
             ts.expect(lex.PUNCT, "}")
         elif tok.value == "include":
             items.append(Include(ts.expect(lex.STRING).value))
@@ -467,7 +467,8 @@ def _read_sort_key(ts: TokenStream, depth: int) -> tuple[str, bool]:
 
 
 _RULE = _Form(lambda ts, depth: Name(ts.expect(lex.NAME)), " {}".format,
-              lambda compiler, name, *_: _lookup(compiler.rules, name, "rule"))
+              lambda compiler, name, chain, depth: compiler.lookup(
+                  compiler.rules, name, "rule", chain))
 _BRANCHES = _Form(
     _enclosed("{", "}", lambda ts, depth: _listed(
         ts, lambda: _parse_strategy(ts, depth)), deepen=True),
@@ -485,7 +486,7 @@ _COUNT = _Form(_enclosed("[", "]", lambda ts, depth: ts.expect_int()), "[{}]".fo
 _PRED = _Form(_enclosed("[", "]", _parse_pred, deepen=True),
               lambda expr: f"[{format_pred(expr)}]",
               lambda compiler, expr, chain, depth: compiler._compile_pred(
-                  expr, (), depth))
+                  expr, chain, depth))
 _KEY = _Form(_enclosed("[", "]", _read_sort_key),
              lambda key: f"[{key[0]}{', desc' if key[1] else ''}]",
              lambda compiler, key, *_: (SORT_KEYS[key[0]], key[1]))
@@ -493,8 +494,8 @@ _NAMES = _Form(
     _enclosed("(", ")", lambda ts, depth: _listed(
         ts, lambda: Name(ts.expect(lex.NAME)))),
     lambda names: "(" + ", ".join(names) + ")",
-    lambda compiler, names, *_: [_lookup(compiler.graphs, name, "graph name")
-                                 for name in names])
+    lambda compiler, names, chain, depth: [
+        compiler.lookup(compiler.graphs, name, "graph name", chain) for name in names])
 
 #: Stem -> (argument forms, builder from the scope and the compiled
 #: arguments); each stem has a Subset and a Universe keyword.
@@ -545,16 +546,6 @@ def _last_result(pred):
     return memoised
 
 
-def _lookup(table: dict, name: str, what: str):
-    """table[name]; for an unknown name, a ``ScriptError`` that starts with
-    the name's ``line:column``, as a ``ParseError`` does, when the name
-    was parsed from a script."""
-    if name not in table:
-        where = f"{name.line}:{name.column}: " if isinstance(name, Name) else ""
-        raise ScriptError(f"{where}unknown {what} {name!r}")
-    return table[name]
-
-
 class _Compiler:
     def __init__(self, ctx: st.EvalContext):
         self.ctx = ctx
@@ -565,9 +556,14 @@ class _Compiler:
         self.exports: list[ExportDirective] = []
         # (predicate name, depth) -> closure: shared references compile once
         self._closures: dict[tuple[str, int], object] = {}
+        # ("predicate" or "strategy", name) -> the included file defining it
+        self._files: dict[tuple[str, str], str] = {}
 
-    def load(self, script: Script, _seen_includes: set[str] | None = None) -> None:
-        seen = _seen_includes if _seen_includes is not None else set()
+    def load(self, script: Script, seen: set[str] | None = None,
+             file: str = "") -> None:
+        """Define the script's items; file is an included script's path
+        below the top-level script's directory ("" for that script)."""
+        seen = seen if seen is not None else set()
         for item in script.items:
             if isinstance(item, MoleculeDef):
                 try:
@@ -578,10 +574,6 @@ class _Compiler:
             elif isinstance(item, GraphDef):
                 self._define_graph(item.name, item.graph)
             elif isinstance(item, RuleDef):
-                problems = validate_rule(item.rule)
-                if problems:
-                    raise ScriptError(
-                        f"rule {item.name}: " + "; ".join(problems))
                 if item.name in self.rules:
                     raise ScriptError(f"duplicate rule name {item.name!r}")
                 self.rules[item.name] = item.rule
@@ -590,21 +582,51 @@ class _Compiler:
                 if path in seen:
                     raise ScriptError(f"circular include of {item.path!r}")
                 seen.add(path)
+                included = os.path.join(os.path.dirname(file), item.path)
                 try:
-                    text = Path(path).read_text(encoding="utf-8")
+                    parsed = load_script(path)
                 except OSError as err:
                     raise ScriptError(f"cannot include {item.path!r}: {err}") from err
-                self.load(parse_script(text, os.path.dirname(path) or "."), seen)
+                except lex.ParseError as err:
+                    err.args = (f"{included}:{err}",)
+                    raise
+                self.load(parsed, seen, included)
             elif isinstance(item, PredicateDef):
                 if item.name in self.predicates:
                     raise ScriptError(f"duplicate predicate name {item.name!r}")
                 self.predicates[item.name] = item.expr
+                self._files["predicate", item.name] = file
             elif isinstance(item, StrategyDef):
                 if item.name in self.strategy_defs:
                     raise ScriptError(f"duplicate strategy name {item.name!r}")
                 self.strategy_defs[item.name] = item.body
+                self._files["strategy", item.name] = file
             elif isinstance(item, ExportDirective):
                 self.exports.append(item)
+
+    def error(self, name: str, message: str, chain: tuple) -> ScriptError:
+        """A ``ScriptError`` about a name in the definition that ends chain;
+        a parsed name's location leads, after the included file holding it."""
+        if isinstance(name, Name):
+            file = self._files[chain[-1]] if chain else ""
+            message = f"{file}{':' if file else ''}{name.line}:{name.column}: {message}"
+        return ScriptError(message)
+
+    def lookup(self, table: dict, name: str, what: str, chain: tuple):
+        """table[name]; an unknown name is an error at the name."""
+        if name not in table:
+            raise self.error(name, f"unknown {what} {name!r}", chain)
+        return table[name]
+
+    def _follow(self, kind: str, name: str, table: dict, chain: tuple, depth: int):
+        """The definition a reference names, and the chain inside it; a
+        cycle, or a reference too deep, is an error at the name."""
+        if (kind, name) in chain:
+            raise self.error(name, f"{kind} definitions form a cycle at {name!r}", chain)
+        target = self.lookup(table, name, kind, chain)
+        if depth >= MAX_DEPTH:
+            raise self.error(name, f"{kind} references nest too deeply", chain)
+        return target, chain + ((kind, name),)
 
     def _define_graph(self, name: str, graph: Graph) -> None:
         if name in self.graphs:
@@ -617,10 +639,10 @@ class _Compiler:
         self.ctx.register_known(gid)
         self.ctx.names[name] = gid
 
-    def _compile_pred(self, expr, chain: tuple[str, ...], depth: int):
+    def _compile_pred(self, expr, chain: tuple[tuple[str, str], ...], depth: int):
         """Resolve and check a predicate once; return a closure of (ids, ctx).
-        chain holds the predicate references being followed; depth counts
-        the nesting levels and references above expr."""
+        chain holds the (kind, name) of each definition being followed;
+        depth counts the nesting levels and references above expr."""
         if isinstance(expr, (Or, And)):
             parts = tuple(self._compile_pred(p, chain, depth + 1)
                           for p in expr.parts)
@@ -641,20 +663,16 @@ class _Compiler:
             return lambda ids, ctx: index < len(ids) and any(
                 lab == label for _, lab in ctx.repo.graph(ids[index]).vertices())
         if isinstance(expr, IsGraph):
-            _lookup(self.graphs, expr.graph_name, "graph name")
+            self.lookup(self.graphs, expr.graph_name, "graph name", chain)
             index, target = expr.index, self.ctx.names[expr.graph_name]
             return lambda ids, ctx: index < len(ids) and ids[index] == target
         if isinstance(expr, PredRef):
-            if expr.name in chain:
-                raise ScriptError(
-                    f"predicate definitions form a cycle at {expr.name!r}")
-            target = _lookup(self.predicates, expr.name, "predicate")
-            if depth >= MAX_DEPTH:
-                raise ScriptError("predicate references nest too deeply")
+            target, inner = self._follow("predicate", expr.name, self.predicates,
+                                         chain, depth)
             key = (expr.name, depth)
             if key not in self._closures:
                 self._closures[key] = _last_result(self._compile_pred(
-                    target, chain + (expr.name,), depth + 1))
+                    target, inner, depth + 1))
             return self._closures[key]
         raise ScriptError(f"not a boolean expression: {expr!r}")
 
@@ -674,20 +692,16 @@ class _Compiler:
                                      if index < len(ids) else None)
         raise ScriptError(f"not an integer expression: {expr!r}")
 
-    def compile_strategy(self, node, chain: tuple[str, ...] = (),
+    def compile_strategy(self, node, chain: tuple[tuple[str, str], ...] = (),
                          depth: int = 0) -> st.Strategy:
         """Compile a strategy AST; chain and depth as in _compile_pred."""
         if isinstance(node, SSequence):
             return st.Sequence([self.compile_strategy(p, chain, depth + 1)
                                 for p in node.parts])
         if isinstance(node, SRef):
-            if node.name in chain:
-                raise ScriptError(
-                    f"strategy definitions form a cycle at {node.name!r}")
-            target = _lookup(self.strategy_defs, node.name, "strategy")
-            if depth >= MAX_DEPTH:
-                raise ScriptError("strategy references nest too deeply")
-            return self.compile_strategy(target, chain + (node.name,), depth + 1)
+            target, inner = self._follow("strategy", node.name, self.strategy_defs,
+                                         chain, depth)
+            return self.compile_strategy(target, inner, depth + 1)
         if isinstance(node, STerm):
             forms, build = TERMS[node.keyword]
             return build(*(form.build(self, arg, chain, depth + 1)
@@ -762,7 +776,7 @@ def run_script(script: Script,
         write_atomic(json_path, ctx.sink.to_json(ctx.repo))
     return RunReport(
         new_graphs=ctx.stats.new_graphs,
-        derivations=ctx.stats.derivations,
+        derivations=len(ctx.sink),
         embedding_queries=ctx.cache.queries - queries_before,
         seconds=elapsed,
         export_seconds=time.perf_counter() - export_started,

@@ -29,7 +29,7 @@ see ``Graph.canonical_form``.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
 from gstrat import lex
 from gstrat.lex import TokenStream
@@ -661,53 +661,68 @@ class GraphRepository:
 # '#' starts a comment; multiple graphs per file; names unique per file.
 
 
+def read_entries(ts: TokenStream, vertex_ids: set[int], pair: bool = False
+                 ) -> Iterator[tuple[lex.Token, tuple[int, ...], tuple[str, ...]]]:
+    """Yield the keyword token, vertex ids and labels of each ``v <id>
+    "<label>";`` or ``e <id> <id> "<label>";`` entry that follows.  With
+    pair, the labels are a pair whose second defaults to the first.  A
+    vertex id already in vertex_ids (which collects them) or a self-loop
+    is an error at the keyword; ';' is read after the caller's checks."""
+    while ts.peek().kind == lex.NAME and ts.peek().value in ("v", "e"):
+        tok = ts.next()
+        ids = tuple(ts.expect_int() for _ in range(1 if tok.value == "v" else 2))
+        labels = (ts.expect(lex.STRING).value,)
+        if pair:
+            labels += (ts.next().value if ts.at(lex.STRING) else labels[0],)
+        if len(ids) == 1:
+            if ids[0] in vertex_ids:
+                raise tok.error(f"duplicate vertex id {ids[0]}")
+            vertex_ids.add(ids[0])
+        elif ids[0] == ids[1]:
+            raise tok.error(f"self-loop on vertex {ids[0]}")
+        yield tok, ids, labels
+        ts.expect(lex.PUNCT, ";")
+
+
 def _parse_graph_body(ts: TokenStream) -> Graph:
     vertices: list[tuple[int, str]] = []
     edges: list[tuple[int, int, str]] = []
     seen_ids: set[int] = set()
     seen_edges: set[tuple[int, int]] = set()
-    while True:
-        tok = ts.peek()
-        if not (tok.kind == lex.NAME and tok.value in ("v", "e")):
-            break
-        ts.next()
-        if tok.value == "v":
-            vid = ts.expect_int()
-            label = ts.expect(lex.STRING).value
-            if vid in seen_ids:
-                raise tok.error(f"duplicate vertex id {vid}")
-            seen_ids.add(vid)
-            vertices.append((vid, label))
-        else:
-            u = ts.expect_int()
-            v = ts.expect_int()
-            label = ts.expect(lex.STRING).value
-            if u == v:
-                raise tok.error(f"self-loop on vertex {u} is forbidden")
-            if u not in seen_ids or v not in seen_ids:
-                raise tok.error(f"edge {u}-{v} references an unknown vertex")
-            key = _edge_key(u, v)
-            if key in seen_edges:
-                raise tok.error(f"parallel edge {u}-{v}")
-            seen_edges.add(key)
-            edges.append((u, v, label))
-        ts.expect(lex.PUNCT, ";")
+    for tok, ids, (label,) in read_entries(ts, seen_ids):
+        if len(ids) == 1:
+            vertices.append((ids[0], label))
+            continue
+        u, v = ids
+        if u not in seen_ids or v not in seen_ids:
+            raise tok.error(f"edge {u}-{v} references an unknown vertex")
+        key = _edge_key(u, v)
+        if key in seen_edges:
+            raise tok.error(f"parallel edge {u}-{v}")
+        seen_edges.add(key)
+        edges.append((u, v, label))
     return Graph(vertices, edges)
+
+
+def parse_blocks(text: str, keyword: str, read_body: Callable) -> dict:
+    """Parse a file of ``<keyword> <name> { ... }`` blocks into an ordered
+    name -> read_body(ts, name token) mapping; names are unique per file."""
+    ts = TokenStream(lex.tokenize(text))
+    blocks: dict = {}
+    while not ts.at(lex.EOF):
+        kw = ts.expect(lex.NAME, keyword)
+        name = ts.expect(lex.NAME)
+        if name.value in blocks:
+            raise kw.error(f"duplicate {keyword} name {name.value!r}")
+        ts.expect(lex.PUNCT, "{")
+        blocks[name.value] = read_body(ts, name)
+        ts.expect(lex.PUNCT, "}")
+    return blocks
 
 
 def parse_graphs(text: str) -> dict[str, Graph]:
     """Parse a graph file into an ordered name -> graph mapping."""
-    ts = TokenStream(lex.tokenize(text))
-    graphs: dict[str, Graph] = {}
-    while not ts.at(lex.EOF):
-        kw = ts.expect(lex.NAME, "graph")
-        name = ts.expect(lex.NAME).value
-        if name in graphs:
-            raise kw.error(f"duplicate graph name {name!r}")
-        ts.expect(lex.PUNCT, "{")
-        graphs[name] = _parse_graph_body(ts)
-        ts.expect(lex.PUNCT, "}")
-    return graphs
+    return parse_blocks(text, "graph", lambda ts, name: _parse_graph_body(ts))
 
 
 def parse_graph(text: str) -> Graph:

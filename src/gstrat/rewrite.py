@@ -87,7 +87,7 @@ class MatchCache:
         key = (rule, comp_idx, gid)
         cached = self._data.get(key)
         if cached is None:
-            pattern = rule.left_components()[comp_idx]
+            pattern = rule.left_components[comp_idx]
             cached = tuple(enumerate_embeddings(pattern, repo.graph(gid),
                                                 rule.search_plans()[comp_idx]))
             self._data[key] = cached
@@ -155,7 +155,7 @@ def validate_match(rule: Rule, parts: Sequence[Part]) -> bool:
     edge-preserving match of L: every left vertex is mapped in exactly one
     copy, nothing else is mapped, and every left edge joins two images in
     the same copy."""
-    left = rule.left_graph()
+    left = rule.left
     copy_of = {vid: i for i, (vmap, _) in enumerate(parts) for vid in vmap}
     if (len(copy_of) != left.vertex_count
             or len(copy_of) != sum(len(vmap) for vmap, _ in parts)):
@@ -347,7 +347,7 @@ def bind_graph(rule_or_partial: Rule | PartialRule, gid: int,
     """
     partial = (rule_or_partial if isinstance(rule_or_partial, PartialRule)
                else PartialRule(rule_or_partial, (), tuple(
-                   range(len(rule_or_partial.left_components())))))
+                   range(len(rule_or_partial.left_components)))))
     cache = cache or MatchCache()
     plans = partial.rule.search_plans()
     expand = plans[0].orbit_members if len(plans) == 1 else list
@@ -414,7 +414,7 @@ def _complete_matches(rule: Rule, universe: Sequence[int],
 
     # With no required graph, a start must bind component 0, so that each
     # complete match is reached once, its copies in component order.
-    components = tuple(range(len(rule.left_components())))
+    components = tuple(range(len(rule.left_components)))
     stack = [(PartialRule(rule, ((gid, vmap),), rest)
               for gid in required or universe
               for subset, rest in _splits(components)[1:]

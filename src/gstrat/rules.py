@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from gstrat import lex
-from gstrat.graphs import Graph, GraphError, _edge_key
+from gstrat.graphs import Graph, GraphError, _edge_key, parse_blocks, read_entries
 from gstrat.lex import TokenStream
 from gstrat.matching import SearchPlan, _maps, _plan, search_plan
 
@@ -56,16 +56,50 @@ class GluingPlan(NamedTuple):
 
 
 class Rule:
-    """A named DPO rule.  Instances are immutable; equality is identity."""
+    """A named DPO rule.  Instances are immutable; equality is identity.
+
+    Construction checks that the rule is well-formed, or raises
+    ``RuleError`` naming it and its problems, and keeps the graphs the
+    check builds: ``left``, its components ``left_components`` (vertex ids
+    are rule ids) and the span graph."""
 
     def __init__(self, name: str, vertices: dict[int, RuleElement],
                  edges: dict[tuple[int, int], RuleElement]):
         self.name = name
         self.vertices = dict(vertices)
         self.edges = {_edge_key(u, v): e for (u, v), e in edges.items()}
-        self._left: Graph | None = None
-        self._left_components: tuple[Graph, ...] | None = None
-        self._span: Graph | None = None
+        problems: list[str] = []
+        for (u, v), re in self.edges.items():
+            for endpoint in (u, v):
+                if endpoint not in self.vertices:
+                    problems.append(f"edge {u}-{v} references undeclared vertex {endpoint}")
+                    continue
+                vkind = self.vertices[endpoint].kind
+                if re.kind == CONTEXT and vkind != CONTEXT:
+                    problems.append(f"context edge {u}-{v} touches non-context vertex {endpoint}")
+                if re.kind == LEFT and vkind == RIGHT:
+                    problems.append(f"left edge {u}-{v} touches right-only vertex {endpoint}")
+                if re.kind == RIGHT and vkind == LEFT:
+                    problems.append(f"right edge {u}-{v} touches left-only vertex {endpoint}")
+        if not problems:
+            try:
+                self.left = Graph(
+                    [(vid, rv.left_label) for vid, rv in self.vertices.items()
+                     if rv.kind != RIGHT],
+                    [(u, v, re.left_label) for (u, v), re in self.edges.items()
+                     if re.kind != RIGHT])
+                if self.left.vertex_count == 0:
+                    problems.append("rule has an empty left side")
+                # Every vertex and edge, labelled by kind and label pair: a
+                # valid graph exactly when both sides are.
+                self._span = Graph(
+                    [(vid, repr(rv)) for vid, rv in self.vertices.items()],
+                    [(u, v, repr(re)) for (u, v), re in self.edges.items()])
+            except GraphError as err:
+                problems.append(f"invalid rule side: {err}")
+        if problems:
+            raise RuleError(f"rule {name}: " + "; ".join(problems))
+        self.left_components = tuple(self.left.connected_components())
         self._automorphisms: tuple[dict[int, int], ...] | None = None
         self._search_plans: tuple[SearchPlan, ...] | None = None
         self._gluing_plan: GluingPlan | None = None
@@ -114,36 +148,6 @@ class Rule:
                 edges[key] = RuleElement(RIGHT, None, label)
         return cls(name, vertices, edges)
 
-    def left_graph(self) -> Graph:
-        if self._left is None:
-            verts = [(vid, rv.left_label) for vid, rv in self.vertices.items()
-                     if rv.kind in (LEFT, CONTEXT)]
-            edges = [(u, v, re.left_label) for (u, v), re in self.edges.items()
-                     if re.kind in (LEFT, CONTEXT)]
-            self._left = Graph(verts, edges)
-        return self._left
-
-    def _span_graph(self) -> Graph:
-        """Every vertex and edge of the rule in one graph, labelled by kind
-        and label pair; it is a valid graph exactly when both sides are."""
-        if self._span is None:
-            self._span = Graph(
-                [(vid, repr(rv)) for vid, rv in self.vertices.items()],
-                [(u, v, repr(re)) for (u, v), re in self.edges.items()])
-        return self._span
-
-    def left_components(self) -> tuple[Graph, ...]:
-        """Connected components of the left graph (vertex ids are rule ids).
-
-        The first call checks the rule with ``validate_rule``, so an
-        ill-formed rule raises ``RuleError`` before it can be matched."""
-        if self._left_components is None:
-            problems = validate_rule(self)
-            if problems:
-                raise RuleError(f"rule {self.name}: " + "; ".join(problems))
-            self._left_components = tuple(self.left_graph().connected_components())
-        return self._left_components
-
     def automorphisms(self) -> tuple[dict[int, int], ...]:
         """Every permutation of rule vertex ids that maps each vertex to one
         with the same kind and label pair, and each vertex pair to one with
@@ -154,8 +158,7 @@ class Rule:
         span graph: with equal vertex and edge counts, each is an
         automorphism."""
         if self._automorphisms is None:
-            self.left_components()   # rejects an ill-formed rule first
-            g = self._span_graph()
+            g = self._span
             found = sorted(_maps(g, _plan(g)),
                            key=lambda m: any(k != v for k, v in m.items()))
             self._automorphisms = tuple(found)
@@ -170,7 +173,7 @@ class Rule:
         have the same inputs, gluing outcome and orbit key, so searching
         for one match per rule orbit loses no derivation."""
         if self._search_plans is None:
-            components = self.left_components()
+            components = self.left_components
             symmetries: list[dict[int, int]] = []
             if len(components) == 1:
                 ids = components[0].vertex_ids()
@@ -185,10 +188,8 @@ class Rule:
     def gluing_plan(self) -> GluingPlan:
         """The elements the DPO gluing check reads, built once."""
         if self._gluing_plan is None:
-            self.left_components()   # rejects an ill-formed rule first
-            left = self.left_graph()
             self._gluing_plan = GluingPlan(
-                tuple((vid, tuple(left.neighbors(vid)))
+                tuple((vid, tuple(self.left.neighbors(vid)))
                       for vid, rv in self.vertices.items() if rv.kind == LEFT),
                 tuple((u, v) for (u, v), re in self.edges.items()
                       if re.kind == RIGHT and self.vertices[u].kind
@@ -214,32 +215,6 @@ class Rule:
         return f"Rule({self.name!r}, {len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-def validate_rule(rule: Rule) -> list[str]:
-    """Structural diagnostics; empty list means the rule is well-formed."""
-    problems: list[str] = []
-    for (u, v), re in rule.edges.items():
-        for endpoint in (u, v):
-            if endpoint not in rule.vertices:
-                problems.append(f"edge {u}-{v} references undeclared vertex {endpoint}")
-                continue
-            vkind = rule.vertices[endpoint].kind
-            if re.kind == CONTEXT and vkind != CONTEXT:
-                problems.append(f"context edge {u}-{v} touches non-context vertex {endpoint}")
-            if re.kind == LEFT and vkind == RIGHT:
-                problems.append(f"left edge {u}-{v} touches right-only vertex {endpoint}")
-            if re.kind == RIGHT and vkind == LEFT:
-                problems.append(f"right edge {u}-{v} touches left-only vertex {endpoint}")
-    if not problems:
-        try:
-            left = rule.left_graph()
-            if left.vertex_count == 0:
-                problems.append("rule has an empty left side")
-            rule._span_graph()   # checks the right side, and the left again
-        except GraphError as err:
-            problems.append(f"invalid rule side: {err}")
-    return problems
-
-
 # -- text format --------------------------------------------------------------
 #
 # rule <name> {
@@ -252,77 +227,49 @@ def validate_rule(rule: Rule) -> list[str]:
 # label keeps that label on both sides.
 
 
-def parse_rule_body(ts: TokenStream, name: str) -> Rule:
+def parse_rule_body(ts: TokenStream, name: lex.Token) -> Rule:
+    """Read the sections of the rule named by the token; a rule that is
+    not well-formed is a ``ParseError`` at its name."""
     # Per section, the entries in Rule.build's format: a context entry
     # carries a label pair, a left or right entry one label.
     vertices: dict[str, list[tuple]] = {LEFT: [], CONTEXT: [], RIGHT: []}
     edges: dict[str, list[tuple]] = {LEFT: [], CONTEXT: [], RIGHT: []}
     vertex_ids: set[int] = set()
-    section_edges: dict[str, set[tuple[int, int]]] = {LEFT: set(), CONTEXT: set(),
-                                                      RIGHT: set()}
-    seen_sections: set[str] = set()
+    section_edges: dict[str, set[tuple[int, int]]] = {}   # of the sections read
     while not ts.at(lex.PUNCT, "}"):
         section_tok = ts.expect(lex.NAME)
         section = section_tok.value
         if section not in (LEFT, CONTEXT, RIGHT):
             raise section_tok.error(f"expected a rule section, got {section!r}")
-        if section in seen_sections:
+        if section in section_edges:
             raise section_tok.error(f"duplicate section {section!r}")
-        seen_sections.add(section)
+        keys = section_edges[section] = set()
         ts.expect(lex.PUNCT, "{")
-        while not ts.at(lex.PUNCT, "}"):
-            tok = ts.expect(lex.NAME)
-            if tok.value == "v":
-                vid = ts.expect_int()
-                first = ts.expect(lex.STRING).value
-                second = first
-                if section == CONTEXT and ts.at(lex.STRING):
-                    second = ts.next().value
-                if vid in vertex_ids:
-                    raise tok.error(f"duplicate rule vertex id {vid}")
-                vertex_ids.add(vid)
-                vertices[section].append(
-                    (vid, first, second) if section == CONTEXT else (vid, first))
-            elif tok.value == "e":
-                u = ts.expect_int()
-                v = ts.expect_int()
-                first = ts.expect(lex.STRING).value
-                second = first
-                if section == CONTEXT and ts.at(lex.STRING):
-                    second = ts.next().value
-                if u == v:
-                    raise tok.error(f"self-loop on rule vertex {u}")
-                key = _edge_key(u, v)
-                if key in section_edges[section]:
-                    raise tok.error(f"duplicate rule edge {u}-{v}")
-                # A left plus a right edge is a relabel; no other pair is.
-                if any(key in edges for other, edges in section_edges.items()
-                       if other != section and {other, section} != {LEFT, RIGHT}):
-                    raise tok.error(f"edge {u}-{v} declared in two sections")
-                section_edges[section].add(key)
-                edges[section].append(
-                    (u, v, first, second) if section == CONTEXT else (u, v, first))
-            else:
-                raise tok.error(f"expected 'v' or 'e', got {tok.value!r}")
-            ts.expect(lex.PUNCT, ";")
+        for tok, ids, labels in read_entries(ts, vertex_ids, section == CONTEXT):
+            if len(ids) == 1:
+                vertices[section].append(ids + labels)
+                continue
+            u, v = ids
+            key = _edge_key(u, v)
+            if key in keys:
+                raise tok.error(f"duplicate rule edge {u}-{v}")
+            # A left plus a right edge is a relabel; no other pair is.
+            if any(key in other_keys for other, other_keys in section_edges.items()
+                   if other != section and {other, section} != {LEFT, RIGHT}):
+                raise tok.error(f"edge {u}-{v} declared in two sections")
+            keys.add(key)
+            edges[section].append(ids + labels)
         ts.expect(lex.PUNCT, "}")
-    return Rule.build(name, vertices[LEFT], vertices[CONTEXT], vertices[RIGHT],
-                      edges[LEFT], edges[CONTEXT], edges[RIGHT])
+    try:
+        return Rule.build(name.value, vertices[LEFT], vertices[CONTEXT],
+                          vertices[RIGHT], edges[LEFT], edges[CONTEXT], edges[RIGHT])
+    except RuleError as err:
+        raise name.error(str(err)) from err
 
 
 def parse_rules(text: str) -> dict[str, Rule]:
     """Parse a rule file into an ordered name -> rule mapping."""
-    ts = TokenStream(lex.tokenize(text))
-    rules: dict[str, Rule] = {}
-    while not ts.at(lex.EOF):
-        kw = ts.expect(lex.NAME, "rule")
-        name = ts.expect(lex.NAME).value
-        if name in rules:
-            raise kw.error(f"duplicate rule name {name!r}")
-        ts.expect(lex.PUNCT, "{")
-        rules[name] = parse_rule_body(ts, name)
-        ts.expect(lex.PUNCT, "}")
-    return rules
+    return parse_blocks(text, "rule", parse_rule_body)
 
 
 def format_rule(rule: Rule) -> str:

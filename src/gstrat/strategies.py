@@ -67,7 +67,6 @@ EMPTY_STATE = GraphState((), ())
 @dataclass
 class RunStats:
     new_graphs: int = 0
-    derivations: int = 0
 
 
 class EvalContext:
@@ -188,8 +187,7 @@ class RuleApplication(Strategy):
             if not all(p(self.rule, d.outputs, ctx)
                        for p in ctx.right_predicates):
                 continue
-            if ctx.sink.record(d):
-                ctx.stats.derivations += 1
+            ctx.sink.record(d)
             ctx.mark_consumed(d.inputs)
             derived.update(dict.fromkeys(d.outputs))
         for gid in derived:

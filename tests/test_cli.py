@@ -85,7 +85,7 @@ class TestRun:
                           + "predicate p = q\npredicate q = p\n")
         assert main(["run", str(script)]) == 1
         err = capsys.readouterr().err
-        assert "error: predicate definitions form a cycle at 'p'" in err
+        assert err == "error: 6:15: predicate definitions form a cycle at 'p'\n"
         assert "Traceback" not in err
 
     def test_deep_nesting_exit_code(self, tmp_path, capsys):
@@ -96,6 +96,16 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "nesting deeper than" in err
         assert "Traceback" not in err
+
+    def test_include_errors_name_the_file(self, tmp_path, capsys):
+        (tmp_path / "main.gs").write_text('include "lib.gs"\n')
+        for lib, message in (
+                ("strategy s = rule missing\nstrategy main = s\n",
+                 "lib.gs:1:19: unknown rule 'missing'"),
+                ("strategy s =\n", "lib.gs:2:1: expected 'name', got 'end of input'")):
+            (tmp_path / "lib.gs").write_text(lib)
+            assert main(["run", str(tmp_path / "main.gs")]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         script = tmp_path / "bad.gs"

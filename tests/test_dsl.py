@@ -11,6 +11,7 @@ from gstrat.dsl import (MAX_DEPTH, ScriptError, format_script, load_script,
                         parse_script, run_script, write_atomic)
 from gstrat.graphs import Graph, serialize_graph
 from gstrat.lex import ParseError
+from gstrat.rules import parse_rules
 from gstrat.strategies import EvalContext
 
 from . import oracles
@@ -199,6 +200,35 @@ class TestUnknownNames:
             assert format_script(again) == printed
 
 
+# Scripts whose references cannot be followed, after one defining graph g
+# on line 1, and the exact error of each, at the reference that closes the
+# cycle or goes too deep.
+REFERENCE_ERRORS = [
+    ("strategy a = b\nstrategy b = a\nstrategy main = a",
+     "3:14: strategy definitions form a cycle at 'a'"),
+    ("strategy main = main", "2:17: strategy definitions form a cycle at 'main'"),
+    ("predicate p = q\npredicate q = p\n"
+     "strategy main = addSubset(g) -> filterSubset[p]",
+     "3:15: predicate definitions form a cycle at 'p'"),
+    ("".join(f"strategy d{i} = d{i + 1}\n" for i in range(99))
+     + "strategy d99 = takeSubset[1]\nstrategy main = addSubset(g) -> d0",
+     "63:16: strategy references nest too deeply"),
+    ("".join(f"predicate d{i} = d{i + 1}\n" for i in range(99))
+     + "predicate d99 = isGraph(0, g)\n"
+     "strategy main = addSubset(g) -> filterSubset[d0]",
+     "62:17: predicate references nest too deeply"),
+]
+
+
+class TestReferenceErrors:
+    @pytest.mark.parametrize("text, message", REFERENCE_ERRORS)
+    def test_error_text_and_location(self, text, message):
+        script = parse_script('graph g { v 0 "a"; }\n' + text)
+        with pytest.raises(ScriptError) as info:
+            run_script(script)
+        assert str(info.value) == message
+
+
 class TestTermErrors:
     @pytest.mark.parametrize("term, message", TERM_ERRORS)
     def test_error_text_and_location(self, term, message):
@@ -344,8 +374,9 @@ class TestRunScript:
 
     def test_invalid_rule_rejected(self):
         text = 'rule r { right { v 0 "x"; } }\nstrategy main = rule r'
-        with pytest.raises(ScriptError):
-            run_script(parse_script(text))
+        with pytest.raises(ParseError) as info:
+            parse_script(text)
+        assert str(info.value) == "1:6: rule r: rule has an empty left side"
 
     def test_disconnected_graph_rejected(self):
         text = 'graph g { v 0 "a"; v 1 "a"; }'
@@ -388,6 +419,25 @@ class TestWriteAtomic:
         assert list(tmp_path.iterdir()) == []
 
 
+# Scripts whose error lies in an included file, and the exact error of
+# each: the included file's path below the main script's directory leads.
+INCLUDE_ERRORS = [
+    ({"main.gs": 'include "lib.gs"\nstrategy main = s\n',
+      "lib.gs": "strategy s = rule missing\n"},
+     ScriptError, "lib.gs:1:19: unknown rule 'missing'"),
+    ({"main.gs": 'include "lib.gs"\n', "lib.gs": "strategy s =\n"},
+     ParseError, "lib.gs:2:1: expected 'name', got 'end of input'"),
+    ({"main.gs": 'include "lib/a.gs"\nstrategy main = s\n',
+      "lib/a.gs": 'include "b.gs"\n',
+      "lib/b.gs": "predicate p = q\nstrategy s = filterSubset[p]\n"},
+     ScriptError, "lib/b.gs:1:15: unknown predicate 'q'"),
+    # Back in the main script after an included definition: no file.
+    ({"main.gs": 'include "lib.gs"\nstrategy main = s -> rule nope\n',
+      "lib.gs": "strategy s = takeSubset[1]\n"},
+     ScriptError, "2:27: unknown rule 'nope'"),
+]
+
+
 class TestIncludes:
     def test_include_rules(self, tmp_path):
         (tmp_path / "r.gr").write_text(
@@ -410,6 +460,33 @@ class TestIncludes:
         (tmp_path / "b.gs").write_text('include "a.gs"\n')
         with pytest.raises(ScriptError):
             run_script(load_script(str(tmp_path / "a.gs")))
+
+    @pytest.mark.parametrize("files, error, message", INCLUDE_ERRORS)
+    def test_error_in_an_included_file_names_it(self, tmp_path, files, error,
+                                                message):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        with pytest.raises(error) as info:
+            run_script(load_script(str(tmp_path / "main.gs")))
+        assert str(info.value) == message
+
+    def test_ill_formed_rule_is_located_by_every_reader(self, tmp_path):
+        # parse_rules, an inline script rule and an included rule file all
+        # reject the rule as it is read, at its name.
+        text = ('rule ok { context { v 0 "a"; } }\n'
+                'rule r {\n  left { v 2 "a"; }\n  context { v 1 "a"; }\n'
+                '  right { v 3 "b"; e 2 3 "x"; } }\n')
+        (tmp_path / "r.gr").write_text(text)
+        (tmp_path / "main.gs").write_text('include "r.gr"\n')
+        message = "2:6: rule r: right edge 2-3 touches left-only vertex 2"
+        for read, where in ((parse_rules, ""), (parse_script, ""),
+                            (lambda _: load_script(str(tmp_path / "main.gs")),
+                             "r.gr:")):
+            with pytest.raises(ParseError) as info:
+                run_script(read(text))
+            assert str(info.value) == where + message
+            assert (info.value.line, info.value.column) == (2, 6)
 
 
 ONE_GRAPH = 'graph g { v 0 "a"; }\n'
@@ -441,8 +518,9 @@ class TestNestingBound:
     @pytest.mark.parametrize("case", sorted(TOO_DEEP))
     def test_too_deep_fails_with_a_located_error(self, case):
         error, text = TOO_DEEP[case]
-        with pytest.raises(error):
+        with pytest.raises(error) as info:
             run_script(parse_script(ONE_GRAPH + text))
+        assert re.match(r"\d+:\d+: ", str(info.value))
 
     def test_bound_is_reported_at_the_offending_token(self):
         prefix = FILTER

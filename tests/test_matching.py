@@ -105,7 +105,7 @@ class TestEnumerateEmbeddings:
     def test_diene_into_isoprene(self):
         from gstrat.chem import diels_alder_rule, parse_molecule
 
-        diene = next(c for c in diels_alder_rule().left_components()
+        diene = next(c for c in diels_alder_rule().left_components
                      if c.vertex_count == 4)
         isoprene = parse_molecule("CC(=C)C=C")
         found = enumerate_embeddings(diene, isoprene)

@@ -80,7 +80,7 @@ class TestApplyAt:
         # stays "a" (the input's class).  Only the two outputs are built.
         rule = Rule.build("mark",
                           context_vertices=[(0, "a", "b"), (1, "a", "a")])
-        rule.left_components()
+        rule.left_components
         repo = GraphRepository()
         gid, _ = repo.intern(Graph([(0, "a")]))
         builds = []
@@ -143,7 +143,7 @@ class TestBindGraph:
     def _bound_component_sizes(rule, partials):
         return {
             tuple(sorted(comp.vertex_count
-                         for c, comp in enumerate(rule.left_components())
+                         for c, comp in enumerate(rule.left_components)
                          if c not in p.remaining_components))
             for p in partials}
 
@@ -320,16 +320,16 @@ class TestEnumerateProperDerivations:
         checked = two_copies = 0
         for _ in range(40):
             rule = random_rule(rng)
-            components = [set(c.vertex_ids()) for c in rule.left_components()]
+            components = [set(c.vertex_ids()) for c in rule.left_components]
             for d in enumerate_proper_derivations(rule, ids, repo=repo):
                 assert sorted(gid for gid, _ in d.match) == list(d.inputs)
                 domains = [set(vmap) for _, vmap in d.match]
                 assert all(domains)
-                assert sum(map(len, domains)) == rule.left_graph().vertex_count
-                assert set().union(*domains) == set(rule.left_graph().vertex_ids())
+                assert sum(map(len, domains)) == rule.left.vertex_count
+                assert set().union(*domains) == set(rule.left.vertex_ids())
                 for (gid, vmap), domain in zip(d.match, domains):
                     host = repo.graph(gid)
-                    for comp, vids in zip(rule.left_components(), components):
+                    for comp, vids in zip(rule.left_components, components):
                         assert vids <= domain or not vids & domain
                         if vids <= domain:
                             part = {v: vmap[v] for v in vids}
@@ -515,7 +515,7 @@ class TestHostOrbits:
 def full_matches(rule, host):
     """Injective merges of one embedding per left component into the host."""
     per_comp = [enumerate_embeddings(comp, host)
-                for comp in rule.left_components()]
+                for comp in rule.left_components]
     for combo in itertools.product(*per_comp):
         merged = {k: v for m in combo for k, v in m.items()}
         if len(set(merged.values())) == len(merged):
@@ -536,7 +536,7 @@ def union_matches(rule, repo, universe):
     """(graph ids, full match into their ``union_graph``) for every
     multiset of the universe with one to as many copies as the rule has
     left components, rejected matches included."""
-    for size in range(1, len(rule.left_components()) + 1):
+    for size in range(1, len(rule.left_components) + 1):
         for ids in itertools.combinations_with_replacement(universe, size):
             for vmap in full_matches(rule, union_graph(repo, ids)):
                 yield ids, vmap
@@ -545,7 +545,7 @@ def union_matches(rule, repo, universe):
 def per_copy_maps(rule, host):
     """Every injective merge of one embedding per left component of a
     nonempty component subset into the host, by brute force."""
-    comps = rule.left_components()
+    comps = rule.left_components
     for size in range(1, len(comps) + 1):
         for subset in itertools.combinations(comps, size):
             per_comp = [sorted(brute_embeddings(c, host)) for c in subset]
@@ -660,7 +660,7 @@ class TestMatchCache:
         cache = MatchCache()
         assert cache.queries == 0
         keys = [(rule, ci, gid) for rule in rules
-                for ci in range(len(rule.left_components())) for gid in ids]
+                for ci in range(len(rule.left_components)) for gid in ids]
         for n, (rule, ci, gid) in enumerate(keys, 1):
             cache.embeddings(rule, ci, gid, repo)
             assert cache.queries == n
@@ -767,7 +767,7 @@ class TestWarmCacheDifferential:
             cache = MatchCache()
             for _ in range(3):
                 rule = random_rule(rng, max_components=3)
-                three_components += len(rule.left_components()) == 3
+                three_components += len(rule.left_components) == 3
                 # Universes grow and shrink around one shared cache.
                 for size in (1, 3, 5, 2, 4, 1):
                     universe = rng.sample(pool, min(size, len(pool)))
@@ -821,7 +821,7 @@ class TestMergedComponentMaps:
         merges = 0
         for _ in range(60):
             rule = random_rule(rng)
-            comps = tuple(range(len(rule.left_components())))
+            comps = tuple(range(len(rule.left_components)))
             repo = GraphRepository()
             gid, _ = repo.intern(random_graph(rng, max_vertices=7, connected=True))
             cache = MatchCache()
@@ -880,7 +880,7 @@ class TestPartialBindingCompleteness:
             assert ([fingerprint(d) for d in fast] == [
                 fingerprint(d) for d in rule_orbit_derivations(
                     rule, ids, required, repo)])
-            (component,) = rule.left_components()
+            (component,) = rule.left_components
             pruned += any(
                 len(cache.embeddings(rule, 0, gid, repo))
                 < len(enumerate_embeddings(component, repo.graph(gid)))

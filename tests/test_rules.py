@@ -3,11 +3,9 @@ import random
 import pytest
 
 from gstrat.chem import diels_alder_rule
-from gstrat.graphs import Graph, GraphRepository
 from gstrat.lex import ParseError
-from gstrat.rewrite import enumerate_proper_derivations
-from gstrat.rules import (CONTEXT, LEFT, RIGHT, Rule, RuleError, format_rule,
-                          parse_rules, validate_rule)
+from gstrat.rules import (CONTEXT, LEFT, RIGHT, Rule, RuleElement, RuleError,
+                          format_rule, parse_rules)
 
 from .oracles import brute_rule_automorphisms, random_rule
 
@@ -35,9 +33,9 @@ class TestRuleStructure:
 
     def test_sides(self):
         rule = relabel_rule()
-        assert rule.left_graph().edge_label(0, 1) == "b"
+        assert rule.left.edge_label(0, 1) == "b"
         assert rule.edges[(0, 1)].right_label == "c"
-        assert len(rule.left_components()) == 1
+        assert len(rule.left_components) == 1
 
     def test_conflicting_sections_rejected(self):
         with pytest.raises(RuleError):
@@ -53,47 +51,58 @@ class TestRuleStructure:
 
 
 class TestValidate:
+    """Construction is the well-formedness check: a rule that exists is
+    well-formed, and an ill-formed one raises ``RuleError``."""
+
     def test_diels_alder_is_chemical(self):
         rule = diels_alder_rule()
         assert rule.is_chemical
-        assert validate_rule(rule) == []
+        assert len(rule.left_components) == 2
 
     def test_remove_r_only_valid_without_chemical_mode(self):
         # Valid, but it deletes vertices, so it is not chemical.
         rule = remove_r_rule()
-        assert validate_rule(rule) == []
         assert not rule.is_chemical
+        assert rule.inverted().inverted().same_structure(rule)
 
     def test_context_edge_needs_context_endpoints(self):
-        rule = Rule.build("bad",
-                          left_vertices=[(0, "a")],
-                          context_vertices=[(1, "a", "a")],
-                          context_edges=[(0, 1, "x", "x")])
-        assert any("context edge" in p for p in validate_rule(rule))
+        with pytest.raises(RuleError) as err:
+            Rule.build("bad",
+                       left_vertices=[(0, "a")],
+                       context_vertices=[(1, "a", "a")],
+                       context_edges=[(0, 1, "x", "x")])
+        assert str(err.value) == (
+            "rule bad: context edge 0-1 touches non-context vertex 0")
 
     def test_self_loop_on_either_side_rejected(self):
         for kind in (LEFT, RIGHT):
-            rule = Rule.build("loop", context_vertices=[(0, "a", "a")],
-                              **{f"{kind}_edges": [(0, 0, "x")]})
-            assert validate_rule(rule) == [
-                "invalid rule side: self-loop on vertex 0"]
+            with pytest.raises(RuleError) as err:
+                Rule.build("loop", context_vertices=[(0, "a", "a")],
+                           **{f"{kind}_edges": [(0, 0, "x")]})
+            assert str(err.value) == (
+                "rule loop: invalid rule side: self-loop on vertex 0")
 
     def test_empty_left_rejected(self):
-        rule = Rule.build("nothing", right_vertices=[(0, "a")])
-        assert any("empty left" in p for p in validate_rule(rule))
+        with pytest.raises(RuleError) as err:
+            Rule.build("nothing", right_vertices=[(0, "a")])
+        assert str(err.value) == "rule nothing: rule has an empty left side"
 
     def test_ill_formed_rule_is_never_applied(self):
         # The context edge touches a deleted vertex: applying the rule
-        # would delete the edge it claims to preserve.
-        rule = Rule.build("bad",
-                          left_vertices=[(0, "a")],
-                          context_vertices=[(1, "a", "a")],
-                          context_edges=[(0, 1, "x", "x")])
-        repo = GraphRepository()
-        gid, _ = repo.intern(Graph([(0, "a"), (1, "a")], [(0, 1, "x")]))
-        for _ in range(2):
-            with pytest.raises(RuleError, match="context edge 0-1"):
-                enumerate_proper_derivations(rule, [gid], repo=repo)
+        # would delete the edge it claims to preserve.  Neither
+        # constructor lets such a rule exist, so it can never be matched.
+        vertices = {0: RuleElement(LEFT, "a", None),
+                    1: RuleElement(CONTEXT, "a", "a")}
+        edges = {(0, 1): RuleElement(CONTEXT, "x", "x")}
+        with pytest.raises(RuleError, match="context edge 0-1"):
+            Rule("bad", vertices, edges)
+        # Every problem is named, and an edge to an undeclared vertex too.
+        edges[(1, 2)] = RuleElement(RIGHT, None, "y")
+        with pytest.raises(RuleError) as err:
+            Rule("bad", vertices, edges)
+        assert str(err.value) == (
+            "rule bad: context edge 0-1 touches non-context vertex 0; "
+            "edge 1-2 references undeclared vertex 2")
 
 
 class TestInvert:
@@ -144,6 +153,16 @@ class TestRuleFormat:
         with pytest.raises(ParseError):
             parse_rules('rule a { left { } } rule a { left { } }')
 
+    def test_readme_example_parses(self):
+        from pathlib import Path
+
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("stored as a context relabel:")[1].split("```")[1]
+        rule = parse_rules(block)["p"]
+        assert rule.edges[(0, 1)].right_label == "z"
+        assert [rule.vertices[v].kind for v in (0, 1, 2, 3)] == [
+            CONTEXT, CONTEXT, LEFT, RIGHT]
+
     def test_edge_in_two_sections_is_located(self):
         # The error points at the second declaration's "e".
         text = ('rule ok { context { v 0 "a"; } }\n'
@@ -163,13 +182,13 @@ class TestRuleFormat:
 
 class TestDielsAlderShape:
     def test_two_left_components(self):
-        comps = diels_alder_rule().left_components()
+        comps = diels_alder_rule().left_components
         sizes = sorted(c.vertex_count for c in comps)
         assert sizes == [2, 4]  # dienophile and diene
 
     def test_left_right_edge_counts(self):
         rule = diels_alder_rule()
-        assert rule.left_graph().edge_count == 4
+        assert rule.left.edge_count == 4
         assert sum(re.kind != LEFT for re in rule.edges.values()) == 6
 
     def test_asset_file_matches_builder(self):
