@@ -26,6 +26,12 @@ runs on the remaining core only, which in the explicit-hydrogen molecules of
 the Diels-Alder scripts is about 40% of the vertices.  The certificate opens
 with run-length counts of the core vertices' (label, folded vertices) keys;
 see ``Graph.canonical_form``.
+
+The labelling reads only a graph's content (ids, labels and labelled
+adjacency), never the order its dicts were built in: every step sorts or
+keeps cells in ascending index order.  So ``GraphRepository`` interns a
+graph whose content equals a stored graph's, as inverting a derivation
+gives back, without labelling it: the stored graph's labelling is its own.
 """
 from __future__ import annotations
 
@@ -579,14 +585,18 @@ class GraphRepository:
     Stored graphs have dense vertex ids 0..n-1 and are never mutated; the
     first graph interned for a class is its representative.  Each class is
     indexed by its canonical certificate, so interning is one canonical form
-    and one dict lookup, and no two stored ids are isomorphic.  Each class
-    also keeps the automorphisms its labelling found, as a ``HostSymmetry``
-    built when the class is interned.
+    and one dict lookup, and no two stored ids are isomorphic.  A graph
+    whose content equals a stored graph's is found without the canonical
+    form, by a cheap key of labels and degrees and a dict comparison.  Each
+    class also keeps the automorphisms its labelling found, as a
+    ``HostSymmetry`` built when the class is interned.
     """
 
     def __init__(self) -> None:
         self._graphs: list[Graph] = []
         self._by_cert: dict[tuple, int] = {}
+        # Per ``_layout`` key: the ids whose stored graph has it.
+        self._by_layout: dict[tuple, list[int]] = {}
         # Per id: the stored graph's vertex ids in canonical order.
         self._orders: list[tuple[int, ...]] = []
         self._symmetries: list[HostSymmetry] = []
@@ -594,6 +604,12 @@ class GraphRepository:
 
     def __len__(self) -> int:
         return len(self._graphs)
+
+    @staticmethod
+    def _layout(g: Graph) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        """The vertex labels and degrees of g in its dict order: equal for
+        graphs with equal content built in the same vertex order."""
+        return tuple(g._labels.values()), tuple(map(len, g._adj.values()))
 
     def graph(self, gid: int) -> Graph:
         return self._graphs[gid]
@@ -609,7 +625,20 @@ class GraphRepository:
         a ``renumbered()`` copy otherwise.  Connectivity is checked only on
         a certificate miss: certificates are complete and every stored
         class is connected, so a hit is connected too.
+
+        A graph with a stored graph's ids, labels and labelled adjacency is
+        not labelled: the stored graphs with its ``_layout`` key are
+        compared with it, and one with equal dicts answers with its own
+        canonical order.  The canonical form depends on content alone, so
+        the answer equals the certificate route's; a key that collides
+        costs one comparison.
         """
+        layout = self._layout(g)
+        for gid in self._by_layout.get(layout, ()):
+            stored = self._graphs[gid]
+            if stored._adj == g._adj and stored._labels == g._labels:
+                return gid, False, dict(zip(stored.canonical_form()[1],
+                                            self._orders[gid]))
         certificate, order = g.canonical_form()
         gid = self._by_cert.get(certificate)
         if gid is not None:
@@ -625,9 +654,11 @@ class GraphRepository:
             moves = [{renumber[v]: renumber[w] for v, w in move.items()}
                      for move in moves]
             cells = [tuple(sorted(renumber[v] for v in cell)) for cell in cells]
+            layout = self._layout(stored)
         gid = len(self._graphs)
         self._graphs.append(stored)
         self._by_cert[certificate] = gid
+        self._by_layout.setdefault(layout, []).append(gid)
         self._orders.append(tuple(renumber[v] for v in order))
         self._symmetries.append(HostSymmetry(stored, moves, cells))
         return gid, True, renumber

@@ -573,6 +573,147 @@ class TestInternProperties:
         assert_maps_onto(g, into_first, repo.graph(gid))
         assert_maps_onto(copy, into, repo.graph(gid))
 
+    @settings(max_examples=150, deadline=None)
+    @given(connected_graphs(), st.randoms(use_true_random=False))
+    def test_labelling_ignores_build_order(self, g, rng):
+        """The same content built in another vertex, edge and endpoint order
+        gets the same canonical form and core symmetry.
+
+        ``GraphRepository.intern_mapped`` relies on this when it answers a
+        graph equal to a stored one from the stored graph's own labelling.
+        """
+        vertices = list(g.vertices())
+        edges = [(v, u, el) if rng.random() < 0.5 else (u, v, el)
+                 for u, v, el in g.edges()]
+        rng.shuffle(vertices)
+        rng.shuffle(edges)
+        copy = Graph(vertices, edges)
+        assert copy.canonical_form() == g.canonical_form()
+        assert copy.core_symmetry() == g.core_symmetry()
+
+
+def content_copy(g: Graph, vertex_order=None, edge_order=None) -> Graph:
+    """A new graph with g's ids, labels and edges, built with the vertices
+    and edges in the given orders (default: ascending)."""
+    vertices = list(g.vertices())
+    edges = list(g.edges())
+    return Graph([vertices[i] for i in vertex_order or range(len(vertices))],
+                 [edges[i] for i in edge_order or range(len(edges))])
+
+
+def certificate_route(repo: GraphRepository, g: Graph) -> tuple:
+    """What interning a graph of a stored class answers by certificate."""
+    gid = repo.find(g)
+    return gid, False, dict(zip(g.canonical_form()[1], repo._orders[gid]))
+
+
+@pytest.fixture
+def labelled(monkeypatch) -> list[Graph]:
+    """The graphs whose canonical form is asked for, in call order."""
+    calls: list[Graph] = []
+    canonical_form = Graph.canonical_form
+
+    def spy(self):
+        calls.append(self)
+        return canonical_form(self)
+
+    monkeypatch.setattr(Graph, "canonical_form", spy)
+    return calls
+
+
+class TestContentEqualIntern:
+    """A graph equal, id for id, to a stored graph is interned without
+    labelling it, with the answer the certificate route gives."""
+
+    def test_dense_stored_graph_is_not_labelled(self, labelled):
+        repo = GraphRepository()
+        g = parse_molecule("CC(=C)C=C")
+        gid, _ = repo.intern(g)
+        assert repo.graph(gid) is g
+        copy = content_copy(g)
+        labelled.clear()
+        again, new, into = repo.intern_mapped(copy)
+        assert (again, new) == (gid, False)
+        assert into == {v: v for v in g.vertex_ids()}
+        assert not any(h is copy for h in labelled)
+        assert (again, new, into) == certificate_route(repo, copy)
+
+    def test_renumbered_stored_graph(self, labelled):
+        # Stored through renumbered(): the stored graph is labelled on the
+        # first content-equal intern, the incoming graph never.
+        rng = random.Random(97)
+        for _ in range(60):
+            g = leafy_graph(rng)
+            g = relabelled(g, rng.sample(range(5, 40), g.vertex_count))
+            repo = GraphRepository()
+            gid, _ = repo.intern(g)
+            stored = repo.graph(gid)
+            assert stored is not g
+            copy = content_copy(stored)
+            labelled.clear()
+            answer = repo.intern_mapped(copy)
+            assert not any(h is copy for h in labelled)
+            assert answer == certificate_route(repo, copy)
+            assert_maps_onto(copy, answer[2], stored)
+
+    def test_other_build_order(self, labelled):
+        rng = random.Random(101)
+        repo = GraphRepository()
+        g = parse_molecule("C1=CC=CCC1")
+        gid, _ = repo.intern(g)
+        edges = list(range(g.edge_count))
+        rng.shuffle(edges)
+        # Vertices in stored order, edges shuffled: the fast path answers.
+        same_layout = content_copy(g, edge_order=edges)
+        labelled.clear()
+        answer = repo.intern_mapped(same_layout)
+        assert not any(h is same_layout for h in labelled)
+        assert answer == certificate_route(repo, same_layout)
+        # Vertices in another order: the certificate route answers.
+        vertices = list(range(g.vertex_count))
+        rng.shuffle(vertices)
+        shuffled = content_copy(g, vertices, edges)
+        answer = repo.intern_mapped(shuffled)
+        assert answer == certificate_route(repo, shuffled)
+        assert answer[:2] == (gid, False)
+
+    def test_same_layout_other_content(self, labelled):
+        # Each incoming graph shares a stored graph's layout key but not its
+        # content, so it is labelled.  Labels a a b b with degrees 1 2 2 1
+        # in both: the path a-a-b-b is stored, and a-b-a-b is another class.
+        repo = GraphRepository()
+        vertices = [(0, "a"), (1, "a"), (2, "b"), (3, "b")]
+        aabb = Graph(vertices, [(0, 1, "x"), (1, 2, "x"), (2, 3, "x")])
+        abab = Graph(vertices, [(0, 2, "x"), (2, 1, "x"), (1, 3, "x")])
+        gid, _ = repo.intern(aabb)
+        assert repo._layout(abab) == repo._layout(aabb)
+        other, new, into = repo.intern_mapped(abab)
+        assert (other, new) == (1, True) and not isomorphic(aabb, abab)
+        assert into == {v: v for v in range(4)}
+        assert any(h is abab for h in labelled)
+        # A six-cycle, stored, and another six-cycle on the same ids.
+        ring = Graph([(i, "c") for i in range(6)],
+                     [(i, (i + 1) % 6, "x") for i in range(6)])
+        crossed = Graph([(i, "c") for i in range(6)],
+                        [(0, 2, "x"), (2, 1, "x"), (1, 3, "x"), (3, 4, "x"),
+                         (4, 5, "x"), (5, 0, "x")])
+        ring_id, _ = repo.intern(ring)
+        answer = repo.intern_mapped(crossed)
+        assert answer[:2] == (ring_id, False)
+        assert answer == certificate_route(repo, crossed)
+        assert_maps_onto(crossed, answer[2], ring)
+        assert any(h is crossed for h in labelled)
+        # The same adjacency with the labels of the ends swapped, built in
+        # reverse id order so that the layout keys agree.
+        path = Graph([(0, "p"), (1, "q"), (2, "r")], [(0, 1, "x"), (1, 2, "x")])
+        mirrored = Graph([(2, "p"), (1, "q"), (0, "r")], [(0, 1, "x"), (1, 2, "x")])
+        path_id, _ = repo.intern(path)
+        assert repo._layout(mirrored) == repo._layout(path)
+        answer = repo.intern_mapped(mirrored)
+        assert answer == (path_id, False, {0: 2, 1: 1, 2: 0})
+        assert any(h is mirrored for h in labelled)
+        assert len(repo) == 4
+
 
 class TestTextFormat:
     def test_bare_body_example(self):
