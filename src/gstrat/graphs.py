@@ -29,9 +29,10 @@ see ``Graph.canonical_form``.
 
 The labelling reads only a graph's content (ids, labels and labelled
 adjacency), never the order its dicts were built in: every step sorts or
-keeps cells in ascending index order.  So ``GraphRepository`` interns a
+keeps cells in ascending index order.  ``GraphRepository`` interns a
 graph whose content equals a stored graph's, as inverting a derivation
-gives back, without labelling it: the stored graph's labelling is its own.
+gives back, without labelling either: the identity maps it onto the
+stored graph.
 """
 from __future__ import annotations
 
@@ -628,17 +629,15 @@ class GraphRepository:
 
         A graph with a stored graph's ids, labels and labelled adjacency is
         not labelled: the stored graphs with its ``_layout`` key are
-        compared with it, and one with equal dicts answers with its own
-        canonical order.  The canonical form depends on content alone, so
-        the answer equals the certificate route's; a key that collides
-        costs one comparison.
+        compared with it, and one with equal dicts is g itself, vertex for
+        vertex, so it answers with the identity map and neither graph is
+        labelled.  A key that collides costs one comparison.
         """
         layout = self._layout(g)
         for gid in self._by_layout.get(layout, ()):
             stored = self._graphs[gid]
             if stored._adj == g._adj and stored._labels == g._labels:
-                return gid, False, dict(zip(stored.canonical_form()[1],
-                                            self._orders[gid]))
+                return gid, False, {v: v for v in range(len(g._labels))}
         certificate, order = g.canonical_form()
         gid = self._by_cert.get(certificate)
         if gid is not None:

@@ -32,9 +32,17 @@ sees only those; ``bind_graph`` expands them back to every morphism.  Each
 complete match gets one key, ``_orbit_key``; the host automorphisms it
 uses are those the canonical labelling of each stored class already found
 (``GraphRepository.symmetry``), so no extra search is run.
+
+A (rule, match) is applied once per ``MatchCache`` while its derivation
+is held: the result is fixed by the match and the repository, which only
+grows, so a later query that reaches the same match gets the same
+``Derivation`` back from the cache's weak memo instead of applying the rule
+again.  ``iter_proper_derivations`` is the only caller of
+``complete_derivation``, and that is the only caller of ``apply_at``.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -46,7 +54,8 @@ from gstrat.rules import CONTEXT, LEFT, RIGHT, Rule
 class MatchCache:
     """Memoized matching work of one graph repository.
 
-    Two memos, both keyed by graph id:
+    Three memos.  The first two are keyed by graph id and keep what they
+    hold for the cache's lifetime:
 
     - embeddings: (rule, left component, graph) -> every embedding of the
       component into the stored graph, searched with the component's plan
@@ -58,6 +67,15 @@ class MatchCache:
       in the lexicographic order of the per-component embedding lists; for
       a one-component subset, the embeddings memo's own maps.
 
+    The third is weak: derivations, (rule, ((graph id, id(map)) per copy))
+    -> the ``Derivation`` that ``complete_derivation`` built for that match,
+    held in a ``WeakValueDictionary``, so an entry lasts only while some
+    caller holds its derivation and the memo keeps nothing alive on its
+    own.  A match's maps are the bound-copy memo's own dicts, which this
+    cache holds as long as it lives (and a live entry's derivation holds
+    them too), so ``id()`` names each of them uniquely; it is cheaper than
+    keying by the map's items.  A rejected match (None) gets no entry.
+
     The maps it returns are shared by every caller, the copies of partial
     rules and the matches of derivations, so they are read-only.  Graph ids
     mean nothing outside their repository, so the cache serves the first
@@ -67,6 +85,8 @@ class MatchCache:
     def __init__(self) -> None:
         self._data: dict[tuple, tuple[dict[int, int], ...]] = {}
         self._copies: dict[tuple, tuple[dict[int, int], ...]] = {}
+        self._derived: weakref.WeakValueDictionary[tuple, Derivation] = (
+            weakref.WeakValueDictionary())
         self._repo: GraphRepository | None = None
 
     @property
@@ -124,7 +144,10 @@ class Derivation:
     The match has one copy per input, in binding order; its maps are
     shared with the ``MatchCache`` and read-only.  For a chemical rule,
     atom_map sends each (input position, stored vertex) to its (output
-    position, stored vertex); it is None for other rules."""
+    position, stored vertex); it is None for other rules.  A query that
+    reaches a match the cache has already applied gets the same
+    derivation object back, so atom_map, like the match, may be shared
+    between answers and is read-only."""
 
     rule: Rule
     inputs: tuple[int, ...]        # graph ids with multiplicity, sorted
@@ -489,6 +512,14 @@ def iter_proper_derivations(
     would skip.  The key may miss some automorphic pairs, which are then
     applied; the yielded derivations, their order, matches and atom maps
     do not depend on it.
+
+    A match that passes the key is looked up in the cache's derivation
+    memo and applied only on a miss, so a (rule, match) that an earlier
+    query already applied, and whose derivation is still held, runs no
+    ``apply_at`` and no intern.  Applying it again would give an equal
+    derivation: the repository only grows, and interning the same output
+    content again gives the same id and vertex map (the identity, when the
+    output itself was stored as its class).
     """
     cache = cache or MatchCache()
     universe = list(universe)
@@ -518,7 +549,12 @@ def iter_proper_derivations(
         if orbit in applied:
             continue
         applied.add(orbit)
-        d = complete_derivation(partial, repo)
+        match = (rule, tuple([(gid, id(vmap)) for gid, vmap in partial.copies]))
+        d = cache._derived.get(match)
+        if d is None:
+            d = complete_derivation(partial, repo)
+            if d is not None:
+                cache._derived[match] = d
         if d is not None and d.key not in keys:
             keys.add(d.key)
             yield d

@@ -61,7 +61,8 @@ class Rule:
     Construction checks that the rule is well-formed, or raises
     ``RuleError`` naming it and its problems, and keeps the graphs the
     check builds: ``left``, its components ``left_components`` (vertex ids
-    are rule ids) and the span graph."""
+    are rule ids) and the span graph.  ``is_chemical``, whether the rule
+    is vertex-bijective (creates and deletes no vertex), is fixed then too."""
 
     def __init__(self, name: str, vertices: dict[int, RuleElement],
                  edges: dict[tuple[int, int], RuleElement]):
@@ -100,6 +101,7 @@ class Rule:
         if problems:
             raise RuleError(f"rule {name}: " + "; ".join(problems))
         self.left_components = tuple(self.left.connected_components())
+        self.is_chemical = all(rv.kind == CONTEXT for rv in self.vertices.values())
         self._automorphisms: tuple[dict[int, int], ...] | None = None
         self._search_plans: tuple[SearchPlan, ...] | None = None
         self._gluing_plan: GluingPlan | None = None
@@ -195,11 +197,6 @@ class Rule:
                       if re.kind == RIGHT and self.vertices[u].kind
                       == self.vertices[v].kind == CONTEXT))
         return self._gluing_plan
-
-    @property
-    def is_chemical(self) -> bool:
-        """Vertex-bijective: no vertex is created or deleted."""
-        return all(rv.kind == CONTEXT for rv in self.vertices.values())
 
     def inverted(self) -> Rule:
         """The reverse rule: swap left/right memberships and label pairs."""

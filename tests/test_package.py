@@ -57,22 +57,36 @@ def test_benchmark_gate_equals_acceptance_gate():
     assert workloads.BFS_DOT_SHA256 == GOLDEN_EXPORTS["bfs.dot"]
 
 
-def test_only_counted_boundaries_run_the_embedding_search():
-    # perfbench counts the embedding search at enumerate_embeddings, and
-    # Rule.automorphisms searches each rule once.  Any other caller of
-    # matching._maps would run the search past the counted boundary.
+def callers_in_src(name: str) -> set[str]:
+    """The functions in src/gstrat that call name, as module.scope paths."""
     def callers(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 yield from callers(child, scope + (child.name,))
                 continue
-            if (isinstance(child, ast.Call) and "_maps" in (
+            if (isinstance(child, ast.Call) and name in (
                     getattr(child.func, "id", None),
                     getattr(child.func, "attr", None))):
                 yield ".".join(scope)
             yield from callers(child, scope)
 
     src = Path(__file__).parent.parent / "src" / "gstrat"
-    found = {caller for path in sorted(src.glob("*.py"))
-             for caller in callers(ast.parse(path.read_text()), (path.stem,))}
-    assert found == {"matching.enumerate_embeddings", "rules.Rule.automorphisms"}
+    return {caller for path in sorted(src.glob("*.py"))
+            for caller in callers(ast.parse(path.read_text()), (path.stem,))}
+
+
+def test_only_counted_boundaries_run_the_embedding_search():
+    # perfbench counts the embedding search at enumerate_embeddings, and
+    # Rule.automorphisms searches each rule once.  Any other caller of
+    # matching._maps would run the search past the counted boundary.
+    assert callers_in_src("_maps") == {"matching.enumerate_embeddings",
+                                       "rules.Rule.automorphisms"}
+
+
+def test_every_application_passes_the_derivation_memo():
+    # Rules are applied only to complete matches that iter_proper_derivations
+    # has looked up in its MatchCache's derivation memo, and every
+    # application passes perfbench's counted complete and apply boundaries.
+    assert callers_in_src("apply_at") == {"rewrite.complete_derivation"}
+    assert callers_in_src("complete_derivation") == {
+        "rewrite.iter_proper_derivations"}

@@ -17,6 +17,7 @@ from gstrat.rewrite import (BindError, MatchCache, apply_at, bind_graph,
                             complete_derivation, enumerate_proper_derivations,
                             iter_proper_derivations, validate_match)
 from gstrat.rules import Rule
+from gstrat.strategies import EvalContext
 
 from .oracles import (brute_automorphisms, brute_embeddings,
                       brute_rule_automorphisms, gluing_ok,
@@ -727,7 +728,8 @@ class TestMatchCache:
         again = enumerate_proper_derivations(
             rule, [iso_id, chx_id], [chx_id], repo=repo, cache=cache)
         assert [d.key for d in again] == [d.key for d in first]
-        # Only the full-match check inside each application is left.
+        # Only the full-match check inside each application is left, and
+        # the first answers are held, so no match is applied again.
         assert counts == {"_gluing_ok": len(applications), "embeddings": 0}
 
     def test_cache_freed_without_the_cycle_collector(self):
@@ -780,6 +782,97 @@ class TestWarmCacheDifferential:
                             == [fingerprint(d) for d in fresh])
                     derivations += len(warm)
         assert derivations > 100 and three_components > 5
+
+
+def diels_alder_pair():
+    repo = GraphRepository()
+    iso_id, _ = repo.intern(parse_molecule("CC(=C)C=C"))
+    chx_id, _ = repo.intern(parse_molecule("C1=CC=CCC1"))
+    return repo, [iso_id, chx_id]
+
+
+class TestDerivationMemo:
+    """A ``MatchCache`` applies a (rule, match) once while its derivation
+    is held, and keeps no derivation alive on its own."""
+
+    def test_bfs_inversions_equal_fresh_cache(self):
+        ctx = EvalContext()
+        run_script(load_script(str(ASSETS / "diels_bfs.gs")), ctx=ctx)
+        repo = ctx.repo
+        edges = random.Random(71).sample(ctx.sink.edges, 150)
+        queries = [list(dict.fromkeys(gid for gid, _ in e.outputs)) for e in edges]
+        inverse = diels_alder_rule().inverted()
+        cache = MatchCache()
+        held, seen, reused = [], set(), 0
+        # Every query twice, the second pass in reverse order, with every
+        # answer held: the second pass is answered from the memo.
+        for universe in queries + queries[::-1]:
+            warm = enumerate_proper_derivations(inverse, universe, repo=repo,
+                                                cache=cache)
+            fresh = enumerate_proper_derivations(inverse, universe, repo=repo)
+            assert ([fingerprint(d) for d in warm]
+                    == [fingerprint(d) for d in fresh])
+            reused += sum(id(d) in seen for d in warm)
+            seen.update(id(d) for d in warm)
+            held.append(warm)
+        assert reused >= sum(map(len, held[:len(queries)])), reused
+
+    def test_random_rules_equal_fresh_cache(self):
+        rng = random.Random(73)
+        held, seen, reused = [], set(), 0
+        for _ in range(30):
+            repo = GraphRepository()
+            pool = list(dict.fromkeys(
+                repo.intern(random_graph(rng, max_vertices=6, connected=True))[0]
+                for _ in range(6)))
+            cache = MatchCache()
+            for _ in range(3):
+                rule = random_rule(rng, max_components=3)
+                queries = []
+                for size in (1, 3, 5, 2):
+                    universe = rng.sample(pool, min(size, len(pool)))
+                    queries.append((universe, [gid for gid in universe
+                                               if rng.random() < 0.4]))
+                for universe, required in queries + queries:
+                    warm = enumerate_proper_derivations(
+                        rule, universe, required, repo=repo, cache=cache)
+                    fresh = enumerate_proper_derivations(
+                        rule, universe, required, repo=repo)
+                    assert ([fingerprint(d) for d in warm]
+                            == [fingerprint(d) for d in fresh])
+                    reused += sum(id(d) in seen for d in warm)
+                    seen.update(id(d) for d in warm)
+                    held.append(warm)
+        assert reused > 300, reused
+
+    def test_memo_keeps_nothing_alive(self):
+        repo, ids = diels_alder_pair()
+        cache = MatchCache()
+        derivations = enumerate_proper_derivations(
+            diels_alder_rule(), ids, repo=repo, cache=cache)
+        assert len(cache._derived) == len(derivations) > 0
+        alive = weakref.ref(derivations[0])
+        del derivations
+        gc.collect()
+        assert alive() is None
+        assert len(cache._derived) == 0
+
+    def test_held_match_is_not_applied_again(self, monkeypatch):
+        repo, ids = diels_alder_pair()
+        rule = diels_alder_rule()
+        cache = MatchCache()
+        calls = count_applications(monkeypatch)
+        first = enumerate_proper_derivations(rule, ids, repo=repo, cache=cache)
+        applied = len(calls)
+        assert applied == len(first) > 0
+        calls.clear()
+        again = enumerate_proper_derivations(rule, ids, repo=repo, cache=cache)
+        assert len(calls) == 0
+        assert all(d is e for d, e in zip(again, first, strict=True))
+        del first, again
+        gc.collect()
+        third = enumerate_proper_derivations(rule, ids, repo=repo, cache=cache)
+        assert len(calls) == applied == len(third)
 
 
 class TestIterProperDerivations:
