@@ -265,22 +265,26 @@ class Graph:
 
     def __init__(self, vertices: Iterable[tuple[int, str]],
                  edges: Iterable[tuple[int, int, str]] = ()):
-        labels: dict[int, str] = {}
-        for vid, label in vertices:
-            if vid in labels:
-                raise GraphError(f"duplicate vertex id {vid}")
-            labels[vid] = label
+        vertices = list(vertices)
+        labels: dict[int, str] = dict(vertices)
+        if len(labels) != len(vertices):
+            seen: set[int] = set()
+            for vid, _ in vertices:
+                if vid in seen:
+                    raise GraphError(f"duplicate vertex id {vid}")
+                seen.add(vid)
         adj: dict[int, dict[int, str]] = {v: {} for v in labels}
         count = 0
         for u, v, label in edges:
-            if u == v:
-                raise GraphError(f"self-loop on vertex {u}")
-            if u not in labels or v not in labels:
-                raise GraphError(f"edge {u}-{v} references an undeclared vertex")
-            if v in adj[u]:
+            nu, nv = adj.get(u), adj.get(v)
+            if nu is None or nv is None or v in nu or u == v:
+                if u == v:
+                    raise GraphError(f"self-loop on vertex {u}")
+                if nu is None or nv is None:
+                    raise GraphError(f"edge {u}-{v} references an undeclared vertex")
                 raise GraphError(f"parallel edge {u}-{v}")
-            adj[u][v] = label
-            adj[v][u] = label
+            nu[v] = label
+            nv[u] = label
             count += 1
         self._labels = labels
         self._adj = adj
@@ -455,20 +459,6 @@ class Graph:
             edges = [(u, v, el) for u, v, el in self.edges() if u in seen]
             components.append(Graph(verts, edges))
         return components
-
-    def shifted_copy(self, offset: int
-                     ) -> tuple[dict[int, str], dict[int, dict[int, str]]]:
-        """Mutable (labels, adjacency) dicts of a graph with ids 0..n-1, as
-        stored graphs have, with every id raised by offset and the vertices
-        in ascending id order."""
-        labels, nbrs = self._labels, self._adj
-        n = len(labels)
-        if not offset:
-            return ({v: labels[v] for v in range(n)},
-                    {v: nbrs[v].copy() for v in range(n)})
-        return ({v + offset: labels[v] for v in range(n)},
-                {v + offset: {u + offset: el for u, el in nbrs[v].items()}
-                 for v in range(n)})
 
     def renumbered(self) -> tuple[Graph, dict[int, int]]:
         """Copy with dense ids 0..n-1 (sorted order); returns (graph, old->new)."""
@@ -646,19 +636,20 @@ class GraphRepository:
             raise GraphError("cannot intern a disconnected (or empty) graph")
         n = g.vertex_count
         moves, cells = g.core_symmetry()
-        if all(g.has_vertex(v) for v in range(n)):
+        if min(g._labels) == 0 and max(g._labels) == n - 1:
             stored, renumber = g, {v: v for v in range(n)}
+            self._orders.append(order)
         else:
             stored, renumber = g.renumbered()
             moves = [{renumber[v]: renumber[w] for v, w in move.items()}
                      for move in moves]
             cells = [tuple(sorted(renumber[v] for v in cell)) for cell in cells]
             layout = self._layout(stored)
+            self._orders.append(tuple(renumber[v] for v in order))
         gid = len(self._graphs)
         self._graphs.append(stored)
         self._by_cert[certificate] = gid
         self._by_layout.setdefault(layout, []).append(gid)
-        self._orders.append(tuple(renumber[v] for v in order))
         self._symmetries.append(HostSymmetry(stored, moves, cells))
         return gid, True, renumber
 

@@ -4,11 +4,13 @@ A rule is applied to a multiset of interned graphs, and a match is a
 sequence of copies, one per input in binding order: (graph id, map from the
 rule vertices bound in that copy to stored vertex ids).  No union graph is
 built: ``apply_at`` checks the match copy by copy on the stored graphs and
-builds each output component once.  Instead of testing every k-multisubset
-of a universe, derivations are enumerated by binding host graphs to the
-rule one copy at a time: each copy receives a nonempty subset of the
-remaining left components, so every produced derivation is automatically
-proper.
+builds each output component once.  Stored graphs are read only: the
+result reads the first copy's neighbour dicts in place and copies one only
+before the rule changes it (copy-on-write).  Instead of testing every
+k-multisubset of a universe, derivations are enumerated by binding host
+graphs to the rule one copy at a time: each copy receives a nonempty
+subset of the remaining left components, so every produced derivation is
+automatically proper.
 
 One routine, ``_gluing_ok``, checks the DPO gluing conditions copy by copy
 for the part of a match it is given: one copy as it is bound, and every
@@ -31,7 +33,9 @@ rule orbit (``Rule.search_plans``), so the cache holds and the binding loop
 sees only those; ``bind_graph`` expands them back to every morphism.  Each
 complete match gets one key, ``_orbit_key``; the host automorphisms it
 uses are those the canonical labelling of each stored class already found
-(``GraphRepository.symmetry``), so no extra search is run.
+(``GraphRepository.symmetry``), so no extra search is run.  Complete
+matches share their copies, so each copy's part of the key is computed
+once per call.
 
 A (rule, match) is applied once per ``MatchCache`` while its derivation
 is held: the result is fixed by the match and the repository, which only
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from gstrat.graphs import Graph, GraphRepository
 from gstrat.matching import enumerate_embeddings
@@ -211,12 +215,15 @@ def apply_at(rule: Rule, copies: Sequence[Copy], repo: GraphRepository,
     """Apply rule at a full match; None when the gluing conditions fail.
 
     copies lists each input copy as (graph id, rule vid -> stored vid).
-    The match is checked on the stored graphs; the result is then kept as
-    plain label and adjacency dicts over raw ids: copy i's stored ids
-    shifted by the sizes of the copies before it, then the created
-    vertices.  Each output component is built once, with dense ids in
-    ascending raw-id order and edges in ascending order, and interned;
-    outputs are listed by ascending smallest raw id.
+    The match is checked on the stored graphs; the result is then laid out
+    as lists over raw ids: copy i's stored ids shifted by the sizes of the
+    copies before it, then the created vertices.  Stored graphs are read
+    only.  The first copy's raw ids are its stored ids, so the result reads
+    that graph's neighbour dicts in place and copies one only before the
+    rule changes it (copy-on-write); later copies get shifted dicts.  Each
+    output component is built once, with dense ids in ascending raw-id
+    order and edges in ascending order, and interned; outputs are listed
+    by ascending smallest raw id.
     """
     parts = [(vmap, repo.graph(gid)) for gid, vmap in copies]
     if validate and not validate_match(rule, parts):
@@ -224,69 +231,85 @@ def apply_at(rule: Rule, copies: Sequence[Copy], repo: GraphRepository,
     if not _gluing_ok(rule, parts):
         return None
 
-    # Copies are taken in order and created ids exceed every kept one, so
-    # labels lists the result's vertices in ascending raw id order.
+    # A deleted vertex's label and neighbour dict become None.
     to_raw: dict[int, int] = {}               # rule vid -> raw id
     origin: list[tuple[int, int]] = []        # raw id -> (copy, stored vid)
-    labels: dict[int, str] = {}
-    adj: dict[int, dict[int, str]] = {}
+    labels: list[str | None] = []
+    nbrs: list[dict[int, str] | None] = []
     for i, (vmap, g) in enumerate(parts):
-        offset = len(origin)
+        offset = len(labels)
+        ids = range(g.vertex_count)
         for rv, sv in vmap.items():
             to_raw[rv] = sv + offset
-        copy_labels, copy_adj = g.shifted_copy(offset)
-        labels.update(copy_labels)
-        adj.update(copy_adj)
-        origin.extend([(i, sv) for sv in range(g.vertex_count)])
+        labels += map(g._labels.__getitem__, ids)
+        if offset:
+            nbrs += [{u + offset: el for u, el in g._adj[v].items()} for v in ids]
+        else:
+            nbrs += map(g._adj.__getitem__, ids)
+        origin += zip([i] * len(ids), ids)
+    shared = parts[0][1]._adj
+
+    def own(raw: int) -> dict[int, str]:
+        nb = nbrs[raw]
+        if nb is shared.get(raw):
+            nb = nbrs[raw] = nb.copy()
+        return nb
+
     deleted_vertices = {to_raw[vid] for vid, _ in rule.gluing_plan().deleted}
     for d in deleted_vertices:
-        del labels[d]
-        for n in adj.pop(d):
+        for n in nbrs[d]:
             if n not in deleted_vertices:
-                del adj[n][d]
-    inputs_end = next_id = len(origin)
+                del own(n)[d]
+        labels[d] = nbrs[d] = None
+    inputs_end = len(labels)
     for vid in sorted(rule.vertices):
         rv = rule.vertices[vid]
         if rv.kind == CONTEXT and rv.left_label != rv.right_label:
             labels[to_raw[vid]] = rv.right_label
         elif rv.kind == RIGHT:
-            to_raw[vid] = next_id
-            labels[next_id] = rv.right_label
-            adj[next_id] = {}
-            next_id += 1
+            to_raw[vid] = len(labels)
+            labels.append(rv.right_label)
+            nbrs.append({})
     # A deleted edge between kept vertices goes here (one at a deleted vertex
     # went with it).
     for (u, v), re in rule.edges.items():
         mu, mv = to_raw[u], to_raw[v]
         if re.kind == LEFT:
             if rule.vertices[u].kind == rule.vertices[v].kind == CONTEXT:
-                del adj[mu][mv], adj[mv][mu]
+                del own(mu)[mv], own(mv)[mu]
         elif re.kind == RIGHT or re.left_label != re.right_label:
-            adj[mu][mv] = adj[mv][mu] = re.right_label
+            own(mu)[mv] = own(mv)[mu] = re.right_label
 
     outputs: list[int] = []
     fates: dict[tuple[int, int], tuple[int, int]] = {}
     seen: set[int] = set()
-    for start in labels:
-        if start in seen:
+    for start, label in enumerate(labels):
+        if label is None or start in seen:
             continue
         comp = {start}
         stack = [start]
         while stack:
-            for n in adj[stack.pop()]:
+            for n in nbrs[stack.pop()]:
                 if n not in comp:
                     comp.add(n)
                     stack.append(n)
         seen |= comp
-        order = sorted(comp)
-        dense = {raw: i for i, raw in enumerate(order)}
-        edges = [(i, dense[n], adj[raw][n]) for i, raw in enumerate(order)
-                 for n in sorted(adj[raw]) if n > raw]
-        gid, _, into = repo.intern_mapped(
-            Graph([(i, labels[raw]) for i, raw in enumerate(order)], edges))
-        for i, stored in into.items():
-            if order[i] < inputs_end:
-                fates[origin[order[i]]] = (len(outputs), stored)
+        if len(comp) == len(labels):
+            # Nothing deleted and one component: raw ids are dense ids.
+            order: Sequence[int] = range(len(labels))
+            vertices: Iterable[tuple[int, str]] = enumerate(labels)
+            edges = [(raw, n, nb[n]) for raw, nb in enumerate(nbrs)
+                     for n in sorted(nb) if n > raw]
+        else:
+            order = sorted(comp)
+            dense = {raw: i for i, raw in enumerate(order)}
+            vertices = [(i, labels[raw]) for i, raw in enumerate(order)]
+            edges = [(i, dense[n], nbrs[raw][n]) for i, raw in enumerate(order)
+                     for n in sorted(nbrs[raw]) if n > raw]
+        gid, _, into = repo.intern_mapped(Graph(vertices, edges))
+        position = len(outputs)
+        fates.update({origin[order[i]]: (position, stored)
+                      for i, stored in into.items() if order[i] < inputs_end})
         outputs.append(gid)
     return ApplyResult(tuple(outputs), fates)
 
@@ -454,10 +477,18 @@ def _complete_matches(rule: Rule, universe: Sequence[int],
 
 
 def _orbit_key(partial: PartialRule, automorphisms: Sequence[dict[int, int]],
-               host_key: Callable[[int, tuple[int, ...]], tuple]) -> tuple:
+               host_key: Callable[[int, tuple[int, ...]], tuple],
+               memo: dict[tuple[int, int], tuple]) -> tuple:
     """The least, over rule automorphisms sigma, of the sorted copies
     (graph id, sigma-renamed rule vertices, ``host_key(graph id, their
     images)``).
+
+    memo maps (id of a copy's map, index of sigma) to the copy's key, so
+    complete matches that share a copy compute its key once: the
+    Diels-Alder BFS keys 3472 matches with 1752 copy keys, not 13 888.
+    ``id()`` is safe as in the derivation memo: the memo lasts one
+    ``iter_proper_derivations`` call, and the maps are the ``MatchCache``'s
+    own dicts, held for its lifetime, each in one entry of one graph.
 
     The minimum stays even where the embedding search already keeps one
     match per rule orbit.  The search keeps the member whose images come
@@ -467,11 +498,18 @@ def _orbit_key(partial: PartialRule, automorphisms: Sequence[dict[int, int]],
     over sigma gives them one key.  Keyed
     by the identity alone, ``catalan_solve`` applied ``mark`` 1253 times
     instead of 977."""
-    def copies(sigma: dict[int, int]) -> Iterator[tuple]:
+    keys = []
+    for s, sigma in enumerate(automorphisms):
+        copies = []
         for gid, vmap in partial.copies:
-            rvs, images = zip(*sorted((sigma[rv], sv) for rv, sv in vmap.items()))
-            yield gid, rvs, host_key(gid, images)
-    return min(tuple(sorted(copies(sigma))) for sigma in automorphisms)
+            key = memo.get((id(vmap), s))
+            if key is None:
+                rvs, images = zip(*sorted((sigma[rv], sv) for rv, sv in vmap.items()))
+                key = memo[id(vmap), s] = (gid, rvs, host_key(gid, images))
+            copies.append(key)
+        copies.sort()
+        keys.append(tuple(copies))
+    return min(keys)
 
 
 def iter_proper_derivations(
@@ -502,8 +540,11 @@ def iter_proper_derivations(
     Each complete match gets one ``_orbit_key`` and is skipped when an
     earlier match of this call had the same one.  A copy's images enter
     the key as they are, or as their ``HostSymmetry.orbit_key`` when a
-    known host automorphism moves one of them; the host keys are memoised
-    for this call.  The key is the least, over rule automorphisms, of an
+    known host automorphism moves one of them.  For this call, each copy's
+    key under each rule automorphism is memoised by the id of its map, and
+    each host key by (graph id, images): a copy's images under one rule
+    automorphism are another copy's under the identity when both embed
+    one component.  The key is the least, over rule automorphisms, of an
     automorphic image of the match, so equal keys imply matches related by
     automorphisms of the rule, the copy order and the hosts: the result has
     the same key, the same gluing outcome and the same inputs.  Matches in
@@ -538,6 +579,7 @@ def iter_proper_derivations(
                 else images)
         return key
 
+    copy_keys: dict[tuple[int, int], tuple] = {}
     keys: set[tuple] = set()
     automorphisms = rule.automorphisms()
     applied: set[tuple] = set()
@@ -545,7 +587,7 @@ def iter_proper_derivations(
         inputs = tuple(sorted(gid for gid, _ in partial.copies))
         if left_filter is not None and not left_filter(inputs):
             continue
-        orbit = _orbit_key(partial, automorphisms, host_key)
+        orbit = _orbit_key(partial, automorphisms, host_key, copy_keys)
         if orbit in applied:
             continue
         applied.add(orbit)

@@ -42,6 +42,32 @@ class TestGraphBasics:
         with pytest.raises(GraphError):
             Graph([(0, "a"), (0, "b")])
 
+    # (vertices, edges, message): each ill-formed input and the one error
+    # it raises.  A self-loop on an undeclared vertex is reported as a
+    # self-loop, and a parallel edge as the second of the pair.
+    CONSTRUCTOR_ERRORS = [
+        ([(0, "a"), (1, "b"), (1, "c"), (0, "d")], [],
+         "duplicate vertex id 1"),
+        ([(0, "a"), (1, "a")], [(0, 1, "x"), (1, 1, "x")],
+         "self-loop on vertex 1"),
+        ([(0, "a"), (1, "a")], [(0, 1, "x"), (1, 5, "x")],
+         "edge 1-5 references an undeclared vertex"),
+        ([(0, "a"), (1, "a")], [(0, 1, "x"), (5, 1, "x")],
+         "edge 5-1 references an undeclared vertex"),
+        ([(0, "a"), (1, "a"), (2, "a")], [(0, 1, "x"), (1, 2, "x"), (1, 0, "y")],
+         "parallel edge 1-0"),
+        ([(0, "a")], [(7, 7, "x")], "self-loop on vertex 7"),
+    ]
+
+    @pytest.mark.parametrize("vertices, edges, message", CONSTRUCTOR_ERRORS)
+    @pytest.mark.parametrize("as_generators", [False, True])
+    def test_constructor_errors(self, vertices, edges, message, as_generators):
+        if as_generators:
+            vertices, edges = iter(vertices), iter(edges)
+        with pytest.raises(GraphError) as info:
+            Graph(vertices, edges)
+        assert str(info.value) == message
+
     def test_empty_label_is_valid(self):
         g = Graph([(0, ""), (1, "")], [(0, 1, "")])
         assert g.label(0) == ""

@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import gstrat
@@ -90,3 +91,51 @@ def test_every_application_passes_the_derivation_memo():
     assert callers_in_src("apply_at") == {"rewrite.complete_derivation"}
     assert callers_in_src("complete_derivation") == {
         "rewrite.iter_proper_derivations"}
+
+
+# Definitions that nothing in src/ names, each with the reason it stays.
+UNREFERENCED_DEFINITIONS = {
+    "graphs.Graph.refinement_colors":
+        "perfbench's graphs.refine boundary wraps it (ROADMAP item 2)",
+    "catalan.oracle_solve": "the catalan_solve workload's oracle",
+    "catalan.random_level": "the catalan_solve workload's corpus",
+    "rules.Rule.inverted":
+        "the public inversion API of the README and the inversion_sweep "
+        "workload",
+}
+
+
+def test_no_dead_definitions_in_src():
+    # Every def and class in src/gstrat is named somewhere in src/ outside
+    # its own body, or exported by gstrat.__all__, or listed above.
+    # Dunder methods are called by the language.
+    def names(node):
+        found = Counter()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                found[n.id] += 1
+            elif isinstance(n, ast.Attribute):
+                found[n.attr] += 1
+            elif isinstance(n, ast.alias):
+                found[n.name] += 1
+        return found
+
+    def definitions(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield ".".join(scope + (child.name,)), child
+                yield from definitions(child, scope + (child.name,))
+            else:
+                yield from definitions(child, scope)
+
+    src = Path(__file__).parent.parent / "src" / "gstrat"
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    named = sum((names(tree) for tree in trees.values()), Counter())
+    unreferenced = {
+        path for module, tree in trees.items()
+        for path, node in definitions(tree, (module,))
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in gstrat.__all__
+        and named[node.name] == names(node)[node.name]}
+    assert unreferenced == set(UNREFERENCED_DEFINITIONS)

@@ -16,7 +16,7 @@ from gstrat.matching import enumerate_embeddings
 from gstrat.rewrite import (BindError, MatchCache, apply_at, bind_graph,
                             complete_derivation, enumerate_proper_derivations,
                             iter_proper_derivations, validate_match)
-from gstrat.rules import Rule
+from gstrat.rules import CONTEXT, LEFT, RIGHT, Rule
 from gstrat.strategies import EvalContext
 
 from .oracles import (brute_automorphisms, brute_embeddings,
@@ -469,21 +469,78 @@ class TestHostOrbits:
                                           for _ in range(2)))
             automorphisms = {gid: brute_automorphisms(repo.graph(gid))
                              for gid in universe}
+            # Each memo serves one host key over the maps of one cache,
+            # which outlives it.
+            cache, host_memo, rule_memo = MatchCache(), {}, {}
             by_key = {}
             for partial in rewrite._complete_matches(rule, universe, (), repo,
-                                                     MatchCache()):
+                                                     cache):
                 key = rewrite._orbit_key(partial, rule.automorphisms(),
-                                         host_key(repo))
+                                         host_key(repo), host_memo)
                 by_key.setdefault(key, []).append(partial)
+
+            def rule_orbit(partial):
+                return rewrite._orbit_key(partial, rule.automorphisms(),
+                                          lambda gid, images: images, rule_memo)
             for first, *others in by_key.values():
-                rule_orbit = rewrite._orbit_key(
-                    first, rule.automorphisms(), lambda gid, images: images)
                 for other in others:
                     assert related(first, other, rule, automorphisms.get)
                     compared += 1
-                    by_host += rule_orbit != rewrite._orbit_key(
-                        other, rule.automorphisms(), lambda gid, images: images)
+                    by_host += rule_orbit(first) != rule_orbit(other)
         assert compared > 150 and by_host > 100, (compared, by_host)
+
+    def test_each_copy_key_once_per_call(self, monkeypatch):
+        # Complete matches share their copies.  Within one
+        # iter_proper_derivations call, the host key of each (copy, rule
+        # automorphism) is asked for once, and a memoised key equals the
+        # key computed afresh.
+        real = rewrite._orbit_key
+        calls = []  # per memo: [memo, (id(map), sigma index) pairs, host keys]
+
+        def counting(partial, automorphisms, host_key, memo):
+            if not calls or calls[-1][0] is not memo:
+                calls.append([memo, set(), 0])
+            entry = calls[-1]
+            entry[1].update((id(vmap), s) for _, vmap in partial.copies
+                            for s in range(len(automorphisms)))
+
+            def counted(gid, images):
+                entry[2] += 1
+                return host_key(gid, images)
+            key = real(partial, automorphisms, counted, memo)
+            assert key == real(partial, automorphisms, host_key, {})
+            return key
+
+        monkeypatch.setattr(rewrite, "_orbit_key", counting)
+        rng = random.Random(89)
+        copy_keys = 0
+        for _ in range(200):
+            rule = random_rule(rng)
+            if len(rule.left_components) != 2:
+                continue
+            repo = GraphRepository()
+            ids = list(dict.fromkeys(repo.intern(symmetric_host(rng))[0]
+                                     for _ in range(2)))
+            calls.clear()
+            cache = MatchCache()
+            for required in ([], ids[:1]):
+                enumerate_proper_derivations(rule, ids, required, repo=repo,
+                                             cache=cache)
+            for memo, pairs, asked in calls:
+                assert asked == len(pairs) == len(memo)
+                copy_keys += asked
+        assert copy_keys > 400, copy_keys
+        # The Diels-Alder pair: two components, two automorphisms.  Its 32
+        # complete matches would ask for 32 * 2 copies * 2 automorphisms =
+        # 128 host keys; 24 distinct ones exist.
+        repo, ids = diels_alder_pair()
+        calls.clear()
+        rule = diels_alder_rule()
+        enumerate_proper_derivations(rule, ids, repo=repo)
+        ((memo, pairs, asked),) = calls
+        assert asked == len(pairs) == len(memo) == 24
+        assert sum(1 for _ in rewrite._complete_matches(
+            rule, ids, (), repo, MatchCache())) == 32
 
     def test_equals_rule_orbit_reference(self, monkeypatch):
         # Same derivations in the same order, with the same matches and
@@ -651,6 +708,70 @@ class TestGluingDifferential:
                 frontier.extend(p for gid in universe
                                 for p in bind_graph(partial, gid, repo, cache))
         assert completed > 0
+
+
+def stored_content(g):
+    """The labels and, in dict order, the neighbour items of a graph."""
+    return ([g.label(v) for v in g.vertex_ids()],
+            [list(g.neighbors(v).items()) for v in g.vertex_ids()])
+
+
+@pytest.fixture
+def stored_graphs(monkeypatch):
+    """(graph, its content when stored) for every graph that any
+    repository stores while the test runs."""
+    stored = []
+    real = GraphRepository.intern_mapped
+
+    def recording(repo, g):
+        result = real(repo, g)
+        if result[1]:
+            graph = repo.graph(result[0])
+            stored.append((graph, stored_content(graph)))
+        return result
+
+    monkeypatch.setattr(GraphRepository, "intern_mapped", recording)
+    return stored
+
+
+def rule_edits(rule):
+    """Which kinds of change a rule makes to the host."""
+    kinds = {rv.kind for rv in rule.vertices.values()}
+    edges = [(rule.vertices[u].kind, rule.vertices[v].kind, e.kind)
+             for (u, v), e in rule.edges.items()]
+    return {"deletes vertex": LEFT in kinds,
+            "deletes edge": (CONTEXT, CONTEXT, LEFT) in edges,
+            "creates edge": any(kind == RIGHT for *_, kind in edges),
+            "relabels": any(e.kind == CONTEXT and e.left_label != e.right_label
+                            for e in rule.edges.values())
+            or any(v.kind == CONTEXT and v.left_label != v.right_label
+                   for v in rule.vertices.values())}
+
+
+class TestStoredGraphsReadOnly:
+    """``apply_at`` reads the first copy's stored dicts in place; no
+    application writes into a stored graph."""
+
+    def test_gluing_cases(self, stored_graphs):
+        applied = dict.fromkeys(("deletes vertex", "deletes edge",
+                                 "creates edge", "relabels"), 0)
+        for rule, graphs in gluing_cases(53):
+            repo = GraphRepository()
+            universe = [repo.intern(g)[0] for g in graphs]
+            for ids, vmap in union_matches(rule, repo, universe):
+                if apply_at(rule, split_union_match(repo, ids, vmap),
+                            repo) is not None:
+                    for kind, made in rule_edits(rule).items():
+                        applied[kind] += made
+        assert all(stored_content(g) == content for g, content in stored_graphs)
+        assert len(stored_graphs) > 300 and min(applied.values()) > 15, (
+            len(stored_graphs), applied)
+
+    def test_bfs_script(self, stored_graphs):
+        rep = run_script(load_script(str(ASSETS / "diels_bfs.gs")))
+        assert (rep.new_graphs, rep.derivations) == (825, 1278)
+        assert len(stored_graphs) == 827
+        assert all(stored_content(g) == content for g, content in stored_graphs)
 
 
 class TestMatchCache:
