@@ -20,7 +20,8 @@ Strategy syntax (terms chain left-to-right with ``->``)::
     altRuleApp { <strategy> }
     <name>                                      # reference a named strategy
 
-``TERMS`` gives each keyword's argument forms once.  Defining a name that
+``TERMS`` gives each keyword's argument forms once, and ``ITEMS`` each
+top-level item's reader, printer and definer.  Defining a name that
 could never be referenced (a keyword, a bare stem, a predicate word) fails.
 
 Predicates are boolean expressions over the graph multiset under test:
@@ -60,13 +61,13 @@ class ScriptError(ValueError):
 
 
 class Name(str):
-    """A name as a script references it: equal to, hashed and printed as
-    the plain string, and located at its token, so that a name the compiler
-    cannot resolve is reported where it is used."""
+    """A name as a script writes it: equal to, hashed and printed as the
+    plain string, and located at its token (file, line and column), so that
+    an error about it is reported where it is written."""
 
     def __new__(cls, tok: lex.Token) -> Name:
         name = super().__new__(cls, tok.value)
-        name.line, name.column = tok.line, tok.column
+        name.line, name.column, name.file = tok.line, tok.column, tok.file
         return name
 
 
@@ -158,116 +159,73 @@ class SSequence:
 
 
 @dataclass(frozen=True)
-class MoleculeDef:
+class Item:
+    """A top-level item as ``ITEMS[keyword]`` reads it: the name it defines
+    (an include's or an export's path), located when parsed, and its body.
+    Items compare by keyword, name and ``ITEMS[keyword].content(body)``."""
+    keyword: str
     name: str
-    spec: str
+    body: object = field(default=None, compare=False)
+    content: object = field(init=False, repr=False)
 
-
-class GraphDef:
-    def __init__(self, name: str, graph: Graph):
-        self.name = name
-        self.graph = graph
-
-    def __eq__(self, other):
-        return (isinstance(other, GraphDef) and self.name == other.name
-                and list(self.graph.vertices()) == list(other.graph.vertices())
-                and list(self.graph.edges()) == list(other.graph.edges()))
-
-    def __repr__(self):
-        return f"GraphDef({self.name!r})"
-
-
-class RuleDef:
-    def __init__(self, name: str, rule: Rule):
-        self.name = name
-        self.rule = rule
-
-    def __eq__(self, other):
-        return (isinstance(other, RuleDef) and self.name == other.name
-                and self.rule.same_structure(other.rule))
-
-    def __repr__(self):
-        return f"RuleDef({self.name!r})"
-
-
-@dataclass(frozen=True)
-class Include:
-    path: str
-
-
-@dataclass(frozen=True)
-class PredicateDef:
-    name: str
-    expr: object
-
-
-@dataclass(frozen=True)
-class StrategyDef:
-    name: str
-    body: object
-
-
-@dataclass(frozen=True)
-class ExportDirective:
-    kind: str  # "dot" | "json"
-    path: str
+    def __post_init__(self):
+        object.__setattr__(self, "content", ITEMS[self.keyword].content(self.body))
 
 
 @dataclass(frozen=True)
 class Script:
     items: tuple
     base_dir: str = field(default=".", compare=False)
+    path: str = field(default="", compare=False)  # the file it was read from
 
 
 # -- parser ----------------------------------------------------------------------
 
 
 def parse_script(text: str, base_dir: str = ".") -> Script:
-    ts = TokenStream(lex.tokenize(text))
+    return _parse(lex.tokenize(text), base_dir)
+
+
+def _parse(tokens: list[lex.Token], base_dir: str, path: str = "") -> Script:
+    ts = TokenStream(tokens)
     items: list = []
     while not ts.at(lex.EOF):
         tok = ts.expect(lex.NAME)
-        if tok.value == "molecule":
-            name = ts.expect(lex.NAME).value
-            items.append(MoleculeDef(name, ts.expect(lex.STRING).value))
-        elif tok.value == "graph":
-            name = ts.expect(lex.NAME).value
-            ts.expect(lex.PUNCT, "{")
-            items.append(GraphDef(name, _parse_graph_body(ts)))
-            ts.expect(lex.PUNCT, "}")
-        elif tok.value == "rule":
-            name = ts.expect(lex.NAME)
-            ts.expect(lex.PUNCT, "{")
-            items.append(RuleDef(name.value, parse_rule_body(ts, name)))
-            ts.expect(lex.PUNCT, "}")
-        elif tok.value == "include":
-            items.append(Include(ts.expect(lex.STRING).value))
-        elif tok.value == "predicate":
-            name = _definition_name(ts, "predicate", PRED_WORDS)
-            ts.expect(lex.PUNCT, "=")
-            items.append(PredicateDef(name, _parse_pred(ts)))
-        elif tok.value == "strategy":
-            name = _definition_name(ts, "strategy", TERMS.keys() | _SCOPED.keys())
-            ts.expect(lex.PUNCT, "=")
-            items.append(StrategyDef(name, _parse_strategy(ts)))
-        elif tok.value == "export":
-            kind_tok = ts.expect(lex.NAME)
-            if kind_tok.value not in ("dot", "json"):
-                raise kind_tok.error("export kind must be 'dot' or 'json'")
-            items.append(ExportDirective(kind_tok.value,
-                                         ts.expect(lex.STRING).value))
-        else:
+        if tok.value not in ITEMS:
             raise tok.error(f"unexpected top-level keyword {tok.value!r}")
-    return Script(tuple(items), base_dir)
+        items.append(Item(tok.value, *ITEMS[tok.value].read(ts)))
+    return Script(tuple(items), base_dir, path)
 
 
-def _definition_name(ts: TokenStream, kind: str, reserved) -> str:
-    """The name a definition introduces; a reserved word could never be
-    referenced, so it is rejected here."""
-    tok = ts.expect(lex.NAME)
-    if tok.value in reserved:
-        raise tok.error(f"{tok.value!r} is a reserved word and cannot name a {kind}")
-    return tok.value
+def _named_block(read_body):
+    """The reader of ``<name> { <body> }``; read_body(ts, name token) reads
+    the body."""
+    def read(ts: TokenStream):
+        tok = ts.expect(lex.NAME)
+        ts.expect(lex.PUNCT, "{")
+        body = read_body(ts, tok)
+        ts.expect(lex.PUNCT, "}")
+        return Name(tok), body
+    return read
+
+
+def _definition(kind: str, reserved, read_body):
+    """The reader of ``<name> = <body>``; a reserved word could never be
+    referenced, so it cannot be the name."""
+    def read(ts: TokenStream):
+        tok = ts.expect(lex.NAME)
+        if tok.value in reserved:
+            raise tok.error(f"{tok.value!r} is a reserved word and cannot name a {kind}")
+        ts.expect(lex.PUNCT, "=")
+        return Name(tok), read_body(ts)
+    return read
+
+
+def _read_export(ts: TokenStream):
+    kind = ts.expect(lex.NAME)
+    if kind.value not in ("dot", "json"):
+        raise kind.error("export kind must be 'dot' or 'json'")
+    return Name(ts.expect(lex.STRING)), kind.value
 
 
 def _deeper(tok: lex.Token, depth: int) -> int:
@@ -424,25 +382,8 @@ def format_strategy(node) -> str:
 
 
 def format_script(script: Script) -> str:
-    chunks = []
-    for item in script.items:
-        if isinstance(item, MoleculeDef):
-            chunks.append(f"molecule {item.name} {lex.quote(item.spec)}")
-        elif isinstance(item, GraphDef):
-            chunks.append(serialize_graph(item.graph, item.name).rstrip("\n"))
-        elif isinstance(item, RuleDef):
-            chunks.append(format_rule(item.rule).rstrip("\n"))
-        elif isinstance(item, Include):
-            chunks.append(f"include {lex.quote(item.path)}")
-        elif isinstance(item, PredicateDef):
-            chunks.append(f"predicate {item.name} = {format_pred(item.expr)}")
-        elif isinstance(item, StrategyDef):
-            chunks.append(f"strategy {item.name} = {format_strategy(item.body)}")
-        elif isinstance(item, ExportDirective):
-            chunks.append(f"export {item.kind} {lex.quote(item.path)}")
-        else:
-            raise TypeError(f"not a script item: {item!r}")
-    return "\n".join(chunks) + "\n"
+    return "".join(ITEMS[item.keyword].show(item.name, item.body)
+                   for item in script.items)
 
 
 # -- keyword terms ---------------------------------------------------------------
@@ -467,8 +408,7 @@ def _read_sort_key(ts: TokenStream, depth: int) -> tuple[str, bool]:
 
 
 _RULE = _Form(lambda ts, depth: Name(ts.expect(lex.NAME)), " {}".format,
-              lambda compiler, name, chain, depth: compiler.lookup(
-                  compiler.rules, name, "rule", chain))
+              lambda compiler, name, *_: compiler.lookup(compiler.rules, name, "rule"))
 _BRANCHES = _Form(
     _enclosed("{", "}", lambda ts, depth: _listed(
         ts, lambda: _parse_strategy(ts, depth)), deepen=True),
@@ -494,8 +434,8 @@ _NAMES = _Form(
     _enclosed("(", ")", lambda ts, depth: _listed(
         ts, lambda: Name(ts.expect(lex.NAME)))),
     lambda names: "(" + ", ".join(names) + ")",
-    lambda compiler, names, chain, depth: [
-        compiler.lookup(compiler.graphs, name, "graph name", chain) for name in names])
+    lambda compiler, names, *_: [
+        compiler.lookup(compiler.graphs, name, "graph name") for name in names])
 
 #: Stem -> (argument forms, builder from the scope and the compiled
 #: arguments); each stem has a Subset and a Universe keyword.
@@ -553,91 +493,80 @@ class _Compiler:
         self.rules: dict[str, Rule] = {}
         self.predicates: dict[str, object] = {}
         self.strategy_defs: dict[str, object] = {}
-        self.exports: list[ExportDirective] = []
+        self.exports: list[tuple[str, str]] = []  # (kind, path)
         # (predicate name, depth) -> closure: shared references compile once
         self._closures: dict[tuple[str, int], object] = {}
-        # ("predicate" or "strategy", name) -> the included file defining it
-        self._files: dict[tuple[str, str], str] = {}
+        # Each script being loaded, outermost first, with its file as in load
+        self._loading: list[tuple[Script, str]] = []
 
-    def load(self, script: Script, seen: set[str] | None = None,
-             file: str = "") -> None:
-        """Define the script's items; file is an included script's path
-        below the top-level script's directory ("" for that script)."""
-        seen = seen if seen is not None else set()
+    def load(self, script: Script, file: str = "") -> None:
+        """Define the script's items in order; file is an included script's
+        path below the top-level script's directory ("" for that script)."""
+        self._loading.append((script, file))
         for item in script.items:
-            if isinstance(item, MoleculeDef):
-                try:
-                    graph = parse_molecule(item.spec)
-                except MoleculeError as err:
-                    raise ScriptError(f"molecule {item.name}: {err}") from err
-                self._define_graph(item.name, graph)
-            elif isinstance(item, GraphDef):
-                self._define_graph(item.name, item.graph)
-            elif isinstance(item, RuleDef):
-                if item.name in self.rules:
-                    raise ScriptError(f"duplicate rule name {item.name!r}")
-                self.rules[item.name] = item.rule
-            elif isinstance(item, Include):
-                path = os.path.normpath(os.path.join(script.base_dir, item.path))
-                if path in seen:
-                    raise ScriptError(f"circular include of {item.path!r}")
-                seen.add(path)
-                included = os.path.join(os.path.dirname(file), item.path)
-                try:
-                    parsed = load_script(path)
-                except OSError as err:
-                    raise ScriptError(f"cannot include {item.path!r}: {err}") from err
-                except lex.ParseError as err:
-                    err.args = (f"{included}:{err}",)
-                    raise
-                self.load(parsed, seen, included)
-            elif isinstance(item, PredicateDef):
-                if item.name in self.predicates:
-                    raise ScriptError(f"duplicate predicate name {item.name!r}")
-                self.predicates[item.name] = item.expr
-                self._files["predicate", item.name] = file
-            elif isinstance(item, StrategyDef):
-                if item.name in self.strategy_defs:
-                    raise ScriptError(f"duplicate strategy name {item.name!r}")
-                self.strategy_defs[item.name] = item.body
-                self._files["strategy", item.name] = file
-            elif isinstance(item, ExportDirective):
-                self.exports.append(item)
+            ITEMS[item.keyword].define(self, item)
+        self._loading.pop()
 
-    def error(self, name: str, message: str, chain: tuple) -> ScriptError:
-        """A ``ScriptError`` about a name in the definition that ends chain;
-        a parsed name's location leads, after the included file holding it."""
+    @staticmethod
+    def error(name: str, message: str) -> ScriptError:
+        """The ``ScriptError`` about a name: a parsed name's location leads,
+        after the included file that holds it."""
         if isinstance(name, Name):
-            file = self._files[chain[-1]] if chain else ""
-            message = f"{file}{':' if file else ''}{name.line}:{name.column}: {message}"
+            message = lex.locate(message, name.line, name.column, name.file)
         return ScriptError(message)
 
-    def lookup(self, table: dict, name: str, what: str, chain: tuple):
+    def define(self, table: dict, kind: str, name: str, value) -> None:
+        """table[name] = value; a second definition of the name is an error."""
+        if name in table:
+            raise self.error(name, f"duplicate {kind} name {name!r}")
+        table[name] = value
+
+    def lookup(self, table: dict, name: str, what: str):
         """table[name]; an unknown name is an error at the name."""
         if name not in table:
-            raise self.error(name, f"unknown {what} {name!r}", chain)
+            raise self.error(name, f"unknown {what} {name!r}")
         return table[name]
 
     def _follow(self, kind: str, name: str, table: dict, chain: tuple, depth: int):
         """The definition a reference names, and the chain inside it; a
         cycle, or a reference too deep, is an error at the name."""
         if (kind, name) in chain:
-            raise self.error(name, f"{kind} definitions form a cycle at {name!r}", chain)
-        target = self.lookup(table, name, kind, chain)
+            raise self.error(name, f"{kind} definitions form a cycle at {name!r}")
+        target = self.lookup(table, name, kind)
         if depth >= MAX_DEPTH:
-            raise self.error(name, f"{kind} references nest too deeply", chain)
+            raise self.error(name, f"{kind} references nest too deeply")
         return target, chain + ((kind, name),)
 
     def _define_graph(self, name: str, graph: Graph) -> None:
-        if name in self.graphs:
-            raise ScriptError(f"duplicate graph name {name!r}")
+        self.define(self.graphs, "graph", name, graph)
         if not graph.is_connected:
-            raise ScriptError(f"graph {name!r} must be connected")
-        self.graphs[name] = graph
+            raise self.error(name, f"graph {name!r} must be connected")
         gid, _ = self.ctx.repo.intern(graph)
         self.ctx.repo.set_name(gid, name)
         self.ctx.register_known(gid)
         self.ctx.names[name] = gid
+
+    def _define_molecule(self, item: Item) -> None:
+        try:
+            graph = parse_molecule(item.body)
+        except MoleculeError as err:
+            raise self.error(item.name, f"molecule {item.name}: {err}") from err
+        self._define_graph(item.name, graph)
+
+    def _include(self, item: Item) -> None:
+        """Load the file an include names.  A file that is being loaded
+        cannot be included: that include closes a cycle."""
+        script, file = self._loading[-1]
+        path = os.path.normpath(os.path.join(script.base_dir, item.name))
+        if any(path == os.path.normpath(s.path) for s, _ in self._loading if s.path):
+            raise self.error(item.name, f"circular include of {item.name!r}")
+        included = os.path.normpath(os.path.join(os.path.dirname(file), item.name))
+        try:
+            included_script = _load(path, included)
+        except (OSError, UnicodeDecodeError) as err:
+            reason = err.strerror if isinstance(err, OSError) else err
+            raise self.error(item.name, f"cannot include {item.name!r}: {reason}") from err
+        self.load(included_script, included)
 
     def _compile_pred(self, expr, chain: tuple[tuple[str, str], ...], depth: int):
         """Resolve and check a predicate once; return a closure of (ids, ctx).
@@ -663,7 +592,7 @@ class _Compiler:
             return lambda ids, ctx: index < len(ids) and any(
                 lab == label for _, lab in ctx.repo.graph(ids[index]).vertices())
         if isinstance(expr, IsGraph):
-            self.lookup(self.graphs, expr.graph_name, "graph name", chain)
+            self.lookup(self.graphs, expr.graph_name, "graph name")
             index, target = expr.index, self.ctx.names[expr.graph_name]
             return lambda ids, ctx: index < len(ids) and ids[index] == target
         if isinstance(expr, PredRef):
@@ -674,7 +603,7 @@ class _Compiler:
                 self._closures[key] = _last_result(self._compile_pred(
                     target, inner, depth + 1))
             return self._closures[key]
-        raise ScriptError(f"not a boolean expression: {expr!r}")
+        raise TypeError(f"not a boolean expression: {expr!r}")
 
     @staticmethod
     def _compile_int(expr):
@@ -690,7 +619,7 @@ class _Compiler:
                 "vertex_count" if expr.name == "vertexCount" else "edge_count")
             return lambda ids, ctx: (size(ctx.repo.graph(ids[index]))
                                      if index < len(ids) else None)
-        raise ScriptError(f"not an integer expression: {expr!r}")
+        raise TypeError(f"not an integer expression: {expr!r}")
 
     def compile_strategy(self, node, chain: tuple[tuple[str, str], ...] = (),
                          depth: int = 0) -> st.Strategy:
@@ -706,7 +635,54 @@ class _Compiler:
             forms, build = TERMS[node.keyword]
             return build(*(form.build(self, arg, chain, depth + 1)
                            for form, arg in zip(forms, node.args)))
-        raise ScriptError(f"not a strategy node: {node!r}")
+        raise TypeError(f"not a strategy node: {node!r}")
+
+
+@dataclass(frozen=True)
+class _ItemKind:
+    """One top-level keyword.  read(ts) parses what follows the keyword into
+    (name, body); show(name, body) prints the item; define(compiler, item)
+    adds it to a _Compiler; content(body) is what the item compares by."""
+    read: Callable
+    show: Callable
+    define: Callable
+    content: Callable = lambda body: body
+
+
+#: Keyword -> its item kind.  Parsing, printing, loading and comparing a
+#: script item read only this.
+ITEMS = {
+    "molecule": _ItemKind(
+        lambda ts: (Name(ts.expect(lex.NAME)), ts.expect(lex.STRING).value),
+        lambda name, spec: f"molecule {name} {lex.quote(spec)}\n",
+        _Compiler._define_molecule),
+    "graph": _ItemKind(
+        _named_block(lambda ts, name: _parse_graph_body(ts)),
+        lambda name, graph: serialize_graph(graph, name),
+        lambda compiler, item: compiler._define_graph(item.name, item.body),
+        lambda graph: (tuple(graph.vertices()), tuple(graph.edges()))),
+    "rule": _ItemKind(
+        _named_block(parse_rule_body), lambda name, rule: format_rule(rule),
+        lambda compiler, item: compiler.define(compiler.rules, "rule", item.name,
+                                               item.body),
+        lambda rule: (rule.vertices, rule.edges)),
+    "include": _ItemKind(
+        lambda ts: (Name(ts.expect(lex.STRING)), None),
+        lambda path, _: f"include {lex.quote(path)}\n", _Compiler._include),
+    "predicate": _ItemKind(
+        _definition("predicate", PRED_WORDS, _parse_pred),
+        lambda name, expr: f"predicate {name} = {format_pred(expr)}\n",
+        lambda compiler, item: compiler.define(compiler.predicates, "predicate",
+                                               item.name, item.body)),
+    "strategy": _ItemKind(
+        _definition("strategy", TERMS.keys() | _SCOPED.keys(), _parse_strategy),
+        lambda name, body: f"strategy {name} = {format_strategy(body)}\n",
+        lambda compiler, item: compiler.define(compiler.strategy_defs, "strategy",
+                                               item.name, item.body)),
+    "export": _ItemKind(
+        _read_export, lambda path, kind: f"export {kind} {lex.quote(path)}\n",
+        lambda compiler, item: compiler.exports.append((item.body, item.name))),
+}
 
 
 # -- running -----------------------------------------------------------------------
@@ -743,8 +719,13 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def load_script(path: str) -> Script:
+    return _load(path, "")
+
+
+def _load(path: str, file: str) -> Script:
+    """The script in the file at path; file leads the locations in it."""
     text = Path(path).read_text(encoding="utf-8")
-    return parse_script(text, os.path.dirname(path) or ".")
+    return _parse(lex.tokenize(text, file), os.path.dirname(path) or ".", path)
 
 
 def run_script(script: Script,
@@ -766,10 +747,9 @@ def run_script(script: Script,
     final = entry.apply(st.EMPTY_STATE, ctx) if entry is not None else st.EMPTY_STATE
     elapsed = time.perf_counter() - started
     export_started = time.perf_counter()
-    for export in compiler.exports:
-        text = (ctx.sink.to_dot(ctx.repo) if export.kind == "dot"
-                else ctx.sink.to_json(ctx.repo))
-        write_atomic(os.path.join(script.base_dir, export.path), text)
+    for kind, path in compiler.exports:
+        text = ctx.sink.to_dot(ctx.repo) if kind == "dot" else ctx.sink.to_json(ctx.repo)
+        write_atomic(os.path.join(script.base_dir, path), text)
     if dot_path:
         write_atomic(dot_path, ctx.sink.to_dot(ctx.repo))
     if json_path:

@@ -16,11 +16,17 @@ _PUNCTUATION = (
 )
 
 
+def locate(message: str, line: int, column: int, file: str = "") -> str:
+    """message, led by where it applies: ``file:line:column``, or
+    ``line:column`` when file is empty."""
+    return f"{file}{':' if file else ''}{line}:{column}: {message}"
+
+
 class ParseError(ValueError):
     """Syntax or semantic error in a text input, with source location."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{line}:{column}: {message}")
+    def __init__(self, message: str, line: int, column: int, file: str = ""):
+        super().__init__(locate(message, line, column, file))
         self.message = message
         self.line = line
         self.column = column
@@ -32,9 +38,10 @@ class Token:
     value: str
     line: int
     column: int
+    file: str = ""  # as ``tokenize`` was given it
 
     def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.column)
+        return ParseError(message, self.line, self.column, self.file)
 
 
 def _is_digit(c: str) -> bool:
@@ -51,7 +58,8 @@ def _is_name_char(c: str) -> bool:
     return c.isalnum() or c == "_"
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, file: str = "") -> list[Token]:
+    """The tokens of text; file, if given, leads every location in it."""
     tokens: list[Token] = []
     line, col = 1, 1
     i, n = 0, len(text)
@@ -77,7 +85,7 @@ def tokenize(text: str) -> list[Token]:
             parts: list[str] = []
             while True:
                 if i >= n or text[i] == "\n":
-                    raise ParseError("unterminated string", start_line, start_col)
+                    raise ParseError("unterminated string", start_line, start_col, file)
                 c = text[i]
                 if c == '"':
                     i += 1
@@ -85,7 +93,7 @@ def tokenize(text: str) -> list[Token]:
                     break
                 if c == "\\":
                     if i + 1 >= n or text[i + 1] not in ('"', "\\"):
-                        raise ParseError("bad escape in string", line, col)
+                        raise ParseError("bad escape in string", line, col, file)
                     parts.append(text[i + 1])
                     i += 2
                     col += 2
@@ -93,14 +101,14 @@ def tokenize(text: str) -> list[Token]:
                 parts.append(c)
                 i += 1
                 col += 1
-            tokens.append(Token(STRING, "".join(parts), start_line, start_col))
+            tokens.append(Token(STRING, "".join(parts), start_line, start_col, file))
             continue
         if _is_digit(c):
             start_col = col
             j = i
             while j < n and _is_digit(text[j]):
                 j += 1
-            tokens.append(Token(INT, text[i:j], line, start_col))
+            tokens.append(Token(INT, text[i:j], line, start_col, file))
             col += j - i
             i = j
             continue
@@ -109,19 +117,19 @@ def tokenize(text: str) -> list[Token]:
             j = i
             while j < n and _is_name_char(text[j]):
                 j += 1
-            tokens.append(Token(NAME, text[i:j], line, start_col))
+            tokens.append(Token(NAME, text[i:j], line, start_col, file))
             col += j - i
             i = j
             continue
         for punct in _PUNCTUATION:
             if text.startswith(punct, i):
-                tokens.append(Token(PUNCT, punct, line, col))
+                tokens.append(Token(PUNCT, punct, line, col, file))
                 i += len(punct)
                 col += len(punct)
                 break
         else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token(EOF, "", line, col))
+            raise ParseError(f"unexpected character {c!r}", line, col, file)
+    tokens.append(Token(EOF, "", line, col, file))
     return tokens
 
 

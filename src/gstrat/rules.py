@@ -205,9 +205,6 @@ class Rule:
         return Rule(name, {vid: el.inverted() for vid, el in self.vertices.items()},
                     {key: el.inverted() for key, el in self.edges.items()})
 
-    def same_structure(self, other: Rule) -> bool:
-        return self.vertices == other.vertices and self.edges == other.edges
-
     def __repr__(self) -> str:
         return f"Rule({self.name!r}, {len(self.vertices)} vertices, {len(self.edges)} edges)"
 

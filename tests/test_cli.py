@@ -102,7 +102,8 @@ class TestRun:
         for lib, message in (
                 ("strategy s = rule missing\nstrategy main = s\n",
                  "lib.gs:1:19: unknown rule 'missing'"),
-                ("strategy s =\n", "lib.gs:2:1: expected 'name', got 'end of input'")):
+                ("strategy s =\n", "lib.gs:2:1: expected 'name', got 'end of input'"),
+                ('graph g { v 0 "a"; v 1 "a"; }\n', "lib.gs:1:7: graph 'g' must be connected")):
             (tmp_path / "lib.gs").write_text(lib)
             assert main(["run", str(tmp_path / "main.gs")]) == 1
             assert capsys.readouterr().err == f"error: {message}\n"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from gstrat import dsl, lex
+from gstrat.cli import main
 from gstrat.dsl import (MAX_DEPTH, ScriptError, format_script, load_script,
                         parse_script, run_script, write_atomic)
 from gstrat.graphs import Graph, serialize_graph
@@ -33,20 +34,20 @@ strategy main = addSubset(g1, g2) -> repeat[] { revive { rule p } }
 class TestParse:
     def test_bfs_script_shape(self):
         script = load_script(str(ASSETS / "diels_bfs.gs"))
-        from gstrat.dsl import SSequence, StrategyDef
+        from gstrat.dsl import SSequence
 
         mains = [i for i in script.items
-                 if isinstance(i, StrategyDef) and i.name == "main"]
+                 if i.keyword == "strategy" and i.name == "main"]
         assert len(mains) == 1
         assert isinstance(mains[0].body, SSequence)
         assert len(mains[0].body.parts) == 2  # addSubset -> repeat
 
     def test_repeat_zero(self):
         script = parse_script("strategy main = repeat[0] { rule r }")
-        from gstrat.dsl import STerm, StrategyDef
+        from gstrat.dsl import STerm
 
         (item,) = script.items
-        assert isinstance(item, StrategyDef)
+        assert item.keyword == "strategy"
         assert item.body == STerm("repeat", (0, STerm("rule", ("r",))))
 
     def test_take_without_variant_is_an_error(self):
@@ -198,6 +199,36 @@ class TestUnknownNames:
             again = parse_script("\n\n  " + printed)
             assert again == script
             assert format_script(again) == printed
+
+
+# Scripts that fail while their items are defined, after one defining graph
+# g on line 1, and the exact error of each, at the item's name or path.
+LOAD_ERRORS = [
+    ('graph g { v 0 "b"; }', "2:7: duplicate graph name 'g'"),
+    ('molecule g "C"', "2:10: duplicate graph name 'g'"),
+    ('rule r { context { v 0 "a"; } }\nrule r { context { v 0 "a"; } }',
+     "3:6: duplicate rule name 'r'"),
+    ("predicate p = componentCount == 1\npredicate p = componentCount == 2",
+     "3:11: duplicate predicate name 'p'"),
+    ("strategy s = takeSubset[1]\nstrategy s = takeSubset[2]",
+     "3:10: duplicate strategy name 's'"),
+    ('graph h { v 0 "a"; v 1 "a"; }', "2:7: graph 'h' must be connected"),
+    ('molecule m "C1CC"', "2:10: molecule m: unclosed ring bond(s): 1"),
+    ('include "main.gs"', "2:9: circular include of 'main.gs'"),
+    ('include "nope.gs"', "2:9: cannot include 'nope.gs': No such file or directory"),
+]
+
+
+class TestLoadErrors:
+    @pytest.mark.parametrize("text, message", LOAD_ERRORS)
+    def test_error_text_and_location(self, tmp_path, capsys, text, message):
+        script = tmp_path / "main.gs"
+        script.write_text('graph g { v 0 "a"; }\n' + text)
+        with pytest.raises(ScriptError) as info:
+            run_script(load_script(str(script)))
+        assert str(info.value) == message
+        assert main(["run", str(script)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # Scripts whose references cannot be followed, after one defining graph g
@@ -435,6 +466,40 @@ INCLUDE_ERRORS = [
     ({"main.gs": 'include "lib.gs"\nstrategy main = s -> rule nope\n',
       "lib.gs": "strategy s = takeSubset[1]\n"},
      ScriptError, "2:27: unknown rule 'nope'"),
+    # Errors while the included items are defined, at the item's name.
+    ({"main.gs": 'include "lib5.gs"\n', "lib5.gs": 'graph g { v 0 "a"; v 1 "a"; }\n'},
+     ScriptError, "lib5.gs:1:7: graph 'g' must be connected"),
+    ({"main.gs": 'include "lib.gs"\n', "lib.gs": 'molecule m "C1CC"\n'},
+     ScriptError, "lib.gs:1:10: molecule m: unclosed ring bond(s): 1"),
+    ({"main.gs": 'include "lib.gs"\n', "lib.gs": 'graph g { v 0 "a"; }\nmolecule g "C"\n'},
+     ScriptError, "lib.gs:2:10: duplicate graph name 'g'"),
+    ({"main.gs": 'rule r { context { v 0 "a"; } }\ninclude "lib.gs"\n',
+      "lib.gs": 'rule r { context { v 0 "b"; } }\n'},
+     ScriptError, "lib.gs:1:6: duplicate rule name 'r'"),
+    ({"main.gs": 'include "lib.gs"\npredicate p = componentCount == 1\n',
+      "lib.gs": "predicate p = componentCount == 2\n"},
+     ScriptError, "2:11: duplicate predicate name 'p'"),
+    # A cycle fails at the include that closes it, the main script included.
+    ({"main.gs": 'include "x.gs"\n', "x.gs": 'include "main.gs"\n'},
+     ScriptError, "x.gs:1:9: circular include of 'main.gs'"),
+    ({"main.gs": 'include "lib/a.gs"\n', "lib/a.gs": 'include "b.gs"\n',
+      "lib/b.gs": 'include "a.gs"\n'},
+     ScriptError, "lib/b.gs:1:9: circular include of 'a.gs'"),
+    # A diamond is no cycle: the shared file defines its names twice.
+    ({"main.gs": 'include "lib/a.gs"\ninclude "lib/b.gs"\n',
+      "lib/a.gs": 'include "c.gs"\n', "lib/b.gs": 'include "c.gs"\n',
+      "lib/c.gs": "strategy s = takeSubset[1]\n"},
+     ScriptError, "lib/c.gs:1:10: duplicate strategy name 's'"),
+    ({"main.gs": 'include "lib/a.gs"\n', "lib/a.gs": 'include "nope.gs"\n'},
+     ScriptError, "lib/a.gs:1:9: cannot include 'nope.gs': No such file or directory"),
+    # Files are written in Latin-1, so this "é" is no UTF-8.
+    ({"main.gs": 'include "lib.gs"\n', "lib.gs": 'graph g { v 0 "é"; }\n'},
+     ScriptError, "1:9: cannot include 'lib.gs': 'utf-8' codec can't decode byte 0xe9 "
+                  "in position 15: invalid continuation byte"),
+    # The path of a file reached through ".." is normalised.
+    ({"main.gs": 'include "lib/a.gs"\n', "lib/a.gs": 'include "../b.gs"\n',
+      "b.gs": 'graph g { v 0 "a"; v 1 "a"; }\n'},
+     ScriptError, "b.gs:1:7: graph 'g' must be connected"),
 ]
 
 
@@ -461,15 +526,24 @@ class TestIncludes:
         with pytest.raises(ScriptError):
             run_script(load_script(str(tmp_path / "a.gs")))
 
+    def test_repeated_include_is_not_a_cycle(self, tmp_path):
+        for name, text in (("main.gs", 'include "a.gs"\ninclude "b.gs"\n'),
+                           ("a.gs", 'include "c.gs"\n'), ("b.gs", 'include "c.gs"\n'),
+                           ("c.gs", "# defines nothing\n")):
+            (tmp_path / name).write_text(text)
+        assert run_script(load_script(str(tmp_path / "main.gs"))).universe_size == 0
+
     @pytest.mark.parametrize("files, error, message", INCLUDE_ERRORS)
-    def test_error_in_an_included_file_names_it(self, tmp_path, files, error,
+    def test_error_in_an_included_file_names_it(self, tmp_path, capsys, files, error,
                                                 message):
         for name, text in files.items():
             (tmp_path / name).parent.mkdir(exist_ok=True)
-            (tmp_path / name).write_text(text)
+            (tmp_path / name).write_text(text, encoding="latin-1")
         with pytest.raises(error) as info:
             run_script(load_script(str(tmp_path / "main.gs")))
         assert str(info.value) == message
+        assert main(["run", str(tmp_path / "main.gs")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_ill_formed_rule_is_located_by_every_reader(self, tmp_path):
         # parse_rules, an inline script rule and an included rule file all
@@ -624,8 +698,8 @@ class TestPredicateProperties:
         ctx = EvalContext()
         compiler = dsl._Compiler(ctx)
         compiler.load(dsl.Script(
-            tuple(dsl.GraphDef(name, g) for name, g in GRAPHS.items())
-            + tuple(dsl.PredicateDef(name, d) for name, d in zip(PRED_NAMES, defs))))
+            tuple(dsl.Item("graph", name, g) for name, g in GRAPHS.items())
+            + tuple(dsl.Item("predicate", name, d) for name, d in zip(PRED_NAMES, defs))))
         extra, _ = ctx.repo.intern(Graph([(0, "b"), (1, "a")], [(0, 1, "y")]))
         gids = sorted(ctx.names.values()) + [extra]
         pred = compiler._compile_pred(expr, (), 0)

@@ -93,6 +93,12 @@ def test_every_application_passes_the_derivation_memo():
         "rewrite.iter_proper_derivations"}
 
 
+def test_script_errors_are_built_in_one_place():
+    # Every ScriptError leads with the location (and the included file) of
+    # the name it is about, because _Compiler.error builds them all.
+    assert callers_in_src("ScriptError") == {"dsl._Compiler.error"}
+
+
 # Definitions that nothing in src/ names, each with the reason it stays.
 UNREFERENCED_DEFINITIONS = {
     "graphs.Graph.refinement_colors":

@@ -10,6 +10,11 @@ from gstrat.rules import (CONTEXT, LEFT, RIGHT, Rule, RuleElement, RuleError,
 from .oracles import brute_rule_automorphisms, random_rule
 
 
+def same_structure(rule: Rule, other: Rule) -> bool:
+    """Whether the two rules have the same elements (names aside)."""
+    return rule.vertices == other.vertices and rule.edges == other.edges
+
+
 def relabel_rule() -> Rule:
     # two "a" vertices kept; the "b" edge becomes a "c" edge
     return Rule.build("p",
@@ -63,7 +68,7 @@ class TestValidate:
         # Valid, but it deletes vertices, so it is not chemical.
         rule = remove_r_rule()
         assert not rule.is_chemical
-        assert rule.inverted().inverted().same_structure(rule)
+        assert same_structure(rule.inverted().inverted(), rule)
 
     def test_context_edge_needs_context_endpoints(self):
         with pytest.raises(RuleError) as err:
@@ -114,7 +119,7 @@ class TestInvert:
     def test_involution(self):
         for rule in (relabel_rule(), diels_alder_rule(), remove_r_rule()):
             twice = rule.inverted().inverted()
-            assert twice.same_structure(rule)
+            assert same_structure(twice, rule)
 
     def test_inverted_swaps_membership(self):
         inv = remove_r_rule().inverted()
@@ -128,7 +133,7 @@ class TestRuleFormat:
         for rule in (relabel_rule(), diels_alder_rule(), remove_r_rule()):
             text = format_rule(rule)
             parsed = parse_rules(text)[rule.name]
-            assert parsed.same_structure(rule)
+            assert same_structure(parsed, rule)
             assert format_rule(parsed) == text
 
     def test_parse_maps_sections(self):
@@ -196,7 +201,7 @@ class TestDielsAlderShape:
 
         text = (Path(__file__).parent.parent / "assets" / "diels_alder.gr").read_text()
         parsed = parse_rules(text)["dielsAlder"]
-        assert parsed.same_structure(diels_alder_rule())
+        assert same_structure(parsed, diels_alder_rule())
 
 
 class TestAutomorphisms:
