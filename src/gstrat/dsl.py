@@ -719,7 +719,12 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def load_script(path: str) -> Script:
-    return _load(path, "")
+    """The script in the file at path.  A file that is not UTF-8 is
+    reported by name, as an include of it is."""
+    try:
+        return _load(path, "")
+    except UnicodeDecodeError as err:
+        raise _Compiler.error(path, f"cannot read {path!r}: {err}") from err
 
 
 def _load(path: str, file: str) -> Script:

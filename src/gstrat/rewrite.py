@@ -43,10 +43,18 @@ grows, so a later query that reaches the same match gets the same
 ``Derivation`` back from the cache's weak memo instead of applying the rule
 again.  ``iter_proper_derivations`` is the only caller of
 ``complete_derivation``, and that is the only caller of ``apply_at``.
+
+An application's atom map (``ApplyResult.fates``, a chemical rule's
+``Derivation.atom_map``) is a ``Fates`` mapping that builds its dict on
+first read from what ``apply_at`` laid out anyway, so a caller that never
+reads it, as a strategy run does not, pays for no per-vertex entry.  Once
+built it is a read-only snapshot, shared like the derivation itself.
 """
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -148,16 +156,17 @@ class Derivation:
     The match has one copy per input, in binding order; its maps are
     shared with the ``MatchCache`` and read-only.  For a chemical rule,
     atom_map sends each (input position, stored vertex) to its (output
-    position, stored vertex); it is None for other rules.  A query that
-    reaches a match the cache has already applied gets the same
-    derivation object back, so atom_map, like the match, may be shared
-    between answers and is read-only."""
+    position, stored vertex); it is None for other rules.  It is the
+    application's ``Fates``: built on first read, so it costs nothing when
+    never read, and a read-only snapshot after that.  A query that reaches
+    a match the cache has already applied gets the same derivation object
+    back, so atom_map, like the match, may be shared between answers."""
 
     rule: Rule
     inputs: tuple[int, ...]        # graph ids with multiplicity, sorted
     outputs: tuple[int, ...]       # graph ids with multiplicity, sorted
     match: tuple[Copy, ...]
-    atom_map: dict[tuple[int, int], tuple[int, int]] | None
+    atom_map: Mapping[tuple[int, int], tuple[int, int]] | None
 
     def __post_init__(self):
         if not all(vmap for _, vmap in self.match):
@@ -169,12 +178,64 @@ class Derivation:
         return (self.rule.name, self.inputs, self.outputs)
 
 
+class Fates(Mapping):
+    """(copy, stored vertex id) of each surviving input vertex -> (output
+    position, stored vertex id): a read-only mapping built on first read.
+
+    It holds what ``apply_at`` laid out: each copy's first raw id, where
+    the input raw ids end, and per output its raw ids in dense order with
+    the vertex map ``intern_mapped`` gave it.  The first read builds the
+    dict, in output order and, per output, in intern-map order, and drops
+    that data.
+    """
+
+    __slots__ = ("_starts", "_inputs_end", "_outputs", "_fates")
+
+    def __init__(self, starts: Sequence[int], inputs_end: int,
+                 outputs: list[tuple[Sequence[int], dict[int, int]]]) -> None:
+        self._starts = starts
+        self._inputs_end = inputs_end
+        self._outputs = outputs
+        self._fates: dict[tuple[int, int], tuple[int, int]] | None = None
+
+    def _build(self) -> dict[tuple[int, int], tuple[int, int]]:
+        starts, end = self._starts, self._inputs_end
+        fates = {}
+        for position, (order, into) in enumerate(self._outputs):
+            for i, stored in into.items():
+                raw = order[i]
+                if raw < end:
+                    copy = bisect_right(starts, raw) - 1
+                    fates[copy, raw - starts[copy]] = (position, stored)
+        self._starts = self._outputs = None
+        return fates
+
+    def _snapshot(self) -> dict[tuple[int, int], tuple[int, int]]:
+        if self._fates is None:
+            self._fates = self._build()
+        return self._fates
+
+    def __getitem__(self, key: tuple[int, int]) -> tuple[int, int]:
+        return self._snapshot()[key]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self._snapshot())
+
+    def __len__(self) -> int:
+        return len(self._snapshot())
+
+    def __repr__(self) -> str:
+        return f"Fates({self._snapshot()!r})"
+
+
 @dataclass(frozen=True)
 class ApplyResult:
+    """The output graph ids of one application, in order of their smallest
+    raw id, and the fates of its surviving input vertices: a read-only
+    ``Fates`` mapping, built on first read."""
+
     outputs: tuple[int, ...]
-    # (copy, stored vertex id) of each surviving input vertex ->
-    # (output position, stored vertex id)
-    fates: dict[tuple[int, int], tuple[int, int]]
+    fates: Mapping[tuple[int, int], tuple[int, int]]
 
 
 def validate_match(rule: Rule, parts: Sequence[Part]) -> bool:
@@ -233,11 +294,12 @@ def apply_at(rule: Rule, copies: Sequence[Copy], repo: GraphRepository,
 
     # A deleted vertex's label and neighbour dict become None.
     to_raw: dict[int, int] = {}               # rule vid -> raw id
-    origin: list[tuple[int, int]] = []        # raw id -> (copy, stored vid)
+    starts: list[int] = []                    # copy -> its first raw id
     labels: list[str | None] = []
     nbrs: list[dict[int, str] | None] = []
-    for i, (vmap, g) in enumerate(parts):
+    for vmap, g in parts:
         offset = len(labels)
+        starts.append(offset)
         ids = range(g.vertex_count)
         for rv, sv in vmap.items():
             to_raw[rv] = sv + offset
@@ -246,7 +308,6 @@ def apply_at(rule: Rule, copies: Sequence[Copy], repo: GraphRepository,
             nbrs += [{u + offset: el for u, el in g._adj[v].items()} for v in ids]
         else:
             nbrs += map(g._adj.__getitem__, ids)
-        origin += zip([i] * len(ids), ids)
     shared = parts[0][1]._adj
 
     def own(raw: int) -> dict[int, str]:
@@ -281,7 +342,7 @@ def apply_at(rule: Rule, copies: Sequence[Copy], repo: GraphRepository,
             own(mu)[mv] = own(mv)[mu] = re.right_label
 
     outputs: list[int] = []
-    fates: dict[tuple[int, int], tuple[int, int]] = {}
+    laid_out: list[tuple[Sequence[int], dict[int, int]]] = []
     seen: set[int] = set()
     for start, label in enumerate(labels):
         if label is None or start in seen:
@@ -307,11 +368,9 @@ def apply_at(rule: Rule, copies: Sequence[Copy], repo: GraphRepository,
             edges = [(i, dense[n], nbrs[raw][n]) for i, raw in enumerate(order)
                      for n in sorted(nbrs[raw]) if n > raw]
         gid, _, into = repo.intern_mapped(Graph(vertices, edges))
-        position = len(outputs)
-        fates.update({origin[order[i]]: (position, stored)
-                      for i, stored in into.items() if order[i] < inputs_end})
         outputs.append(gid)
-    return ApplyResult(tuple(outputs), fates)
+        laid_out.append((order, into))
+    return ApplyResult(tuple(outputs), Fates(starts, inputs_end, laid_out))
 
 
 class BindError(ValueError):

@@ -483,8 +483,10 @@ def oracle_successors(g: Graph) -> list[Graph]:
 
 
 def random_rule(rng: random.Random, name: str = "r",
-                max_components: int = 2) -> "object":
-    """A random valid rule with 1 to max_components left components."""
+                max_components: int = 2, chemical: bool = False) -> "object":
+    """A random valid rule with 1 to max_components left components; when
+    chemical, every vertex is context, so the rule creates and deletes no
+    vertex.  Without chemical, the draws from rng are those it always made."""
     from gstrat.rules import Rule
 
     vlabels = ("a", "b")
@@ -499,7 +501,7 @@ def random_rule(rng: random.Random, name: str = "r",
         vid += size
         kinds = {}
         for i in ids:
-            if rng.random() < 0.75:
+            if chemical or rng.random() < 0.75:
                 ll = rng.choice(vlabels)
                 rl = ll if rng.random() < 0.7 else rng.choice(vlabels)
                 context_vertices.append((i, ll, rl))
@@ -522,7 +524,7 @@ def random_rule(rng: random.Random, name: str = "r",
                 context_edges.append((u, v, ll, rl))
             else:
                 left_edges.append((u, v, rng.choice(elabels)))
-    for _ in range(rng.randint(0, 2)):
+    for _ in range(0 if chemical else rng.randint(0, 2)):
         attach_to = context_ids + [i for i, *_ in right_vertices]
         right_vertices.append((vid, rng.choice(vlabels)))
         if attach_to and rng.random() < 0.8:

@@ -13,12 +13,14 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gstrat.catalan import (catalan_rules, contract_move, oracle_solve,
                             random_level, solve_level)
 from gstrat.chem import diels_alder_rule, parse_molecule
 from gstrat.dsl import load_script, run_script
-from gstrat.graphs import Graph, isomorphic
+from gstrat.graphs import Graph, GraphRepository, isomorphic
 from gstrat.rewrite import (MatchCache, enumerate_proper_derivations,
                             iter_proper_derivations)
 from gstrat.strategies import (Add, EMPTY_STATE, EvalContext,
@@ -373,6 +375,28 @@ class TestCriterion7:
         assert failures == 0
         report(7, f"{total} derivations from criteria 2-6 inverted back to "
                   f"their inputs, 0 failures ({elapsed:.0f}s)")
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_generated_rules_invert(self, seed, chemical):
+        # Every derivation of a generated rule inverts; a chemical rule's
+        # atom map is injective and maps every vertex of every input copy.
+        rng = random.Random(seed)
+        rule = random_rule(rng, chemical=chemical)
+        repo = GraphRepository()
+        universe = list(dict.fromkeys(
+            repo.intern(random_graph(rng, max_vertices=6, connected=True))[0]
+            for _ in range(4)))
+        inverter = make_inverters([rule])[rule.name]
+        for d in enumerate_proper_derivations(rule, universe, repo=repo):
+            assert inversion_ok(d.inputs, d.outputs, repo, inverter)
+            if not rule.is_chemical:
+                assert d.atom_map is None
+                continue
+            assert d.atom_map.keys() == {
+                (i, v) for i, (gid, _) in enumerate(d.match)
+                for v in repo.graph(gid).vertex_ids()}
+            assert len(set(d.atom_map.values())) == len(d.atom_map)
 
 
 class TestCriterion8:

@@ -108,6 +108,15 @@ class TestRun:
             assert main(["run", str(tmp_path / "main.gs")]) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_undecodable_script_names_the_file(self, tmp_path, monkeypatch,
+                                               capsys):
+        (tmp_path / "bad.gs").write_bytes(b"\xff")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "bad.gs"]) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot read 'bad.gs': 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n")
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         script = tmp_path / "bad.gs"
         script.write_text("strategy main = take [1]\n")

@@ -663,7 +663,11 @@ class TestGluingDifferential:
     def test_apply_at_equals_union_apply(self):
         # The same full matches, applied by apply_at in one repository and
         # by the union-host reference in a twin that holds the same graphs.
-        applied = rejected = 0
+        # A graph is interned in both after each match, and apply_at's
+        # fates are read only at the end, after every later application.
+        rng = random.Random(67)
+        held = []
+        rejected = 0
         for rule, graphs in gluing_cases(53):
             repo, twin = GraphRepository(), GraphRepository()
             universe = [repo.intern(g)[0] for g in graphs]
@@ -675,17 +679,24 @@ class TestGluingDifferential:
                 if want is None:
                     assert got is None
                     rejected += 1
-                    continue
-                assert got.outputs == want.outputs
-                assert got.fates == want.fates
-                applied += 1
+                else:
+                    assert got.outputs == want.outputs
+                    held.append((rule, got, dict(want.fates)))
+                extra = random_graph(rng, max_vertices=5, connected=True)
+                assert repo.intern(extra)[0] == twin.intern(extra)[0]
             for gid in range(len(repo)):
                 g, h = repo.graph(gid), twin.graph(gid)
                 assert serialize_graph(g) == serialize_graph(h)
                 assert ([list(g.neighbors(v).items()) for v in g.vertex_ids()]
                         == [list(h.neighbors(v).items())
                             for v in h.vertex_ids()])
-        assert applied > 100 and rejected > 100
+        multi_output = deleting = 0
+        for rule, got, fates in held:
+            assert got.fates == fates
+            multi_output += len(got.outputs) > 1
+            deleting += bool(rule.gluing_plan().deleted)
+        assert len(held) > 100 and rejected > 100
+        assert multi_output > 100 and deleting > 10, (multi_output, deleting)
 
     def test_chained_bindings_always_complete(self):
         rng = random.Random(59)
@@ -708,6 +719,63 @@ class TestGluingDifferential:
                 frontier.extend(p for gid in universe
                                 for p in bind_graph(partial, gid, repo, cache))
         assert completed > 0
+
+
+def count_fates_builds(monkeypatch):
+    """Count the builds of ``Fates`` dicts from here on."""
+    calls = []
+    real = rewrite.Fates._build
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+    monkeypatch.setattr(rewrite.Fates, "_build", counting)
+    return calls
+
+
+class TestLazyFates:
+    """``ApplyResult.fates`` and ``Derivation.atom_map`` are built on first
+    read, from data that later interns and applications do not change."""
+
+    def test_retro_diels_alder_split_read_late(self):
+        # The twin repository mirrors every intern, so each reference
+        # application, run as soon as its derivation is yielded, sees the
+        # same stored graphs.
+        rng = random.Random(79)
+        repo, twin = GraphRepository(), GraphRepository()
+        for r in (repo, twin):
+            ids = [r.intern(parse_molecule(s))[0]
+                   for s in ("CC(=C)C=C", "C1=CC=CCC1")]
+            adducts = sorted({gid for d in enumerate_proper_derivations(
+                diels_alder_rule(), ids, ids, repo=r,
+                left_filter=lambda inputs: len(inputs) == 2)
+                for gid in d.outputs})
+        inverse = diels_alder_rule().inverted()
+        held = []
+        for d in iter_proper_derivations(inverse, adducts, repo=repo):
+            (gid, vmap), = d.match
+            held.append((d, dict(union_apply(inverse, (gid,), vmap, twin).fates)))
+            extra = random_graph(rng, max_vertices=5, connected=True)
+            assert repo.intern(extra)[0] == twin.intern(extra)[0]
+        assert len(repo) == len(twin)
+        for d, fates in held:
+            assert d.atom_map == fates
+        assert sum(len(d.outputs) == 2 for d, _ in held) > 10
+
+    def test_script_run_builds_no_atom_map(self, monkeypatch):
+        builds = count_fates_builds(monkeypatch)
+        rep = run_script(load_script(str(ASSETS / "diels_subspace.gs")))
+        assert rep.derivations == 236
+        assert builds == []
+
+    def test_atom_map_built_once_on_first_read(self, monkeypatch):
+        repo, ids = diels_alder_pair()
+        builds = count_fates_builds(monkeypatch)
+        d = enumerate_proper_derivations(diels_alder_rule(), ids, repo=repo)[0]
+        assert builds == []
+        first = dict(d.atom_map)
+        assert dict(d.atom_map) == first
+        assert len(builds) == 1 and builds[0] is d.atom_map
 
 
 def stored_content(g):
