@@ -20,9 +20,10 @@ Strategy syntax (terms chain left-to-right with ``->``)::
     altRuleApp { <strategy> }
     <name>                                      # reference a named strategy
 
-``TERMS`` gives each keyword's argument forms once, and ``ITEMS`` each
-top-level item's reader, printer and definer.  Defining a name that
-could never be referenced (a keyword, a bare stem, a predicate word) fails.
+``TERMS`` gives each keyword's argument forms once, ``ATOMS`` each predicate
+atom's, and ``ITEMS`` each top-level item's reader, printer and definer.  A
+name that could never be referenced (a keyword, a bare stem, a predicate
+word) cannot be defined.
 
 Predicates are boolean expressions over the graph multiset under test:
 ``componentCount``, ``vertexCount(i)``, ``edgeCount(i)`` (integers, with
@@ -78,9 +79,6 @@ CMP_OPS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
 SORT_KEYS = {"vertexCount": lambda gid, ctx: ctx.repo.graph(gid).vertex_count,
              "edgeCount": lambda gid, ctx: ctx.repo.graph(gid).edge_count,
              "text": lambda gid, ctx: serialize_graph(ctx.repo.graph(gid))}
-#: The words a predicate can start with other than a reference.
-PRED_WORDS = ("not", "componentCount", "vertexCount", "edgeCount", "hasVertexLabel",
-              "isGraph")
 #: Bound on nesting in a script and on references followed while compiling.
 MAX_DEPTH = 64
 
@@ -91,28 +89,17 @@ class IntLit:
 
 
 @dataclass(frozen=True)
-class IntAtom:
-    name: str
-    index: int | None  # None only for componentCount
+class Atom:
+    """A predicate atom: one argument per form in ``ATOMS[word]``."""
+    word: str
+    args: tuple
 
 
 @dataclass(frozen=True)
 class Compare:
     op: str
-    lhs: IntLit | IntAtom
-    rhs: IntLit | IntAtom
-
-
-@dataclass(frozen=True)
-class HasVertexLabel:
-    index: int
-    label: str
-
-
-@dataclass(frozen=True)
-class IsGraph:
-    index: int
-    graph_name: str
+    lhs: IntLit | Atom
+    rhs: IntLit | Atom
 
 
 @dataclass(frozen=True)
@@ -202,10 +189,7 @@ def _named_block(read_body):
     the body."""
     def read(ts: TokenStream):
         tok = ts.expect(lex.NAME)
-        ts.expect(lex.PUNCT, "{")
-        body = read_body(ts, tok)
-        ts.expect(lex.PUNCT, "}")
-        return Name(tok), body
+        return Name(tok), _enclosed("{", "}", lambda ts, _: read_body(ts, tok))(ts, 0)
     return read
 
 
@@ -283,14 +267,9 @@ def _parse_and(ts: TokenStream, depth: int):
 
 
 def _parse_not(ts: TokenStream, depth: int):
-    nots = 0
-    while tok := ts.accept(lex.NAME, "not"):
-        depth = _deeper(tok, depth)
-        nots += 1
-    expr = _parse_atom(ts, depth)
-    for _ in range(nots):
-        expr = Not(expr)
-    return expr
+    if tok := ts.accept(lex.NAME, "not"):
+        return Not(_parse_not(ts, _deeper(tok, depth)))
+    return _parse_atom(ts, depth)
 
 
 def _parse_atom(ts: TokenStream, depth: int):
@@ -314,29 +293,22 @@ def _parse_value(ts: TokenStream):
     if ts.at(lex.INT):
         return IntLit(ts.expect_int()), True
     tok = ts.expect(lex.NAME)
-    name = tok.value
-    if name == "componentCount":
-        return IntAtom(name, None), True
-    if name in ("vertexCount", "edgeCount"):
-        ts.expect(lex.PUNCT, "(")
-        index = ts.expect_int()
-        ts.expect(lex.PUNCT, ")")
-        return IntAtom(name, index), True
-    if name == "hasVertexLabel":
-        ts.expect(lex.PUNCT, "(")
-        index = ts.expect_int()
-        ts.expect(lex.PUNCT, ",")
-        label = ts.expect(lex.STRING).value
-        ts.expect(lex.PUNCT, ")")
-        return HasVertexLabel(index, label), False
-    if name == "isGraph":
-        ts.expect(lex.PUNCT, "(")
-        index = ts.expect_int()
-        ts.expect(lex.PUNCT, ",")
-        graph_name = Name(ts.expect(lex.NAME))
-        ts.expect(lex.PUNCT, ")")
-        return IsGraph(index, graph_name), False
-    return PredRef(Name(tok)), False
+    if tok.value not in ATOMS:
+        return PredRef(Name(tok)), False
+    forms, is_int, _ = ATOMS[tok.value]
+    args = _enclosed("(", ")", _arguments(forms))(ts, 0) if forms else ()
+    return Atom(tok.value, args), is_int
+
+
+def _arguments(forms):
+    """The reader of one argument per form, separated by commas."""
+    def read(ts: TokenStream, depth: int):
+        args = [forms[0].read(ts, depth)]
+        for form in forms[1:]:
+            ts.expect(lex.PUNCT, ",")
+            args.append(form.read(ts, depth))
+        return tuple(args)
+    return read
 
 
 # -- pretty printer ---------------------------------------------------------------
@@ -358,12 +330,10 @@ def format_pred(expr) -> str:
         return f"{format_pred(expr.lhs)} {expr.op} {format_pred(expr.rhs)}"
     if isinstance(expr, IntLit):
         return str(expr.value)
-    if isinstance(expr, IntAtom):
-        return expr.name if expr.index is None else f"{expr.name}({expr.index})"
-    if isinstance(expr, HasVertexLabel):
-        return f"hasVertexLabel({expr.index}, {lex.quote(expr.label)})"
-    if isinstance(expr, IsGraph):
-        return f"isGraph({expr.index}, {expr.graph_name})"
+    if isinstance(expr, Atom):
+        forms, _, _ = ATOMS[expr.word]
+        shown = ", ".join(form.show(arg) for form, arg in zip(forms, expr.args))
+        return f"{expr.word}({shown})" if forms else expr.word
     if isinstance(expr, PredRef):
         return expr.name
     raise TypeError(f"not a predicate node: {expr!r}")
@@ -391,9 +361,9 @@ def format_script(script: Script) -> str:
 
 @dataclass(frozen=True)
 class _Form:
-    """One argument form of a keyword term.  read(ts, depth) parses it,
-    show(arg) prints it as it follows the keyword, and build(compiler, arg,
-    chain, depth) compiles it at the depth one below the term."""
+    """One argument form of a keyword term or a predicate atom.  read(ts,
+    depth) parses it, show(arg) prints it as read, and build(compiler, arg,
+    chain, depth) compiles it at the depth one below the term or atom."""
     read: Callable
     show: Callable
     build: Callable = lambda compiler, arg, *_: arg
@@ -462,6 +432,39 @@ TERMS = {
     **{stem + scope.capitalize(): (forms, functools.partial(build, scope))
        for stem, (forms, build) in _SCOPED.items()
        for scope in ("subset", "universe")},
+}
+
+
+def _sized(attr: str):
+    """The builder of an atom giving attr of the graph at an index."""
+    size = operator.attrgetter(attr)
+    return lambda index: lambda ids, ctx: (size(ctx.repo.graph(ids[index]))
+                                           if index < len(ids) else None)
+
+
+def _graph_id(compiler, name: str, *_) -> int:
+    compiler.lookup(compiler.graphs, name, "graph name")
+    return compiler.ctx.names[name]
+
+
+_INDEX = _Form(lambda ts, depth: ts.expect_int(), str)
+
+#: Word -> (argument forms, whether it is integer-typed, builder of its
+#: closure of (ids, ctx) from the compiled arguments, None for an integer
+#: atom at an out-of-range index).  The arguments follow the word as
+#: ``(<arg>, ...)``.  Parsing, printing and compiling an atom read only this.
+ATOMS = {
+    "componentCount": ((), True, lambda: lambda ids, ctx: len(ids)),
+    "vertexCount": ((_INDEX,), True, _sized("vertex_count")),
+    "edgeCount": ((_INDEX,), True, _sized("edge_count")),
+    "hasVertexLabel": (
+        (_INDEX, _Form(lambda ts, depth: ts.expect(lex.STRING).value, lex.quote)),
+        False, lambda index, label: lambda ids, ctx: index < len(ids) and any(
+            lab == label for _, lab in ctx.repo.graph(ids[index]).vertices())),
+    "isGraph": (
+        (_INDEX, _Form(lambda ts, depth: Name(ts.expect(lex.NAME)), str, _graph_id)),
+        False, lambda index, target: lambda ids, ctx: (index < len(ids)
+                                                      and ids[index] == target)),
 }
 
 
@@ -569,9 +572,9 @@ class _Compiler:
         self.load(included_script, included)
 
     def _compile_pred(self, expr, chain: tuple[tuple[str, str], ...], depth: int):
-        """Resolve and check a predicate once; return a closure of (ids, ctx).
-        chain holds the (kind, name) of each definition being followed;
-        depth counts the nesting levels and references above expr."""
+        """Resolve and check a predicate or an integer operand once; return a
+        closure of (ids, ctx).  chain holds the (kind, name) of each definition
+        being followed; depth counts the nesting levels and references above expr."""
         if isinstance(expr, (Or, And)):
             parts = tuple(self._compile_pred(p, chain, depth + 1)
                           for p in expr.parts)
@@ -583,18 +586,18 @@ class _Compiler:
             return lambda ids, ctx: not inner(ids, ctx)
         if isinstance(expr, Compare):
             op = CMP_OPS[expr.op]
-            lhs, rhs = self._compile_int(expr.lhs), self._compile_int(expr.rhs)
+            lhs, rhs = (self._compile_pred(side, chain, depth + 1)
+                        for side in (expr.lhs, expr.rhs))
             return lambda ids, ctx: ((a := lhs(ids, ctx)) is not None
                                      and (b := rhs(ids, ctx)) is not None
                                      and op(a, b))
-        if isinstance(expr, HasVertexLabel):
-            index, label = expr.index, expr.label
-            return lambda ids, ctx: index < len(ids) and any(
-                lab == label for _, lab in ctx.repo.graph(ids[index]).vertices())
-        if isinstance(expr, IsGraph):
-            self.lookup(self.graphs, expr.graph_name, "graph name")
-            index, target = expr.index, self.ctx.names[expr.graph_name]
-            return lambda ids, ctx: index < len(ids) and ids[index] == target
+        if isinstance(expr, IntLit):
+            value = expr.value
+            return lambda ids, ctx: value
+        if isinstance(expr, Atom):
+            forms, _, build = ATOMS[expr.word]
+            return build(*(form.build(self, arg, chain, depth + 1)
+                           for form, arg in zip(forms, expr.args)))
         if isinstance(expr, PredRef):
             target, inner = self._follow("predicate", expr.name, self.predicates,
                                          chain, depth)
@@ -603,23 +606,7 @@ class _Compiler:
                 self._closures[key] = _last_result(self._compile_pred(
                     target, inner, depth + 1))
             return self._closures[key]
-        raise TypeError(f"not a boolean expression: {expr!r}")
-
-    @staticmethod
-    def _compile_int(expr):
-        """A closure of (ids, ctx) giving the integer; None for a bad index."""
-        if isinstance(expr, IntLit):
-            value = expr.value
-            return lambda ids, ctx: value
-        if isinstance(expr, IntAtom):
-            if expr.name == "componentCount":
-                return lambda ids, ctx: len(ids)
-            index = expr.index
-            size = operator.attrgetter(
-                "vertex_count" if expr.name == "vertexCount" else "edge_count")
-            return lambda ids, ctx: (size(ctx.repo.graph(ids[index]))
-                                     if index < len(ids) else None)
-        raise TypeError(f"not an integer expression: {expr!r}")
+        raise TypeError(f"not a predicate node: {expr!r}")
 
     def compile_strategy(self, node, chain: tuple[tuple[str, str], ...] = (),
                          depth: int = 0) -> st.Strategy:
@@ -670,7 +657,7 @@ ITEMS = {
         lambda ts: (Name(ts.expect(lex.STRING)), None),
         lambda path, _: f"include {lex.quote(path)}\n", _Compiler._include),
     "predicate": _ItemKind(
-        _definition("predicate", PRED_WORDS, _parse_pred),
+        _definition("predicate", {"not", *ATOMS}, _parse_pred),
         lambda name, expr: f"predicate {name} = {format_pred(expr)}\n",
         lambda compiler, item: compiler.define(compiler.predicates, "predicate",
                                                item.name, item.body)),

@@ -156,9 +156,10 @@ class Derivation:
     The match has one copy per input, in binding order; its maps are
     shared with the ``MatchCache`` and read-only.  For a chemical rule,
     atom_map sends each (input position, stored vertex) to its (output
-    position, stored vertex); it is None for other rules.  It is the
-    application's ``Fates``: built on first read, so it costs nothing when
-    never read, and a read-only snapshot after that.  A query that reaches
+    position, stored vertex), an input position indexing match and an
+    output position indexing outputs; it is None for other rules.  It is
+    the application's ``Fates``: built on first read, so it costs nothing
+    when never read, and a read-only snapshot after that.  A query that reaches
     a match the cache has already applied gets the same derivation object
     back, so atom_map, like the match, may be shared between answers."""
 
@@ -183,16 +184,18 @@ class Fates(Mapping):
     position, stored vertex id): a read-only mapping built on first read.
 
     It holds what ``apply_at`` laid out: each copy's first raw id, where
-    the input raw ids end, and per output its raw ids in dense order with
-    the vertex map ``intern_mapped`` gave it.  The first read builds the
-    dict, in output order and, per output, in intern-map order, and drops
-    that data.
+    the input raw ids end, and per output, in the order of
+    ``ApplyResult.outputs``, its graph id, its raw ids in dense order and
+    the vertex map ``intern_mapped`` gave it.  An output position indexes
+    ``ApplyResult.outputs``, and so ``Derivation.outputs``.  The first read
+    builds the dict, in output order and, per output, in intern-map order,
+    and drops that data.
     """
 
     __slots__ = ("_starts", "_inputs_end", "_outputs", "_fates")
 
     def __init__(self, starts: Sequence[int], inputs_end: int,
-                 outputs: list[tuple[Sequence[int], dict[int, int]]]) -> None:
+                 outputs: list[tuple[int, Sequence[int], dict[int, int]]]) -> None:
         self._starts = starts
         self._inputs_end = inputs_end
         self._outputs = outputs
@@ -201,7 +204,7 @@ class Fates(Mapping):
     def _build(self) -> dict[tuple[int, int], tuple[int, int]]:
         starts, end = self._starts, self._inputs_end
         fates = {}
-        for position, (order, into) in enumerate(self._outputs):
+        for position, (_, order, into) in enumerate(self._outputs):
             for i, stored in into.items():
                 raw = order[i]
                 if raw < end:
@@ -230,9 +233,9 @@ class Fates(Mapping):
 
 @dataclass(frozen=True)
 class ApplyResult:
-    """The output graph ids of one application, in order of their smallest
-    raw id, and the fates of its surviving input vertices: a read-only
-    ``Fates`` mapping, built on first read."""
+    """The output graph ids of one application, sorted, and the fates of
+    its surviving input vertices: a read-only ``Fates`` mapping, built on
+    first read, whose output positions index outputs."""
 
     outputs: tuple[int, ...]
     fates: Mapping[tuple[int, int], tuple[int, int]]
@@ -283,8 +286,9 @@ def apply_at(rule: Rule, copies: Sequence[Copy], repo: GraphRepository,
     that graph's neighbour dicts in place and copies one only before the
     rule changes it (copy-on-write); later copies get shifted dicts.  Each
     output component is built once, with dense ids in ascending raw-id
-    order and edges in ascending order, and interned; outputs are listed
-    by ascending smallest raw id.
+    order and edges in ascending order, and interned in order of its
+    smallest raw id; outputs are then listed by graph id, that order kept
+    between equal ids, and the fates' positions index that list.
     """
     parts = [(vmap, repo.graph(gid)) for gid, vmap in copies]
     if validate and not validate_match(rule, parts):
@@ -341,8 +345,7 @@ def apply_at(rule: Rule, copies: Sequence[Copy], repo: GraphRepository,
         elif re.kind == RIGHT or re.left_label != re.right_label:
             own(mu)[mv] = own(mv)[mu] = re.right_label
 
-    outputs: list[int] = []
-    laid_out: list[tuple[Sequence[int], dict[int, int]]] = []
+    laid_out: list[tuple[int, Sequence[int], dict[int, int]]] = []
     seen: set[int] = set()
     for start, label in enumerate(labels):
         if label is None or start in seen:
@@ -368,9 +371,10 @@ def apply_at(rule: Rule, copies: Sequence[Copy], repo: GraphRepository,
             edges = [(i, dense[n], nbrs[raw][n]) for i, raw in enumerate(order)
                      for n in sorted(nbrs[raw]) if n > raw]
         gid, _, into = repo.intern_mapped(Graph(vertices, edges))
-        outputs.append(gid)
-        laid_out.append((order, into))
-    return ApplyResult(tuple(outputs), Fates(starts, inputs_end, laid_out))
+        laid_out.append((gid, order, into))
+    laid_out.sort(key=lambda output: output[0])
+    return ApplyResult(tuple(gid for gid, _, _ in laid_out),
+                       Fates(starts, inputs_end, laid_out))
 
 
 class BindError(ValueError):
@@ -476,7 +480,7 @@ def complete_derivation(partial: PartialRule, repo: GraphRepository
     return Derivation(
         rule=partial.rule,
         inputs=tuple(sorted(gid for gid, _ in partial.copies)),
-        outputs=tuple(sorted(result.outputs)),
+        outputs=result.outputs,
         match=partial.copies,
         atom_map=result.fates if partial.rule.is_chemical else None,
     )

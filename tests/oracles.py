@@ -235,8 +235,9 @@ def union_apply(rule, graph_ids, vertex_map, repo):
     vertex_map sends each left vertex to a ``union_graph`` vertex.  Builds
     the union of the copies, checks the match and the gluing conditions on
     the whole of it, builds the result graph, splits it into connected
-    components and interns each; returns ``rewrite.apply_at``'s
-    ``ApplyResult`` or None on a gluing failure.
+    components and interns each, in component order; returns
+    ``rewrite.apply_at``'s ``ApplyResult``, its outputs sorted by graph id
+    and its fates' positions indexing them, or None on a gluing failure.
     """
     from gstrat.rewrite import ApplyResult
     from gstrat.rules import CONTEXT, LEFT, RIGHT
@@ -293,14 +294,13 @@ def union_apply(rule, graph_ids, vertex_map, repo):
             out_edges[key(mu, mv)] = re.right_label
     result = Graph(labels.items(), [(u, v, el) for (u, v), el in out_edges.items()])
     origin = union_origin(repo, graph_ids)
-    outputs, fates = [], {}
-    for pos, comp in enumerate(result.connected_components()):
-        gid, _, vmap = repo.intern_mapped(comp)
-        outputs.append(gid)
-        for raw, stored in vmap.items():
-            if raw < len(origin):
-                fates[origin[raw]] = (pos, stored)
-    return ApplyResult(tuple(outputs), fates)
+    interned = [repo.intern_mapped(comp) for comp in result.connected_components()]
+    # Outputs by graph id, component order kept between equal ids.
+    interned.sort(key=lambda output: output[0])
+    fates = {origin[raw]: (pos, stored)
+             for pos, (_, _, vmap) in enumerate(interned)
+             for raw, stored in vmap.items() if raw < len(origin)}
+    return ApplyResult(tuple(gid for gid, _, _ in interned), fates)
 
 
 def naive_derivation_keys(rule, universe, required, repo):
@@ -545,6 +545,31 @@ def random_rule(rng: random.Random, name: str = "r",
                       left_edges, context_edges, right_edges)
 
 
+def _graph_at(ids: tuple, index: int, ctx):
+    return ctx.repo.graph(ids[index]) if index < len(ids) else None
+
+
+#: Each integer-typed predicate atom word -> its value from (args, ids,
+#: ctx); None for an out-of-range index.  Written apart from
+#: ``dsl.ATOMS``, so that the compiled closures have a reference.
+INT_ATOMS = {
+    "componentCount": lambda args, ids, ctx: len(ids),
+    "vertexCount": lambda args, ids, ctx: (
+        None if (g := _graph_at(ids, args[0], ctx)) is None else len(list(g.vertices()))),
+    "edgeCount": lambda args, ids, ctx: (
+        None if (g := _graph_at(ids, args[0], ctx)) is None else len(list(g.edges()))),
+}
+
+#: Each boolean predicate atom word -> its truth from (args, ids, ctx).
+BOOL_ATOMS = {
+    "hasVertexLabel": lambda args, ids, ctx: (
+        (g := _graph_at(ids, args[0], ctx)) is not None
+        and args[1] in {label for _, label in g.vertices()}),
+    "isGraph": lambda args, ids, ctx: (
+        args[0] < len(ids) and ids[args[0]] == ctx.names[args[1]]),
+}
+
+
 def eval_pred(expr, ids: tuple, ctx, predicates: dict) -> bool:
     """A script predicate on a sorted graph-id multiset, by walking its AST
     on every call; predicates maps the script's predicate names to ASTs."""
@@ -562,14 +587,8 @@ def eval_pred(expr, ids: tuple, ctx, predicates: dict) -> bool:
             return False
         return {"==": lhs == rhs, "!=": lhs != rhs, "<": lhs < rhs,
                 "<=": lhs <= rhs, ">": lhs > rhs, ">=": lhs >= rhs}[expr.op]
-    if isinstance(expr, dsl.HasVertexLabel):
-        if expr.index >= len(ids):
-            return False
-        g = ctx.repo.graph(ids[expr.index])
-        return any(label == expr.label for _, label in g.vertices())
-    if isinstance(expr, dsl.IsGraph):
-        return (expr.index < len(ids)
-                and ids[expr.index] == ctx.names[expr.graph_name])
+    if isinstance(expr, dsl.Atom):
+        return BOOL_ATOMS[expr.word](expr.args, ids, ctx)
     if isinstance(expr, dsl.PredRef):
         return eval_pred(predicates[expr.name], ids, ctx, predicates)
     raise TypeError(f"not a boolean expression: {expr!r}")
@@ -580,12 +599,7 @@ def eval_int(expr, ids: tuple, ctx) -> int | None:
 
     if isinstance(expr, dsl.IntLit):
         return expr.value
-    if expr.name == "componentCount":
-        return len(ids)
-    if expr.index >= len(ids):
-        return None
-    g = ctx.repo.graph(ids[expr.index])
-    return g.vertex_count if expr.name == "vertexCount" else g.edge_count
+    return INT_ATOMS[expr.word](expr.args, ids, ctx)
 
 
 def find_path(sink, source: int, target: int, free_inputs=(), edge_filter=None):

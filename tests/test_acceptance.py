@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import networkx as nx
@@ -380,7 +381,10 @@ class TestCriterion7:
     @given(st.integers(0, 2**32 - 1), st.booleans())
     def test_generated_rules_invert(self, seed, chemical):
         # Every derivation of a generated rule inverts; a chemical rule's
-        # atom map is injective and maps every vertex of every input copy.
+        # atom map is injective and maps every vertex of every input copy
+        # onto a vertex of the output its position indexes in d.outputs,
+        # with the input label unless the rule relabels the vertex, and
+        # each output receives exactly its own vertices.
         rng = random.Random(seed)
         rule = random_rule(rng, chemical=chemical)
         repo = GraphRepository()
@@ -397,6 +401,16 @@ class TestCriterion7:
                 (i, v) for i, (gid, _) in enumerate(d.match)
                 for v in repo.graph(gid).vertex_ids()}
             assert len(set(d.atom_map.values())) == len(d.atom_map)
+            relabelled = [{vmap[rv] for rv, vertex in rule.vertices.items()
+                           if rv in vmap and vertex.left_label != vertex.right_label}
+                          for _, vmap in d.match]
+            for (i, v), (p, w) in d.atom_map.items():
+                output = repo.graph(d.outputs[p])
+                assert output.has_vertex(w)
+                if v not in relabelled[i]:
+                    assert output.label(w) == repo.graph(d.match[i][0]).label(v)
+            assert Counter(p for p, _ in d.atom_map.values()) == Counter(
+                {p: repo.graph(gid).vertex_count for p, gid in enumerate(d.outputs)})
 
 
 class TestCriterion8:

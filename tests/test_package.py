@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -145,3 +146,15 @@ def test_no_dead_definitions_in_src():
         and node.name not in gstrat.__all__
         and named[node.name] == names(node)[node.name]}
     assert unreferenced == set(UNREFERENCED_DEFINITIONS)
+
+
+def test_every_script_construct_is_documented():
+    # Each keyword term, top-level item and predicate atom word must appear
+    # in the README's script-language section, so that none ships
+    # undocumented.
+    from gstrat import dsl
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Strategy scripts\n")[1].split("\n## ")[0]
+    words = set(re.findall(r"\w+", section))
+    assert set(dsl.TERMS) | set(dsl.ITEMS) | set(dsl.ATOMS) <= words

@@ -95,9 +95,9 @@ class TestApplyAt:
         result = apply_at(rule, [(gid, {0: 0}), (gid, {1: 0})], repo)
         assert len(builds) == 2
         new_id = len(repo) - 1
-        assert result.outputs == (new_id, gid) and new_id != gid
+        assert result.outputs == (gid, new_id) and new_id != gid
         assert repo.graph(new_id).label(0) == "b"
-        assert result.fates == {(0, 0): (0, 0), (1, 0): (1, 0)}
+        assert result.fates == {(0, 0): (1, 0), (1, 0): (0, 0)}
 
     def test_invalid_match_raises(self):
         repo = GraphRepository()
