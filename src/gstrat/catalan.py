@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from gstrat import lex
-from gstrat.graphs import Graph, GraphRepository
+from gstrat.graphs import Graph, GraphRepository, _parse_graph_body
 from gstrat.lex import TokenStream
 from gstrat.matching import find_isomorphism
 # Unused here: perfbench's IMPORT_SITES check that these names are wrapped.
@@ -268,24 +268,16 @@ def _validate_replay(solution: Solution) -> None:
 
 
 def parse_level(text: str) -> Graph:
-    """Parse a level; errors are located at the bad label or the keyword."""
-    from gstrat.graphs import _parse_graph_body
-
-    tokens = lex.tokenize(text)
-    ts = TokenStream(tokens)
+    """Parse a level in one pass, reporting its first fault in reading
+    order: at the bad label or entry, or, for a level that is not
+    connected, at the keyword."""
+    ts = TokenStream(lex.tokenize(text))
     kw = ts.expect(lex.NAME, "level")
     ts.expect(lex.NAME)
     ts.expect(lex.PUNCT, "{")
-    g = _parse_graph_body(ts)
+    g = _parse_graph_body(ts, _check_label)
     ts.expect(lex.PUNCT, "}")
     ts.expect_eof()
-    for i, tok in enumerate(tokens):
-        # Every string is a label: v <id> "l" or e <id> <id> "l".
-        if tok.kind == lex.STRING:
-            try:
-                _check_label(tok.value, vertex=tokens[i - 2].value == "v")
-            except LevelError as err:
-                raise tok.error(str(err)) from err
     try:
         validate_level(g)
     except LevelError as err:

@@ -487,22 +487,20 @@ def _leaf_parent(g: Graph, v: int) -> int | None:
 
 
 class HostSymmetry:
-    """Automorphisms of one graph with ids 0..n-1 that are known without a
-    search, for keying vertex tuples up to them: the ``core_symmetry`` of
-    its labelling, and the swaps of twin leaves (leaves of one parent with
-    the same edge label and label), which are recognised from degrees.
-    Each of ``generators`` maps the core vertices it moves to their images
+    """Automorphisms of one stored graph that are known without a search,
+    for keying vertex tuples up to them: the ``core_symmetry`` of its own
+    labelling, and the swaps of twin leaves (leaves of one parent with the
+    same edge label and label), which are recognised from degrees.  Each
+    of ``generators`` maps the core vertices it moves to their images
     (every other vertex, leaves included, is fixed); ``moved`` holds the
     core vertices a generator or a cell moves.
     """
 
     __slots__ = ("graph", "generators", "cells", "_cell_of", "moved")
 
-    def __init__(self, graph: Graph, moves: Iterable[Mapping[int, int]],
-                 cells: Iterable[tuple[int, ...]]):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.generators = tuple(moves)
-        self.cells = tuple(cells)
+        self.generators, self.cells = graph.core_symmetry()
         self._cell_of = {v: c for c, cell in enumerate(self.cells) for v in cell}
         self.moved = {v for move in self.generators for v in move}
         self.moved.update(self._cell_of)
@@ -537,7 +535,11 @@ class HostSymmetry:
         group at its parent's new name; a parent is named when its leaf is,
         if not before.  Each step is an automorphism, so equal keys imply
         one that maps one tuple onto the other; the converse may fail.
+        A tuple that ``moves_any`` says no known automorphism moves is its
+        own key.
         """
+        if not self.moves_any(vertices):
+            return tuple(vertices)
         return min(self._canonical(vertices, perm)
                    for perm in ({}, *self.generators))
 
@@ -574,13 +576,14 @@ class GraphRepository:
     """Interning store mapping isomorphism classes to dense integer ids.
 
     Stored graphs have dense vertex ids 0..n-1 and are never mutated; the
-    first graph interned for a class is its representative.  Each class is
-    indexed by its canonical certificate, so interning is one canonical form
-    and one dict lookup, and no two stored ids are isomorphic.  A graph
-    whose content equals a stored graph's is found without the canonical
-    form, by a cheap key of labels and degrees and a dict comparison.  Each
-    class also keeps the automorphisms its labelling found, as a
-    ``HostSymmetry`` built when the class is interned.
+    first graph interned for a class, renumbered if its ids are not dense,
+    is its representative.  Each class is indexed by its canonical
+    certificate, so interning is one canonical form and one dict lookup,
+    and no two stored ids are isomorphic.  A graph whose content equals a
+    stored graph's is found without the canonical form, by a cheap key of
+    labels and degrees and a dict comparison.  A stored graph is the graph
+    that was labelled, so it keeps its class's canonical order and core
+    symmetry itself; its ``HostSymmetry`` reads them from it.
     """
 
     def __init__(self) -> None:
@@ -588,8 +591,6 @@ class GraphRepository:
         self._by_cert: dict[tuple, int] = {}
         # Per ``_layout`` key: the ids whose stored graph has it.
         self._by_layout: dict[tuple, list[int]] = {}
-        # Per id: the stored graph's vertex ids in canonical order.
-        self._orders: list[tuple[int, ...]] = []
         self._symmetries: list[HostSymmetry] = []
         self._names: dict[int, str] = {}
 
@@ -612,17 +613,25 @@ class GraphRepository:
     def intern_mapped(self, g: Graph) -> tuple[int, bool, dict[int, int]]:
         """Intern g; also return the vertex map from g into the stored graph.
 
-        A new class stores g itself when its ids are already 0..n-1, and
-        a ``renumbered()`` copy otherwise.  Connectivity is checked only on
-        a certificate miss: certificates are complete and every stored
-        class is connected, so a hit is connected too.
-
-        A graph with a stored graph's ids, labels and labelled adjacency is
-        not labelled: the stored graphs with its ``_layout`` key are
-        compared with it, and one with equal dicts is g itself, vertex for
-        vertex, so it answers with the identity map and neither graph is
-        labelled.  A key that collides costs one comparison.
+        A graph whose ids are not 0..n-1 is interned as its ``renumbered()``
+        copy, and the map composed with the renumbering.  A graph with a
+        stored graph's ids, labels and labelled adjacency is not labelled:
+        the stored graphs with its ``_layout`` key are compared with it, and
+        one with equal dicts is g itself, vertex for vertex, so the identity
+        answers.  A key that collides costs one comparison.  Otherwise a
+        certificate hit pairs g's canonical order with the stored graph's
+        own, and a miss, connected, stores g: certificates are complete and
+        every stored class is connected, so a hit is connected too.
         """
+        ids = g._labels
+        if ids and (min(ids) != 0 or max(ids) != len(ids) - 1):
+            dense, renumber = g.renumbered()
+            gid, is_new, into = self._intern_dense(dense)
+            return gid, is_new, {v: into[i] for v, i in renumber.items()}
+        return self._intern_dense(g)
+
+    def _intern_dense(self, g: Graph) -> tuple[int, bool, dict[int, int]]:
+        """``intern_mapped`` of a graph with ids 0..n-1."""
         layout = self._layout(g)
         for gid in self._by_layout.get(layout, ()):
             stored = self._graphs[gid]
@@ -631,27 +640,15 @@ class GraphRepository:
         certificate, order = g.canonical_form()
         gid = self._by_cert.get(certificate)
         if gid is not None:
-            return gid, False, dict(zip(order, self._orders[gid]))
+            return gid, False, dict(zip(order, self._graphs[gid].canonical_form()[1]))
         if not g.is_connected:
             raise GraphError("cannot intern a disconnected (or empty) graph")
-        n = g.vertex_count
-        moves, cells = g.core_symmetry()
-        if min(g._labels) == 0 and max(g._labels) == n - 1:
-            stored, renumber = g, {v: v for v in range(n)}
-            self._orders.append(order)
-        else:
-            stored, renumber = g.renumbered()
-            moves = [{renumber[v]: renumber[w] for v, w in move.items()}
-                     for move in moves]
-            cells = [tuple(sorted(renumber[v] for v in cell)) for cell in cells]
-            layout = self._layout(stored)
-            self._orders.append(tuple(renumber[v] for v in order))
         gid = len(self._graphs)
-        self._graphs.append(stored)
+        self._graphs.append(g)
         self._by_cert[certificate] = gid
         self._by_layout.setdefault(layout, []).append(gid)
-        self._symmetries.append(HostSymmetry(stored, moves, cells))
-        return gid, True, renumber
+        self._symmetries.append(HostSymmetry(g))
+        return gid, True, {v: v for v in range(len(g._labels))}
 
     def symmetry(self, gid: int) -> HostSymmetry:
         """The known automorphisms of a stored class: those its labelling
@@ -683,8 +680,8 @@ class GraphRepository:
 
 
 def read_entries(ts: TokenStream, vertex_ids: set[int], pair: bool = False
-                 ) -> Iterator[tuple[lex.Token, tuple[int, ...], tuple[str, ...]]]:
-    """Yield the keyword token, vertex ids and labels of each ``v <id>
+                 ) -> Iterator[tuple[lex.Token, tuple[int, ...], tuple[lex.Token, ...]]]:
+    """Yield the keyword token, vertex ids and label tokens of each ``v <id>
     "<label>";`` or ``e <id> <id> "<label>";`` entry that follows.  With
     pair, the labels are a pair whose second defaults to the first.  A
     vertex id already in vertex_ids (which collects them) or a self-loop
@@ -692,9 +689,9 @@ def read_entries(ts: TokenStream, vertex_ids: set[int], pair: bool = False
     while ts.peek().kind == lex.NAME and ts.peek().value in ("v", "e"):
         tok = ts.next()
         ids = tuple(ts.expect_int() for _ in range(1 if tok.value == "v" else 2))
-        labels = (ts.expect(lex.STRING).value,)
+        labels = (ts.expect(lex.STRING),)
         if pair:
-            labels += (ts.next().value if ts.at(lex.STRING) else labels[0],)
+            labels += (ts.next() if ts.at(lex.STRING) else labels[0],)
         if len(ids) == 1:
             if ids[0] in vertex_ids:
                 raise tok.error(f"duplicate vertex id {ids[0]}")
@@ -705,23 +702,30 @@ def read_entries(ts: TokenStream, vertex_ids: set[int], pair: bool = False
         ts.expect(lex.PUNCT, ";")
 
 
-def _parse_graph_body(ts: TokenStream) -> Graph:
+def _parse_graph_body(ts: TokenStream,
+                      check_label: Callable[[str, bool], None] | None = None
+                      ) -> Graph:
+    """Read a graph's entries.  check_label(label, is vertex) runs after an
+    entry's other checks; a ``ValueError`` it raises is located at the label."""
     vertices: list[tuple[int, str]] = []
     edges: list[tuple[int, int, str]] = []
     seen_ids: set[int] = set()
     seen_edges: set[tuple[int, int]] = set()
     for tok, ids, (label,) in read_entries(ts, seen_ids):
-        if len(ids) == 1:
-            vertices.append((ids[0], label))
-            continue
-        u, v = ids
-        if u not in seen_ids or v not in seen_ids:
-            raise tok.error(f"edge {u}-{v} references an unknown vertex")
-        key = _edge_key(u, v)
-        if key in seen_edges:
-            raise tok.error(f"parallel edge {u}-{v}")
-        seen_edges.add(key)
-        edges.append((u, v, label))
+        if len(ids) == 2:
+            u, v = ids
+            if u not in seen_ids or v not in seen_ids:
+                raise tok.error(f"edge {u}-{v} references an unknown vertex")
+            key = _edge_key(u, v)
+            if key in seen_edges:
+                raise tok.error(f"parallel edge {u}-{v}")
+            seen_edges.add(key)
+        if check_label is not None:
+            try:
+                check_label(label.value, len(ids) == 1)
+            except ValueError as err:
+                raise label.error(str(err)) from err
+        (vertices if len(ids) == 1 else edges).append((*ids, label.value))
     return Graph(vertices, edges)
 
 

@@ -540,11 +540,10 @@ def _complete_matches(rule: Rule, universe: Sequence[int],
 
 
 def _orbit_key(partial: PartialRule, automorphisms: Sequence[dict[int, int]],
-               host_key: Callable[[int, tuple[int, ...]], tuple],
-               memo: dict[tuple[int, int], tuple]) -> tuple:
+               repo: GraphRepository, memo: dict[tuple[int, int], tuple]) -> tuple:
     """The least, over rule automorphisms sigma, of the sorted copies
-    (graph id, sigma-renamed rule vertices, ``host_key(graph id, their
-    images)``).
+    (graph id, sigma-renamed rule vertices, the ``HostSymmetry.orbit_key``
+    of their images in that graph's class).
 
     memo maps (id of a copy's map, index of sigma) to the copy's key, so
     complete matches that share a copy compute its key once: the
@@ -568,7 +567,8 @@ def _orbit_key(partial: PartialRule, automorphisms: Sequence[dict[int, int]],
             key = memo.get((id(vmap), s))
             if key is None:
                 rvs, images = zip(*sorted((sigma[rv], sv) for rv, sv in vmap.items()))
-                key = memo[id(vmap), s] = (gid, rvs, host_key(gid, images))
+                key = memo[id(vmap), s] = (
+                    gid, rvs, repo.symmetry(gid).orbit_key(images))
             copies.append(key)
         copies.sort()
         keys.append(tuple(copies))
@@ -602,12 +602,10 @@ def iter_proper_derivations(
 
     Each complete match gets one ``_orbit_key`` and is skipped when an
     earlier match of this call had the same one.  A copy's images enter
-    the key as they are, or as their ``HostSymmetry.orbit_key`` when a
-    known host automorphism moves one of them.  For this call, each copy's
-    key under each rule automorphism is memoised by the id of its map, and
-    each host key by (graph id, images): a copy's images under one rule
-    automorphism are another copy's under the identity when both embed
-    one component.  The key is the least, over rule automorphisms, of an
+    the key as their ``HostSymmetry.orbit_key``, which is the images
+    themselves when no known host automorphism moves one of them.  For
+    this call, each copy's key under each rule automorphism is memoised by
+    the id of its map.  The key is the least, over rule automorphisms, of an
     automorphic image of the match, so equal keys imply matches related by
     automorphisms of the rule, the copy order and the hosts: the result has
     the same key, the same gluing outcome and the same inputs.  Matches in
@@ -631,17 +629,6 @@ def iter_proper_derivations(
     if not set(required) <= set(universe):
         raise ValueError("required graphs must be part of the universe")
 
-    host_keys: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
-
-    def host_key(gid: int, images: tuple[int, ...]) -> tuple[int, ...]:
-        key = host_keys.get((gid, images))
-        if key is None:
-            symmetry = repo.symmetry(gid)
-            key = host_keys[gid, images] = (
-                symmetry.orbit_key(images) if symmetry.moves_any(images)
-                else images)
-        return key
-
     copy_keys: dict[tuple[int, int], tuple] = {}
     keys: set[tuple] = set()
     automorphisms = rule.automorphisms()
@@ -650,7 +637,7 @@ def iter_proper_derivations(
         inputs = tuple(sorted(gid for gid, _ in partial.copies))
         if left_filter is not None and not left_filter(inputs):
             continue
-        orbit = _orbit_key(partial, automorphisms, host_key, copy_keys)
+        orbit = _orbit_key(partial, automorphisms, repo, copy_keys)
         if orbit in applied:
             continue
         applied.add(orbit)

@@ -9,7 +9,7 @@ of this structure and must each be valid simple labeled graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from gstrat import lex
 from gstrat.graphs import Graph, GraphError, _edge_key, parse_blocks, read_entries
@@ -42,6 +42,38 @@ class RuleElement:
 
 class RuleError(ValueError):
     pass
+
+
+def _declare(vertices: dict[int, RuleElement],
+             edges: dict[tuple[int, int], RuleElement], section: str,
+             ids: tuple[int, ...], labels: Sequence[str]) -> None:
+    """Add a vertex (one id) or edge (two ids) entry of a rule section, with
+    a (left, right) label pair in context and one label elsewhere.
+
+    A left and a right edge on one pair, in either order, delete and create
+    it; the intermediate graph is never observable, so they are stored as a
+    context relabel.  Any other second declaration is a ``RuleError``: of a
+    vertex, or of an edge in its element's section (a relabel's is
+    context), or in another."""
+    element = RuleElement(section, None if section == RIGHT else labels[0],
+                          None if section == LEFT else labels[-1])
+    if len(ids) == 1:
+        if ids[0] in vertices:
+            raise RuleError(f"vertex {ids[0]} declared twice")
+        vertices[ids[0]] = element
+        return
+    u, v = ids
+    key = _edge_key(u, v)
+    prior = edges.get(key)
+    if prior is None:
+        edges[key] = element
+    elif {prior.kind, section} == {LEFT, RIGHT}:
+        left, right = (prior, element) if section == RIGHT else (element, prior)
+        edges[key] = RuleElement(CONTEXT, left.left_label, right.right_label)
+    elif prior.kind == section:
+        raise RuleError(f"duplicate rule edge {u}-{v}")
+    else:
+        raise RuleError(f"edge {u}-{v} declared in two sections")
 
 
 class GluingPlan(NamedTuple):
@@ -114,40 +146,18 @@ class Rule:
               left_edges: list[tuple[int, int, str]] = (),
               context_edges: list[tuple[int, int, str, str]] = (),
               right_edges: list[tuple[int, int, str]] = ()) -> Rule:
-        """Convenience constructor from per-section element lists.
-
-        A vertex pair appearing with both a left and a right edge is a
-        delete-plus-create on the same endpoints; since the intermediate
-        graph is never observable this is stored as a context relabel.
+        """Convenience constructor from per-section element lists, read as
+        the text format reads a rule written with these sections in this
+        order, each listing its vertices before its edges (``_declare``).
         """
-        declared = ([(vid, LEFT, label, None) for vid, label in left_vertices]
-                    + [(vid, CONTEXT, ll, rl) for vid, ll, rl in context_vertices]
-                    + [(vid, RIGHT, None, label) for vid, label in right_vertices])
         vertices: dict[int, RuleElement] = {}
-        for vid, kind, ll, rl in declared:
-            if vid in vertices:
-                raise RuleError(f"vertex {vid} declared twice")
-            vertices[vid] = RuleElement(kind, ll, rl)
         edges: dict[tuple[int, int], RuleElement] = {}
-        for u, v, label in left_edges:
-            key = _edge_key(u, v)
-            if key in edges:
-                raise RuleError(f"duplicate left edge {u}-{v}")
-            edges[key] = RuleElement(LEFT, label, None)
-        for u, v, ll, rl in context_edges:
-            key = _edge_key(u, v)
-            if key in edges:
-                raise RuleError(f"edge {u}-{v} declared in two sections")
-            edges[key] = RuleElement(CONTEXT, ll, rl)
-        for u, v, label in right_edges:
-            key = _edge_key(u, v)
-            prior = edges.get(key)
-            if prior is not None:
-                if prior.kind != LEFT:
-                    raise RuleError(f"edge {u}-{v} declared in two sections")
-                edges[key] = RuleElement(CONTEXT, prior.left_label, label)
-            else:
-                edges[key] = RuleElement(RIGHT, None, label)
+        for section, entries, arity in (
+                (LEFT, left_vertices, 1), (LEFT, left_edges, 2),
+                (CONTEXT, context_vertices, 1), (CONTEXT, context_edges, 2),
+                (RIGHT, right_vertices, 1), (RIGHT, right_edges, 2)):
+            for entry in entries:
+                _declare(vertices, edges, section, entry[:arity], entry[arity:])
         return cls(name, vertices, edges)
 
     def automorphisms(self) -> tuple[dict[int, int], ...]:
@@ -222,41 +232,30 @@ class Rule:
 
 
 def parse_rule_body(ts: TokenStream, name: lex.Token) -> Rule:
-    """Read the sections of the rule named by the token; a rule that is
-    not well-formed is a ``ParseError`` at its name."""
-    # Per section, the entries in Rule.build's format: a context entry
-    # carries a label pair, a left or right entry one label.
-    vertices: dict[str, list[tuple]] = {LEFT: [], CONTEXT: [], RIGHT: []}
-    edges: dict[str, list[tuple]] = {LEFT: [], CONTEXT: [], RIGHT: []}
+    """Read the sections of the rule named by the token.  An entry that
+    ``_declare`` rejects is a ``ParseError`` at its keyword, and a rule
+    that is not well-formed one at its name."""
+    vertices: dict[int, RuleElement] = {}
+    edges: dict[tuple[int, int], RuleElement] = {}
     vertex_ids: set[int] = set()
-    section_edges: dict[str, set[tuple[int, int]]] = {}   # of the sections read
+    sections: set[str] = set()
     while not ts.at(lex.PUNCT, "}"):
         section_tok = ts.expect(lex.NAME)
         section = section_tok.value
         if section not in (LEFT, CONTEXT, RIGHT):
             raise section_tok.error(f"expected a rule section, got {section!r}")
-        if section in section_edges:
+        if section in sections:
             raise section_tok.error(f"duplicate section {section!r}")
-        keys = section_edges[section] = set()
+        sections.add(section)
         ts.expect(lex.PUNCT, "{")
         for tok, ids, labels in read_entries(ts, vertex_ids, section == CONTEXT):
-            if len(ids) == 1:
-                vertices[section].append(ids + labels)
-                continue
-            u, v = ids
-            key = _edge_key(u, v)
-            if key in keys:
-                raise tok.error(f"duplicate rule edge {u}-{v}")
-            # A left plus a right edge is a relabel; no other pair is.
-            if any(key in other_keys for other, other_keys in section_edges.items()
-                   if other != section and {other, section} != {LEFT, RIGHT}):
-                raise tok.error(f"edge {u}-{v} declared in two sections")
-            keys.add(key)
-            edges[section].append(ids + labels)
+            try:
+                _declare(vertices, edges, section, ids, [t.value for t in labels])
+            except RuleError as err:
+                raise tok.error(str(err)) from err
         ts.expect(lex.PUNCT, "}")
     try:
-        return Rule.build(name.value, vertices[LEFT], vertices[CONTEXT],
-                          vertices[RIGHT], edges[LEFT], edges[CONTEXT], edges[RIGHT])
+        return Rule(name.value, vertices, edges)
     except RuleError as err:
         raise name.error(str(err)) from err
 

@@ -401,8 +401,8 @@ class TestHostSymmetry:
             if g.vertex_count > 8:
                 continue
             if trial % 2:
-                # Stored through renumbered(), so the kept automorphisms
-                # must be translated.
+                # Stored as its renumbered() copy, which is the graph
+                # that is labelled.
                 g = relabelled(g, [v + 5 for v in g.vertex_ids()])
             yield g
 
@@ -600,6 +600,28 @@ class TestInternProperties:
         assert_maps_onto(copy, into, repo.graph(gid))
 
     @settings(max_examples=150, deadline=None)
+    @given(connected_graphs(), st.data())
+    def test_sparse_ids_intern_as_the_renumbered_copy(self, g, data):
+        """A graph whose ids are not 0..n-1 is stored as its renumbered
+        copy, the graph that is labelled: the class's host symmetry and
+        its answers to later interns read that graph's own labelling."""
+        n = g.vertex_count
+        sparse = relabelled(g, data.draw(st.lists(
+            st.integers(1, 3 * n), min_size=n, max_size=n, unique=True)))
+        repo = GraphRepository()
+        gid, new, into = repo.intern_mapped(sparse)
+        stored = repo.graph(gid)
+        assert new and stored.vertex_ids() == list(range(n))
+        assert_maps_onto(sparse, into, stored)
+        symmetry = repo.symmetry(gid)
+        assert symmetry.graph is stored
+        assert (symmetry.generators, symmetry.cells) == stored.core_symmetry()
+        copy = relabelled(g, list(data.draw(st.permutations(range(50, 50 + n)))))
+        answer = repo.intern_mapped(copy)
+        assert answer == certificate_route(repo, copy)
+        assert_maps_onto(copy, answer[2], stored)
+
+    @settings(max_examples=150, deadline=None)
     @given(connected_graphs(), st.randoms(use_true_random=False))
     def test_labelling_ignores_build_order(self, g, rng):
         """The same content built in another vertex, edge and endpoint order
@@ -630,7 +652,8 @@ def content_copy(g: Graph, vertex_order=None, edge_order=None) -> Graph:
 def certificate_route(repo: GraphRepository, g: Graph) -> tuple:
     """What interning a graph of a stored class answers by certificate."""
     gid = repo.find(g)
-    return gid, False, dict(zip(g.canonical_form()[1], repo._orders[gid]))
+    return gid, False, dict(zip(g.canonical_form()[1],
+                                repo.graph(gid).canonical_form()[1]))
 
 
 @pytest.fixture

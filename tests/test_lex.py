@@ -95,6 +95,8 @@ FORMAT_ERRORS = [
      '1:20: duplicate vertex id 0'),
     (parse_level, 'level l { v 0 "X"; }',
      '1:15: level vertex labels must be "0", found \'X\''),
+    (parse_level, 'level l { v 0 "X"; v 0 "0"; }',
+     '1:15: level vertex labels must be "0", found \'X\''),
     (parse_level, 'level l { v 0 "0"; v 1 "0"; e 0 1 "b"; }',
      '1:35: level edge labels must be empty'),
     (parse_level, 'level l { v 0 "0"; e 0 0 ""; }',

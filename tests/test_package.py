@@ -100,6 +100,24 @@ def test_script_errors_are_built_in_one_place():
     assert callers_in_src("ScriptError") == {"dsl._Compiler.error"}
 
 
+def test_a_class_symmetry_has_one_owner():
+    # A class's known automorphisms are read from its stored graph's own
+    # labelling when the class is stored, and every host key is that
+    # HostSymmetry's orbit_key, asked for by the match key alone.
+    assert callers_in_src("HostSymmetry") == {
+        "graphs.GraphRepository._intern_dense"}
+    assert callers_in_src("orbit_key") == {"rewrite._orbit_key"}
+
+
+def test_rule_declarations_follow_one_policy():
+    # Rule.build and the rule reader declare each entry through _declare,
+    # the only place that makes rule elements besides inversion.
+    assert callers_in_src("_declare") == {"rules.Rule.build",
+                                          "rules.parse_rule_body"}
+    assert callers_in_src("RuleElement") == {"rules._declare",
+                                             "rules.RuleElement.inverted"}
+
+
 # Definitions that nothing in src/ names, each with the reason it stays.
 UNREFERENCED_DEFINITIONS = {
     "graphs.Graph.refinement_colors":

@@ -449,13 +449,16 @@ def symmetric_host(rng):
     return Graph(vertices, edges)
 
 
-def host_key(repo):
-    """The host key ``iter_proper_derivations`` gives ``_orbit_key``,
-    without its memo."""
-    def key(gid, images):
-        symmetry = repo.symmetry(gid)
-        return symmetry.orbit_key(images) if symmetry.moves_any(images) else images
-    return key
+class NoHostSymmetry:
+    """Stands in for the repository in ``_orbit_key``: no class has a known
+    automorphism, so every tuple is its own host key and the key is the
+    rule-orbit key."""
+
+    def symmetry(self, gid):
+        return self
+
+    def orbit_key(self, images):
+        return images
 
 
 class TestHostOrbits:
@@ -469,19 +472,19 @@ class TestHostOrbits:
                                           for _ in range(2)))
             automorphisms = {gid: brute_automorphisms(repo.graph(gid))
                              for gid in universe}
-            # Each memo serves one host key over the maps of one cache,
+            # Each memo serves one repository over the maps of one cache,
             # which outlives it.
             cache, host_memo, rule_memo = MatchCache(), {}, {}
             by_key = {}
             for partial in rewrite._complete_matches(rule, universe, (), repo,
                                                      cache):
-                key = rewrite._orbit_key(partial, rule.automorphisms(),
-                                         host_key(repo), host_memo)
+                key = rewrite._orbit_key(partial, rule.automorphisms(), repo,
+                                         host_memo)
                 by_key.setdefault(key, []).append(partial)
 
             def rule_orbit(partial):
                 return rewrite._orbit_key(partial, rule.automorphisms(),
-                                          lambda gid, images: images, rule_memo)
+                                          NoHostSymmetry(), rule_memo)
             for first, *others in by_key.values():
                 for other in others:
                     assert related(first, other, rule, automorphisms.get)
@@ -491,24 +494,25 @@ class TestHostOrbits:
 
     def test_each_copy_key_once_per_call(self, monkeypatch):
         # Complete matches share their copies.  Within one
-        # iter_proper_derivations call, the host key of each (copy, rule
-        # automorphism) is asked for once, and a memoised key equals the
-        # key computed afresh.
+        # iter_proper_derivations call, the host symmetry of each (copy,
+        # rule automorphism) is asked for once, and a memoised key equals
+        # the key computed afresh.
         real = rewrite._orbit_key
-        calls = []  # per memo: [memo, (id(map), sigma index) pairs, host keys]
+        calls = []  # per memo: [memo, (id(map), sigma index) pairs, lookups]
 
-        def counting(partial, automorphisms, host_key, memo):
+        def counting(partial, automorphisms, repo, memo):
             if not calls or calls[-1][0] is not memo:
                 calls.append([memo, set(), 0])
             entry = calls[-1]
             entry[1].update((id(vmap), s) for _, vmap in partial.copies
                             for s in range(len(automorphisms)))
 
-            def counted(gid, images):
-                entry[2] += 1
-                return host_key(gid, images)
-            key = real(partial, automorphisms, counted, memo)
-            assert key == real(partial, automorphisms, host_key, {})
+            class Counted:
+                def symmetry(self, gid):
+                    entry[2] += 1
+                    return repo.symmetry(gid)
+            key = real(partial, automorphisms, Counted(), memo)
+            assert key == real(partial, automorphisms, repo, {})
             return key
 
         monkeypatch.setattr(rewrite, "_orbit_key", counting)

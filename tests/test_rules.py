@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gstrat.chem import diels_alder_rule
-from gstrat.lex import ParseError
+from gstrat.lex import ParseError, quote
 from gstrat.rules import (CONTEXT, LEFT, RIGHT, Rule, RuleElement, RuleError,
                           format_rule, parse_rules)
 
@@ -48,6 +50,9 @@ class TestRuleStructure:
                        context_vertices=[(0, "a", "a"), (1, "a", "a")],
                        context_edges=[(0, 1, "x", "x")],
                        right_edges=[(0, 1, "y")])
+        with pytest.raises(RuleError, match="^duplicate rule edge 1-0$"):
+            Rule.build("dup", context_vertices=[(0, "a", "a"), (1, "a", "a")],
+                       right_edges=[(0, 1, "x"), (1, 0, "y")])
 
     def test_vertex_in_two_sections_rejected(self):
         with pytest.raises(RuleError, match="vertex 0 declared twice"):
@@ -180,9 +185,74 @@ class TestRuleFormat:
             parse_rules(text)
         assert (err.value.line, err.value.column) == (4, 22)
         # A left and a right edge on one pair are a relabel, not an error.
-        relabel = parse_rules('rule r { context { v 0 "a"; v 1 "a"; }\n'
-                              '  left { e 0 1 "x"; } right { e 1 0 "y"; } }')
-        assert relabel["r"].edges[(0, 1)].kind == CONTEXT
+        for pair in ('left { e 0 1 "x"; } right { e 1 0 "y"; }',
+                     'right { e 0 1 "y"; } left { e 1 0 "x"; }'):
+            relabel = parse_rules('rule r { context { v 0 "a"; v 1 "a"; }\n'
+                                  f'  {pair} }}')["r"].edges[(0, 1)]
+            assert (relabel.kind, relabel.left_label, relabel.right_label) == (
+                CONTEXT, "x", "y")
+
+
+SECTIONS = (LEFT, CONTEXT, RIGHT)
+
+
+@st.composite
+def rule_entries(draw):
+    """Per-section vertex and edge entries in ``Rule.build``'s format: each
+    vertex declared once, edges on few pairs, so that repeats in one
+    section, left/right pairs and clashes across sections are common, and
+    some edges reach an undeclared vertex."""
+    labels = st.sampled_from(("a", "b", ""))
+    n = draw(st.integers(1, 4))
+    vertices = {section: [] for section in SECTIONS}
+    edges = {section: [] for section in SECTIONS}
+    for vid in range(n):
+        section = draw(st.sampled_from(SECTIONS))
+        pair = (draw(labels),) * (2 if section == CONTEXT else 1)
+        vertices[section].append((vid, *pair))
+    for _ in range(draw(st.integers(0, 6))):
+        section = draw(st.sampled_from(SECTIONS))
+        u, v = draw(st.lists(st.integers(0, n), min_size=2, max_size=2,
+                             unique=True))
+        count = 2 if section == CONTEXT else 1
+        edges[section].append((u, v, *(draw(labels) for _ in range(count))))
+    return vertices, edges
+
+
+def rule_text(vertices, edges) -> str:
+    """The entries as a rule file: the sections in order, each listing its
+    vertices before its edges, every label written out."""
+    def entry(keyword, ids, labels):
+        return " ".join([keyword, *map(str, ids), *map(quote, labels)]) + ";"
+    sections = []
+    for section in SECTIONS:
+        entries = ([entry("v", e[:1], e[1:]) for e in vertices[section]]
+                   + [entry("e", e[:2], e[2:]) for e in edges[section]])
+        sections.append(f"  {section} {{ {' '.join(entries)} }}")
+    return "rule r {\n" + "\n".join(sections) + "\n}\n"
+
+
+class TestDeclarationPolicy:
+    """``Rule.build`` and the rule reader declare entries by one policy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rule_entries())
+    def test_build_and_reader_agree(self, entries):
+        vertices, edges = entries
+        try:
+            built = Rule.build("r", vertices[LEFT], vertices[CONTEXT],
+                               vertices[RIGHT], edges[LEFT], edges[CONTEXT],
+                               edges[RIGHT])
+        except RuleError as err:
+            built = str(err)
+        try:
+            read = parse_rules(rule_text(vertices, edges))["r"]
+        except ParseError as err:
+            read = err.message
+        if isinstance(built, str) or isinstance(read, str):
+            assert read == built
+        else:
+            assert same_structure(read, built)
 
 
 class TestDielsAlderShape:
