@@ -309,5 +309,5 @@ def random_level(rng: random.Random, vertices: int) -> Graph:
         edges.add(key)
         degree[u] += 1
         degree[v] += 1
-    return Graph([(i, "0") for i in ids], [(u, v, "") for u, v in sorted(edges)])
+    return Graph([(i, "0") for i in ids], [(u, v, "") for u, v in edges])
 

@@ -27,12 +27,14 @@ the Diels-Alder scripts is about 40% of the vertices.  The certificate opens
 with run-length counts of the core vertices' (label, folded vertices) keys;
 see ``Graph.canonical_form``.
 
+Neighbour dicts list their neighbours in ascending id order, whatever the
+edge order.  ``rewrite.apply_at`` builds its results from its laid-out
+dicts, so stored graphs may share unchanged dicts, and none is written to.
 The labelling reads only a graph's content (ids, labels and labelled
 adjacency), never the order its dicts were built in: every step sorts or
-keeps cells in ascending index order.  ``GraphRepository`` interns a
-graph whose content equals a stored graph's, as inverting a derivation
-gives back, without labelling either: the identity maps it onto the
-stored graph.
+keeps cells in ascending index order.  ``GraphRepository`` interns a graph
+whose content equals a stored graph's, as inverting a derivation gives
+back, without labelling either: the identity maps it onto the stored graph.
 """
 from __future__ import annotations
 
@@ -258,37 +260,43 @@ def _canonical_order(adj: Adjacency, cells: list[list[int]],
 
 
 class Graph:
-    """Immutable simple undirected graph with string vertex and edge labels."""
+    """Immutable simple undirected graph with string vertex and edge labels;
+    neighbour dicts ascend by id, and stored graphs may share unchanged ones."""
 
-    __slots__ = ("_labels", "_adj", "_edge_count", "_canon", "_symmetry",
-                 "_sorted_adj")
+    __slots__ = ("_labels", "_adj", "_edge_count", "_connected", "_canon",
+                 "_symmetry", "_sorted_adj")
 
     def __init__(self, vertices: Iterable[tuple[int, str]],
-                 edges: Iterable[tuple[int, int, str]] = ()):
-        vertices = list(vertices)
+                 edges: Iterable[tuple[int, int, str]] = (), *,
+                 _adj: dict[int, dict[int, str]] | None = None):
+        # _adj is rewrite.apply_at's layout of one connected component:
+        # simple, with ascending neighbour dicts, so it is taken as given.
+        self._connected: bool | None = True if _adj is not None else None
+        if _adj is None:
+            vertices = list(vertices)
         labels: dict[int, str] = dict(vertices)
-        if len(labels) != len(vertices):
-            seen: set[int] = set()
-            for vid, _ in vertices:
-                if vid in seen:
-                    raise GraphError(f"duplicate vertex id {vid}")
-                seen.add(vid)
-        adj: dict[int, dict[int, str]] = {v: {} for v in labels}
-        count = 0
-        for u, v, label in edges:
-            nu, nv = adj.get(u), adj.get(v)
-            if nu is None or nv is None or v in nu or u == v:
-                if u == v:
-                    raise GraphError(f"self-loop on vertex {u}")
-                if nu is None or nv is None:
-                    raise GraphError(f"edge {u}-{v} references an undeclared vertex")
-                raise GraphError(f"parallel edge {u}-{v}")
-            nu[v] = label
-            nv[u] = label
-            count += 1
+        if _adj is None:
+            if len(labels) != len(vertices):
+                seen: set[int] = set()
+                for vid, _ in vertices:
+                    if vid in seen:
+                        raise GraphError(f"duplicate vertex id {vid}")
+                    seen.add(vid)
+            adj: dict[int, dict[int, str]] = {v: {} for v in labels}
+            for u, v, label in edges:
+                nu, nv = adj.get(u), adj.get(v)
+                if nu is None or nv is None or v in nu or u == v:
+                    if u == v:
+                        raise GraphError(f"self-loop on vertex {u}")
+                    if nu is None or nv is None:
+                        raise GraphError(f"edge {u}-{v} references an undeclared vertex")
+                    raise GraphError(f"parallel edge {u}-{v}")
+                nu[v] = label
+                nv[u] = label
+            _adj = {v: dict(sorted(nb.items())) for v, nb in adj.items()}
         self._labels = labels
-        self._adj = adj
-        self._edge_count = count
+        self._adj = _adj
+        self._edge_count = sum(map(len, _adj.values())) // 2
         self._canon: tuple[tuple, tuple[int, ...]] | None = None
         self._symmetry: tuple[tuple[dict[int, int], ...], tuple] | None = None
         self._sorted_adj: dict[int, tuple[int, ...]] | None = None
@@ -313,7 +321,7 @@ class Graph:
         """Yield (u, v, label) with u < v, in ascending (u, v) order."""
         for u in sorted(self._adj):
             nbrs = self._adj[u]
-            for v in sorted(nbrs):
+            for v in nbrs:
                 if u < v:
                     yield u, v, nbrs[v]
 
@@ -329,7 +337,7 @@ class Graph:
 
     def sorted_neighbors(self, vid: int) -> tuple[int, ...]:
         if self._sorted_adj is None:
-            self._sorted_adj = {v: tuple(sorted(n)) for v, n in self._adj.items()}
+            self._sorted_adj = {v: tuple(n) for v, n in self._adj.items()}
         return self._sorted_adj[vid]
 
     def degree(self, vid: int) -> int:
@@ -426,10 +434,10 @@ class Graph:
 
     @property
     def is_connected(self) -> bool:
-        if not self._labels:
-            return False
-        seen = self._reach(next(iter(self._labels)))
-        return len(seen) == len(self._labels)
+        if self._connected is None:
+            self._connected = bool(self._labels) and len(
+                self._reach(next(iter(self._labels)))) == len(self._labels)
+        return self._connected
 
     def _reach(self, start: int) -> set[int]:
         seen = {start}
@@ -510,8 +518,8 @@ class HostSymmetry:
         of parent), ascending."""
         g = self.graph
         el, label = g.edge_label(leaf, parent), g.label(leaf)
-        return sorted(u for u, e in g.neighbors(at).items()
-                      if e == el and g.degree(u) == 1 and g.label(u) == label)
+        return [u for u, e in g.neighbors(at).items()
+                if e == el and g.degree(u) == 1 and g.label(u) == label]
 
     def moves_any(self, vertices: Iterable[int]) -> bool:
         """Can a known automorphism move one of these vertices?  When none
@@ -782,10 +790,8 @@ def serialize_graph(g: Graph, name: str = "g",
     """Render in the graph file format; vertices then edges in ascending order."""
     if ends is None:
         ends = LineEnds()
-    edges = sorted([(u, v, el) for u, nbrs in g._adj.items()
-                    for v, el in nbrs.items() if u < v])
     lines = [f"graph {name} {{\n"]
     lines += [f"  v {v}{ends[label]}" for v, label in sorted(g._labels.items())]
-    lines += [f"  e {u} {v}{ends[el]}" for u, v, el in edges]
+    lines += [f"  e {u} {v}{ends[el]}" for u, v, el in g.edges()]
     lines.append("}\n")
     return "".join(lines)

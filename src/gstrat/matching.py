@@ -134,7 +134,7 @@ def _plan(pattern: Graph, symmetries: Sequence[dict[int, int]] = ()
     anchors = []
     seen: set[int] = set()
     for v in order:
-        anchors.append([(u, el) for u, el in sorted(pattern.neighbors(v).items())
+        anchors.append([(u, el) for u, el in pattern.neighbors(v).items()
                         if u in seen])
         seen.add(v)
     floors: list[list[int]] = [[] for _ in order]

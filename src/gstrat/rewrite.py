@@ -284,9 +284,12 @@ def apply_at(rule: Rule, copies: Sequence[Copy], repo: GraphRepository,
     copies before it, then the created vertices.  Stored graphs are read
     only.  The first copy's raw ids are its stored ids, so the result reads
     that graph's neighbour dicts in place and copies one only before the
-    rule changes it (copy-on-write); later copies get shifted dicts.  Each
-    output component is built once, with dense ids in ascending raw-id
-    order and edges in ascending order, and interned in order of its
+    rule changes it (copy-on-write); later copies get shifted dicts.  A
+    walk splits the result into components, unless the rule
+    ``joins_copies`` and no copy is empty: then it is one.  Each is built
+    once from the laid-out dicts, as they are when it covers every raw id
+    (unchanged dicts stay shared with the stored graph), else renumbered
+    to dense ids in ascending raw-id order, and interned in order of its
     smallest raw id; outputs are then listed by graph id, that order kept
     between equal ids, and the fates' positions index that list.
     """
@@ -344,13 +347,17 @@ def apply_at(rule: Rule, copies: Sequence[Copy], repo: GraphRepository,
                 del own(mu)[mv], own(mv)[mu]
         elif re.kind == RIGHT or re.left_label != re.right_label:
             own(mu)[mv] = own(mv)[mu] = re.right_label
+            if re.kind == RIGHT:  # a new key: restore ascending order
+                for raw in (mu, mv):
+                    nbrs[raw] = dict(sorted(nbrs[raw].items()))
 
     laid_out: list[tuple[int, Sequence[int], dict[int, int]]] = []
     seen: set[int] = set()
+    joined = rule.joins_copies and all(vmap for vmap, _ in parts)
     for start, label in enumerate(labels):
         if label is None or start in seen:
             continue
-        comp = {start}
+        comp = set(range(len(labels))) if joined else {start}
         stack = [start]
         while stack:
             for n in nbrs[stack.pop()]:
@@ -362,15 +369,14 @@ def apply_at(rule: Rule, copies: Sequence[Copy], repo: GraphRepository,
             # Nothing deleted and one component: raw ids are dense ids.
             order: Sequence[int] = range(len(labels))
             vertices: Iterable[tuple[int, str]] = enumerate(labels)
-            edges = [(raw, n, nb[n]) for raw, nb in enumerate(nbrs)
-                     for n in sorted(nb) if n > raw]
+            adj = dict(enumerate(nbrs))
         else:
             order = sorted(comp)
             dense = {raw: i for i, raw in enumerate(order)}
             vertices = [(i, labels[raw]) for i, raw in enumerate(order)]
-            edges = [(i, dense[n], nbrs[raw][n]) for i, raw in enumerate(order)
-                     for n in sorted(nbrs[raw]) if n > raw]
-        gid, _, into = repo.intern_mapped(Graph(vertices, edges))
+            adj = {i: {dense[n]: el for n, el in nbrs[raw].items()}
+                   for i, raw in enumerate(order)}
+        gid, _, into = repo.intern_mapped(Graph(vertices, _adj=adj))
         laid_out.append((gid, order, into))
     laid_out.sort(key=lambda output: output[0])
     return ApplyResult(tuple(gid for gid, _, _ in laid_out),

@@ -59,7 +59,7 @@ def _declare(vertices: dict[int, RuleElement],
                           None if section == LEFT else labels[-1])
     if len(ids) == 1:
         if ids[0] in vertices:
-            raise RuleError(f"vertex {ids[0]} declared twice")
+            raise RuleError(f"duplicate vertex id {ids[0]}")
         vertices[ids[0]] = element
         return
     u, v = ids
@@ -93,8 +93,9 @@ class Rule:
     Construction checks that the rule is well-formed, or raises
     ``RuleError`` naming it and its problems, and keeps the graphs the
     check builds: ``left``, its components ``left_components`` (vertex ids
-    are rule ids) and the span graph.  ``is_chemical``, whether the rule
-    is vertex-bijective (creates and deletes no vertex), is fixed then too."""
+    are rule ids) and the span graph.  ``is_chemical`` (creates and deletes
+    no vertex) and ``joins_copies`` (deletes nothing and has a connected
+    span, so the copies it matches end in one graph) are fixed then too."""
 
     def __init__(self, name: str, vertices: dict[int, RuleElement],
                  edges: dict[tuple[int, int], RuleElement]):
@@ -134,6 +135,8 @@ class Rule:
             raise RuleError(f"rule {name}: " + "; ".join(problems))
         self.left_components = tuple(self.left.connected_components())
         self.is_chemical = all(rv.kind == CONTEXT for rv in self.vertices.values())
+        self.joins_copies = self._span.is_connected and all(
+            e.kind != LEFT for e in (*self.vertices.values(), *self.edges.values()))
         self._automorphisms: tuple[dict[int, int], ...] | None = None
         self._search_plans: tuple[SearchPlan, ...] | None = None
         self._gluing_plan: GluingPlan | None = None

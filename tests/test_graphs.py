@@ -57,6 +57,12 @@ class TestGraphBasics:
         ([(0, "a"), (1, "a"), (2, "a")], [(0, 1, "x"), (1, 2, "x"), (1, 0, "y")],
          "parallel edge 1-0"),
         ([(0, "a")], [(7, 7, "x")], "self-loop on vertex 7"),
+        # Several faults: the first in the given order is named.
+        ([(0, "a"), (1, "a"), (2, "a")],
+         [(2, 1, "x"), (0, 1, "x"), (1, 2, "y"), (3, 3, "x"), (0, 9, "x")],
+         "parallel edge 1-2"),
+        ([(1, "a"), (0, "a"), (1, "b")], [(0, 0, "x"), (0, 4, "x")],
+         "duplicate vertex id 1"),
     ]
 
     @pytest.mark.parametrize("vertices, edges, message", CONSTRUCTOR_ERRORS)
@@ -67,6 +73,21 @@ class TestGraphBasics:
         with pytest.raises(GraphError) as info:
             Graph(vertices, edges)
         assert str(info.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_neighbour_order_ignores_edge_order(self, seed):
+        # Shuffled and flipped edges give the same neighbour dicts, in
+        # ascending id order.
+        rng = random.Random(seed)
+        g = random_graph(rng)
+        edges = [(v, u, el) if rng.random() < 0.5 else (u, v, el)
+                 for u, v, el in g.edges()]
+        rng.shuffle(edges)
+        h = Graph(list(g.vertices()), edges)
+        for v in g.vertex_ids():
+            assert list(h.neighbors(v).items()) == list(g.neighbors(v).items())
+            assert list(h.neighbors(v)) == sorted(g.neighbors(v))
 
     def test_empty_label_is_valid(self):
         g = Graph([(0, ""), (1, "")], [(0, 1, "")])

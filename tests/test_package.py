@@ -59,22 +59,27 @@ def test_benchmark_gate_equals_acceptance_gate():
     assert workloads.BFS_DOT_SHA256 == GOLDEN_EXPORTS["bfs.dot"]
 
 
-def callers_in_src(name: str) -> set[str]:
-    """The functions in src/gstrat that call name, as module.scope paths."""
-    def callers(node, scope):
+def scopes_in_src(matches) -> set[str]:
+    """The functions in src/gstrat holding a node that matches, as
+    module.scope paths."""
+    def scopes(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                yield from callers(child, scope + (child.name,))
+                yield from scopes(child, scope + (child.name,))
                 continue
-            if (isinstance(child, ast.Call) and name in (
-                    getattr(child.func, "id", None),
-                    getattr(child.func, "attr", None))):
+            if matches(child):
                 yield ".".join(scope)
-            yield from callers(child, scope)
+            yield from scopes(child, scope)
 
     src = Path(__file__).parent.parent / "src" / "gstrat"
-    return {caller for path in sorted(src.glob("*.py"))
-            for caller in callers(ast.parse(path.read_text()), (path.stem,))}
+    return {found for path in sorted(src.glob("*.py"))
+            for found in scopes(ast.parse(path.read_text()), (path.stem,))}
+
+
+def callers_in_src(name: str) -> set[str]:
+    """The functions in src/gstrat that call name, as module.scope paths."""
+    return scopes_in_src(lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_only_counted_boundaries_run_the_embedding_search():
@@ -92,6 +97,76 @@ def test_every_application_passes_the_derivation_memo():
     assert callers_in_src("apply_at") == {"rewrite.complete_derivation"}
     assert callers_in_src("complete_derivation") == {
         "rewrite.iter_proper_derivations"}
+
+
+def test_only_apply_at_builds_from_a_layout():
+    # Graph takes a private adjacency as given, unchecked, and records the
+    # graph as connected; apply_at's one-component layouts are its only
+    # source.
+    def passes_adj(node):
+        return isinstance(node, ast.Call) and any(
+            k.arg == "_adj" for k in node.keywords)
+    assert scopes_in_src(passes_adj) == {"rewrite.apply_at"}
+
+
+def adjacency_writes(function):
+    """The containers of the subscript stores and deletes in a function
+    (nested ones included) that may write into a graph's neighbour dict: a
+    container that reads ``_adj`` or ``neighbors``, that is an element or
+    a call's result (``nbrs[raw][n] = ``, ``own(raw)[n] = ``, shown as
+    ``own(...)``), or a name bound to a read of ``_adj`` or ``neighbors``
+    or to an element of such a name."""
+    def reads_adjacency(expr):
+        return any(getattr(n, "attr", None) in ("_adj", "neighbors")
+                   for n in ast.walk(expr))
+
+    def targets(node):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            found = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            found = [node.target]
+        else:
+            return []
+        for t in found:
+            if isinstance(t, (ast.Tuple, ast.List)):
+                found += t.elts
+        return found
+
+    nodes = list(ast.walk(function))
+    assigned = [(n.value, t.id) for n in nodes
+                if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+                and n.value is not None
+                for t in targets(n) if isinstance(t, ast.Name)]
+    bound = {name for value, name in assigned if reads_adjacency(value)}
+    bound |= {name for value, name in assigned if isinstance(value, ast.Subscript)
+              and getattr(value.value, "id", None) in bound}
+    for n in nodes:
+        for t in targets(n):
+            if not isinstance(t, ast.Subscript):
+                continue
+            c = t.value
+            if isinstance(c, ast.Call):
+                yield ast.unparse(c.func) + "(...)"
+            elif (isinstance(c, ast.Subscript) or reads_adjacency(c)
+                  or getattr(c, "id", None) in bound):
+                yield ast.unparse(c)
+
+
+def test_no_stored_neighbour_dict_is_written():
+    # Stored graphs share unchanged neighbour dicts, so none may be written
+    # to.  The only writes near one are apply_at's: into the copy that its
+    # copy-on-write own(raw) returns, and into slots of its nbrs list.
+    src = Path(__file__).parent.parent / "src" / "gstrat"
+    writes = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        functions += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                      for node in cls.body if isinstance(node, ast.FunctionDef)]
+        writes |= {(f"{path.stem}.{f.name}", container)
+                   for f in functions for container in adjacency_writes(f)}
+    assert writes == {("rewrite.apply_at", "own(...)"),
+                      ("rewrite.apply_at", "nbrs")}
 
 
 def test_script_errors_are_built_in_one_place():

@@ -846,6 +846,55 @@ class TestStoredGraphsReadOnly:
         assert all(stored_content(g) == content for g, content in stored_graphs)
 
 
+@pytest.fixture
+def built_by_apply(monkeypatch):
+    """Every graph that ``apply_at`` builds while the test runs."""
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(Graph(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(rewrite, "Graph", recording)
+    return built
+
+
+def rebuilt_by_the_public_constructor(g):
+    """Is g, built from ``apply_at``'s layout, the graph that the public
+    constructor builds from its vertices and edges: the same labels, the
+    same neighbour items in the same order, edge count and connectivity?"""
+    public = Graph(list(g.vertices()), list(g.edges()))
+    return (list(g._labels.items()) == list(public._labels.items())
+            and all(list(g.neighbors(v).items()) == list(public.neighbors(v).items())
+                    for v in public.vertex_ids())
+            and g.edge_count == public.edge_count
+            and g.is_connected == public.is_connected)
+
+
+class TestLayoutBuild:
+    """``apply_at`` hands its laid-out neighbour dicts to ``Graph``
+    unchecked; each graph must equal the public constructor's."""
+
+    @pytest.mark.parametrize("seed", [53, 97])
+    def test_gluing_cases(self, built_by_apply, seed):
+        applied = 0
+        for rule, graphs in gluing_cases(seed):
+            repo = GraphRepository()
+            universe = [repo.intern(g)[0] for g in graphs]
+            for ids, vmap in union_matches(rule, repo, universe):
+                applied += apply_at(rule, split_union_match(repo, ids, vmap),
+                                    repo) is not None
+        assert all(map(rebuilt_by_the_public_constructor, built_by_apply))
+        assert applied > 300 and len(built_by_apply) > applied, (
+            applied, len(built_by_apply))
+
+    def test_bfs_script(self, built_by_apply):
+        rep = run_script(load_script(str(ASSETS / "diels_bfs.gs")))
+        assert (rep.new_graphs, rep.derivations) == (825, 1278)
+        assert len(built_by_apply) >= 1278
+        assert all(map(rebuilt_by_the_public_constructor, built_by_apply))
+
+
 class TestMatchCache:
     def test_one_query_per_distinct_key(self):
         repo = GraphRepository()

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,9 +56,29 @@ class TestRuleStructure:
                        right_edges=[(0, 1, "x"), (1, 0, "y")])
 
     def test_vertex_in_two_sections_rejected(self):
-        with pytest.raises(RuleError, match="vertex 0 declared twice"):
+        with pytest.raises(RuleError, match="duplicate vertex id 0"):
             Rule.build("dup", left_vertices=[(0, "a")],
                        context_vertices=[(0, "b", "b")])
+
+    def test_joins_copies(self):
+        # A rule joins the copies it matches when it deletes nothing and
+        # its right side is connected.
+        assert diels_alder_rule().joins_copies
+        assert not diels_alder_rule().inverted().joins_copies
+        assert not remove_r_rule().joins_copies
+        rng = random.Random(71)
+        seen = set()
+        for _ in range(300):
+            rule = random_rule(rng)
+            right = nx.Graph()
+            right.add_nodes_from(v for v, rv in rule.vertices.items() if rv.kind != LEFT)
+            right.add_edges_from(e for e, re in rule.edges.items() if re.kind != LEFT)
+            deletes = any(x.kind == LEFT for x in (*rule.vertices.values(),
+                                                   *rule.edges.values()))
+            want = not deletes and nx.is_connected(right)
+            assert rule.joins_copies == want, rule.name
+            seen.add(want)
+        assert seen == {False, True}
 
 
 class TestValidate:
@@ -199,14 +220,15 @@ SECTIONS = (LEFT, CONTEXT, RIGHT)
 @st.composite
 def rule_entries(draw):
     """Per-section vertex and edge entries in ``Rule.build``'s format: each
-    vertex declared once, edges on few pairs, so that repeats in one
-    section, left/right pairs and clashes across sections are common, and
-    some edges reach an undeclared vertex."""
+    vertex declared once, sometimes one of them a second time in any
+    section, edges on few pairs, so that repeats in one section, left/right
+    pairs and clashes across sections are common, and some edges reach an
+    undeclared vertex."""
     labels = st.sampled_from(("a", "b", ""))
     n = draw(st.integers(1, 4))
     vertices = {section: [] for section in SECTIONS}
     edges = {section: [] for section in SECTIONS}
-    for vid in range(n):
+    for vid in [*range(n), *draw(st.lists(st.integers(0, n - 1), max_size=1))]:
         section = draw(st.sampled_from(SECTIONS))
         pair = (draw(labels),) * (2 if section == CONTEXT else 1)
         vertices[section].append((vid, *pair))
