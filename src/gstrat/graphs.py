@@ -264,7 +264,7 @@ class Graph:
     neighbour dicts ascend by id, and stored graphs may share unchanged ones."""
 
     __slots__ = ("_labels", "_adj", "_edge_count", "_connected", "_canon",
-                 "_symmetry", "_sorted_adj")
+                 "_symmetry")
 
     def __init__(self, vertices: Iterable[tuple[int, str]],
                  edges: Iterable[tuple[int, int, str]] = (), *,
@@ -299,7 +299,6 @@ class Graph:
         self._edge_count = sum(map(len, _adj.values())) // 2
         self._canon: tuple[tuple, tuple[int, ...]] | None = None
         self._symmetry: tuple[tuple[dict[int, int], ...], tuple] | None = None
-        self._sorted_adj: dict[int, tuple[int, ...]] | None = None
 
     @property
     def vertex_count(self) -> int:
@@ -334,11 +333,6 @@ class Graph:
     def neighbors(self, vid: int) -> Mapping[int, str]:
         """Adjacency of vid as a read-only neighbor -> edge label mapping."""
         return self._adj[vid]
-
-    def sorted_neighbors(self, vid: int) -> tuple[int, ...]:
-        if self._sorted_adj is None:
-            self._sorted_adj = {v: tuple(n) for v, n in self._adj.items()}
-        return self._sorted_adj[vid]
 
     def degree(self, vid: int) -> int:
         return len(self._adj[vid])

@@ -8,19 +8,23 @@ allowed.  Candidate host vertices are visited in ascending id order, so
 results are deterministic for a fixed vertex numbering: maps come in the
 lexicographic order of their images along the search order.
 
-A ``SearchPlan`` fixes a pattern's search order, the label and degree
-of the vertex at each position, the placed neighbours each position is
-joined to, and optionally symmetry-breaking conditions for
+A ``SearchPlan`` fixes a pattern's search order and optionally
+symmetry-breaking conditions for
 a group of pattern automorphisms (Grochow & Kellis, RECOMB 2007): the image
 of each vertex must be below the images of the other members of its orbit
 under the automorphisms that fix every vertex placed before it.  The search
 then yields one map per orbit ``{m . sigma}``, the one it would find first
 without the conditions, and ``SearchPlan.orbit_members`` gives the rest
 back.  ``search_plan`` checks once that the pattern is connected and
-nonempty.  The tests on each candidate host vertex then read only the
-plan and the host's label and adjacency dicts, since the cost per
-candidate decides the speed of the search (Juttner & Madarasi, VF2++,
-Discrete Applied Math. 2018).
+nonempty.  The plan is compiled once into Python generator code, as GrGen
+compiles its search plans (Geiss et al., ICGT 2006): one loop per position,
+with the position's label, degree, anchor edges and floors as constants,
+so that the tests on each candidate host vertex read only the host's label
+and adjacency dicts; the cost per candidate decides the speed of the
+search (Juttner & Madarasi, VF2++, Discrete Applied Math. 2018).  Python
+allows 20 nested blocks in a function, so the loops come in chunks of at
+most 15 positions, run by an explicit stack of chunk generators: a
+pattern of any size is searched without recursion.
 
 Isomorphisms run no search: two graphs are isomorphic exactly when their
 canonical certificates are equal (``Graph.canonical_form``), and pairing the
@@ -29,8 +33,7 @@ canonical orders is then the map.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -72,26 +75,25 @@ def _pattern_order(pattern: Graph) -> list[int]:
 
 
 class SearchPlan(NamedTuple):
-    """How ``_maps`` searches for one pattern, fixed once per pattern.
+    """How to search for one pattern, fixed and compiled once per pattern.
 
     - order: the static search order, ``_pattern_order``;
-    - labels, degrees: per position, the label and degree of its pattern
-      vertex, the first tests on each candidate;
-    - anchors: per position, the pattern vertices placed before it that it
-      is joined to, with the edge labels, in ascending id order;
     - floors: per position, the vertices placed before it whose images
       must be below its image: the symmetry-breaking conditions;
     - symmetries: the group of pattern automorphisms the conditions break,
-      identity first, or empty when there are no conditions.
+      identity first, or empty when there are no conditions;
+    - search: host -> the injective label- and edge-preserving maps of
+      the pattern into host that meet the conditions, in search order: the
+      plan compiled by ``_compile`` when it is built, as generators of at
+      most ``_CHUNK`` nested loops each, since Python nests at most 20
+      blocks in a function.
 
     Plans are shared by every search that uses them, so they are read-only.
     """
     order: Sequence[int]
-    labels: Sequence[str]
-    degrees: Sequence[int]
-    anchors: Sequence[Sequence[tuple[int, str]]]
     floors: Sequence[Sequence[int]]
     symmetries: Sequence[dict[int, int]]
+    search: Callable[[Graph], Iterator[dict[int, int]]]
 
     def orbit_members(self, maps: Iterable[dict[int, int]]
                       ) -> list[dict[int, int]]:
@@ -131,12 +133,6 @@ def _plan(pattern: Graph, symmetries: Sequence[dict[int, int]] = ()
     before i, so each condition is checked when its larger vertex is placed.
     """
     order = _pattern_order(pattern)
-    anchors = []
-    seen: set[int] = set()
-    for v in order:
-        anchors.append([(u, el) for u, el in pattern.neighbors(v).items()
-                        if u in seen])
-        seen.add(v)
     floors: list[list[int]] = [[] for _ in order]
     if symmetries:
         position = {v: i for i, v in enumerate(order)}
@@ -145,83 +141,93 @@ def _plan(pattern: Graph, symmetries: Sequence[dict[int, int]] = ()
             for w in {sigma[v] for sigma in fixing} - {v}:
                 floors[position[w]].append(v)
             fixing = [sigma for sigma in fixing if sigma[v] == v]
-    return SearchPlan(order, [pattern.label(v) for v in order],
-                      [pattern.degree(v) for v in order], anchors, floors,
-                      tuple(symmetries))
+    return SearchPlan(order, floors, tuple(symmetries),
+                      _compile(pattern, order, floors))
 
 
-def _maps(host: Graph, plan: SearchPlan) -> Iterator[dict[int, int]]:
-    """Injective label- and edge-preserving maps of the plan's pattern into
-    host that meet the plan's conditions, in the order a depth-first search
-    over the plan's order finds them.
+# Python allows 20 statically nested blocks (loops here) in a function; a
+# chunk nests one loop per position.
+_CHUNK = 15
 
-    Each pattern vertex goes to an unused host vertex with its label and at
-    least its degree, joined by the right edge labels to the images of its
-    anchors; the candidates are the sorted neighbours of the first anchor's
-    image, else every host vertex, cut to those above the images of its
-    floors.  The per-candidate tests read the host's label and adjacency
-    dicts and the plan's per-position constants, and nothing else.
+
+def _compile(pattern: Graph, order: Sequence[int],
+             floors: Sequence[Sequence[int]]
+             ) -> Callable[[Graph], Iterator[dict[int, int]]]:
+    """The search of the plan as one generator function per chunk of
+    ``_CHUNK`` positions, run by an explicit stack of chunk generators.
+
+    Each position is a loop over its candidates: the neighbours of its
+    first anchor's image (the placed neighbour of least id) whose edge
+    carries the anchor's label, else every host vertex, in ascending id
+    order.  A candidate must have the position's label and at least its
+    degree, differ from the images placed before it, lie above the images
+    of its floors and be joined to its other anchors' images by their edge
+    labels.  A chunk that is not the last writes its images into ``img``
+    and ``used`` and yields to the next; the last yields the map.  Labels,
+    edge labels and vertex ids are bound as names, never written as source.
     """
-    order, all_anchors, all_floors = plan.order, plan.anchors, plan.floors
-    plabels, pdegrees = plan.labels, plan.degrees
-    labels, adj = host._labels, host._adj
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
-    host_ids = host.vertex_ids()
+    position = {v: i for i, v in enumerate(order)}
+    n = len(order)
+    names: dict[str, object] = {}
+    source = []
 
-    def candidates(i: int) -> Sequence[int]:
-        anchors = all_anchors[i]
-        cs = (host.sorted_neighbors(assignment[anchors[0][0]]) if anchors
-              else host_ids)
-        floors = all_floors[i]
-        if floors:
-            cs = cs[bisect_right(cs, max(assignment[u] for u in floors)):]
-        return cs
+    def image(q: int) -> str:
+        """Position q's image in the code of the chunk starting at s."""
+        return f"x{q}" if q >= s else f"img[{q}]"
 
-    # Iterative depth-first search (no recursion limit on large patterns):
-    # position i scans cands[i], computed when the search enters i, from
-    # next_idx[i]; a full assignment is yielded, then the search backs up.
-    cands = [candidates(0)] + [()] * (len(order) - 1)
-    next_idx = [0] * len(order)
-    i = 0
-    while i >= 0:
-        if i == len(order):
-            yield dict(assignment)
-            i -= 1
-            used.discard(assignment.pop(order[i]))
-            continue
-        plabel = plabels[i]
-        pdeg = pdegrees[i]
-        anchors = all_anchors[i]
-        cs = cands[i]
-        j = next_idx[i]
-        fit = None
-        while j < len(cs):
-            c = cs[j]
-            j += 1
-            if c in used or labels[c] != plabel:
-                continue
-            nbrs = adj[c]
-            if len(nbrs) < pdeg:
-                continue
-            for pn, el in anchors:
-                if nbrs.get(assignment[pn]) != el:
+    for s in range(0, n, _CHUNK):
+        e = min(s + _CHUNK, n)
+        source.append(f"def chunk{s}(labels, adj, ids, img, used):")
+        for p in range(s, e):
+            v = order[p]
+            anchors = [(position[u], el) for u, el in pattern.neighbors(v).items()
+                       if position[u] < p]
+            names[f"L{p}"], names[f"V{p}"] = pattern.label(v), v
+            pad = " " * (p - s + 1)
+            tests = []
+            if anchors:
+                names[f"E{p}"] = anchors[0][1]
+                source.append(f"{pad}for x{p}, e in adj[{image(anchors[0][0])}].items():")
+                tests.append(f"e != E{p}")
+            else:
+                source.append(f"{pad}for x{p} in ids:")
+            joined = {a for a, _ in anchors}
+            tests += [f"x{p} == x{q}" for q in range(s, p) if q not in joined]
+            tests.append(f"labels[x{p}] != L{p}")
+            if pattern.degree(v) > len(anchors):
+                tests.append(f"len(adj[x{p}]) < {pattern.degree(v)}")
+            if s:
+                tests.append(f"x{p} in used")
+            tests += [f"x{p} <= {image(position[u])}" for u in floors[p]]
+            for k, (a, el) in enumerate(anchors[1:]):
+                names[f"E{p}_{k}"] = el
+                tests.append(f"adj[x{p}].get({image(a)}) != E{p}_{k}")
+            source.append(f"{pad} if {' or '.join(tests)}: continue")
+        pad = " " * (e - s + 1)
+        if e == n:
+            pairs = ", ".join(f"V{q}: {image(q)}" for q in range(n))
+            source.append(f"{pad}yield {{{pairs}}}")
+        else:
+            placed = f"img[{s}:{e}]"
+            source += [f"{pad}{placed} = {', '.join(map(image, range(s, e)))}",
+                       f"{pad}used.update({placed})", f"{pad}yield",
+                       f"{pad}used.difference_update({placed})"]
+    exec(compile("\n".join(source), "<search plan>", "exec"), names)
+    chunks = [names[f"chunk{s}"] for s in range(0, n, _CHUNK)]
+
+    def search(host: Graph) -> Iterator[dict[int, int]]:
+        state = (host._labels, host._adj, host.vertex_ids(), [0] * n, set())
+        stack = [chunks[0](*state)]
+        while stack:
+            for found in stack[-1]:
+                if len(stack) == len(chunks):
+                    yield found
+                else:
+                    stack.append(chunks[len(stack)](*state))
                     break
             else:
-                fit = c
-                break
-        next_idx[i] = j
-        if fit is None:
-            i -= 1
-            if i >= 0:
-                used.discard(assignment.pop(order[i]))
-            continue
-        assignment[order[i]] = fit
-        used.add(fit)
-        i += 1
-        if i < len(order):
-            cands[i] = candidates(i)
-            next_idx[i] = 0
+                stack.pop()
+    return search
 
 
 def enumerate_embeddings(pattern: Graph, host: Graph,
@@ -235,7 +241,7 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     Returns vertex maps (pattern id -> host id) in a deterministic order;
     empty list when nothing matches.
     """
-    return list(_maps(host, plan or search_plan(pattern)))
+    return list((plan or search_plan(pattern)).search(host))
 
 
 def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:

@@ -60,7 +60,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from gstrat.graphs import Graph, GraphRepository
 from gstrat.matching import enumerate_embeddings
-from gstrat.rules import CONTEXT, LEFT, RIGHT, Rule
+from gstrat.rules import Rule
 
 
 class MatchCache:
@@ -323,33 +323,31 @@ def apply_at(rule: Rule, copies: Sequence[Copy], repo: GraphRepository,
             nb = nbrs[raw] = nb.copy()
         return nb
 
-    deleted_vertices = {to_raw[vid] for vid, _ in rule.gluing_plan().deleted}
+    plan = rule.gluing_plan()
+    deleted_vertices = {to_raw[vid] for vid, _ in plan.deleted}
     for d in deleted_vertices:
         for n in nbrs[d]:
             if n not in deleted_vertices:
                 del own(n)[d]
         labels[d] = nbrs[d] = None
     inputs_end = len(labels)
-    for vid in sorted(rule.vertices):
-        rv = rule.vertices[vid]
-        if rv.kind == CONTEXT and rv.left_label != rv.right_label:
-            labels[to_raw[vid]] = rv.right_label
-        elif rv.kind == RIGHT:
-            to_raw[vid] = len(labels)
-            labels.append(rv.right_label)
-            nbrs.append({})
+    for vid, label in plan.relabelled:
+        labels[to_raw[vid]] = label
+    for vid, label in plan.added:
+        to_raw[vid] = len(labels)
+        labels.append(label)
+        nbrs.append({})
     # A deleted edge between kept vertices goes here (one at a deleted vertex
     # went with it).
-    for (u, v), re in rule.edges.items():
+    for u, v in plan.cut:
         mu, mv = to_raw[u], to_raw[v]
-        if re.kind == LEFT:
-            if rule.vertices[u].kind == rule.vertices[v].kind == CONTEXT:
-                del own(mu)[mv], own(mv)[mu]
-        elif re.kind == RIGHT or re.left_label != re.right_label:
-            own(mu)[mv] = own(mv)[mu] = re.right_label
-            if re.kind == RIGHT:  # a new key: restore ascending order
-                for raw in (mu, mv):
-                    nbrs[raw] = dict(sorted(nbrs[raw].items()))
+        del own(mu)[mv], own(mv)[mu]
+    for u, v, label, new in plan.joined:
+        mu, mv = to_raw[u], to_raw[v]
+        own(mu)[mv] = own(mv)[mu] = label
+        if new:  # a new key: restore ascending order
+            for raw in (mu, mv):
+                nbrs[raw] = dict(sorted(nbrs[raw].items()))
 
     laid_out: list[tuple[int, Sequence[int], dict[int, int]]] = []
     seen: set[int] = set()
@@ -424,15 +422,15 @@ def _gluing_ok(rule: Rule, parts: Sequence[Part]) -> bool:
     when its restriction to each copy passes, and a copy that fails can
     never complete into a valid derivation.
     """
-    deleted, created = rule.gluing_plan()
+    plan = rule.gluing_plan()
     for vmap, host in parts:
         adj = host._adj
-        for d, nbrs in deleted:
+        for d, nbrs in plan.deleted:
             image = vmap.get(d)
             if image is not None and not adj[image].keys() <= {
                     vmap[u] for u in nbrs if u in vmap}:
                 return False
-        for u, v in created:
+        for u, v in plan.created:
             if u in vmap and v in vmap and vmap[v] in adj[vmap[u]]:
                 return False
     return True

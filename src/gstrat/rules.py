@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 from gstrat import lex
 from gstrat.graphs import Graph, GraphError, _edge_key, parse_blocks, read_entries
 from gstrat.lex import TokenStream
-from gstrat.matching import SearchPlan, _maps, _plan, search_plan
+from gstrat.matching import SearchPlan, _plan, search_plan
 
 LEFT = "left"
 CONTEXT = "context"
@@ -77,14 +77,23 @@ def _declare(vertices: dict[int, RuleElement],
 
 
 class GluingPlan(NamedTuple):
-    """What the DPO gluing check of a rule reads, fixed once per rule.
+    """What the DPO gluing check and ``apply_at`` read, fixed once per rule.
 
     - deleted: each deleted vertex with its left-graph neighbours;
     - created: the created edges between two preserved vertices, the only
-      created edges whose endpoints can both be matched.
+      created edges whose endpoints can both be matched;
+    - relabelled: each relabelled vertex with its right label;
+    - added: each created vertex with its label, in ascending id order;
+    - cut: the deleted edges between two preserved vertices;
+    - joined: each created or relabelled edge with its right label, and
+      whether it is created.
     """
     deleted: tuple[tuple[int, tuple[int, ...]], ...]
     created: tuple[tuple[int, int], ...]
+    relabelled: tuple[tuple[int, str], ...]
+    added: tuple[tuple[int, str], ...]
+    cut: tuple[tuple[int, int], ...]
+    joined: tuple[tuple[int, int, str, bool], ...]
 
 
 class Rule:
@@ -174,7 +183,7 @@ class Rule:
         automorphism."""
         if self._automorphisms is None:
             g = self._span
-            found = sorted(_maps(g, _plan(g)),
+            found = sorted(_plan(g).search(g),
                            key=lambda m: any(k != v for k, v in m.items()))
             self._automorphisms = tuple(found)
         return self._automorphisms
@@ -201,14 +210,25 @@ class Rule:
         return self._search_plans
 
     def gluing_plan(self) -> GluingPlan:
-        """The elements the DPO gluing check reads, built once."""
+        """The elements the DPO gluing check and ``apply_at`` read, built
+        once."""
         if self._gluing_plan is None:
+            kind = {vid: rv.kind for vid, rv in self.vertices.items()}
+            vertices = sorted(self.vertices.items())
             self._gluing_plan = GluingPlan(
                 tuple((vid, tuple(self.left.neighbors(vid)))
                       for vid, rv in self.vertices.items() if rv.kind == LEFT),
                 tuple((u, v) for (u, v), re in self.edges.items()
-                      if re.kind == RIGHT and self.vertices[u].kind
-                      == self.vertices[v].kind == CONTEXT))
+                      if re.kind == RIGHT and kind[u] == kind[v] == CONTEXT),
+                tuple((vid, rv.right_label) for vid, rv in vertices
+                      if rv.kind == CONTEXT and rv.left_label != rv.right_label),
+                tuple((vid, rv.right_label) for vid, rv in vertices
+                      if rv.kind == RIGHT),
+                tuple((u, v) for (u, v), re in self.edges.items()
+                      if re.kind == LEFT and kind[u] == kind[v] == CONTEXT),
+                tuple((u, v, re.right_label, re.kind == RIGHT)
+                      for (u, v), re in self.edges.items()
+                      if re.kind != LEFT and re.left_label != re.right_label))
         return self._gluing_plan
 
     def inverted(self) -> Rule:

@@ -107,7 +107,7 @@ def search_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     def candidates(i: int):
         anchors = placed_before[i]
         if anchors:
-            return h.sorted_neighbors(assignment[anchors[0][0]])
+            return tuple(h.neighbors(assignment[anchors[0][0]]))
         return h_ids
 
     cands = [candidates(0)] + [()] * (len(order) - 1)

@@ -266,14 +266,16 @@ def leafy_graph(rng: random.Random) -> Graph:
     return relabelled(Graph(vertices, edges), rng.sample(range(n), n))
 
 
+def to_nx(graph: Graph) -> nx.Graph:
+    """The graph as a networkx graph with "label" node and edge attributes."""
+    out = nx.Graph()
+    out.add_nodes_from((v, {"label": l}) for v, l in graph.vertices())
+    out.add_edges_from((u, v, {"label": el}) for u, v, el in graph.edges())
+    return out
+
+
 def nx_isomorphic(g: Graph, h: Graph) -> bool:
     """networkx's label-matching isomorphism test, as an independent oracle."""
-    def to_nx(graph: Graph) -> nx.Graph:
-        out = nx.Graph()
-        out.add_nodes_from((v, {"label": l}) for v, l in graph.vertices())
-        out.add_edges_from((u, v, {"label": el}) for u, v, el in graph.edges())
-        return out
-
     match = nx.algorithms.isomorphism.categorical_node_match("label", None)
     edge_match = nx.algorithms.isomorphism.categorical_edge_match("label", None)
     return nx.is_isomorphic(to_nx(g), to_nx(h), node_match=match,

@@ -12,7 +12,7 @@ from gstrat.matching import (MatchError, enumerate_embeddings, find_isomorphism,
 
 from .oracles import brute_automorphisms, brute_embeddings, permuted, random_graph
 from .test_graphs import (assert_maps_onto, from_networkx, nx_isomorphic,
-                          relabelled)
+                          relabelled, to_nx)
 
 
 def as_key_set(maps):
@@ -62,25 +62,31 @@ class TestEnumerateEmbeddings:
 
     def test_order_is_brute_force_sorted_along_the_search_order(self):
         # The golden exports depend on the order of the maps, not only on
-        # their set.  Hosts have shuffled sparse ids, and in half of the
-        # cases labels the pattern lacks.
+        # their set.  Patterns have up to six vertices; hosts have shuffled
+        # sparse ids and are, in turn, random, random with labels the
+        # pattern lacks, and the pattern with a pendant vertex added.
         rng = random.Random(101)
         found_any = 0
-        for case in range(120):
+        for case in range(200):
             labels = rng.choice([("a",), ("a", "b")])
             edge_labels = rng.choice([("x",), ("x", "y")])
-            extra = ("c",) if case % 2 else ()
-            pattern = random_graph(rng, max_vertices=4, labels=labels,
+            pattern = random_graph(rng, max_vertices=6, labels=labels,
                                    edge_labels=edge_labels, connected=True)
-            host = permuted(random_graph(rng, max_vertices=6,
-                                         labels=labels + extra,
-                                         edge_labels=edge_labels + extra), rng)
-            order = search_plan(pattern).order
-            want = sorted((dict(items) for items in brute_embeddings(pattern, host)),
-                          key=lambda m: [m[v] for v in order])
+            if case % 3 == 2:
+                n = pattern.vertex_count
+                host = Graph([*pattern.vertices(), (n, rng.choice(labels))],
+                             [*pattern.edges(),
+                              (n, rng.randrange(n), rng.choice(edge_labels))])
+            else:
+                extra = ("c",) if case % 3 else ()
+                host = random_graph(rng, max_vertices=7, labels=labels + extra,
+                                    edge_labels=edge_labels + extra)
+            host = relabelled(host, rng.sample(range(1000), host.vertex_count))
+            want = in_search_order(
+                pattern, [dict(items) for items in brute_embeddings(pattern, host)])
             assert enumerate_embeddings(pattern, host) == want
             found_any += len(want) > 1
-        assert found_any >= 20, found_any
+        assert found_any >= 50, found_any
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(31)
@@ -122,6 +128,105 @@ class TestEnumerateEmbeddings:
                      [(n + 9 - i, n + 8 - i, "e") for i in range(n - 1)])
         assert enumerate_embeddings(pattern, host) == [
             {i: n + 9 - i for i in range(n)}]
+
+
+def in_search_order(pattern, maps):
+    """The maps sorted by their images along the pattern's search order."""
+    order = search_plan(pattern).order
+    return sorted(maps, key=lambda m: [m[v] for v in order])
+
+
+def nx_embeddings(pattern, host):
+    """networkx's label-matching monomorphisms of pattern into host, as
+    pattern id -> host id maps."""
+    iso = nx.algorithms.isomorphism
+    matcher = iso.GraphMatcher(
+        to_nx(host), to_nx(pattern),
+        node_match=iso.categorical_node_match("label", None),
+        edge_match=iso.categorical_edge_match("label", None))
+    return [{p: h for h, p in m.items()}
+            for m in matcher.subgraph_monomorphisms_iter()]
+
+
+def path_or_cycle(labels, cycle, first_id=0):
+    """Vertices first_id, first_id + 1, ... with the labels, joined by "x"
+    edges in a path, or in a cycle."""
+    n = len(labels)
+    return ([(first_id + i, label) for i, label in enumerate(labels)],
+            [(first_id + i, first_id + (i + 1) % n, "x")
+             for i in range(n if cycle else n - 1)])
+
+
+class TestCompiledSearch:
+    """Each plan is compiled into chunks of nested loops; the maps and
+    their order must not depend on the plan's length or its labels."""
+
+    def test_long_pattern_in_long_host(self):
+        # 40 positions are three chunks; the host has 2000 vertices and
+        # one label.
+        pattern = Graph([(i, "a") for i in range(40)],
+                        [(i, i + 1, "e") for i in range(39)])
+        host = Graph([(i, "a") for i in range(2000)],
+                     [(i, i + 1, "e") for i in range(1999)])
+        want = [{i: start + i * step for i in range(40)}
+                for start in range(2000) for step in (-1, 1)
+                if 0 <= start + 39 * step < 2000]
+        assert len(want) == 2 * (2000 - 39)
+        assert enumerate_embeddings(pattern, host) == in_search_order(pattern, want)
+
+    @pytest.mark.parametrize("cycle", [False, True])
+    @pytest.mark.parametrize("n", [14, 15, 16, 30, 31])
+    def test_chunk_boundaries_agree_with_networkx(self, n, cycle):
+        # Paths have distinct labels; cycles repeat three labels.  The host
+        # holds the pattern twice at sparse ids, one copy with a chord, and
+        # a reversed path of the same labels.
+        labels = list("abc" * n)[:n] if cycle else [f"v{i}" for i in range(n)]
+        vertices, edges = path_or_cycle(labels[::-1], False, 500)
+        for first in (100, 300):
+            vs, es = path_or_cycle(labels, cycle, first)
+            vertices += vs
+            edges += es
+        host = Graph(vertices, edges + [(100, 105, "y")])
+        pattern = Graph(*path_or_cycle(labels, cycle))
+        want = in_search_order(pattern, nx_embeddings(pattern, host))
+        assert len(want) >= 2
+        assert enumerate_embeddings(pattern, host) == want
+        # Breaking the pattern's automorphisms (rotations by three for
+        # n = 15 and 30) sets floors in other chunks than their vertices.
+        group = sorted(nx_embeddings(pattern, pattern),
+                       key=lambda m: any(k != v for k, v in m.items()))
+        plan = search_plan(pattern, group)
+        kept = enumerate_embeddings(pattern, host, plan)
+        assert kept == orbit_firsts(want, group)
+        assert plan.orbit_members(kept) == want
+
+    def test_labels_are_data_not_source(self):
+        # Labels that would break or change generated code if they were
+        # written into its source match exactly as plain labels do.
+        odd = ['"); import os #', "'", '"', "\\", "\n", "a\nb", "{x}", "L0",
+               "x0", "'''", "E1_0", ""]
+        plain = [f"p{i}" for i in range(len(odd))]
+        swap = dict(zip(plain, odd))
+
+        def odd_labelled(g):
+            return Graph([(v, swap[label]) for v, label in g.vertices()],
+                         [(u, v, swap[el]) for u, v, el in g.edges()])
+
+        rng = random.Random(223)
+        found_any = 0
+        for _ in range(60):
+            labels = tuple(rng.sample(plain[:6], 2))
+            edge_labels = tuple(rng.sample(plain[6:], 2))
+            pattern = random_graph(rng, max_vertices=4, labels=labels,
+                                   edge_labels=edge_labels, connected=True)
+            host = permuted(random_graph(rng, max_vertices=7, labels=labels,
+                                         edge_labels=edge_labels), rng)
+            plan = search_plan(odd_labelled(pattern))
+            assert plan.order == search_plan(pattern).order
+            want = enumerate_embeddings(pattern, host)
+            assert list(plan.search(odd_labelled(host))) == want
+            found_any += bool(want)
+        assert found_any >= 20, found_any
 
 
 def generated(generators):

@@ -84,10 +84,11 @@ def callers_in_src(name: str) -> set[str]:
 
 def test_only_counted_boundaries_run_the_embedding_search():
     # perfbench counts the embedding search at enumerate_embeddings, and
-    # Rule.automorphisms searches each rule once.  Any other caller of
-    # matching._maps would run the search past the counted boundary.
-    assert callers_in_src("_maps") == {"matching.enumerate_embeddings",
-                                       "rules.Rule.automorphisms"}
+    # Rule.automorphisms searches each rule once.  Any other caller of a
+    # plan's compiled search would run it past the counted boundary.
+    assert callers_in_src("search") == {"matching.enumerate_embeddings",
+                                        "rules.Rule.automorphisms"}
+    assert callers_in_src("_compile") == {"matching._plan"}
 
 
 def test_every_application_passes_the_derivation_memo():
