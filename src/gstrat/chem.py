@@ -3,7 +3,10 @@
 Molecules are written in a small SMILES subset: atoms C, O, N, H; bonds
 -, = and #; parenthesized branches; single-digit ring closures.  Parsing
 produces an explicit-hydrogen labeled graph, with hydrogens appended to
-fill each atom's valence (C=4, O=2, N=3, H=1, counting bond orders).
+fill each atom's valence (C=4, O=2, N=3, H=1, counting bond orders).  As
+in OpenSMILES, a branch holds an atom, a bond symbol is followed by an atom
+or a ring digit, the two ends of a ring bond agree on its symbol, and a
+ring closure does not repeat a bond; anything else is a ``MoleculeError``.
 """
 from __future__ import annotations
 
@@ -24,15 +27,17 @@ def parse_molecule(spec: str) -> Graph:
     vertices: list[tuple[int, str]] = []
     edges: list[tuple[int, int, str]] = []
     order_used: dict[int, int] = {}
+    bonded: set[tuple[int, int]] = set()
 
     def add_bond(u: int, v: int, bond: str) -> None:
+        bonded.add((min(u, v), max(u, v)))
         edges.append((u, v, bond))
         order_used[u] += BOND_ORDER[bond]
         order_used[v] += BOND_ORDER[bond]
 
     prev: int | None = None
     pending_bond: str | None = None
-    branch_stack: list[int | None] = []
+    branch_stack: list[tuple[int, int]] = []  # (parent atom, atoms before)
     ring_open: dict[str, tuple[int, str | None]] = {}
 
     i = 0
@@ -57,21 +62,31 @@ def parse_molecule(spec: str) -> Graph:
                 raise MoleculeError(f"ring closure digit before any atom at position {i}")
             if c in ring_open:
                 other, open_bond = ring_open.pop(c)
+                if pending_bond and open_bond and pending_bond != open_bond:
+                    raise MoleculeError(f"ring bond {c} at position {i} closes with "
+                                        f"{pending_bond!r} but opened with {open_bond!r}")
                 bond = pending_bond or open_bond or "-"
                 if other == prev:
                     raise MoleculeError(f"ring bond {c} closes onto the same atom")
+                if (min(other, prev), max(other, prev)) in bonded:
+                    raise MoleculeError(f"ring bond {c} at position {i} repeats the "
+                                        f"bond between atoms {other} and {prev}")
                 add_bond(other, prev, bond)
             else:
                 ring_open[c] = (prev, pending_bond)
             pending_bond = None
+        elif c in "()" and pending_bond is not None:
+            raise MoleculeError(f"dangling bond symbol before {c!r} at position {i}")
         elif c == "(":
             if prev is None:
                 raise MoleculeError("branch before any atom")
-            branch_stack.append(prev)
+            branch_stack.append((prev, len(vertices)))
         elif c == ")":
             if not branch_stack:
                 raise MoleculeError(f"unmatched ')' at position {i}")
-            prev = branch_stack.pop()
+            prev, before = branch_stack.pop()
+            if len(vertices) == before:
+                raise MoleculeError(f"empty branch closed at position {i}")
         else:
             raise MoleculeError(f"unsupported token {c!r} at position {i}")
         i += 1

@@ -12,12 +12,12 @@ vertex colouring until it is stable; while some colour class is not a
 *symmetric cell* (one whose every permutation is an automorphism), branch on
 individualising each of its members; each leaf orders the vertices, and the
 smallest resulting relabelled graph is the certificate.  Automorphisms found
-when two leaves agree prune the sibling branches they relate.  The labelling
-keeps those generators and the symmetric cells of the stable partition, and
-``GraphRepository`` keeps them per class as a ``HostSymmetry``.  Together
-with the swaps of twin leaves, it keys vertex tuples so that equal keys
-imply an automorphism between them; rule application uses the key to apply
-one match per host orbit.
+when two leaves agree prune the sibling branches they relate.  The labelled
+graph keeps those generators and the symmetric cells of the stable
+partition, and ``Graph.orbit_key`` keys vertex tuples by them and by the
+swaps of twin leaves, so that equal keys imply an automorphism between
+them; rule application keys its matches in the stored graphs to apply one
+match per host orbit.
 
 Before labelling, each degree-1 vertex hanging off a vertex of degree 2 or
 more is folded into that neighbour's starting colour, as hydrogen-suppressed
@@ -38,7 +38,7 @@ back, without labelling either: the identity maps it onto the stored graph.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Set
 
 from gstrat import lex
 from gstrat.lex import TokenStream
@@ -259,9 +259,16 @@ def _canonical_order(adj: Adjacency, cells: list[list[int]],
     return (*best, generators)
 
 
+# The symmetry record of every graph whose labelling found no automorphism:
+# one shared, read-only copy keeps labelled graphs small.
+_RIGID: tuple = ((), (), {}, frozenset())
+
+
 class Graph:
     """Immutable simple undirected graph with string vertex and edge labels;
-    neighbour dicts ascend by id, and stored graphs may share unchanged ones."""
+    neighbour dicts ascend by id, and stored graphs may share unchanged ones.
+    Labelling (``canonical_form``, on first use) also records the
+    automorphisms it found, which ``orbit_key`` reads."""
 
     __slots__ = ("_labels", "_adj", "_edge_count", "_connected", "_canon",
                  "_symmetry")
@@ -298,7 +305,13 @@ class Graph:
         self._adj = _adj
         self._edge_count = sum(map(len, _adj.values())) // 2
         self._canon: tuple[tuple, tuple[int, ...]] | None = None
-        self._symmetry: tuple[tuple[dict[int, int], ...], tuple] | None = None
+        # Set by canonical_form, the automorphisms the labelling found (with
+        # leaves following their parents; they need not generate all):
+        # (generators, as the core vertices each moves -> their images;
+        # symmetric cells, ascending; each cell member's cell; the core
+        # vertices a generator or a cell moves).
+        self._symmetry: tuple[tuple[dict[int, int], ...], tuple[tuple[int, ...], ...],
+                              dict[int, int], Set[int]] | None = None
 
     @property
     def vertex_count(self) -> int:
@@ -409,22 +422,95 @@ class Graph:
             certificate = (tuple((key, len(by_key[key])) for key in keys),
                            tuple(edge_labels), codes)
             self._canon = (certificate, tuple(order))
-            self._symmetry = (
-                tuple({core[i]: core[j] for i, j in enumerate(gamma) if i != j}
-                      for gamma in generators),
-                tuple(tuple(core[i] for i in cell) for cell in cells
-                      if len(cell) > 1 and _is_symmetric(cell, adj)))
+            moves = tuple({core[i]: core[j] for i, j in enumerate(gamma) if i != j}
+                          for gamma in generators)
+            symmetric = tuple(tuple(core[i] for i in cell) for cell in cells
+                              if len(cell) > 1 and _is_symmetric(cell, adj))
+            cell_of = {v: c for c, cell in enumerate(symmetric) for v in cell}
+            moved = {v for move in moves for v in move}
+            moved.update(cell_of)
+            self._symmetry = (moves, symmetric, cell_of, moved) if moved else _RIGID
         return self._canon
 
-    def core_symmetry(self) -> tuple[tuple[dict[int, int], ...],
-                                     tuple[tuple[int, ...], ...]]:
-        """(generators, symmetric cells) that canonical labelling found for
-        the core: each generator as the core vertices it moves -> their
-        images, each cell as its members, ascending.  With the leaves
-        following their parents, both are automorphisms of the graph; they
-        need not generate all of them."""
-        self.canonical_form()
-        return self._symmetry
+    def _leaf_parent(self, v: int) -> int | None:
+        """The neighbour of v when v is a leaf in the sense of canonical_form."""
+        nbrs = self._adj[v]
+        if len(nbrs) == 1:
+            (p,) = nbrs
+            if len(self._adj[p]) > 1:
+                return p
+        return None
+
+    def _twins(self, leaf: int, parent: int, at: int) -> list[int]:
+        """The leaves of at with the edge label and label of leaf (a leaf
+        of parent), ascending."""
+        el, label = self._adj[leaf][parent], self._labels[leaf]
+        return [u for u, e in self._adj[at].items()
+                if e == el and len(self._adj[u]) == 1 and self._labels[u] == label]
+
+    def moves_any(self, vertices: Iterable[int]) -> bool:
+        """Can a known automorphism move one of these vertices?  When none
+        can, a tuple of them is its own ``orbit_key``."""
+        if self._symmetry is None:
+            self.canonical_form()
+        moved = self._symmetry[3]
+        for v in vertices:
+            if v in moved:
+                return True
+            p = self._leaf_parent(v)
+            if p is not None and (p in moved or len(self._twins(v, p, p)) > 1):
+                return True
+        return False
+
+    def orbit_key(self, vertices: Sequence[int]) -> tuple[int, ...]:
+        """A key of an injective vertex tuple under the known automorphisms:
+        those the labelling recorded, and the swaps of twin leaves (leaves
+        of one parent with the same edge label and label), which are
+        recognised from degrees.
+
+        The least of the canonical images of the tuple and of its images
+        under each generator.  The canonical image renames, in order of
+        first appearance, the members of each symmetric cell to the cell's
+        members in ascending order, and each leaf to the leaves of its
+        group at its parent's new name; a parent is named when its leaf is,
+        if not before.  Each step is an automorphism, so equal keys imply
+        one that maps one tuple onto the other; the converse may fail.
+        A tuple that ``moves_any`` says no known automorphism moves is its
+        own key.
+        """
+        if not self.moves_any(vertices):
+            return tuple(vertices)
+        return min(self._canonical(vertices, perm)
+                   for perm in ({}, *self._symmetry[0]))
+
+    def _canonical(self, vertices: Sequence[int], perm: Mapping[int, int]
+                   ) -> tuple[int, ...]:
+        _, cells, cell_of, _ = self._symmetry
+        names: dict[int, int] = {}         # core vertex (after perm) -> name
+        cells_taken: dict[int, int] = {}   # per cell: members named so far
+        leaves_taken: dict[int, int] = {}  # per leaf group, by first leaf
+        out = []
+        for v in vertices:
+            p = self._leaf_parent(v)
+            core = v if p is None else p
+            core = perm.get(core, core)
+            name = names.get(core)
+            if name is None:
+                name = core
+                c = cell_of.get(core)
+                if c is not None:
+                    k = cells_taken.get(c, 0)
+                    cells_taken[c] = k + 1
+                    name = cells[c][k]
+                names[core] = name
+            if p is None:
+                out.append(name)
+                continue
+            group = self._twins(v, p, name)
+            k = leaves_taken.get(group[0], 0)
+            leaves_taken[group[0]] = k + 1
+            out.append(group[k])
+        return tuple(out)
 
     @property
     def is_connected(self) -> bool:
@@ -478,102 +564,6 @@ def isomorphic(g: Graph, h: Graph) -> bool:
     return g.canonical_form()[0] == h.canonical_form()[0]
 
 
-def _leaf_parent(g: Graph, v: int) -> int | None:
-    """The neighbour of v when v is a leaf in the sense of canonical_form."""
-    nbrs = g.neighbors(v)
-    if len(nbrs) == 1:
-        (p,) = nbrs
-        if g.degree(p) > 1:
-            return p
-    return None
-
-
-class HostSymmetry:
-    """Automorphisms of one stored graph that are known without a search,
-    for keying vertex tuples up to them: the ``core_symmetry`` of its own
-    labelling, and the swaps of twin leaves (leaves of one parent with the
-    same edge label and label), which are recognised from degrees.  Each
-    of ``generators`` maps the core vertices it moves to their images
-    (every other vertex, leaves included, is fixed); ``moved`` holds the
-    core vertices a generator or a cell moves.
-    """
-
-    __slots__ = ("graph", "generators", "cells", "_cell_of", "moved")
-
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self.generators, self.cells = graph.core_symmetry()
-        self._cell_of = {v: c for c, cell in enumerate(self.cells) for v in cell}
-        self.moved = {v for move in self.generators for v in move}
-        self.moved.update(self._cell_of)
-
-    def _twins(self, leaf: int, parent: int, at: int) -> list[int]:
-        """The leaves of at with the edge label and label of leaf (a leaf
-        of parent), ascending."""
-        g = self.graph
-        el, label = g.edge_label(leaf, parent), g.label(leaf)
-        return [u for u, e in g.neighbors(at).items()
-                if e == el and g.degree(u) == 1 and g.label(u) == label]
-
-    def moves_any(self, vertices: Iterable[int]) -> bool:
-        """Can a known automorphism move one of these vertices?  When none
-        can, a tuple of them is its own ``orbit_key``."""
-        for v in vertices:
-            if v in self.moved:
-                return True
-            p = _leaf_parent(self.graph, v)
-            if p is not None and (p in self.moved
-                                  or len(self._twins(v, p, p)) > 1):
-                return True
-        return False
-
-    def orbit_key(self, vertices: Sequence[int]) -> tuple[int, ...]:
-        """A key of an injective vertex tuple under the known automorphisms.
-
-        The least of the canonical images of the tuple and of its images
-        under each generator.  The canonical image renames, in order of
-        first appearance, the members of each symmetric cell to the cell's
-        members in ascending order, and each leaf to the leaves of its
-        group at its parent's new name; a parent is named when its leaf is,
-        if not before.  Each step is an automorphism, so equal keys imply
-        one that maps one tuple onto the other; the converse may fail.
-        A tuple that ``moves_any`` says no known automorphism moves is its
-        own key.
-        """
-        if not self.moves_any(vertices):
-            return tuple(vertices)
-        return min(self._canonical(vertices, perm)
-                   for perm in ({}, *self.generators))
-
-    def _canonical(self, vertices: Sequence[int], perm: Mapping[int, int]
-                   ) -> tuple[int, ...]:
-        names: dict[int, int] = {}         # core vertex (after perm) -> name
-        cells_taken: dict[int, int] = {}   # per cell: members named so far
-        leaves_taken: dict[int, int] = {}  # per leaf group, by first leaf
-        out = []
-        for v in vertices:
-            p = _leaf_parent(self.graph, v)
-            core = v if p is None else p
-            core = perm.get(core, core)
-            name = names.get(core)
-            if name is None:
-                name = core
-                c = self._cell_of.get(core)
-                if c is not None:
-                    k = cells_taken.get(c, 0)
-                    cells_taken[c] = k + 1
-                    name = self.cells[c][k]
-                names[core] = name
-            if p is None:
-                out.append(name)
-                continue
-            group = self._twins(v, p, name)
-            k = leaves_taken.get(group[0], 0)
-            leaves_taken[group[0]] = k + 1
-            out.append(group[k])
-        return tuple(out)
-
-
 class GraphRepository:
     """Interning store mapping isomorphism classes to dense integer ids.
 
@@ -584,8 +574,8 @@ class GraphRepository:
     and no two stored ids are isomorphic.  A graph whose content equals a
     stored graph's is found without the canonical form, by a cheap key of
     labels and degrees and a dict comparison.  A stored graph is the graph
-    that was labelled, so it keeps its class's canonical order and core
-    symmetry itself; its ``HostSymmetry`` reads them from it.
+    that was labelled, so it keeps its class's canonical order and known
+    automorphisms itself, and its ``orbit_key`` is the class's host key.
     """
 
     def __init__(self) -> None:
@@ -593,7 +583,6 @@ class GraphRepository:
         self._by_cert: dict[tuple, int] = {}
         # Per ``_layout`` key: the ids whose stored graph has it.
         self._by_layout: dict[tuple, list[int]] = {}
-        self._symmetries: list[HostSymmetry] = []
         self._names: dict[int, str] = {}
 
     def __len__(self) -> int:
@@ -649,13 +638,7 @@ class GraphRepository:
         self._graphs.append(g)
         self._by_cert[certificate] = gid
         self._by_layout.setdefault(layout, []).append(gid)
-        self._symmetries.append(HostSymmetry(g))
         return gid, True, {v: v for v in range(len(g._labels))}
-
-    def symmetry(self, gid: int) -> HostSymmetry:
-        """The known automorphisms of a stored class: those its labelling
-        found, if any, and the swaps of its twin leaves."""
-        return self._symmetries[gid]
 
     def find(self, g: Graph) -> int | None:
         """Id of the stored graph isomorphic to g, if any (no interning)."""

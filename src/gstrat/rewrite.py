@@ -32,10 +32,9 @@ with one left component, the embedding search itself keeps one match per
 rule orbit (``Rule.search_plans``), so the cache holds and the binding loop
 sees only those; ``bind_graph`` expands them back to every morphism.  Each
 complete match gets one key, ``_orbit_key``; the host automorphisms it
-uses are those the canonical labelling of each stored class already found
-(``GraphRepository.symmetry``), so no extra search is run.  Complete
-matches share their copies, so each copy's part of the key is computed
-once per call.
+uses are those the canonical labelling of each stored graph already found
+(``Graph.orbit_key``), so no extra search is run.  Complete matches share
+their copies, so each copy's part of the key is computed once per call.
 
 A (rule, match) is applied once per ``MatchCache`` while its derivation
 is held: the result is fixed by the match and the repository, which only
@@ -546,8 +545,8 @@ def _complete_matches(rule: Rule, universe: Sequence[int],
 def _orbit_key(partial: PartialRule, automorphisms: Sequence[dict[int, int]],
                repo: GraphRepository, memo: dict[tuple[int, int], tuple]) -> tuple:
     """The least, over rule automorphisms sigma, of the sorted copies
-    (graph id, sigma-renamed rule vertices, the ``HostSymmetry.orbit_key``
-    of their images in that graph's class).
+    (graph id, sigma-renamed rule vertices, the ``Graph.orbit_key`` of
+    their images in that stored graph).
 
     memo maps (id of a copy's map, index of sigma) to the copy's key, so
     complete matches that share a copy compute its key once: the
@@ -572,7 +571,7 @@ def _orbit_key(partial: PartialRule, automorphisms: Sequence[dict[int, int]],
             if key is None:
                 rvs, images = zip(*sorted((sigma[rv], sv) for rv, sv in vmap.items()))
                 key = memo[id(vmap), s] = (
-                    gid, rvs, repo.symmetry(gid).orbit_key(images))
+                    gid, rvs, repo.graph(gid).orbit_key(images))
             copies.append(key)
         copies.sort()
         keys.append(tuple(copies))
@@ -606,7 +605,7 @@ def iter_proper_derivations(
 
     Each complete match gets one ``_orbit_key`` and is skipped when an
     earlier match of this call had the same one.  A copy's images enter
-    the key as their ``HostSymmetry.orbit_key``, which is the images
+    the key as their stored graph's ``orbit_key``, which is the images
     themselves when no known host automorphism moves one of them.  For
     this call, each copy's key under each rule automorphism is memoised by
     the id of its map.  The key is the least, over rule automorphisms, of an

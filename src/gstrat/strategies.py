@@ -146,13 +146,7 @@ class Strategy:
 
 
 def _ordered_union(base: SequenceOf[int], extra: SequenceOf[int]) -> tuple[int, ...]:
-    seen = set(base)
-    out = list(base)
-    for gid in extra:
-        if gid not in seen:
-            seen.add(gid)
-            out.append(gid)
-    return tuple(out)
+    return tuple(dict.fromkeys((*base, *extra)))
 
 
 class RuleApplication(Strategy):

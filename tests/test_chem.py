@@ -1,8 +1,11 @@
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gstrat.chem import MoleculeError, diels_alder_rule, parse_molecule
+from gstrat.chem import (BOND_ORDER, VALENCE, MoleculeError, diels_alder_rule,
+                         parse_molecule)
 from gstrat.graphs import GraphRepository, isomorphic
 from gstrat.rewrite import enumerate_proper_derivations
 
@@ -60,6 +63,28 @@ class TestParseMolecule:
         with pytest.raises(MoleculeError):
             parse_molecule("")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("C1C1", "ring bond 1 at position 3 repeats the bond between atoms 0 and 1"),
+        ("OC1N1", "ring bond 1 at position 4 repeats the bond between atoms 1 and 2"),
+        ("C12CC12", "ring bond 2 at position 6 repeats the bond between atoms 0 and 2"),
+        ("C()C", "empty branch closed at position 2"),
+        ("C(=)C", "dangling bond symbol before ')' at position 3"),
+        ("C=(C)C", "dangling bond symbol before '(' at position 2"),
+        ("C=1CC-1", "ring bond 1 at position 6 closes with '-' but opened with '='"),
+    ])
+    def test_malformed_is_located(self, spec, message):
+        # A ring closure may not repeat a bond, a branch holds an atom, a
+        # bond symbol is followed by an atom or a ring digit, and the two
+        # ends of a ring bond agree on its symbol.
+        with pytest.raises(MoleculeError) as info:
+            parse_molecule(spec)
+        assert str(info.value) == message
+
+    def test_ring_bond_symbol_may_be_repeated(self):
+        for spec in ("C=1CC=1", "C=1CC1", "C1CC=1"):
+            g = parse_molecule(spec)
+            assert sum(1 for e in g.edges() if e[2] == "=") == 1
+
     def test_non_ascii_ring_digit_rejected(self):
         # str.isdigit() accepts these; they must not close a ring like "1".
         for spec in ("C\u00b2CC\u00b2", "C\u0663CC\u0663"):
@@ -67,13 +92,27 @@ class TestParseMolecule:
                 parse_molecule(spec)
 
     def test_valence_exactness(self):
-        from gstrat.chem import BOND_ORDER, VALENCE
-
         for spec in ("CC(=C)C=C", "C1=CC=CCC1", "O", "C#N", "N", "CO"):
+            assert_valence(parse_molecule(spec))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(alphabet="CONH-=#()0123456789", max_size=8))
+    @example("C1C1")
+    @example("OC1N1")
+    def test_reads_a_molecule_or_raises_molecule_error(self, spec):
+        # No other exception escapes the reader: a string it accepts is a
+        # graph whose every atom meets its valence.
+        try:
             g = parse_molecule(spec)
-            for v, label in g.vertices():
-                used = sum(BOND_ORDER[el] for el in g.neighbors(v).values())
-                assert used == VALENCE[label]
+        except MoleculeError:
+            return
+        assert_valence(g)
+
+
+def assert_valence(g):
+    for v, label in g.vertices():
+        used = sum(BOND_ORDER[el] for el in g.neighbors(v).values())
+        assert used == VALENCE[label]
 
 
 class TestDielsAlderRule:

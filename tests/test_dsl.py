@@ -213,6 +213,8 @@ LOAD_ERRORS = [
      "3:10: duplicate strategy name 's'"),
     ('graph h { v 0 "a"; v 1 "a"; }', "2:7: graph 'h' must be connected"),
     ('molecule m "C1CC"', "2:10: molecule m: unclosed ring bond(s): 1"),
+    ('molecule m "C1C1"',
+     "2:10: molecule m: ring bond 1 at position 3 repeats the bond between atoms 0 and 1"),
     ('include "main.gs"', "2:9: circular include of 'main.gs'"),
     ('include "nope.gs"', "2:9: cannot include 'nope.gs': No such file or directory"),
 ]

@@ -435,13 +435,13 @@ class TestHostSymmetry:
         for g in self.hosts(rng):
             repo = GraphRepository()
             gid, _ = repo.intern(g)
-            stored, symmetry = repo.graph(gid), repo.symmetry(gid)
+            stored = repo.graph(gid)
             automorphisms = brute_automorphisms(stored)
             by_key: dict[tuple, list[tuple]] = {}
             for k in (1, 2, 3):
                 for t in itertools.permutations(stored.vertex_ids(), k):
-                    key = symmetry.orbit_key(t)
-                    if not symmetry.moves_any(t):
+                    key = stored.orbit_key(t)
+                    if not stored.moves_any(t):
                         assert key == t
                     by_key.setdefault(key, []).append(t)
             for first, *others in by_key.values():
@@ -455,18 +455,35 @@ class TestHostSymmetry:
         repo = GraphRepository()
         iso, _ = repo.intern(parse_molecule("CC(=C)C=C"))
         chx, _ = repo.intern(parse_molecule("C1=CC=CCC1"))
-        # Isoprene's core is rigid: only its twin hydrogens can move.
-        symmetry = repo.symmetry(iso)
-        assert symmetry is repo.symmetry(iso)
-        assert not symmetry.generators and not symmetry.cells
+        # Interning labelled each stored graph, which keeps what it found;
+        # keys read it and never record it again.
         g = repo.graph(iso)
+        symmetry = g._symmetry
+        assert symmetry is not None and repo.graph(iso) is g
+        # Isoprene's core is rigid: only its twin hydrogens can move.
+        generators, cells, cell_of, moved = symmetry
+        assert not generators and not cells and not cell_of and not moved
         carbons = [v for v in g.vertex_ids() if g.label(v) == "C"]
         hydrogens = [v for v in g.vertex_ids() if g.label(v) == "H"]
-        assert not symmetry.moves_any(carbons)
-        assert symmetry.moves_any(hydrogens)
+        assert not g.moves_any(carbons)
+        assert g.moves_any(hydrogens)
+        assert g.orbit_key(carbons) == tuple(carbons)
+        assert g.orbit_key(hydrogens[::-1]) != tuple(hydrogens[::-1])
+        assert g._symmetry is symmetry
         # Cyclohexadiene's mirror is found, and kept.
-        assert repo.symmetry(chx) is repo.symmetry(chx)
-        assert repo.symmetry(chx).generators
+        h = repo.graph(chx)
+        symmetry = h._symmetry
+        assert symmetry[0]
+        assert {v for move in symmetry[0] for v in move} <= symmetry[3]
+        carbons = [v for v in h.vertex_ids() if h.label(v) == "C"]
+        assert h.moves_any(carbons[:1])
+        assert h._symmetry is symmetry
+        # A graph that was never labelled labels itself for its first key.
+        fresh = parse_molecule("C1=CC=CCC1")
+        assert fresh._symmetry is None
+        keys = [h.orbit_key(t) for t in itertools.permutations(carbons, 2)]
+        assert [fresh.orbit_key(t) for t in itertools.permutations(carbons, 2)] == keys
+        assert fresh._symmetry == symmetry
 
 
 class TestIsomorphic:
@@ -626,8 +643,8 @@ class TestInternProperties:
     @given(connected_graphs(), st.data())
     def test_sparse_ids_intern_as_the_renumbered_copy(self, g, data):
         """A graph whose ids are not 0..n-1 is stored as its renumbered
-        copy, the graph that is labelled: the class's host symmetry and
-        its answers to later interns read that graph's own labelling."""
+        copy, the graph that is labelled: the class's host keys and its
+        answers to later interns read that graph's own labelling."""
         n = g.vertex_count
         sparse = relabelled(g, data.draw(st.lists(
             st.integers(1, 3 * n), min_size=n, max_size=n, unique=True)))
@@ -636,9 +653,14 @@ class TestInternProperties:
         stored = repo.graph(gid)
         assert new and stored.vertex_ids() == list(range(n))
         assert_maps_onto(sparse, into, stored)
-        symmetry = repo.symmetry(gid)
-        assert symmetry.graph is stored
-        assert (symmetry.generators, symmetry.cells) == stored.core_symmetry()
+        # Interning labelled the stored copy, not the graph it was given,
+        # and what it recorded is what a fresh labelling of that content
+        # finds.
+        assert sparse._symmetry is None
+        assert stored._canon is not None and stored._symmetry is not None
+        fresh = content_copy(stored)
+        fresh.canonical_form()
+        assert stored._symmetry == fresh._symmetry
         copy = relabelled(g, list(data.draw(st.permutations(range(50, 50 + n)))))
         answer = repo.intern_mapped(copy)
         assert answer == certificate_route(repo, copy)
@@ -648,7 +670,7 @@ class TestInternProperties:
     @given(connected_graphs(), st.randoms(use_true_random=False))
     def test_labelling_ignores_build_order(self, g, rng):
         """The same content built in another vertex, edge and endpoint order
-        gets the same canonical form and core symmetry.
+        gets the same canonical form and records the same automorphisms.
 
         ``GraphRepository.intern_mapped`` relies on this when it answers a
         graph equal to a stored one from the stored graph's own labelling.
@@ -660,7 +682,7 @@ class TestInternProperties:
         rng.shuffle(edges)
         copy = Graph(vertices, edges)
         assert copy.canonical_form() == g.canonical_form()
-        assert copy.core_symmetry() == g.core_symmetry()
+        assert copy._symmetry == g._symmetry
 
 
 def content_copy(g: Graph, vertex_order=None, edge_order=None) -> Graph:

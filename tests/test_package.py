@@ -110,6 +110,21 @@ def test_only_apply_at_builds_from_a_layout():
     assert scopes_in_src(passes_adj) == {"rewrite.apply_at"}
 
 
+def assignment_targets(node):
+    """The targets of an assignment or delete statement, with the elements
+    of tuple and list targets; nothing for any other node."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        found = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        found = [node.target]
+    else:
+        return []
+    for t in found:
+        if isinstance(t, (ast.Tuple, ast.List)):
+            found += t.elts
+    return found
+
+
 def adjacency_writes(function):
     """The containers of the subscript stores and deletes in a function
     (nested ones included) that may write into a graph's neighbour dict: a
@@ -121,28 +136,16 @@ def adjacency_writes(function):
         return any(getattr(n, "attr", None) in ("_adj", "neighbors")
                    for n in ast.walk(expr))
 
-    def targets(node):
-        if isinstance(node, (ast.Assign, ast.Delete)):
-            found = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            found = [node.target]
-        else:
-            return []
-        for t in found:
-            if isinstance(t, (ast.Tuple, ast.List)):
-                found += t.elts
-        return found
-
     nodes = list(ast.walk(function))
     assigned = [(n.value, t.id) for n in nodes
                 if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign))
                 and n.value is not None
-                for t in targets(n) if isinstance(t, ast.Name)]
+                for t in assignment_targets(n) if isinstance(t, ast.Name)]
     bound = {name for value, name in assigned if reads_adjacency(value)}
     bound |= {name for value, name in assigned if isinstance(value, ast.Subscript)
               and getattr(value.value, "id", None) in bound}
     for n in nodes:
-        for t in targets(n):
+        for t in assignment_targets(n):
             if not isinstance(t, ast.Subscript):
                 continue
             c = t.value
@@ -177,11 +180,19 @@ def test_script_errors_are_built_in_one_place():
 
 
 def test_a_class_symmetry_has_one_owner():
-    # A class's known automorphisms are read from its stored graph's own
-    # labelling when the class is stored, and every host key is that
-    # HostSymmetry's orbit_key, asked for by the match key alone.
-    assert callers_in_src("HostSymmetry") == {
-        "graphs.GraphRepository._intern_dense"}
+    # A class's known automorphisms are those its stored graph's labelling
+    # recorded: a graph starts with none, only canonical_form records them,
+    # and every host key is the stored graph's orbit_key, asked for by the
+    # match key alone.
+    def writes_symmetry(none):
+        def matches(node):
+            value = getattr(node, "value", None)
+            is_none = isinstance(value, ast.Constant) and value.value is None
+            return is_none == none and any(getattr(t, "attr", None) == "_symmetry"
+                                           for t in assignment_targets(node))
+        return matches
+    assert scopes_in_src(writes_symmetry(True)) == {"graphs.Graph.__init__"}
+    assert scopes_in_src(writes_symmetry(False)) == {"graphs.Graph.canonical_form"}
     assert callers_in_src("orbit_key") == {"rewrite._orbit_key"}
 
 

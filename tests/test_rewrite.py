@@ -450,11 +450,11 @@ def symmetric_host(rng):
 
 
 class NoHostSymmetry:
-    """Stands in for the repository in ``_orbit_key``: no class has a known
-    automorphism, so every tuple is its own host key and the key is the
-    rule-orbit key."""
+    """Stands in for the repository in ``_orbit_key``: no stored graph has a
+    known automorphism, so every tuple is its own host key and the key is
+    the rule-orbit key."""
 
-    def symmetry(self, gid):
+    def graph(self, gid):
         return self
 
     def orbit_key(self, images):
@@ -494,9 +494,9 @@ class TestHostOrbits:
 
     def test_each_copy_key_once_per_call(self, monkeypatch):
         # Complete matches share their copies.  Within one
-        # iter_proper_derivations call, the host symmetry of each (copy,
-        # rule automorphism) is asked for once, and a memoised key equals
-        # the key computed afresh.
+        # iter_proper_derivations call, the stored graph of each (copy,
+        # rule automorphism) is asked for its host key once, and a memoised
+        # key equals the key computed afresh.
         real = rewrite._orbit_key
         calls = []  # per memo: [memo, (id(map), sigma index) pairs, lookups]
 
@@ -508,9 +508,9 @@ class TestHostOrbits:
                             for s in range(len(automorphisms)))
 
             class Counted:
-                def symmetry(self, gid):
+                def graph(self, gid):
                     entry[2] += 1
-                    return repo.symmetry(gid)
+                    return repo.graph(gid)
             key = real(partial, automorphisms, Counted(), memo)
             assert key == real(partial, automorphisms, repo, {})
             return key
