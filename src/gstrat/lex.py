@@ -1,6 +1,7 @@
 """Shared tokenizer for the graph, rule and strategy-script text formats."""
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 NAME = "name"
@@ -9,11 +10,18 @@ STRING = "string"
 PUNCT = "punct"
 EOF = "eof"
 
-# Longest first so '->' wins over '-', '==' over '='.
-_PUNCTUATION = (
-    "->", "==", "!=", "<=", ">=",
-    "{", "}", "[", "]", "(", ")", ";", ",", "=", "<", ">",
-)
+# One group per token kind, tried in order: an int before a name, since \w
+# also matches digits; '->' and the two-character comparisons before their
+# first character.  "open" is a string that does not close: its valid body,
+# which ends at a bad escape, a newline or the end of the text.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n) | (?P<space>[^\S\n]+) | (?P<comment>\#[^\n]*)
+  | (?P<int>[0-9]+) | (?P<name>\w+)
+  | (?P<punct>->|[=!<>]=|[{}\[\]();,=<>])
+  | (?P<string>"(?:[^"\\\n]|\\["\\])*")
+  | (?P<open>"(?:[^"\\\n]|\\["\\])*)
+""", re.VERBOSE)
+_ESCAPE = re.compile(r"\\(.)")
 
 
 def locate(message: str, line: int, column: int, file: str = "") -> str:
@@ -44,91 +52,30 @@ class Token:
         return ParseError(message, self.line, self.column, self.file)
 
 
-def _is_digit(c: str) -> bool:
-    # ASCII only: str.isdigit() also accepts digits such as '²' that int()
-    # rejects.
-    return "0" <= c <= "9"
-
-
-def _is_name_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_name_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
-
-
 def tokenize(text: str, file: str = "") -> list[Token]:
     """The tokens of text; file, if given, leads every location in it."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            parts: list[str] = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise ParseError("unterminated string", start_line, start_col, file)
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n or text[i + 1] not in ('"', "\\"):
-                        raise ParseError("bad escape in string", line, col, file)
-                    parts.append(text[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                parts.append(c)
-                i += 1
-                col += 1
-            tokens.append(Token(STRING, "".join(parts), start_line, start_col, file))
-            continue
-        if _is_digit(c):
-            start_col = col
-            j = i
-            while j < n and _is_digit(text[j]):
-                j += 1
-            tokens.append(Token(INT, text[i:j], line, start_col, file))
-            col += j - i
-            i = j
-            continue
-        if _is_name_start(c):
-            start_col = col
-            j = i
-            while j < n and _is_name_char(text[j]):
-                j += 1
-            tokens.append(Token(NAME, text[i:j], line, start_col, file))
-            col += j - i
-            i = j
-            continue
-        for punct in _PUNCTUATION:
-            if text.startswith(punct, i):
-                tokens.append(Token(PUNCT, punct, line, col, file))
-                i += len(punct)
-                col += len(punct)
-                break
-        else:
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        kind = m.lastgroup if m else None
+        c = text[pos]
+        # \w also matches numerals such as '²' that may not start a name.
+        if kind is None or kind == NAME and not (c.isalpha() or c == "_"):
             raise ParseError(f"unexpected character {c!r}", line, col, file)
+        if kind == "open":
+            if text.startswith("\\", m.end()):
+                raise ParseError("bad escape in string", line, col + m.end() - pos, file)
+            raise ParseError("unterminated string", line, col, file)
+        if kind == STRING:
+            tokens.append(Token(STRING, _ESCAPE.sub(r"\1", m.group()[1:-1]), line, col, file))
+        elif kind in (INT, NAME, PUNCT):
+            tokens.append(Token(kind, m.group(), line, col, file))
+        if kind == "newline":
+            line, col = line + 1, 1
+        elif kind != "comment":  # so an EOF after a comment is at its '#'
+            col += m.end() - pos
+        pos = m.end()
     tokens.append(Token(EOF, "", line, col, file))
     return tokens
 

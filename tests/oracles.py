@@ -4,6 +4,8 @@ Everything here is deliberately naive and independent of the code under
 test: mostly exhaustive enumeration with no pruning.  ``search_isomorphism``
 is the exception, a pruned backtracking search that decides isomorphism
 without canonical certificates, for graphs too large to enumerate.
+``scan_tokens`` reads text one character at a time, the reference for the
+tokenizer's regular expression.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import random
 from collections import Counter
 
 from gstrat.graphs import Graph
+from gstrat.lex import EOF, INT, NAME, PUNCT, STRING, ParseError, Token
 
 
 def brute_embeddings(pattern: Graph, host: Graph) -> set[tuple[tuple[int, int], ...]]:
@@ -670,3 +673,100 @@ def json_export(sink, repo) -> str:
              for e in sink.edges]
     return json.dumps({"format": 1, "graphs": graphs, "edges": edges},
                       indent=2) + "\n"
+
+
+# Longest first so '->' wins over '-', '==' over '='.
+_PUNCTUATION = (
+    "->", "==", "!=", "<=", ">=",
+    "{", "}", "[", "]", "(", ")", ";", ",", "=", "<", ">",
+)
+
+
+def _is_digit(c: str) -> bool:
+    # ASCII only: str.isdigit() also accepts digits such as '²' that int()
+    # rejects.
+    return "0" <= c <= "9"
+
+
+def _is_name_start(c: str) -> bool:
+    return c.isalpha() or c == "_"
+
+
+def _is_name_char(c: str) -> bool:
+    return c.isalnum() or c == "_"
+
+
+def scan_tokens(text: str, file: str = "") -> list[Token]:
+    """The tokens of text, scanned one character at a time: the reference
+    for ``lex.tokenize``'s regular expression."""
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c.isspace():
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c == '"':
+            start_line, start_col = line, col
+            i += 1
+            col += 1
+            parts: list[str] = []
+            while True:
+                if i >= n or text[i] == "\n":
+                    raise ParseError("unterminated string", start_line, start_col, file)
+                c = text[i]
+                if c == '"':
+                    i += 1
+                    col += 1
+                    break
+                if c == "\\":
+                    if i + 1 >= n or text[i + 1] not in ('"', "\\"):
+                        raise ParseError("bad escape in string", line, col, file)
+                    parts.append(text[i + 1])
+                    i += 2
+                    col += 2
+                    continue
+                parts.append(c)
+                i += 1
+                col += 1
+            tokens.append(Token(STRING, "".join(parts), start_line, start_col, file))
+            continue
+        if _is_digit(c):
+            start_col = col
+            j = i
+            while j < n and _is_digit(text[j]):
+                j += 1
+            tokens.append(Token(INT, text[i:j], line, start_col, file))
+            col += j - i
+            i = j
+            continue
+        if _is_name_start(c):
+            start_col = col
+            j = i
+            while j < n and _is_name_char(text[j]):
+                j += 1
+            tokens.append(Token(NAME, text[i:j], line, start_col, file))
+            col += j - i
+            i = j
+            continue
+        for punct in _PUNCTUATION:
+            if text.startswith(punct, i):
+                tokens.append(Token(PUNCT, punct, line, col, file))
+                i += len(punct)
+                col += len(punct)
+                break
+        else:
+            raise ParseError(f"unexpected character {c!r}", line, col, file)
+    tokens.append(Token(EOF, "", line, col, file))
+    return tokens

@@ -71,14 +71,32 @@ class TestParseMolecule:
         ("C(=)C", "dangling bond symbol before ')' at position 3"),
         ("C=(C)C", "dangling bond symbol before '(' at position 2"),
         ("C=1CC-1", "ring bond 1 at position 6 closes with '-' but opened with '='"),
+        ("(C", "branch before any atom at position 0"),
+        ("C11", "ring bond 1 at position 2 closes onto the same atom"),
+        ("C(C", "unclosed branch opened at position 1"),
+        ("C(C(C", "unclosed branch opened at position 1"),
+        ("C=", "trailing bond symbol at position 1"),
+        ("O=C=O=C", "valence of O exceeded at position 4"),
+        ("C1CC", "unclosed ring bond 1 opened at position 1"),
+        ("C2C1C", "unclosed ring bond 2 opened at position 1"),
+        ("C(1CC1)", "'1' at position 2 comes before the branch's first atom"),
+        ("C(=1CC1)", "'1' at position 3 comes before the branch's first atom"),
+        ("C((C))", "'(' at position 2 comes before the branch's first atom"),
     ])
     def test_malformed_is_located(self, spec, message):
-        # A ring closure may not repeat a bond, a branch holds an atom, a
-        # bond symbol is followed by an atom or a ring digit, and the two
-        # ends of a ring bond agree on its symbol.
+        # A ring closure may not repeat a bond, a branch starts with an
+        # atom or with a bond symbol and an atom, a bond symbol is followed
+        # by an atom or a ring digit, and the two ends of a ring bond agree
+        # on its symbol.  Every fault names its position.
         with pytest.raises(MoleculeError) as info:
             parse_molecule(spec)
         assert str(info.value) == message
+
+    def test_ring_may_open_before_a_branch(self):
+        # Unlike C(1CC1), the ring here opens at the atom before the branch.
+        g = parse_molecule("C1(CC1)")
+        assert label_counts(g) == {"C": 3, "H": 6}
+        assert isomorphic(g, parse_molecule("C1CC1"))
 
     def test_ring_bond_symbol_may_be_repeated(self):
         for spec in ("C=1CC=1", "C=1CC1", "C1CC=1"):
@@ -99,12 +117,15 @@ class TestParseMolecule:
     @given(st.text(alphabet="CONH-=#()0123456789", max_size=8))
     @example("C1C1")
     @example("OC1N1")
+    @example("C(C")
     def test_reads_a_molecule_or_raises_molecule_error(self, spec):
         # No other exception escapes the reader: a string it accepts is a
-        # graph whose every atom meets its valence.
+        # graph whose every atom meets its valence, and every fault but an
+        # empty string names its position.
         try:
             g = parse_molecule(spec)
-        except MoleculeError:
+        except MoleculeError as err:
+            assert spec == "" or "position" in str(err)
             return
         assert_valence(g)
 

@@ -212,7 +212,7 @@ LOAD_ERRORS = [
     ("strategy s = takeSubset[1]\nstrategy s = takeSubset[2]",
      "3:10: duplicate strategy name 's'"),
     ('graph h { v 0 "a"; v 1 "a"; }', "2:7: graph 'h' must be connected"),
-    ('molecule m "C1CC"', "2:10: molecule m: unclosed ring bond(s): 1"),
+    ('molecule m "C1CC"', "2:10: molecule m: unclosed ring bond 1 opened at position 1"),
     ('molecule m "C1C1"',
      "2:10: molecule m: ring bond 1 at position 3 repeats the bond between atoms 0 and 1"),
     ('include "main.gs"', "2:9: circular include of 'main.gs'"),
@@ -471,7 +471,7 @@ INCLUDE_ERRORS = [
     ({"main.gs": 'include "lib5.gs"\n', "lib5.gs": 'graph g { v 0 "a"; v 1 "a"; }\n'},
      ScriptError, "lib5.gs:1:7: graph 'g' must be connected"),
     ({"main.gs": 'include "lib.gs"\n', "lib.gs": 'molecule m "C1CC"\n'},
-     ScriptError, "lib.gs:1:10: molecule m: unclosed ring bond(s): 1"),
+     ScriptError, "lib.gs:1:10: molecule m: unclosed ring bond 1 opened at position 1"),
     ({"main.gs": 'include "lib.gs"\n', "lib.gs": 'graph g { v 0 "a"; }\nmolecule g "C"\n'},
      ScriptError, "lib.gs:2:10: duplicate graph name 'g'"),
     ({"main.gs": 'rule r { context { v 0 "a"; } }\ninclude "lib.gs"\n',

@@ -8,6 +8,8 @@ from gstrat.graphs import parse_graph, parse_graphs
 from gstrat.lex import INT, ParseError, tokenize
 from gstrat.rules import parse_rules
 
+from .oracles import scan_tokens
+
 PARSERS = (parse_graph, parse_graphs, parse_rules, parse_level, parse_script)
 
 # Pieces of all five text formats, and characters that trip a lexer: a bad
@@ -137,6 +139,72 @@ class TestTokenize:
         with pytest.raises(ParseError, match="unexpected character") as err:
             parse_script("strategy main =\n  takeSubset[²]")
         assert (err.value.line, err.value.column) == (2, 14)
+
+
+# Characters on which a tokenizer's cases turn: quotes and escapes,
+# comments, line ends, Unicode whitespace (NEL, NBSP), non-ASCII digits and
+# numerals that \w matches but may not start a name ('²', '٣', 'Ⅻ', '½'),
+# and a letter outside ASCII ('一').
+LEX_ALPHABET = ('"\\#\r\n\x85\xa0 \t²٣Ⅻ½一ab_09'
+                "-=!<>{}[]();,.")
+
+
+def lexed(tokenizer, text):
+    """text's tokens as (kind, value, line, column), or its error as
+    (message, line, column)."""
+    try:
+        return [(t.kind, t.value, t.line, t.column) for t in tokenizer(text)]
+    except ParseError as err:
+        return (err.message, err.line, err.column)
+
+
+# Texts on which the tokenizer's rules meet, each with what it reads.
+LEXED = [
+    # EOF after a trailing comment stays at the comment's column.
+    ('v 0 "a"; # tail', [("name", "v", 1, 1), ("int", "0", 1, 3),
+                         ("string", "a", 1, 5), ("punct", ";", 1, 8),
+                         ("eof", "", 1, 10)]),
+    # Only \n starts a line; \r is one column.
+    ("a \r\n b\r c", [("name", "a", 1, 1), ("name", "b", 2, 2),
+                      ("name", "c", 2, 5), ("eof", "", 2, 6)]),
+    # Unicode whitespace (NEL, NBSP, ideographic space) is one column each.
+    ("a\x85b\xa0\u3000c", [("name", "a", 1, 1), ("name", "b", 1, 3),
+                           ("name", "c", 1, 6), ("eof", "", 1, 7)]),
+    # A name continues through any \w character.
+    ("x²y", [("name", "x²y", 1, 1), ("eof", "", 1, 4)]),
+    ("x²y 1٣", ("unexpected character '٣'", 1, 6)),
+    ("²x", ("unexpected character '²'", 1, 1)),
+    ("a ٣", ("unexpected character '٣'", 1, 3)),
+    ("Ⅻ", ("unexpected character 'Ⅻ'", 1, 1)),
+    ("12ab", [("int", "12", 1, 1), ("name", "ab", 1, 3), ("eof", "", 1, 5)]),
+    ('x "a\\"b\\\\"', [("name", "x", 1, 1), ("string", 'a"b\\', 1, 3),
+                       ("eof", "", 1, 11)]),
+    ('x "ab\\q"', ("bad escape in string", 1, 6)),
+    ('x "ab\\', ("bad escape in string", 1, 6)),
+    ('x "ab', ("unterminated string", 1, 3)),
+    ('x "a\\"', ("unterminated string", 1, 3)),
+    ('x "a\nb"', ("unterminated string", 1, 3)),
+    ("a->b<=>=!=", [("name", "a", 1, 1), ("punct", "->", 1, 2),
+                    ("name", "b", 1, 4), ("punct", "<=", 1, 5),
+                    ("punct", ">=", 1, 7), ("punct", "!=", 1, 9),
+                    ("eof", "", 1, 11)]),
+    ("a !b", ("unexpected character '!'", 1, 3)),
+    ("-1", ("unexpected character '-'", 1, 1)),
+]
+
+
+class TestTokenizeAgainstOracle:
+    @pytest.mark.parametrize("text, expected", LEXED)
+    def test_pinned_case(self, text, expected):
+        assert lexed(tokenize, text) == expected
+        assert lexed(scan_tokens, text) == expected
+
+    @settings(max_examples=2000, deadline=None)
+    @given(hs.text(alphabet=LEX_ALPHABET, max_size=30))
+    def test_equals_character_scanner(self, text):
+        # Every token, error message and location is the reference
+        # scanner's.
+        assert lexed(tokenize, text) == lexed(scan_tokens, text)
 
 
 class TestFormatErrors:

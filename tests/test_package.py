@@ -173,6 +173,22 @@ def test_no_stored_neighbour_dict_is_written():
                       ("rewrite.apply_at", "nbrs")}
 
 
+def test_private_names_cross_modules_only_where_listed():
+    # A private name that another module imports is part of its module's
+    # interface in all but name; these are the only ones.
+    src = Path(__file__).parent.parent / "src" / "gstrat"
+    imported = {(path.stem, (node.module or "").removeprefix("gstrat."), alias.name)
+                for path in sorted(src.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").startswith("gstrat."))
+                for alias in node.names if alias.name.startswith("_")}
+    assert imported == {("catalan", "graphs", "_parse_graph_body"),
+                        ("dsl", "graphs", "_parse_graph_body"),
+                        ("rules", "graphs", "_edge_key"),
+                        ("rules", "matching", "_plan")}
+
+
 def test_script_errors_are_built_in_one_place():
     # Every ScriptError leads with the location (and the included file) of
     # the name it is about, because _Compiler.error builds them all.
