@@ -76,9 +76,10 @@ def catalan_rules() -> tuple[Rule, ...]:
     return _RULES
 
 
-def _no_fail_vertex(gid: int, state, ctx) -> bool:
-    g = ctx.repo.graph(gid)
-    return all(label != "FAIL" for _, label in g.vertices())
+def _no_fail_vertex(ids: tuple[int, ...], ctx) -> bool:
+    """Filter predicate: the graph of the 1-tuple has no FAIL vertex."""
+    return all(label != "FAIL"
+               for _, label in ctx.repo.graph(ids[0]).vertices())
 
 
 def move_pipeline() -> Strategy:
@@ -227,9 +228,6 @@ def solve_level(level: Graph, ctx: EvalContext | None = None) -> Solution | None
     validate_level(level)
     if ctx is None:
         ctx = EvalContext()
-    if is_goal(level):
-        gid, _ = ctx.repo.intern(level)
-        return Solution([ctx.repo.graph(gid)])
     strat = catalan_strategy(level)
     strat.apply(EMPTY_STATE, ctx)
     repo = ctx.repo

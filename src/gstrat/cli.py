@@ -8,7 +8,7 @@ from gstrat import catalan
 from gstrat.dsl import RunReport, ScriptError, load_script, run_script, write_atomic
 from gstrat.graphs import serialize_graph
 from gstrat.lex import ParseError
-from gstrat.strategies import EvalContext, StrategyError
+from gstrat.strategies import DEFAULT_REPEAT_CAP, EvalContext, StrategyError
 
 EXIT_OK = 0
 EXIT_SCRIPT_ERROR = 1
@@ -30,6 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--stats", action="store_true",
                        help="print detailed run statistics")
     run_p.add_argument("--max-repeat", type=int, metavar="N",
+                       default=DEFAULT_REPEAT_CAP,
                        help="cap for unbounded repetition (default: 2^31-1)")
 
     cat_p = sub.add_parser("catalan", help="Catalan game commands")
@@ -42,11 +43,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.max_repeat is not None and args.max_repeat < 0:
+    if args.max_repeat < 0:
         raise ValueError(
             f"--max-repeat must not be negative, got {args.max_repeat}")
-    ctx = (EvalContext() if args.max_repeat is None
-           else EvalContext(max_repeat=args.max_repeat))
+    ctx = EvalContext(max_repeat=args.max_repeat)
     report: RunReport = run_script(load_script(args.script), dot_path=args.dot,
                                    json_path=args.json, ctx=ctx)
     print(report.summary())

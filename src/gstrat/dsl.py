@@ -410,8 +410,7 @@ _NAMES = _Form(
 #: Stem -> (argument forms, builder from the scope and the compiled
 #: arguments); each stem has a Subset and a Universe keyword.
 _SCOPED = {
-    "filter": ((_PRED,), lambda scope, pred: st.Filter(
-        scope, lambda gid, state, ctx: pred((gid,), ctx))),
+    "filter": ((_PRED,), st.Filter),
     "sort": ((_KEY,), lambda scope, key: st.Sort(scope, *key)),
     "take": ((_COUNT,), st.Take),
     "add": ((_NAMES,), st.Add),
@@ -425,9 +424,7 @@ TERMS = {
     "repeat": ((_BOUND, _BLOCK), lambda bound, inner: st.Repeat(inner, bound)),
     "revive": ((_BLOCK,), st.Revive),
     "altRuleApp": ((_BLOCK,), st.AltRuleApplication),
-    **{f"{side}Predicate": ((_PRED, _BLOCK), functools.partial(
-        lambda side, pred, inner: st.Predicate(
-            side, lambda rule, ids, ctx: pred(ids, ctx), inner), side))
+    **{f"{side}Predicate": ((_PRED, _BLOCK), functools.partial(st.Predicate, side))
        for side in ("left", "right")},
     **{stem + scope.capitalize(): (forms, functools.partial(build, scope))
        for stem, (forms, build) in _SCOPED.items()

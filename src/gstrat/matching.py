@@ -52,8 +52,6 @@ def _pattern_order(pattern: Graph) -> list[int]:
     lazily discarded stale entries finds it without rescanning every vertex.
     """
     ids = pattern.vertex_ids()
-    if not ids:
-        return []
     start = max(ids, key=lambda v: (pattern.degree(v), -v))
     anchored = dict.fromkeys(ids, 0)
     heap = [(0, -pattern.degree(v), v) for v in ids if v != start]
@@ -236,8 +234,10 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     or, given the pattern's plan, the first of each orbit of them under the
     plan's symmetries.
 
-    The pattern must be connected and nonempty (``search_plan`` checks it
-    when it builds the plan, so a given plan is not checked again).
+    The pattern must be connected and nonempty; ``search_plan`` checks it
+    when it builds the plan.  Without a plan, each call builds and compiles
+    one, so a caller that searches one pattern many times builds its plan
+    once with ``search_plan``.
     Returns vertex maps (pattern id -> host id) in a deterministic order;
     empty list when nothing matches.
     """

@@ -8,7 +8,9 @@ revive, derivation predicates, filter/sort/take/add and the alternate
 application mode.  As in the script language, filter/sort/take/add act on
 the list named by their ``scope`` ("subset" or "universe"), a derivation
 predicate on its ``side`` ("left" or "right"), and each label starts with
-the script keyword.  An unbounded repeat stops at ``EvalContext.max_repeat``.
+the script keyword.  Every predicate is a ``GraphPredicate`` of graph ids
+with multiplicity: a derivation's inputs or outputs, or the 1-tuple of a
+filtered graph.  An unbounded repeat stops at ``EvalContext.max_repeat``.
 """
 from __future__ import annotations
 
@@ -23,10 +25,8 @@ from gstrat.rules import Rule
 
 DEFAULT_REPEAT_CAP = 2**31 - 1
 
-#: Predicate over one derivation side: (rule, graph ids with multiplicity, ctx).
-DerivationPredicate = Callable[[Rule, tuple[int, ...], "EvalContext"], bool]
-#: Predicate for filters: (graph id, state, ctx).
-GraphPredicate = Callable[[int, "GraphState", "EvalContext"], bool]
+#: Predicate over graph ids with multiplicity: (ids, ctx).
+GraphPredicate = Callable[[tuple[int, ...], "EvalContext"], bool]
 #: Sort key for sort strategies: (graph id, ctx) -> comparable.
 SortKey = Callable[[int, "EvalContext"], object]
 
@@ -80,11 +80,12 @@ class EvalContext:
         self.cache = MatchCache()
         self.stats = RunStats()
         self.alt_mode = False
-        self.left_predicates: list[DerivationPredicate] = []
-        self.right_predicates: list[DerivationPredicate] = []
+        self.left_predicates: list[GraphPredicate] = []
+        self.right_predicates: list[GraphPredicate] = []
         self.names: dict[str, int] = {}
         self.max_repeat = max_repeat
-        self._consumed_stack: list[set[int]] = [set()]
+        #: Inputs consumed since the innermost Revive began (it swaps sets).
+        self.consumed: set[int] = set()
         self._known: set[int] = set()
         self._path: list[str] = []
 
@@ -98,19 +99,6 @@ class EvalContext:
         if gid not in self._known:
             self._known.add(gid)
             self.stats.new_graphs += 1
-
-    # -- consumed tracking for revive ------------------------------------------
-
-    def push_consumed_frame(self) -> None:
-        self._consumed_stack.append(set())
-
-    def pop_consumed_frame(self) -> set[int]:
-        frame = self._consumed_stack.pop()
-        self._consumed_stack[-1] |= frame
-        return frame
-
-    def mark_consumed(self, gids: SequenceOf[int]) -> None:
-        self._consumed_stack[-1].update(gids)
 
     # -- error paths -----------------------------------------------------------
 
@@ -166,11 +154,9 @@ class RuleApplication(Strategy):
     def _apply(self, state: GraphState, ctx: EvalContext) -> GraphState:
         if not state.subset:
             return GraphState(state.universe, ())
-        left_preds = list(ctx.left_predicates)
-        left_filter = None
-        if left_preds:
-            def left_filter(inputs: tuple[int, ...]) -> bool:
-                return all(p(self.rule, inputs, ctx) for p in left_preds)
+        left_preds = tuple(ctx.left_predicates)
+        left_filter = ((lambda ids: all(p(ids, ctx) for p in left_preds))
+                       if left_preds else None)
         derivations = enumerate_proper_derivations(
             self.rule, state.universe, state.subset,
             repo=ctx.repo, cache=ctx.cache,
@@ -178,11 +164,10 @@ class RuleApplication(Strategy):
         universe_set = set(state.universe)
         derived: dict[int, None] = {}  # ordered set
         for d in derivations:
-            if not all(p(self.rule, d.outputs, ctx)
-                       for p in ctx.right_predicates):
+            if not all(p(d.outputs, ctx) for p in ctx.right_predicates):
                 continue
             ctx.sink.record(d)
-            ctx.mark_consumed(d.inputs)
+            ctx.consumed.update(d.inputs)
             derived.update(dict.fromkeys(d.outputs))
         for gid in derived:
             ctx.count_discovered(gid)
@@ -269,11 +254,13 @@ class Revive(Strategy):
         return "revive"
 
     def _apply(self, state: GraphState, ctx: EvalContext) -> GraphState:
-        ctx.push_consumed_frame()
+        outer, consumed = ctx.consumed, set()
+        ctx.consumed = consumed
         try:
             result = self.inner.apply(state, ctx)
         finally:
-            consumed = ctx.pop_consumed_frame()
+            ctx.consumed = outer
+            outer |= consumed
         universe_set = set(result.universe)
         revived = [g for g in state.subset
                    if g in universe_set and g not in consumed]
@@ -282,11 +269,10 @@ class Revive(Strategy):
 
 
 class Predicate(Strategy):
-    """Require every derivation found inside to satisfy P(rule, ids), where
+    """Require every derivation found inside to satisfy P(ids, ctx), where
     ids are the inputs for side "left" and the outputs for side "right"."""
 
-    def __init__(self, side: str, predicate: DerivationPredicate,
-                 inner: Strategy):
+    def __init__(self, side: str, predicate: GraphPredicate, inner: Strategy):
         self.side = _checked(side, ("left", "right"), "side")
         self.predicate = predicate
         self.inner = inner
@@ -325,7 +311,7 @@ class _OnOneList(Strategy):
 
 
 class Filter(_OnOneList):
-    """Keep the graphs of the scoped list that satisfy the predicate."""
+    """Keep the graphs g of the scoped list that satisfy P((g,), ctx)."""
 
     keyword = "filter"
 
@@ -335,7 +321,7 @@ class Filter(_OnOneList):
 
     def _apply(self, state: GraphState, ctx: EvalContext) -> GraphState:
         return self._replace(state, [g for g in getattr(state, self.scope)
-                                     if self.predicate(g, state, ctx)])
+                                     if self.predicate((g,), ctx)])
 
 
 class Sort(_OnOneList):

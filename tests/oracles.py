@@ -5,7 +5,8 @@ test: mostly exhaustive enumeration with no pruning.  ``search_isomorphism``
 is the exception, a pruned backtracking search that decides isomorphism
 without canonical certificates, for graphs too large to enumerate.
 ``scan_tokens`` reads text one character at a time, the reference for the
-tokenizer's regular expression.
+tokenizer's regular expression.  ``run_strategy`` walks a strategy tree with
+an explicit stack of revive frames, the reference for ``strategies``.
 """
 from __future__ import annotations
 
@@ -603,6 +604,114 @@ def eval_int(expr, ids: tuple, ctx) -> int | None:
     if isinstance(expr, dsl.IntLit):
         return expr.value
     return INT_ATOMS[expr.word](expr.args, ids, ctx)
+
+
+def run_strategy(tree, seeds):
+    """Reference evaluator for ``strategies`` on a tree of tuples:
+    ("rule", rule), ("sequence", parts), ("parallel", branches),
+    ("repeat", k, inner), ("revive", inner), ("predicate", side, p, inner),
+    ("altRuleApp", inner) and ("filter", scope, p).  Each predicate p takes
+    (ids, run) and may read ``run.repo``.  The seed graphs are interned in
+    a fresh repository and make up both lists of the start state.
+
+    Revive keeps an explicit stack of consumed frames and predicates keep
+    one list per side, pushed and popped around the inner tree.  Returns
+    the final (universe, subset), the recorded hyperedges as (inputs, rule
+    name, outputs) with sorted multiplicities, and the new-graph count.
+    """
+    from types import SimpleNamespace
+
+    from gstrat.graphs import GraphRepository
+    from gstrat.rewrite import enumerate_proper_derivations
+
+    run = SimpleNamespace(repo=GraphRepository(), known=set(), new_graphs=0,
+                          keys=set(), edges=[], frames=[set()], alt=False,
+                          predicates={"left": [], "right": []})
+
+    def union(*lists):
+        return list(dict.fromkeys(g for ids in lists for g in ids))
+
+    def multiset(ids):
+        return tuple(sorted(Counter(ids).items()))
+
+    def apply_rule(rule, universe, subset):
+        if not subset:
+            return universe, []
+        left = list(run.predicates["left"])
+        derived = []
+        for d in enumerate_proper_derivations(
+                rule, universe, subset, repo=run.repo,
+                left_filter=(lambda ids: all(p(ids, run) for p in left))
+                if left else None):
+            if not all(p(d.outputs, run) for p in run.predicates["right"]):
+                continue
+            if d.key not in run.keys:
+                run.keys.add(d.key)
+                run.edges.append((multiset(d.inputs), rule.name,
+                                  multiset(d.outputs)))
+            run.frames[-1].update(d.inputs)
+            derived = union(derived, d.outputs)
+        for g in derived:
+            if g not in run.known:
+                run.known.add(g)
+                run.new_graphs += 1
+        return (union(universe, derived),
+                derived if run.alt else [g for g in derived if g not in universe])
+
+    def evaluate(node, universe, subset):
+        kind, *args = node
+        if kind == "rule":
+            return apply_rule(args[0], universe, subset)
+        if kind == "sequence":
+            for part in args[0]:
+                universe, subset = evaluate(part, universe, subset)
+            return universe, subset
+        if kind == "parallel":
+            results = [evaluate(b, universe, subset) for b in args[0]]
+            return (union(*(u for u, _ in results)),
+                    union(*(s for _, s in results)))
+        if kind == "repeat":
+            bound, inner = args
+            previous = (universe, subset)
+            for _ in range(bound):
+                nxt = evaluate(inner, *previous)
+                if (set(nxt[0]), set(nxt[1])) == (set(previous[0]),
+                                                  set(previous[1])):
+                    return nxt
+                if not nxt[1]:
+                    return previous
+                previous = nxt
+            return previous
+        if kind == "revive":
+            run.frames.append(set())
+            result_universe, result_subset = evaluate(args[0], universe, subset)
+            frame = run.frames.pop()
+            run.frames[-1] |= frame
+            return result_universe, union(result_subset, [
+                g for g in subset if g in result_universe and g not in frame])
+        if kind == "predicate":
+            side, predicate, inner = args
+            run.predicates[side].append(predicate)
+            result = evaluate(inner, universe, subset)
+            run.predicates[side].pop()
+            return result
+        if kind == "altRuleApp":
+            saved, run.alt = run.alt, True
+            result = evaluate(args[0], universe, subset)
+            run.alt = saved
+            return result
+        if kind == "filter":
+            scope, predicate = args
+            if scope == "subset":
+                return universe, [g for g in subset if predicate((g,), run)]
+            kept = [g for g in universe if predicate((g,), run)]
+            return kept, [g for g in subset if g in kept]
+        raise ValueError(f"unknown strategy node {kind!r}")
+
+    start = union([run.repo.intern(g)[0] for g in seeds])
+    run.known.update(start)
+    universe, subset = evaluate(tree, start, start)
+    return (tuple(universe), tuple(subset)), run.edges, run.new_graphs
 
 
 def find_path(sink, source: int, target: int, free_inputs=(), edge_filter=None):

@@ -137,6 +137,15 @@ class TestCatalanSolve:
         assert "solved in 1 move(s)" in out
         assert dot.read_text().startswith("digraph")
 
+    def test_solve_level_that_is_the_goal(self, tmp_path, capsys):
+        level = tmp_path / "one.gl"
+        level.write_text('level one { v 0 "0"; }\n')
+        dot = tmp_path / "space.dot"
+        assert main(["catalan", "solve", str(level), "--dot", str(dot)]) == 0
+        assert capsys.readouterr().out == (
+            "solved in 0 move(s)\n# start\ngraph position0 {\n  v 0 \"0\";\n}\n")
+        assert dot.read_bytes() == b"digraph derivations {\n}\n"
+
     def test_solve_unsolvable(self, tmp_path, capsys):
         level = tmp_path / "c6.gl"
         level.write_text(serialize_level(cycle_graph(6), "c6"))

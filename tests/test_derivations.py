@@ -288,7 +288,7 @@ class TestFindPath:
         ctx = EvalContext()
         iso, _ = ctx.repo.intern(parse_molecule("CC(=C)C=C"))
         chx, _ = ctx.repo.intern(parse_molecule("C1=CC=CCC1"))
-        bimol = lambda rule, ids_, c: len(ids_) == 2
+        bimol = lambda ids_, c: len(ids_) == 2
         Sequence([
             Add("subset", (parse_molecule("CC(=C)C=C"),
                            parse_molecule("C1=CC=CCC1"))),

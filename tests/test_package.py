@@ -269,6 +269,17 @@ def test_no_dead_definitions_in_src():
     assert unreferenced == set(UNREFERENCED_DEFINITIONS)
 
 
+def test_script_predicates_reach_strategies_unwrapped():
+    # The DSL compiles every predicate to the strategy layer's one
+    # predicate shape, (ids, ctx) -> bool, so it passes them on as they are.
+    from gstrat import dsl
+    from gstrat import strategies as st
+
+    assert dsl._SCOPED["filter"][1] is st.Filter
+    for side in ("left", "right"):
+        assert dsl.TERMS[f"{side}Predicate"][1].func is st.Predicate
+
+
 def test_every_script_construct_is_documented():
     # Each keyword term, top-level item and predicate atom word must appear
     # in the README's script-language section, so that none ships

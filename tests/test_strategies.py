@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from gstrat.graphs import Graph, isomorphic
 from gstrat.strategies import (Add, AltRuleApplication, EMPTY_STATE,
@@ -6,7 +8,7 @@ from gstrat.strategies import (Add, AltRuleApplication, EMPTY_STATE,
                                Predicate, Repeat, RuleApplication, Revive,
                                Sequence, Sort, StrategyError, Take)
 
-from .oracles import signature
+from .oracles import run_strategy, signature
 from .test_rules import relabel_rule
 
 
@@ -203,11 +205,133 @@ class TestRevive:
         assert isomorphic(ctx.repo.graph(second.subset[1]), g3())
 
 
+class TestScoping:
+    def test_nested_revive_keeps_inner_consumption(self):
+        # The inner rule consumes both seeds; the outer revive must not
+        # bring them back either.
+        ctx = EvalContext()
+        state = seeded_state(ctx)
+        outer = ctx.consumed
+        result = Revive(Revive(RuleApplication(relabel_rule()))).apply(state, ctx)
+        assert_class_set(ctx, result.subset, [g3(), g4()])
+        assert not set(result.subset) & set(state.subset)
+        assert ctx.consumed is outer
+        assert outer == set(state.subset)
+
+    def test_nested_revive_brings_back_unconsumed(self):
+        ctx = EvalContext()
+        state = Add("subset", (g1(), g3())).apply(EMPTY_STATE, ctx)
+        result = Revive(Revive(RuleApplication(relabel_rule()))).apply(state, ctx)
+        # g1 consumed (its output is g3, already known); g3 revived
+        assert result.subset == (state.subset[1],)
+        assert ctx.consumed == {state.subset[0]}
+
+    def test_revive_sees_only_its_own_consumption(self):
+        # The first branch consumes g1; the second revive must still bring
+        # back g1, which nothing inside it consumed.
+        ctx = EvalContext()
+        state = Add("subset", (g1(), g3())).apply(EMPTY_STATE, ctx)
+        gid1, gid3 = state.subset
+        result = Parallel((
+            Revive(RuleApplication(relabel_rule())),
+            Revive(RuleApplication(relabel_rule().inverted())))).apply(state, ctx)
+        assert result.subset == (gid3, gid1)
+        assert ctx.consumed == {gid1, gid3}
+
+    def test_scopes_are_restored_after_an_error(self):
+        ctx = EvalContext()
+        state = seeded_state(ctx)
+        outer = ctx.consumed
+
+        def boom(ids, c):
+            raise RuntimeError("boom")
+
+        strat = AltRuleApplication(
+            Predicate("left", lambda ids, c: True,
+                      Predicate("right", lambda ids, c: True,
+                                Revive(Sequence((
+                                    RuleApplication(relabel_rule()),
+                                    Filter("subset", boom)))))))
+        with pytest.raises(StrategyError, match="boom"):
+            strat.apply(state, ctx)
+        assert ctx.consumed is outer
+        assert outer == set(state.subset)
+        assert ctx.left_predicates == []
+        assert ctx.right_predicates == []
+        assert ctx.alt_mode is False
+        assert ctx.strategy_path() == "<top>"
+
+
+FORWARD = relabel_rule()
+BACKWARD = FORWARD.inverted()
+SEEDS = (g1, g2, g3, g4, g5)
+PREDICATES = (
+    lambda ids, c: all(c.repo.graph(g).vertex_count <= 2 for g in ids),
+    lambda ids, c: any(label == "c" for g in ids
+                       for _, _, label in c.repo.graph(g).edges()),
+    lambda ids, c: len(ids) == 1,
+    lambda ids, c: False,
+)
+
+
+def strategy_trees():
+    """Random trees in ``oracles.run_strategy``'s tuple format."""
+    predicates = hs.sampled_from(PREDICATES)
+    leaves = hs.one_of(
+        hs.sampled_from((("rule", FORWARD), ("rule", BACKWARD))),
+        hs.tuples(hs.just("filter"), hs.sampled_from(("subset", "universe")),
+                  predicates))
+    return hs.recursive(leaves, lambda inner: hs.one_of(
+        hs.tuples(hs.just("sequence"), hs.lists(inner, max_size=3)),
+        hs.tuples(hs.just("parallel"), hs.lists(inner, min_size=1, max_size=3)),
+        hs.tuples(hs.just("repeat"), hs.integers(0, 3), inner),
+        hs.tuples(hs.just("revive"), inner),
+        hs.tuples(hs.just("predicate"), hs.sampled_from(("left", "right")),
+                  predicates, inner),
+        hs.tuples(hs.just("altRuleApp"), inner)), max_leaves=8)
+
+
+def build(node):
+    """The ``strategies`` tree of an oracle tree."""
+    kind, *args = node
+    if kind == "rule":
+        return RuleApplication(args[0])
+    if kind == "sequence":
+        return Sequence([build(part) for part in args[0]])
+    if kind == "parallel":
+        return Parallel([build(branch) for branch in args[0]])
+    if kind == "repeat":
+        return Repeat(build(args[1]), args[0])
+    if kind == "revive":
+        return Revive(build(args[0]))
+    if kind == "predicate":
+        return Predicate(args[0], args[1], build(args[2]))
+    if kind == "altRuleApp":
+        return AltRuleApplication(build(args[0]))
+    return Filter(*args)
+
+
+class TestAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(strategy_trees(),
+           hs.lists(hs.sampled_from(SEEDS), min_size=1, max_size=3))
+    def test_same_state_sink_and_count(self, tree, seeds):
+        graphs = [make() for make in seeds]
+        ctx = EvalContext()
+        state = Add("subset", graphs).apply(EMPTY_STATE, ctx)
+        final = build(tree).apply(state, ctx)
+        expected_state, expected_edges, expected_new = run_strategy(tree, graphs)
+        assert (final.universe, final.subset) == expected_state
+        assert [(e.inputs, e.rule_name, e.outputs)
+                for e in ctx.sink.edges] == expected_edges
+        assert ctx.stats.new_graphs == expected_new
+
+
 class TestDerivationPredicates:
     def test_right_predicate_bounds_vertex_count(self):
         ctx = EvalContext()
-        small = lambda rule, ids, c: all(c.repo.graph(g).vertex_count <= 2
-                                         for g in ids)
+        small = lambda ids, c: all(c.repo.graph(g).vertex_count <= 2
+                                   for g in ids)
         result = Predicate("right", small, RuleApplication(relabel_rule())).apply(
             seeded_state(ctx), ctx)
         assert_class_set(ctx, result.subset, [g3()])
@@ -217,7 +341,7 @@ class TestDerivationPredicates:
 
     def test_left_false_produces_nothing(self):
         ctx = EvalContext()
-        never = lambda rule, ids, c: False
+        never = lambda ids, c: False
         result = Predicate("left", never, RuleApplication(relabel_rule())).apply(
             seeded_state(ctx), ctx)
         assert result.subset == ()
@@ -227,7 +351,7 @@ class TestDerivationPredicates:
         ctx = EvalContext()
         free = RuleApplication(relabel_rule()).apply(seeded_state(ctx), ctx)
         ctx2 = EvalContext()
-        pred = lambda rule, ids, c: len(ids) == 1
+        pred = lambda ids, c: len(ids) == 1
         constrained = Predicate(
             "left", pred, RuleApplication(relabel_rule())).apply(
                 seeded_state(ctx2), ctx2)
@@ -236,7 +360,7 @@ class TestDerivationPredicates:
 
     def test_predicates_reach_nested_rules(self):
         ctx = EvalContext()
-        never = lambda rule, ids, c: False
+        never = lambda ids, c: False
         inner = Sequence((RuleApplication(relabel_rule()),))
         result = Predicate("left", never, Repeat(inner, 3)).apply(
             seeded_state(ctx), ctx)
@@ -249,7 +373,7 @@ class TestFilterSortTakeAdd:
         state = seeded_state(ctx)
         result = Filter(
             "subset",
-            lambda g, s, c: c.repo.graph(g).vertex_count == 2).apply(state, ctx)
+            lambda ids, c: c.repo.graph(ids[0]).vertex_count == 2).apply(state, ctx)
         assert result.universe == state.universe
         assert_class_set(ctx, result.subset, [g1()])
 
@@ -258,7 +382,7 @@ class TestFilterSortTakeAdd:
         state = seeded_state(ctx)
         result = Filter(
             "universe",
-            lambda g, s, c: c.repo.graph(g).vertex_count != 3).apply(state, ctx)
+            lambda ids, c: c.repo.graph(ids[0]).vertex_count != 3).apply(state, ctx)
         assert_class_set(ctx, result.universe, [g1()])
         assert_class_set(ctx, result.subset, [g1()])
 
@@ -268,8 +392,8 @@ class TestFilterSortTakeAdd:
         assert state.subset == state.universe
         calls = []
 
-        def keep_all(g, s, c):
-            calls.append(g)
+        def keep_all(ids, c):
+            calls.extend(ids)
             return True
 
         assert Filter("universe", keep_all).apply(state, ctx) == state
@@ -336,7 +460,7 @@ class TestFilterSortTakeAdd:
 
 class TestScopeAndSide:
     def test_unknown_scope_or_side_rejected(self):
-        keep = lambda g, s, c: True
+        keep = lambda ids, c: True
         for make in (lambda scope: Filter(scope, keep),
                      lambda scope: Sort(scope, lambda g, c: 0),
                      lambda scope: Take(scope, 1),
@@ -346,16 +470,16 @@ class TestScopeAndSide:
                     make(scope)
         for side in ("Left", "inputs"):
             with pytest.raises(ValueError, match="side must be"):
-                Predicate(side, lambda r, ids, c: True,
+                Predicate(side, lambda ids, c: True,
                           RuleApplication(relabel_rule()))
 
     def test_labels_name_the_scope_and_side(self):
-        keep = lambda g, s, c: True
+        keep = lambda ids, c: True
         assert Filter("universe", keep).label() == "filterUniverse"
         assert Sort("subset", lambda g, c: 0).label() == "sortSubset"
         assert Take("universe", 3).label() == "takeUniverse[3]"
         assert Add("subset", ()).label() == "addSubset"
-        assert Predicate("right", lambda r, ids, c: True,
+        assert Predicate("right", lambda ids, c: True,
                          Sequence(())).label() == "rightPredicate"
 
 
@@ -396,7 +520,7 @@ class TestErrors:
     def test_error_carries_strategy_path(self):
         ctx = EvalContext()
 
-        def boom(g, s, c):
+        def boom(ids, c):
             raise RuntimeError("boom")
 
         strat = Sequence((Add("subset", (g1(),)), Filter("subset", boom)))
