@@ -27,14 +27,16 @@ the Diels-Alder scripts is about 40% of the vertices.  The certificate opens
 with run-length counts of the core vertices' (label, folded vertices) keys;
 see ``Graph.canonical_form``.
 
-Neighbour dicts list their neighbours in ascending id order, whatever the
-edge order.  ``rewrite.apply_at`` builds its results from its laid-out
-dicts, so stored graphs may share unchanged dicts, and none is written to.
-The labelling reads only a graph's content (ids, labels and labelled
-adjacency), never the order its dicts were built in: every step sorts or
-keeps cells in ascending index order.  ``GraphRepository`` interns a graph
-whose content equals a stored graph's, as inverting a derivation gives
-back, without labelling either: the identity maps it onto the stored graph.
+A graph on ids 0..n-1, as every stored graph is, holds its labels and
+neighbour dicts as tuples indexed by id, as nauty and Traces pack a graph;
+one with other ids holds them in dicts by id, ascending.  Neighbour dicts
+ascend by id, whatever the edge order.  ``rewrite.apply_at`` hands over its
+laid-out tuples, so stored graphs may share unchanged dicts, and none is
+written to.  The labelling reads only a graph's content (ids, labels and
+labelled adjacency), never its build order: every step sorts or keeps
+cells in ascending index order.  ``GraphRepository`` interns a graph whose
+content equals a stored graph's, as inverting a derivation gives back,
+without labelling either: the identity maps it onto the stored graph.
 """
 from __future__ import annotations
 
@@ -266,23 +268,23 @@ _RIGID: tuple = ((), (), {}, frozenset())
 
 class Graph:
     """Immutable simple undirected graph with string vertex and edge labels;
-    neighbour dicts ascend by id, and stored graphs may share unchanged ones.
-    Labelling (``canonical_form``, on first use) also records the
-    automorphisms it found, which ``orbit_key`` reads."""
+    ``_ids`` ascends, and the labels and neighbour dicts (ascending, maybe
+    shared between stored graphs) are tuples by position on ids 0..n-1,
+    else dicts by id.  Labelling (``canonical_form``, on first use) also
+    records the automorphisms it found, which ``orbit_key`` reads."""
 
-    __slots__ = ("_labels", "_adj", "_edge_count", "_connected", "_canon",
+    __slots__ = ("_ids", "_labels", "_adj", "_edge_count", "_connected", "_canon",
                  "_symmetry")
 
     def __init__(self, vertices: Iterable[tuple[int, str]],
                  edges: Iterable[tuple[int, int, str]] = (), *,
-                 _adj: dict[int, dict[int, str]] | None = None):
-        # _adj is rewrite.apply_at's layout of one connected component:
+                 _dense: tuple[tuple[str, ...], tuple[dict[int, str], ...]] | None = None):
+        # _dense is apply_at's layout of one connected component on ids 0..n-1:
         # simple, with ascending neighbour dicts, so it is taken as given.
-        self._connected: bool | None = True if _adj is not None else None
-        if _adj is None:
+        self._connected: bool | None = None if _dense is None else True
+        if _dense is None:
             vertices = list(vertices)
-        labels: dict[int, str] = dict(vertices)
-        if _adj is None:
+            labels: dict[int, str] = dict(vertices)
             if len(labels) != len(vertices):
                 seen: set[int] = set()
                 for vid, _ in vertices:
@@ -300,10 +302,15 @@ class Graph:
                     raise GraphError(f"parallel edge {u}-{v}")
                 nu[v] = label
                 nv[u] = label
-            _adj = {v: dict(sorted(nb.items())) for v, nb in adj.items()}
-        self._labels = labels
-        self._adj = _adj
-        self._edge_count = sum(map(len, _adj.values())) // 2
+            ids = sorted(labels)
+            _dense = (tuple(map(labels.__getitem__, ids)),
+                      tuple(dict(sorted(adj[v].items())) for v in ids))
+            if ids and (ids[0] != 0 or ids[-1] != len(ids) - 1):
+                # Other ids: ascending dicts by id; the labels dict is the id table.
+                _dense = dict(zip(ids, _dense[0])), dict(zip(ids, _dense[1]))
+        self._labels, self._adj = _dense
+        self._ids = self._labels if type(_dense[0]) is dict else range(len(_dense[0]))
+        self._edge_count = sum(len(self._adj[v]) for v in self._ids) // 2
         self._canon: tuple[tuple, tuple[int, ...]] | None = None
         # Set by canonical_form, the automorphisms the labelling found (with
         # leaves following their parents; they need not generate all):
@@ -322,39 +329,45 @@ class Graph:
         return self._edge_count
 
     def vertex_ids(self) -> list[int]:
-        return sorted(self._labels)
+        return list(self._ids)
 
     def vertices(self) -> Iterator[tuple[int, str]]:
         """Yield (id, label) in ascending id order."""
-        for vid in sorted(self._labels):
+        for vid in self._ids:
             yield vid, self._labels[vid]
 
     def edges(self) -> Iterator[tuple[int, int, str]]:
         """Yield (u, v, label) with u < v, in ascending (u, v) order."""
-        for u in sorted(self._adj):
+        for u in self._ids:
             nbrs = self._adj[u]
             for v in nbrs:
                 if u < v:
                     yield u, v, nbrs[v]
 
+    def _at(self, vid: int) -> int:
+        # A tuple would read a negative id from the end: ids raise KeyError.
+        if vid not in self._ids:
+            raise KeyError(vid)
+        return vid
+
     def label(self, vid: int) -> str:
-        return self._labels[vid]
+        return self._labels[self._at(vid)]
 
     def has_vertex(self, vid: int) -> bool:
-        return vid in self._labels
+        return vid in self._ids
 
     def neighbors(self, vid: int) -> Mapping[int, str]:
         """Adjacency of vid as a read-only neighbor -> edge label mapping."""
-        return self._adj[vid]
+        return self._adj[self._at(vid)]
 
     def degree(self, vid: int) -> int:
-        return len(self._adj[vid])
+        return len(self._adj[self._at(vid)])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj.get(u, ())
+        return u in self._ids and v in self._adj[u]
 
     def edge_label(self, u: int, v: int) -> str:
-        return self._adj[u][v]
+        return self._adj[self._at(u)][v]
 
     def refinement_colors(self) -> dict[int, int]:
         """Stable vertex colors from iterated neighborhood refinement.
@@ -363,7 +376,7 @@ class Graph:
         ranks; the refinement runs until the partition stops splitting.  An
         isomorphism maps each vertex to one of the same color.
         """
-        ids = sorted(self._labels)
+        ids = list(self._ids)
         adj, _ = _adjacency(ids, self._adj)
         by_label: dict[str, list[int]] = {}
         for i, v in enumerate(ids):
@@ -397,7 +410,7 @@ class Graph:
             labels, nbrs = self._labels, self._adj
             core: list[int] = []
             leaves: dict[int, list[tuple[str, str, int]]] = {}
-            for v in sorted(labels):
+            for v in self._ids:
                 around = nbrs[v]
                 if len(around) == 1:
                     u = next(iter(around))
@@ -516,7 +529,7 @@ class Graph:
     def is_connected(self) -> bool:
         if self._connected is None:
             self._connected = bool(self._labels) and len(
-                self._reach(next(iter(self._labels)))) == len(self._labels)
+                self._reach(next(iter(self._ids)))) == len(self._labels)
         return self._connected
 
     def _reach(self, start: int) -> set[int]:
@@ -536,21 +549,20 @@ class Graph:
         Components are returned in ascending order of their smallest vertex
         id; the identity on vertex ids is the mapping back into this graph.
         """
-        remaining = set(self._labels)
+        seen: set[int] = set()
         components = []
-        for vid in sorted(self._labels):
-            if vid not in remaining:
-                continue
-            seen = self._reach(vid)
-            remaining -= seen
-            verts = [(v, self._labels[v]) for v in sorted(seen)]
-            edges = [(u, v, el) for u, v, el in self.edges() if u in seen]
-            components.append(Graph(verts, edges))
+        for vid in self._ids:
+            if vid not in seen:
+                comp = self._reach(vid)
+                seen |= comp
+                components.append(Graph(
+                    [(v, self._labels[v]) for v in comp],
+                    [(u, v, el) for u in comp for v, el in self._adj[u].items() if u < v]))
         return components
 
     def renumbered(self) -> tuple[Graph, dict[int, int]]:
         """Copy with dense ids 0..n-1 (sorted order); returns (graph, old->new)."""
-        mapping = {vid: i for i, vid in enumerate(sorted(self._labels))}
+        mapping = {vid: i for i, vid in enumerate(self._ids)}
         verts = [(mapping[v], l) for v, l in self.vertices()]
         edges = [(mapping[u], mapping[v], el) for u, v, el in self.edges()]
         return Graph(verts, edges), mapping
@@ -569,11 +581,12 @@ class GraphRepository:
 
     Stored graphs have dense vertex ids 0..n-1 and are never mutated; the
     first graph interned for a class, renumbered if its ids are not dense,
-    is its representative.  Each class is indexed by its canonical
-    certificate, so interning is one canonical form and one dict lookup,
-    and no two stored ids are isomorphic.  A graph whose content equals a
-    stored graph's is found without the canonical form, by a cheap key of
-    labels and degrees and a dict comparison.  A stored graph is the graph
+    is its representative, holding its labels and neighbour dicts by
+    position.  Each class is indexed by its canonical certificate, so
+    interning is one canonical form and one dict lookup, and no two stored
+    ids are isomorphic.  A graph whose content equals a stored graph's is
+    found without the canonical form, by a key of its labels tuple and
+    degrees and a comparison of neighbour dicts.  A stored graph is the graph
     that was labelled, so it keeps its class's canonical order and known
     automorphisms itself, and its ``orbit_key`` is the class's host key.
     """
@@ -590,9 +603,9 @@ class GraphRepository:
 
     @staticmethod
     def _layout(g: Graph) -> tuple[tuple[str, ...], tuple[int, ...]]:
-        """The vertex labels and degrees of g in its dict order: equal for
-        graphs with equal content built in the same vertex order."""
-        return tuple(g._labels.values()), tuple(map(len, g._adj.values()))
+        """The labels tuple and the degrees of g, a graph on ids 0..n-1, by
+        position: equal for graphs with equal content."""
+        return g._labels, tuple(map(len, g._adj))
 
     def graph(self, gid: int) -> Graph:
         return self._graphs[gid]
@@ -607,15 +620,15 @@ class GraphRepository:
         A graph whose ids are not 0..n-1 is interned as its ``renumbered()``
         copy, and the map composed with the renumbering.  A graph with a
         stored graph's ids, labels and labelled adjacency is not labelled:
-        the stored graphs with its ``_layout`` key are compared with it, and
-        one with equal dicts is g itself, vertex for vertex, so the identity
-        answers.  A key that collides costs one comparison.  Otherwise a
-        certificate hit pairs g's canonical order with the stored graph's
-        own, and a miss, connected, stores g: certificates are complete and
-        every stored class is connected, so a hit is connected too.
+        the stored graphs with its ``_layout`` key, which holds the labels,
+        are compared with it, and one with equal neighbour dicts is g
+        itself, vertex for vertex, so the identity answers.  A key that
+        collides costs one comparison.  Otherwise a certificate hit pairs
+        g's canonical order with the stored graph's own, and a miss,
+        connected, stores g: certificates are complete and every stored
+        class is connected, so a hit is connected too.
         """
-        ids = g._labels
-        if ids and (min(ids) != 0 or max(ids) != len(ids) - 1):
+        if type(g._ids) is not range:
             dense, renumber = g.renumbered()
             gid, is_new, into = self._intern_dense(dense)
             return gid, is_new, {v: into[i] for v, i in renumber.items()}
@@ -625,8 +638,7 @@ class GraphRepository:
         """``intern_mapped`` of a graph with ids 0..n-1."""
         layout = self._layout(g)
         for gid in self._by_layout.get(layout, ()):
-            stored = self._graphs[gid]
-            if stored._adj == g._adj and stored._labels == g._labels:
+            if self._graphs[gid]._adj == g._adj:
                 return gid, False, {v: v for v in range(len(g._labels))}
         certificate, order = g.canonical_form()
         gid = self._by_cert.get(certificate)
@@ -768,7 +780,7 @@ def serialize_graph(g: Graph, name: str = "g",
     if ends is None:
         ends = LineEnds()
     lines = [f"graph {name} {{\n"]
-    lines += [f"  v {v}{ends[label]}" for v, label in sorted(g._labels.items())]
+    lines += [f"  v {v}{ends[label]}" for v, label in g.vertices()]
     lines += [f"  e {u} {v}{ends[el]}" for u, v, el in g.edges()]
     lines.append("}\n")
     return "".join(lines)

@@ -214,7 +214,7 @@ def _compile(pattern: Graph, order: Sequence[int],
     chunks = [names[f"chunk{s}"] for s in range(0, n, _CHUNK)]
 
     def search(host: Graph) -> Iterator[dict[int, int]]:
-        state = (host._labels, host._adj, host.vertex_ids(), [0] * n, set())
+        state = (host._labels, host._adj, host._ids, [0] * n, set())
         stack = [chunks[0](*state)]
         while stack:
             for found in stack[-1]:

@@ -55,7 +55,7 @@ import weakref
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from gstrat.graphs import Graph, GraphRepository
 from gstrat.matching import enumerate_embeddings
@@ -306,19 +306,18 @@ def apply_at(rule: Rule, copies: Sequence[Copy], repo: GraphRepository,
     for vmap, g in parts:
         offset = len(labels)
         starts.append(offset)
-        ids = range(g.vertex_count)
         for rv, sv in vmap.items():
             to_raw[rv] = sv + offset
-        labels += map(g._labels.__getitem__, ids)
+        labels += g._labels
         if offset:
-            nbrs += [{u + offset: el for u, el in g._adj[v].items()} for v in ids]
+            nbrs += [{u + offset: el for u, el in nb.items()} for nb in g._adj]
         else:
-            nbrs += map(g._adj.__getitem__, ids)
+            nbrs += g._adj
     shared = parts[0][1]._adj
 
     def own(raw: int) -> dict[int, str]:
         nb = nbrs[raw]
-        if nb is shared.get(raw):
+        if raw < len(shared) and nb is shared[raw]:
             nb = nbrs[raw] = nb.copy()
         return nb
 
@@ -365,15 +364,13 @@ def apply_at(rule: Rule, copies: Sequence[Copy], repo: GraphRepository,
         if len(comp) == len(labels):
             # Nothing deleted and one component: raw ids are dense ids.
             order: Sequence[int] = range(len(labels))
-            vertices: Iterable[tuple[int, str]] = enumerate(labels)
-            adj = dict(enumerate(nbrs))
+            layout = (tuple(labels), tuple(nbrs))
         else:
             order = sorted(comp)
             dense = {raw: i for i, raw in enumerate(order)}
-            vertices = [(i, labels[raw]) for i, raw in enumerate(order)]
-            adj = {i: {dense[n]: el for n, el in nbrs[raw].items()}
-                   for i, raw in enumerate(order)}
-        gid, _, into = repo.intern_mapped(Graph(vertices, _adj=adj))
+            layout = (tuple(map(labels.__getitem__, order)),
+                      tuple({dense[n]: el for n, el in nbrs[raw].items()} for raw in order))
+        gid, _, into = repo.intern_mapped(Graph((), _dense=layout))
         laid_out.append((gid, order, into))
     laid_out.sort(key=lambda output: output[0])
     return ApplyResult(tuple(gid for gid, _, _ in laid_out),

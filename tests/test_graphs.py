@@ -15,8 +15,8 @@ from gstrat import graphs
 from gstrat.chem import parse_molecule
 from gstrat.graphs import (Graph, GraphError, GraphRepository, isomorphic,
                            parse_graph, parse_graphs, serialize_graph)
-from gstrat.lex import ParseError
-from gstrat.matching import find_isomorphism
+from gstrat.lex import ParseError, quote
+from gstrat.matching import enumerate_embeddings, find_isomorphism
 
 from .oracles import (brute_automorphisms, brute_isomorphic,
                       equal_signature_pairs, permuted, random_graph,
@@ -131,6 +131,30 @@ class TestConnectedComponents:
             assert sum(c.edge_count for c in comps) == g.edge_count
             seen_ids = sorted(v for c in comps for v in c.vertex_ids())
             assert seen_ids == g.vertex_ids()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_networkx(self, seed):
+        # Sparse, shuffled ids given in shuffled order: each component keeps
+        # its ids, labels and edges, and the components ascend by least id.
+        rng = random.Random(seed)
+        for _ in range(25):
+            n = rng.randint(1, 30)
+            nx_graph = nx.gnp_random_graph(n, rng.uniform(0.02, 0.2),
+                                           seed=rng.randrange(2**32))
+            ids = dict(zip(range(n), rng.sample(range(-n, 4 * n), n)))
+            labels = {ids[v]: rng.choice("ab") for v in range(n)}
+            edges = [(ids[u], ids[v], rng.choice("xy")) for u, v in nx_graph.edges()]
+            vertices = list(labels.items())
+            rng.shuffle(vertices)
+            g = Graph(vertices, edges)
+            expected = sorted((sorted(ids[v] for v in comp)
+                               for comp in nx.connected_components(nx_graph)))
+            comps = g.connected_components()
+            assert [c.vertex_ids() for c in comps] == expected
+            for c in comps:
+                assert list(c.vertices()) == [(v, labels[v]) for v in c.vertex_ids()]
+                assert list(c.edges()) == [e for e in g.edges() if c.has_vertex(e[0])]
+                assert c.is_connected
 
 
 def certificate(g: Graph) -> tuple:
@@ -685,6 +709,95 @@ class TestInternProperties:
         assert copy._symmetry == g._symmetry
 
 
+class TestSparseIds:
+    """A graph whose ids are not 0..n-1 keeps them and answers every query
+    as its ``renumbered()`` copy does, through the renumbering."""
+
+    PATTERN = Graph([(0, "a"), (1, "b"), (2, "a")], [(0, 1, "x"), (1, 2, "y")])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.data())
+    def test_agrees_with_the_renumbered_copy(self, rng, data):
+        dense = random_graph(rng, connected=rng.random() < 0.5)
+        n = dense.vertex_count
+        ids = data.draw(st.lists(st.integers(-n, 3 * n + 2), min_size=n,
+                                 max_size=n, unique=True))
+        vertices = [(ids[v], label) for v, label in dense.vertices()]
+        rng.shuffle(vertices)
+        g = Graph(vertices, [(ids[u], ids[v], el) for u, v, el in dense.edges()])
+        h, m = g.renumbered()
+        assert m == {v: i for i, v in enumerate(sorted(ids))}
+        back = {i: v for v, i in m.items()}
+        assert g.vertex_ids() == sorted(ids) and h.vertex_ids() == list(range(n))
+        assert [(m[v], label) for v, label in g.vertices()] == list(h.vertices())
+        assert [(m[u], m[v], el) for u, v, el in g.edges()] == list(h.edges())
+        for v in g.vertex_ids():
+            assert g.label(v) == h.label(m[v])
+            assert list(g.neighbors(v)) == sorted(g.neighbors(v))
+            assert ([(m[u], el) for u, el in g.neighbors(v).items()]
+                    == list(h.neighbors(m[v]).items()))
+            assert g.degree(v) == h.degree(m[v])
+        probes = range(min(ids) - 2, max(ids) + 3)
+        assert [g.has_vertex(v) for v in probes] == [v in m for v in probes]
+        assert [h.has_vertex(i) for i in range(-2, n + 2)] == [
+            0 <= i < n for i in range(-2, n + 2)]
+        for u in probes:
+            for v in probes:
+                assert g.has_edge(u, v) == (u in m and v in m and h.has_edge(m[u], m[v]))
+        for u, v, el in g.edges():
+            assert g.edge_label(v, u) == h.edge_label(m[v], m[u]) == el
+        # Absent ids raise KeyError on both storages; a tuple would read -1
+        # from the end.
+        for graph, absent in ((g, [v for v in probes if v not in m]),
+                              (h, [-2, -1, n, n + 1])):
+            for v in absent:
+                for read in (graph.label, graph.neighbors, graph.degree,
+                             lambda v: graph.edge_label(v, 0)):
+                    with pytest.raises(KeyError):
+                        read(v)
+        assert g.is_connected == h.is_connected
+        comps = h.connected_components()
+        assert [[(m[v], label) for v, label in c.vertices()]
+                for c in g.connected_components()] == [list(c.vertices()) for c in comps]
+        assert [[(m[u], m[v], el) for u, v, el in c.edges()]
+                for c in g.connected_components()] == [list(c.edges()) for c in comps]
+        text = "graph g {\n" + "".join(
+            f"  v {back[i]} {quote(label)};\n" for i, label in h.vertices()) + "".join(
+            f"  e {back[u]} {back[v]} {quote(el)};\n" for u, v, el in h.edges()) + "}\n"
+        assert serialize_graph(g) == text
+        assert [{p: m[x] for p, x in e.items()}
+                for e in enumerate_embeddings(self.PATTERN, g)] == enumerate_embeddings(
+                    self.PATTERN, h)
+        if not g.is_connected:
+            with pytest.raises(GraphError):
+                GraphRepository().intern_mapped(g)
+            return
+        repo = GraphRepository()
+        gid, _, into = repo.intern_mapped(g)
+        assert_maps_onto(g, into, repo.graph(gid))
+        _, _, into_h = GraphRepository().intern_mapped(h)
+        assert into == {back[i]: stored for i, stored in into_h.items()}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-20, 60), min_size=2, max_size=8, unique=True),
+           st.randoms(use_true_random=False))
+    def test_constructor_errors(self, ids, rng):
+        vertices = [(v, "a") for v in ids]
+        rng.shuffle(vertices)
+        path = [(ids[i], ids[i + 1], "x") for i in range(len(ids) - 1)]
+        u, v = ids[0], ids[1]
+        absent = max(ids) + 1
+        for extra_vertices, extra_edges, message in [
+                ([(v, "b")], [], f"duplicate vertex id {v}"),
+                ([], [(u, u, "x")], f"self-loop on vertex {u}"),
+                ([], [(u, absent, "x")],
+                 f"edge {u}-{absent} references an undeclared vertex"),
+                ([], [(v, u, "y")], f"parallel edge {v}-{u}")]:
+            with pytest.raises(GraphError) as info:
+                Graph(vertices + extra_vertices, path + extra_edges)
+            assert str(info.value) == message
+
+
 def content_copy(g: Graph, vertex_order=None, edge_order=None) -> Graph:
     """A new graph with g's ids, labels and edges, built with the vertices
     and edges in the given orders (default: ascending)."""
@@ -797,10 +910,10 @@ class TestContentEqualIntern:
         assert answer == certificate_route(repo, crossed)
         assert_maps_onto(crossed, answer[2], ring)
         assert any(h is crossed for h in labelled)
-        # The same adjacency with the labels of the ends swapped, built in
-        # reverse id order so that the layout keys agree.
-        path = Graph([(0, "p"), (1, "q"), (2, "r")], [(0, 1, "x"), (1, 2, "x")])
-        mirrored = Graph([(2, "p"), (1, "q"), (0, "r")], [(0, 1, "x"), (1, 2, "x")])
+        # The same labels and degrees with the edge labels swapped, so that
+        # the layout keys agree; the mirror maps one path onto the other.
+        path = Graph([(0, "p"), (1, "q"), (2, "p")], [(0, 1, "x"), (1, 2, "y")])
+        mirrored = Graph([(0, "p"), (1, "q"), (2, "p")], [(0, 1, "y"), (1, 2, "x")])
         path_id, _ = repo.intern(path)
         assert repo._layout(mirrored) == repo._layout(path)
         answer = repo.intern_mapped(mirrored)

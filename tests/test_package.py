@@ -101,13 +101,25 @@ def test_every_application_passes_the_derivation_memo():
 
 
 def test_only_apply_at_builds_from_a_layout():
-    # Graph takes a private adjacency as given, unchecked, and records the
-    # graph as connected; apply_at's one-component layouts are its only
-    # source.
-    def passes_adj(node):
+    # Graph takes a private positional layout as given, unchecked, and
+    # records the graph as connected; apply_at's one-component layouts are
+    # its only source.
+    def passes_layout(node):
         return isinstance(node, ast.Call) and any(
-            k.arg == "_adj" for k in node.keywords)
-    assert scopes_in_src(passes_adj) == {"rewrite.apply_at"}
+            k.arg == "_dense" for k in node.keywords)
+    assert scopes_in_src(passes_layout) == {"rewrite.apply_at"}
+
+
+def test_graph_storage_has_known_readers():
+    # A Graph holds its ids, labels and neighbour dicts by position (or by
+    # id, for sparse ids); outside graphs.py only these functions read
+    # that storage, so a change to the layout has these readers to review.
+    def reads_storage(node):
+        return isinstance(node, ast.Attribute) and node.attr in (
+            "_ids", "_labels", "_adj")
+    assert {scope for scope in scopes_in_src(reads_storage)
+            if not scope.startswith("graphs.")} == {
+        "rewrite.apply_at", "rewrite._gluing_ok", "matching._compile.search"}
 
 
 def assignment_targets(node):

@@ -864,7 +864,7 @@ def rebuilt_by_the_public_constructor(g):
     constructor builds from its vertices and edges: the same labels, the
     same neighbour items in the same order, edge count and connectivity?"""
     public = Graph(list(g.vertices()), list(g.edges()))
-    return (list(g._labels.items()) == list(public._labels.items())
+    return (list(g.vertices()) == list(public.vertices())
             and all(list(g.neighbors(v).items()) == list(public.neighbors(v).items())
                     for v in public.vertex_ids())
             and g.edge_count == public.edge_count
