@@ -44,17 +44,19 @@ again.  ``iter_proper_derivations`` is the only caller of
 ``complete_derivation``, and that is the only caller of ``apply_at``.
 
 An application's atom map (``ApplyResult.fates``, a chemical rule's
-``Derivation.atom_map``) is a ``Fates`` mapping that builds its dict on
-first read from what ``apply_at`` laid out anyway, so a caller that never
-reads it, as a strategy run does not, pays for no per-vertex entry.  Once
-built it is a read-only snapshot, shared like the derivation itself.
+``Derivation.atom_map``) is built on first read from what ``apply_at`` laid
+out anyway, so a caller that never reads it, as a strategy run does not,
+pays for no per-vertex entry.  Once built it is a read-only snapshot,
+shared like the derivation itself.
 """
 from __future__ import annotations
 
 import weakref
 from bisect import bisect_right
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Iterator, Sequence
 
 from gstrat.graphs import Graph, GraphRepository
@@ -120,7 +122,7 @@ class MatchCache:
         if cached is None:
             pattern = rule.left_components[comp_idx]
             cached = tuple(enumerate_embeddings(pattern, repo.graph(gid),
-                                                rule.search_plans()[comp_idx]))
+                                                rule.search_plans[comp_idx]))
             self._data[key] = cached
         return cached
 
@@ -157,16 +159,18 @@ class Derivation:
     atom_map sends each (input position, stored vertex) to its (output
     position, stored vertex), an input position indexing match and an
     output position indexing outputs; it is None for other rules.  It is
-    the application's ``Fates``: built on first read, so it costs nothing
-    when never read, and a read-only snapshot after that.  A query that reaches
-    a match the cache has already applied gets the same derivation object
-    back, so atom_map, like the match, may be shared between answers."""
+    the application's ``ApplyResult.fates``, which the derivation holds
+    only for a chemical rule: built on first read, so it costs nothing
+    when never read, and a read-only snapshot after that.  A query that
+    reaches a match the cache has already applied gets the same derivation
+    object back, so atom_map, like the match, may be shared between
+    answers."""
 
     rule: Rule
     inputs: tuple[int, ...]        # graph ids with multiplicity, sorted
     outputs: tuple[int, ...]       # graph ids with multiplicity, sorted
     match: tuple[Copy, ...]
-    atom_map: Mapping[tuple[int, int], tuple[int, int]] | None
+    _result: ApplyResult | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not all(vmap for _, vmap in self.match):
@@ -177,67 +181,46 @@ class Derivation:
         """Dedup key: derivations differing only in the match are duplicates."""
         return (self.rule.name, self.inputs, self.outputs)
 
-
-class Fates(Mapping):
-    """(copy, stored vertex id) of each surviving input vertex -> (output
-    position, stored vertex id): a read-only mapping built on first read.
-
-    It holds what ``apply_at`` laid out: each copy's first raw id, where
-    the input raw ids end, and per output, in the order of
-    ``ApplyResult.outputs``, its graph id, its raw ids in dense order and
-    the vertex map ``intern_mapped`` gave it.  An output position indexes
-    ``ApplyResult.outputs``, and so ``Derivation.outputs``.  The first read
-    builds the dict, in output order and, per output, in intern-map order,
-    and drops that data.
-    """
-
-    __slots__ = ("_starts", "_inputs_end", "_outputs", "_fates")
-
-    def __init__(self, starts: Sequence[int], inputs_end: int,
-                 outputs: list[tuple[int, Sequence[int], dict[int, int]]]) -> None:
-        self._starts = starts
-        self._inputs_end = inputs_end
-        self._outputs = outputs
-        self._fates: dict[tuple[int, int], tuple[int, int]] | None = None
-
-    def _build(self) -> dict[tuple[int, int], tuple[int, int]]:
-        starts, end = self._starts, self._inputs_end
-        fates = {}
-        for position, (_, order, into) in enumerate(self._outputs):
-            for i, stored in into.items():
-                raw = order[i]
-                if raw < end:
-                    copy = bisect_right(starts, raw) - 1
-                    fates[copy, raw - starts[copy]] = (position, stored)
-        self._starts = self._outputs = None
-        return fates
-
-    def _snapshot(self) -> dict[tuple[int, int], tuple[int, int]]:
-        if self._fates is None:
-            self._fates = self._build()
-        return self._fates
-
-    def __getitem__(self, key: tuple[int, int]) -> tuple[int, int]:
-        return self._snapshot()[key]
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self._snapshot())
-
-    def __len__(self) -> int:
-        return len(self._snapshot())
-
-    def __repr__(self) -> str:
-        return f"Fates({self._snapshot()!r})"
+    atom_map = property(lambda self: None if self._result is None
+                        else self._result.fates)
 
 
 @dataclass(frozen=True)
 class ApplyResult:
     """The output graph ids of one application, sorted, and the fates of
-    its surviving input vertices: a read-only ``Fates`` mapping, built on
-    first read, whose output positions index outputs."""
+    its surviving input vertices, whose output positions index outputs.
+
+    It keeps what ``apply_at`` laid out: each copy's first raw id, where
+    the input raw ids end, and per output, in the order of outputs, its
+    graph id, its raw ids in dense order and the vertex map
+    ``intern_mapped`` gave it."""
 
     outputs: tuple[int, ...]
-    fates: Mapping[tuple[int, int], tuple[int, int]]
+    _starts: Sequence[int] = field(compare=False, repr=False)
+    _inputs_end: int = field(compare=False, repr=False)
+    _laid_out: Sequence[tuple[int, Sequence[int], dict[int, int]]] = field(
+        compare=False, repr=False)
+
+    @cached_property
+    def fates(self) -> Mapping[tuple[int, int], tuple[int, int]]:
+        """(copy, stored vertex id) of each surviving input vertex ->
+        (output position, stored vertex id): a read-only view of the dict
+        ``_fates`` builds on first read."""
+        return MappingProxyType(_fates(self))
+
+
+def _fates(result: ApplyResult) -> dict[tuple[int, int], tuple[int, int]]:
+    """The fates of an application from its layout, in output order and,
+    per output, in intern-map order."""
+    starts, end = result._starts, result._inputs_end
+    fates = {}
+    for position, (_, order, into) in enumerate(result._laid_out):
+        for i, stored in into.items():
+            raw = order[i]
+            if raw < end:
+                copy = bisect_right(starts, raw) - 1
+                fates[copy, raw - starts[copy]] = (position, stored)
+    return fates
 
 
 def validate_match(rule: Rule, parts: Sequence[Part]) -> bool:
@@ -321,7 +304,7 @@ def apply_at(rule: Rule, copies: Sequence[Copy], repo: GraphRepository,
             nb = nbrs[raw] = nb.copy()
         return nb
 
-    plan = rule.gluing_plan()
+    plan = rule.gluing_plan
     deleted_vertices = {to_raw[vid] for vid, _ in plan.deleted}
     for d in deleted_vertices:
         for n in nbrs[d]:
@@ -373,8 +356,8 @@ def apply_at(rule: Rule, copies: Sequence[Copy], repo: GraphRepository,
         gid, _, into = repo.intern_mapped(Graph((), _dense=layout))
         laid_out.append((gid, order, into))
     laid_out.sort(key=lambda output: output[0])
-    return ApplyResult(tuple(gid for gid, _, _ in laid_out),
-                       Fates(starts, inputs_end, laid_out))
+    return ApplyResult(tuple(gid for gid, _, _ in laid_out), starts,
+                       inputs_end, laid_out)
 
 
 class BindError(ValueError):
@@ -418,7 +401,7 @@ def _gluing_ok(rule: Rule, parts: Sequence[Part]) -> bool:
     when its restriction to each copy passes, and a copy that fails can
     never complete into a valid derivation.
     """
-    plan = rule.gluing_plan()
+    plan = rule.gluing_plan
     for vmap, host in parts:
         adj = host._adj
         for d, nbrs in plan.deleted:
@@ -449,17 +432,16 @@ def bind_graph(rule_or_partial: Rule | PartialRule, gid: int,
     Bindings violating the gluing conditions locally (dangling deletion,
     non-simple creation inside the copy) are dropped: they can never extend
     to a valid derivation.  Partial rules with no remaining components are
-    complete and encode full derivations.  For a rule with one left
-    component, the cached copies (one per rule orbit when its plan breaks
-    symmetries) are expanded by the plan's symmetries, so every morphism is
-    bound, in search order.
+    complete and encode full derivations.  The cached copies (one per rule
+    orbit when the first component's plan breaks symmetries) are expanded
+    by that plan's ``orbit_members``, so every morphism is bound, in search
+    order.
     """
     partial = (rule_or_partial if isinstance(rule_or_partial, PartialRule)
                else PartialRule(rule_or_partial, (), tuple(
                    range(len(rule_or_partial.left_components)))))
     cache = cache or MatchCache()
-    plans = partial.rule.search_plans()
-    expand = plans[0].orbit_members if len(plans) == 1 else list
+    expand = partial.rule.search_plans[0].orbit_members
     return [PartialRule(partial.rule, partial.copies + ((gid, vmap),), rest)
             for subset, rest in _splits(partial.remaining_components)[1:]
             for vmap in expand(cache.bound_copies(partial.rule, subset, gid,
@@ -482,7 +464,7 @@ def complete_derivation(partial: PartialRule, repo: GraphRepository
         inputs=tuple(sorted(gid for gid, _ in partial.copies)),
         outputs=result.outputs,
         match=partial.copies,
-        atom_map=result.fates if partial.rule.is_chemical else None,
+        _result=result if partial.rule.is_chemical else None,
     )
 
 
@@ -631,7 +613,7 @@ def iter_proper_derivations(
 
     copy_keys: dict[tuple[int, int], tuple] = {}
     keys: set[tuple] = set()
-    automorphisms = rule.automorphisms()
+    automorphisms = rule.automorphisms
     applied: set[tuple] = set()
     for partial in _complete_matches(rule, universe, required, repo, cache):
         inputs = tuple(sorted(gid for gid, _ in partial.copies))

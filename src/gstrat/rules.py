@@ -9,6 +9,7 @@ of this structure and must each be valid simple labeled graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from gstrat import lex
@@ -104,7 +105,9 @@ class Rule:
     check builds: ``left``, its components ``left_components`` (vertex ids
     are rule ids) and the span graph.  ``is_chemical`` (creates and deletes
     no vertex) and ``joins_copies`` (deletes nothing and has a connected
-    span, so the copies it matches end in one graph) are fixed then too."""
+    span, so the copies it matches end in one graph) are fixed then too.
+    ``automorphisms``, ``search_plans`` and ``gluing_plan`` are built on
+    first read and kept."""
 
     def __init__(self, name: str, vertices: dict[int, RuleElement],
                  edges: dict[tuple[int, int], RuleElement]):
@@ -146,9 +149,6 @@ class Rule:
         self.is_chemical = all(rv.kind == CONTEXT for rv in self.vertices.values())
         self.joins_copies = self._span.is_connected and all(
             e.kind != LEFT for e in (*self.vertices.values(), *self.edges.values()))
-        self._automorphisms: tuple[dict[int, int], ...] | None = None
-        self._search_plans: tuple[SearchPlan, ...] | None = None
-        self._gluing_plan: GluingPlan | None = None
 
     @classmethod
     def build(cls, name: str,
@@ -172,64 +172,58 @@ class Rule:
                 _declare(vertices, edges, section, entry[:arity], entry[arity:])
         return cls(name, vertices, edges)
 
+    @cached_property
     def automorphisms(self) -> tuple[dict[int, int], ...]:
         """Every permutation of rule vertex ids that maps each vertex to one
         with the same kind and label pair, and each vertex pair to one with
         the same edge (or no edge).  The identity comes first; callers must
-        not mutate the returned maps.
+        not mutate the maps.
 
         They are the injective label- and edge-preserving self-maps of the
         span graph: with equal vertex and edge counts, each is an
         automorphism."""
-        if self._automorphisms is None:
-            g = self._span
-            found = sorted(_plan(g).search(g),
-                           key=lambda m: any(k != v for k, v in m.items()))
-            self._automorphisms = tuple(found)
-        return self._automorphisms
+        g = self._span
+        return tuple(sorted(_plan(g).search(g),
+                            key=lambda m: any(k != v for k, v in m.items())))
 
+    @cached_property
     def search_plans(self) -> tuple[SearchPlan, ...]:
-        """The embedding search plan of each left component, built once.
+        """The embedding search plan of each left component.
 
         A rule with one left component breaks the rule automorphisms
         restricted to it, when one moves a left vertex; every other plan
         breaks nothing.  A match and its images under rule automorphisms
         have the same inputs, gluing outcome and orbit key, so searching
         for one match per rule orbit loses no derivation."""
-        if self._search_plans is None:
-            components = self.left_components
-            symmetries: list[dict[int, int]] = []
-            if len(components) == 1:
-                ids = components[0].vertex_ids()
-                images = list(dict.fromkeys(
-                    tuple(sigma[v] for v in ids) for sigma in self.automorphisms()))
-                if len(images) > 1:
-                    symmetries = [dict(zip(ids, im)) for im in images]
-            self._search_plans = tuple(search_plan(c, symmetries)
-                                       for c in components)
-        return self._search_plans
+        components = self.left_components
+        symmetries: list[dict[int, int]] = []
+        if len(components) == 1:
+            ids = components[0].vertex_ids()
+            images = list(dict.fromkeys(
+                tuple(sigma[v] for v in ids) for sigma in self.automorphisms))
+            if len(images) > 1:
+                symmetries = [dict(zip(ids, im)) for im in images]
+        return tuple(search_plan(c, symmetries) for c in components)
 
+    @cached_property
     def gluing_plan(self) -> GluingPlan:
-        """The elements the DPO gluing check and ``apply_at`` read, built
-        once."""
-        if self._gluing_plan is None:
-            kind = {vid: rv.kind for vid, rv in self.vertices.items()}
-            vertices = sorted(self.vertices.items())
-            self._gluing_plan = GluingPlan(
-                tuple((vid, tuple(self.left.neighbors(vid)))
-                      for vid, rv in self.vertices.items() if rv.kind == LEFT),
-                tuple((u, v) for (u, v), re in self.edges.items()
-                      if re.kind == RIGHT and kind[u] == kind[v] == CONTEXT),
-                tuple((vid, rv.right_label) for vid, rv in vertices
-                      if rv.kind == CONTEXT and rv.left_label != rv.right_label),
-                tuple((vid, rv.right_label) for vid, rv in vertices
-                      if rv.kind == RIGHT),
-                tuple((u, v) for (u, v), re in self.edges.items()
-                      if re.kind == LEFT and kind[u] == kind[v] == CONTEXT),
-                tuple((u, v, re.right_label, re.kind == RIGHT)
-                      for (u, v), re in self.edges.items()
-                      if re.kind != LEFT and re.left_label != re.right_label))
-        return self._gluing_plan
+        """The elements the DPO gluing check and ``apply_at`` read."""
+        kind = {vid: rv.kind for vid, rv in self.vertices.items()}
+        vertices = sorted(self.vertices.items())
+        return GluingPlan(
+            tuple((vid, tuple(self.left.neighbors(vid)))
+                  for vid, rv in self.vertices.items() if rv.kind == LEFT),
+            tuple((u, v) for (u, v), re in self.edges.items()
+                  if re.kind == RIGHT and kind[u] == kind[v] == CONTEXT),
+            tuple((vid, rv.right_label) for vid, rv in vertices
+                  if rv.kind == CONTEXT and rv.left_label != rv.right_label),
+            tuple((vid, rv.right_label) for vid, rv in vertices
+                  if rv.kind == RIGHT),
+            tuple((u, v) for (u, v), re in self.edges.items()
+                  if re.kind == LEFT and kind[u] == kind[v] == CONTEXT),
+            tuple((u, v, re.right_label, re.kind == RIGHT)
+                  for (u, v), re in self.edges.items()
+                  if re.kind != LEFT and re.left_label != re.right_label))
 
     def inverted(self) -> Rule:
         """The reverse rule: swap left/right memberships and label pairs."""

@@ -15,6 +15,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from typing import NamedTuple
 
 from gstrat.graphs import Graph
 from gstrat.lex import EOF, INT, NAME, PUNCT, STRING, ParseError, Token
@@ -233,17 +234,23 @@ def split_union_match(repo, graph_ids, vertex_map):
     return copies
 
 
+class UnionResult(NamedTuple):
+    """What ``union_apply`` returns: the output graph ids, sorted, and the
+    fates dict, whose output positions index them."""
+    outputs: tuple[int, ...]
+    fates: dict[tuple[int, int], tuple[int, int]]
+
+
 def union_apply(rule, graph_ids, vertex_map, repo):
     """Reference DPO step on one union host graph.
 
     vertex_map sends each left vertex to a ``union_graph`` vertex.  Builds
     the union of the copies, checks the match and the gluing conditions on
     the whole of it, builds the result graph, splits it into connected
-    components and interns each, in component order; returns
-    ``rewrite.apply_at``'s ``ApplyResult``, its outputs sorted by graph id
-    and its fates' positions indexing them, or None on a gluing failure.
+    components and interns each, in component order; returns a
+    ``UnionResult``, the outputs sorted by graph id and the fates' positions
+    indexing them, or None on a gluing failure.
     """
-    from gstrat.rewrite import ApplyResult
     from gstrat.rules import CONTEXT, LEFT, RIGHT
 
     host = union_graph(repo, graph_ids)
@@ -304,7 +311,7 @@ def union_apply(rule, graph_ids, vertex_map, repo):
     fates = {origin[raw]: (pos, stored)
              for pos, (_, _, vmap) in enumerate(interned)
              for raw, stored in vmap.items() if raw < len(origin)}
-    return ApplyResult(tuple(gid for gid, _, _ in interned), fates)
+    return UnionResult(tuple(gid for gid, _, _ in interned), fates)
 
 
 def naive_derivation_keys(rule, universe, required, repo):
@@ -441,7 +448,7 @@ def rule_orbit_derivations(rule, universe, required, repo, left_filter=None):
             continue
         orbit = min(tuple(sorted(
             (gid, tuple(sorted((sigma[rv], sv) for rv, sv in vmap.items())))
-            for gid, vmap in partial.copies)) for sigma in rule.automorphisms())
+            for gid, vmap in partial.copies)) for sigma in rule.automorphisms)
         if orbit in applied:
             continue
         applied.add(orbit)

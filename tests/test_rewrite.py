@@ -392,7 +392,7 @@ class TestOrbitPruning:
         star_id, _ = repo.intern(Graph([(0, "b"), (1, "a"), (2, "a")],
                                        [(0, 1, "x"), (0, 2, "x")]))
         rule = symmetric_pair_rule()
-        assert len(rule.automorphisms()) == 2
+        assert len(rule.automorphisms) == 2
         ids = [edge_id, star_id]
         for required in ([], [edge_id], [star_id], ids):
             fast = enumerate_proper_derivations(rule, ids, required, repo=repo)
@@ -478,12 +478,12 @@ class TestHostOrbits:
             by_key = {}
             for partial in rewrite._complete_matches(rule, universe, (), repo,
                                                      cache):
-                key = rewrite._orbit_key(partial, rule.automorphisms(), repo,
+                key = rewrite._orbit_key(partial, rule.automorphisms, repo,
                                          host_memo)
                 by_key.setdefault(key, []).append(partial)
 
             def rule_orbit(partial):
-                return rewrite._orbit_key(partial, rule.automorphisms(),
+                return rewrite._orbit_key(partial, rule.automorphisms,
                                           NoHostSymmetry(), rule_memo)
             for first, *others in by_key.values():
                 for other in others:
@@ -644,7 +644,7 @@ class TestGluingDifferential:
         seen = set()
         for _ in range(300):
             for rule, ok in gluing_outcomes(rng):
-                plan = rule.gluing_plan()
+                plan = rule.gluing_plan
                 seen.add(("deletes", bool(plan.deleted), ok))
                 seen.add(("creates", bool(plan.created), ok))
         assert {(kind, True, ok) for kind in ("deletes", "creates")
@@ -698,7 +698,7 @@ class TestGluingDifferential:
         for rule, got, fates in held:
             assert got.fates == fates
             multi_output += len(got.outputs) > 1
-            deleting += bool(rule.gluing_plan().deleted)
+            deleting += bool(rule.gluing_plan.deleted)
         assert len(held) > 100 and rejected > 100
         assert multi_output > 100 and deleting > 10, (multi_output, deleting)
 
@@ -726,15 +726,15 @@ class TestGluingDifferential:
 
 
 def count_fates_builds(monkeypatch):
-    """Count the builds of ``Fates`` dicts from here on."""
-    calls = []
-    real = rewrite.Fates._build
+    """Record each fates dict built from here on."""
+    built = []
+    real = rewrite._fates
 
-    def counting(self):
-        calls.append(self)
-        return real(self)
-    monkeypatch.setattr(rewrite.Fates, "_build", counting)
-    return calls
+    def counting(result):
+        built.append(real(result))
+        return built[-1]
+    monkeypatch.setattr(rewrite, "_fates", counting)
+    return built
 
 
 class TestLazyFates:
@@ -777,9 +777,20 @@ class TestLazyFates:
         builds = count_fates_builds(monkeypatch)
         d = enumerate_proper_derivations(diels_alder_rule(), ids, repo=repo)[0]
         assert builds == []
-        first = dict(d.atom_map)
-        assert dict(d.atom_map) == first
-        assert len(builds) == 1 and builds[0] is d.atom_map
+        first = d.atom_map
+        assert len(builds) == 1 and dict(first) == builds[0]
+        assert d.atom_map is first and len(builds) == 1
+
+    def test_read_only(self):
+        repo, ids = diels_alder_pair()
+        rule = diels_alder_rule()
+        d = enumerate_proper_derivations(rule, ids, repo=repo)[0]
+        for fates in (apply_at(rule, d.match, repo).fates, d.atom_map):
+            before = dict(fates)
+            for key in (next(iter(fates)), (-1, -1)):
+                with pytest.raises(TypeError):
+                    fates[key] = (0, 0)
+            assert dict(fates) == before
 
 
 def stored_content(g):
@@ -1200,7 +1211,7 @@ class TestPartialBindingCompleteness:
         pruned = derivations = 0
         for _ in range(100):
             rule = symmetric_rule(rng)
-            assert rule.search_plans()[0].symmetries
+            assert rule.search_plans[0].symmetries
             repo = GraphRepository()
             labels = rng.choice([("a",), ("a", "b")])
             ids = list(dict.fromkeys(repo.intern(random_graph(

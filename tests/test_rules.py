@@ -305,10 +305,10 @@ class TestAutomorphisms:
 
     def test_group_orders(self):
         da = diels_alder_rule()
-        orders = {"dielsAlder": len(da.automorphisms()),
-                  "dielsAlder^-1": len(da.inverted().automorphisms())}
+        orders = {"dielsAlder": len(da.automorphisms),
+                  "dielsAlder^-1": len(da.inverted().automorphisms)}
         for name in ("mark", "removeR", "markForFail", "unmark"):
-            orders[name] = len(self._catalan(name).automorphisms())
+            orders[name] = len(self._catalan(name).automorphisms)
         assert orders == {"dielsAlder": 2, "dielsAlder^-1": 2, "mark": 6,
                           "removeR": 6, "markForFail": 1, "unmark": 1}
 
@@ -319,7 +319,7 @@ class TestAutomorphisms:
                                                "unmark")]
         rules += [random_rule(rng) for _ in range(30)]
         for rule in rules:
-            autos = rule.automorphisms()
+            autos = rule.automorphisms
             assert autos[0] == {v: v for v in rule.vertices}
             got = {tuple(sorted(sigma.items())) for sigma in autos}
             assert len(got) == len(autos)
@@ -327,4 +327,6 @@ class TestAutomorphisms:
 
     def test_cached_per_instance(self):
         rule = diels_alder_rule()
-        assert rule.automorphisms() is rule.automorphisms()
+        assert rule.automorphisms is rule.automorphisms
+        assert rule.search_plans is rule.search_plans
+        assert rule.gluing_plan is rule.gluing_plan
